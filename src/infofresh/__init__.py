@@ -30,7 +30,6 @@ from .simulator import (
     simulate,
 )
 from .solver import (
-    BracketInvalid,
     CycleStats,
     SolverResult,
     ThresholdUnreachable,
@@ -53,6 +52,7 @@ from .sources import (
     Tabulated,
     binary_entropy,
     metric_function,
+    metric_table,
     mutual_information,
     penalty_value,
     sample_source_path,
@@ -64,7 +64,6 @@ __all__ = [
     "Affine",
     "AgePenalty",
     "BinarySymmetric",
-    "BracketInvalid",
     "BudgetExceeded",
     "ConfigError",
     "CycleStats",
@@ -93,6 +92,7 @@ __all__ = [
     "estimate_time_average",
     "h_of_c",
     "metric_function",
+    "metric_table",
     "mutual_information",
     "optimal_wait",
     "penalty_value",

@@ -56,8 +56,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", metavar="PATH", help="output CSV path (default stdout)")
         p.add_argument("--plot-script", action="store_true", help="also write <out>.plot.py")
         if solver_flags:
-            p.add_argument("--tol", type=float, help="bisection tolerance override")
-            p.add_argument("--zmax", type=int, help="wait-scan cap override")
+            p.add_argument("--tol", type=float, help="solver convergence guard override")
+            p.add_argument("--zmax", type=int, help="wait cap override")
         if sim_flags:
             p.add_argument("--seeds", type=int, metavar="N", help="use seeds 0..N-1")
             p.add_argument("--horizon", type=int, help="simulation horizon override")
@@ -143,7 +143,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             f.write(f"z[{y}],{res.waiting[y]}\n")
     print(f"{problem}: beta = {_fmt(res.beta)} "
           f"(achieved average {_fmt(achieved)}, |h| = {abs(res.h_residual):.3g}, "
-          f"{res.iterations} bisection steps)", file=sys.stderr)
+          f"{res.iterations} Dinkelbach steps)", file=sys.stderr)
     print("waits: " + ", ".join(f"Z({y}) = {res.waiting[y]}" for y in dist.support),
           file=sys.stderr)
     return 0
@@ -210,7 +210,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     dist = cfg.build_service()
     if cfg.trace_policy == "threshold":
         penalty = cfg.build_penalty()
-        policy = Threshold(beta=solve_beta(penalty, dist, cfg.tol, cfg.z_max).beta, penalty=penalty)
+        policy = Threshold(waiting=solve_beta(penalty, dist, cfg.tol, cfg.z_max).waiting)
     elif cfg.trace_policy == "zero-wait":
         policy = ZeroWait()
     elif cfg.trace_policy == "uniform":
@@ -325,8 +325,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except ThresholdUnreachable as exc:
         print(f"infofresh: error: {exc}", file=sys.stderr)
-        print("hint: raise z_max (--zmax) if the penalty keeps growing; a bounded "
-              "penalty cannot reach a threshold above its supremum", file=sys.stderr)
+        print("hint: the optimal waits do not fit under z_max; raise z_max (--zmax or "
+              "[solver] z_max) until they do", file=sys.stderr)
         return 2
     except (SequenceExhausted, BudgetExceeded, RuntimeError) as exc:
         print(f"infofresh: error: {exc}", file=sys.stderr)

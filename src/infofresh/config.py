@@ -156,7 +156,7 @@ class ExperimentConfig:
         if self.service is None:
             raise ConfigError("[service] dist is required for this command")
         try:
-            return ServiceTimeDist(dict(self.service))
+            return ServiceTimeDist(self.service)
         except ValueError as exc:
             raise ConfigError(f"[service] dist: {exc}") from exc
 

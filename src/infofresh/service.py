@@ -25,13 +25,14 @@ class ServiceTimeDist:
     __slots__ = ("support", "probs", "_cdf")
 
     def __init__(self, pmf: Mapping[int, float] | Iterable[tuple[int, float]]):
-        pairs = sorted(dict(pmf).items()) if not isinstance(pmf, Mapping) else sorted(pmf.items())
+        pairs = sorted(pmf.items() if isinstance(pmf, Mapping) else pmf)
         if not pairs:
             raise ValueError("service distribution needs at least one support point")
         ys = [y for y, _ in pairs]
         ps = [float(p) for _, p in pairs]
-        if len(set(ys)) != len(ys):
-            raise ValueError("support points must be distinct")
+        for a, b in zip(ys, ys[1:]):
+            if a == b:
+                raise ValueError(f"support points must be distinct; {a} is listed more than once")
         for y in ys:
             if not (isinstance(y, (int, np.integer)) and y >= 1):
                 raise ValueError(f"service times must be integers >= 1, got {y!r}")

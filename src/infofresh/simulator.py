@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import IO, Optional, Sequence, Union
+from typing import IO, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .service import ServiceTimeDist
-from .solver import DEFAULT_Z_MAX, optimal_wait
 from .sources import AgePenalty, MarkovSourceModel, metric_function
 
 QUEUE_GUARD = 1_000_000
@@ -53,12 +52,11 @@ class ZeroWait:
 
 @dataclass(frozen=True)
 class Threshold:
-    """Wait after each delivery until the expected penalty at the next
-    delivery reaches ``beta``, then generate.  The wait depends only on the
-    delivered sample's service time, so it is precomputed per support point."""
+    """Wait ``waiting[y]`` steps after delivering a sample whose service
+    time was y, then generate.  The waits are the solved threshold rule
+    (``SolverResult.waiting``), so they honor the cap they were solved with."""
 
-    beta: float
-    penalty: AgePenalty
+    waiting: Mapping[int, int]
 
 
 PolicySpec = Union[Uniform, ZeroWait, Threshold]
@@ -140,10 +138,10 @@ def _waits_table(policy: PolicySpec, dist: ServiceTimeDist) -> np.ndarray:
     if isinstance(policy, ZeroWait):
         return np.zeros(len(dist.support), dtype=np.int64)
     if isinstance(policy, Threshold):
-        return np.array(
-            [optimal_wait(policy.penalty, dist, y, policy.beta, DEFAULT_Z_MAX) for y in dist.support],
-            dtype=np.int64,
-        )
+        missing = [y for y in dist.support if y not in policy.waiting]
+        if missing:
+            raise ValueError(f"threshold waits are missing support point {missing[0]}")
+        return np.array([policy.waiting[y] for y in dist.support], dtype=np.int64)
     raise TypeError(f"no waits table for policy {policy!r}")
 
 

@@ -6,14 +6,25 @@ sample.  The long-run time average of a non-decreasing age penalty p is a
 ratio of expected cycle reward to expected cycle length, and the optimal
 policy is a threshold rule: wait until the expected penalty at the next
 delivery reaches a threshold beta, which equals the optimal average
-itself.  Following Dinkelbach's transform for fractional programs, the
+itself.
+
+The penalty at the next delivery depends on y and the wait only through
+t = y + Z(y), so one table g(t) = E[p(t + Y')] serves every support
+point: the best waits at a level c are Z_c(y) = max(0, t*(c) - y), with
+t*(c) the first t where g reaches c.  This single-crossing rule
+generalizes the water-filling rule Z = max(beta - Y, 0) that Sun et al.
+("Update or Wait", IEEE Trans. IT 2017) derive for the linear age.  The
 signed slack
 
     h(c) = min over waits of E[cycle reward] - c * E[cycle length]
 
-is non-increasing in c and changes sign exactly at the optimal ratio, so
-a single bisection on c finds beta.  All cycle sums here are exact
-accumulations over the finite (y, z, y') grid; nothing is sampled.
+is non-increasing in c and vanishes exactly at the optimal ratio.
+Dinkelbach's iteration (Management Science 1967) finds that root: from
+the zero-wait ratio, set c to the ratio achieved by the best waits at c,
+until the waits repeat.  The levels only decrease, and the waits take
+finitely many values, so it stops at an exact fixed point, typically in
+a handful of steps.  All cycle sums are exact accumulations over the
+finite (y, z, y') grid; nothing is sampled.
 """
 
 from __future__ import annotations
@@ -22,24 +33,21 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
+import numpy as np
+
 from .service import ServiceTimeDist
-from .sources import AgePenalty, MarkovSourceModel, NegatedMI, penalty_value
+from .sources import AgePenalty, MarkovSourceModel, NegatedMI, metric_table, penalty_value
 
 DEFAULT_Z_MAX = 10_000
-_MAX_BISECT_ITERS = 200
-_BRACKET_SLACK = 1e-9
 
 
 class ThresholdUnreachable(Exception):
-    """The wait condition never triggered within z_max steps.
+    """A wait hit z_max while the expected penalty at the next delivery
+    was still below the threshold.
 
-    Signals a penalty bounded above below the requested threshold; enlarge
-    z_max only if the penalty actually grows past the threshold.
+    The optimal waits do not fit under the cap; raising z_max helps only if
+    the penalty actually grows past the threshold.
     """
-
-
-class BracketInvalid(Exception):
-    """Internal error: the bisection bracket lost its sign guarantee."""
 
 
 class WaitingFunction(Mapping[int, int]):
@@ -92,6 +100,67 @@ class SolverResult:
     iterations: int
 
 
+class _Tables:
+    """g(t) = E[p(t + Y')] and G(t) = E[cum(t + Y')] for 0 <= t < n.
+
+    cum(k) is the sum of p(a) over 1 <= a < k, so a cycle after service y
+    with wait z has expected reward G(y + z) - cum(y).  ``reach`` doubles n
+    until g attains a level, so the tables only extend as far as the
+    crossings they are asked for.
+    """
+
+    def __init__(self, penalty: AgePenalty, dist: ServiceTimeDist):
+        self.penalty = penalty
+        self.ys = np.asarray(dist.support, dtype=np.int64)
+        self.ps = np.asarray(dist.probs)
+        self.y_max = dist.y_max
+        self.mean = dist.mean()
+        self._build(dist.y_max + 1)
+
+    def _build(self, n: int) -> None:
+        p = metric_table(self.penalty, n + self.y_max)
+        bad = np.flatnonzero(~np.isfinite(p[1:]))
+        if bad.size:
+            raise ValueError(
+                f"penalty is not finite at age {bad[0] + 1}; cycle sums require finite values"
+            )
+        cum = np.zeros(len(p))
+        cum[2:] = np.cumsum(p[1:-1])
+        g, G = np.zeros(n), np.zeros(n)
+        for y, py in zip(self.ys, self.ps):
+            g += py * p[y : y + n]
+            G += py * cum[y : y + n]
+        self.n, self.cum, self.g, self.G = n, cum, g, G
+
+    def reach(self, c: float, t_limit: int) -> None:
+        """Grow the tables until g attains c or they cover t = t_limit."""
+        while self.g[-1] < c and self.n <= t_limit:
+            self._build(min(2 * self.n, t_limit + 1))
+
+    def crossing(self, c: float) -> int:
+        """First t with g(t) >= c, or n if the tables never reach c."""
+        return int(np.searchsorted(self.g, c, side="left"))
+
+    def waits(self, c: float, z_max: int) -> np.ndarray:
+        """Minimizers of reward - c*length over z in 0..z_max, per support point.
+
+        Waiting one more step after y + z adds g(y + z) - c, which only
+        grows with z, so the first z where g(y + z) >= c is the minimizer;
+        where that lies past z_max, the capped wait z_max is.
+        """
+        return np.clip(self.crossing(c) - self.ys, 0, z_max)
+
+    def cycle(self, z: np.ndarray) -> tuple[float, float]:
+        """Expected cycle reward and length under waits z, aligned with the support."""
+        reward = float(self.ps @ (self.G[self.ys + z] - self.cum[self.ys]))
+        return reward, self.mean + float(self.ps @ z)
+
+
+def _check_z_max(z_max: int) -> None:
+    if z_max < 1:
+        raise ValueError(f"z_max must be >= 1, got {z_max}")
+
+
 def optimal_wait(
     penalty: AgePenalty,
     dist: ServiceTimeDist,
@@ -102,19 +171,20 @@ def optimal_wait(
     """Smallest n >= 0 with E[p(y_prev + n + Y')] >= beta.
 
     The expectation is non-decreasing in n because p is non-decreasing, so
-    the first n scanned that satisfies the condition is the minimizer.
+    it is the first crossing of the g table at or after t = y_prev.
     """
     if y_prev not in dist:
         raise ValueError(f"y_prev = {y_prev} is not in the service support {dist.support}")
-    if z_max < 1:
-        raise ValueError(f"z_max must be >= 1, got {z_max}")
-    for n in range(z_max + 1):
-        if dist.expect(lambda y2: penalty_value(penalty, y_prev + n + y2)) >= beta:
-            return n
-    raise ThresholdUnreachable(
-        f"E[p({y_prev} + n + Y')] stayed below beta = {beta} through n = {z_max}; "
-        f"the penalty may be bounded above below beta"
-    )
+    _check_z_max(z_max)
+    tables = _Tables(penalty, dist)
+    tables.reach(beta, y_prev + z_max)
+    t_star = tables.crossing(beta)
+    if t_star > y_prev + z_max:
+        raise ThresholdUnreachable(
+            f"E[p({y_prev} + n + Y')] stayed below beta = {beta} through n = {z_max}; "
+            f"the penalty may be bounded above below beta"
+        )
+    return max(0, t_star - y_prev)
 
 
 def cycle_stats(
@@ -124,7 +194,8 @@ def cycle_stats(
 
     One cycle runs from a delivery to the next; conditional on the previous
     service y, the wait z = Z(y), and the next service y', the per-step ages
-    are y, y+1, ..., y+z+y'-1 and the cycle length is z + y'.
+    are y, y+1, ..., y+z+y'-1 and the cycle length is z + y'.  This is the
+    independent scalar evaluator: it shares no tables with the solver.
     """
     ys, ps = dist.support, dist.probs
     zs = []
@@ -153,16 +224,18 @@ def cycle_stats(
 def h_of_c(
     penalty: AgePenalty, dist: ServiceTimeDist, c: float, z_max: int = DEFAULT_Z_MAX
 ) -> float:
-    """Signed slack E[reward] - c * E[length] at the best waits for level c.
+    """Signed slack E[reward] - c * E[length] at the best waits in 0..z_max.
 
     The per-sample minimizer of reward - c*length is the threshold rule at
-    beta = c, so this is the exact infimum over stationary waits.  It is
-    non-increasing and concave in c, positive below the optimal ratio and
-    negative above it.
+    beta = c, capped at z_max, so this is the exact infimum over stationary
+    waits up to the cap.  It is non-increasing and concave in c, positive
+    below the optimal ratio and negative above it.
     """
-    waits = {y: optimal_wait(penalty, dist, y, c, z_max) for y in dist.support}
-    st = cycle_stats(penalty, dist, waits)
-    return st.expected_reward - c * st.expected_length
+    _check_z_max(z_max)
+    tables = _Tables(penalty, dist)
+    tables.reach(c, dist.y_max + z_max)
+    reward, length = tables.cycle(tables.waits(c, z_max))
+    return reward - c * length
 
 
 def solve_beta(
@@ -173,40 +246,48 @@ def solve_beta(
 ) -> SolverResult:
     """Minimize the time-average penalty over waiting policies.
 
-    Bisects h on [p(y_min), zero-wait ratio]: every cycle's per-step
-    penalty is at least p(y_min) since ages never drop below the smallest
-    service time, so no policy averages below the lower end, and the upper
-    end is achievable.  Stops when the bracket is narrower than ``tol`` and
-    returns its midpoint with the corresponding waits.
+    Dinkelbach's iteration from the zero-wait ratio; ``iterations`` counts
+    its steps.  It stops when the waits repeat, which is an exact fixed
+    point, or, as a guard, when a step lowers the level by no more than
+    ``tol``; beta is then within tol times a ratio of cycle lengths of the
+    optimum.  A level whose waits exceed z_max takes the capped waits.
+    Raises ThresholdUnreachable only if a final wait is cut by the cap.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    lo = penalty_value(penalty, dist.y_min)
-    hi = cycle_stats(penalty, dist, zero_waiting(dist)).ratio
-    if hi < lo:
-        hi = lo  # zero-wait ratio can round a hair below the floor
-    h_lo = h_of_c(penalty, dist, lo, z_max)
-    if h_lo < -_BRACKET_SLACK * max(1.0, abs(lo)):
-        raise BracketInvalid(
-            f"h({lo}) = {h_lo} < 0 at the penalty floor; "
-            f"this cannot happen for a non-decreasing penalty"
-        )
+    _check_z_max(z_max)
+    tables = _Tables(penalty, dist)
+    z = np.zeros(len(dist.support), dtype=np.int64)
+    reward, length = tables.cycle(z)
+    c = reward / length
+    # Zero-wait cycles see no age past 2*y_max - 1, so g(2*y_max) >= c and
+    # that reach bounds every crossing, since the levels only decrease.
+    # The min absorbs a ratio rounded a hair above the table.
+    tables.reach(c, 2 * dist.y_max)
+    c = min(c, float(tables.g[-1]))
     iterations = 0
-    while hi - lo > tol and iterations < _MAX_BISECT_ITERS:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket at floating-point resolution
-        if h_of_c(penalty, dist, mid, z_max) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
+    while True:
+        z_next = tables.waits(c, z_max)
+        if np.array_equal(z_next, z):
+            break
         iterations += 1
-    beta = 0.5 * (lo + hi)
-    waiting = WaitingFunction({y: optimal_wait(penalty, dist, y, beta, z_max) for y in dist.support})
+        z = z_next
+        reward, length = tables.cycle(z)
+        drop = c - reward / length
+        c = min(c, reward / length)
+        if drop <= tol:
+            break
+    for y, zy in zip(dist.support, z):
+        if zy == z_max and tables.g[y + z_max] < c:
+            raise ThresholdUnreachable(
+                f"the optimal wait after service time {y} exceeds z_max = {z_max}: "
+                f"E[p({y} + {z_max} + Y')] = {tables.g[y + z_max]} is still below beta = {c}"
+            )
+    reward, length = tables.cycle(tables.waits(c, z_max))
     return SolverResult(
-        beta=beta,
-        waiting=waiting,
-        h_residual=h_of_c(penalty, dist, beta, z_max),
+        beta=c,
+        waiting=WaitingFunction(dict(zip(dist.support, z.tolist()))),
+        h_residual=reward - c * length,
         iterations=iterations,
     )
 

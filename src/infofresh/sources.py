@@ -169,6 +169,48 @@ def penalty_value(penalty: AgePenalty, delta: int) -> float:
     raise TypeError(f"unknown penalty {penalty!r}")
 
 
+def _information_table(model: MarkovSourceModel, n: int) -> np.ndarray:
+    """``mutual_information(model, d)`` for d = 0..n-1, elementwise in numpy."""
+    delta = np.arange(n)
+    if isinstance(model, GaussianAR1):
+        t = (model.a * model.a) ** delta
+        with np.errstate(divide="ignore"):  # t = 1 at age 0 gives +inf
+            return -0.5 * np.log1p(-t) / _LN2 + 0.0
+    if isinstance(model, BinarySymmetric):
+        t = (1.0 - 2.0 * model.q) ** delta
+        with np.errstate(divide="ignore", invalid="ignore"):  # t = 1 is masked below
+            exact = ((1.0 - t) * np.log1p(-t) + (1.0 + t) * np.log1p(t)) / (2.0 * _LN2)
+        return np.where(t >= 1.0, 1.0, np.where(t < 1e-8, t * t / (2.0 * _LN2), exact))
+    if isinstance(model, Tabulated):
+        out = np.zeros(n)
+        k = min(n, len(model.values))
+        out[:k] = model.values[:k]
+        return out
+    raise TypeError(f"unknown source model {model!r}")
+
+
+def metric_table(metric: "MarkovSourceModel | AgePenalty", n: int) -> np.ndarray:
+    """Values at ages 0..n-1 of a source model's information curve or of a penalty.
+
+    The closed forms of ``mutual_information`` and ``penalty_value``,
+    evaluated over the whole age range at once.  numpy's vectorized
+    ``log1p`` may differ from ``math.log1p`` in the last bit, so entries
+    agree with the scalar path to rounding, not bitwise.
+    """
+    if n < 0:
+        raise ValueError(f"table length must be non-negative, got {n}")
+    if isinstance(metric, (GaussianAR1, BinarySymmetric, Tabulated)):
+        return _information_table(metric, n)
+    if isinstance(metric, NegatedMI):
+        return -_information_table(metric.model, n)
+    if isinstance(metric, PenaltyTable):
+        vals = np.asarray(metric.values)
+        return vals[np.minimum(np.arange(n), len(vals) - 1)]
+    if isinstance(metric, Affine):
+        return metric.slope * np.arange(n) + metric.intercept
+    raise TypeError(f"metric must be a source model or an age penalty, got {metric!r}")
+
+
 def metric_function(metric: "MarkovSourceModel | AgePenalty") -> Callable[[int], float]:
     """Adapt a source model (information curve) or a penalty to delta -> value."""
     if isinstance(metric, (GaussianAR1, BinarySymmetric, Tabulated)):

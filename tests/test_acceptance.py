@@ -17,7 +17,7 @@ from infofresh.analytic import (
 )
 from infofresh.service import ServiceTimeDist
 from infofresh.simulator import Threshold, Uniform, ZeroWait, estimate_time_average, replay
-from infofresh.solver import ThresholdUnreachable, cycle_stats, h_of_c, solve_beta, solve_mi, zero_waiting
+from infofresh.solver import cycle_stats, h_of_c, solve_beta, solve_mi, zero_waiting
 from infofresh.sources import (
     Affine,
     BinarySymmetric,
@@ -119,14 +119,9 @@ def test_criterion_5_fixed_point(solved_instances):
 def test_criterion_6_sign_property(solved_instances):
     for penalty, dist, res, _ in solved_instances:
         assert h_of_c(penalty, dist, res.beta - 1e-4) >= -1e-7
-        try:
-            assert h_of_c(penalty, dist, res.beta + 1e-4) <= 1e-7
-        except ThresholdUnreachable:
-            # beta + 1e-4 exceeds the penalty's supremum: the slack is -inf
-            # there (arbitrarily long waits drive it down), which satisfies
-            # the bound; the implementation refuses to chase it and that is
-            # the documented behavior.
-            pass
+        # above the penalty's supremum the waits sit on the cap; the slack
+        # is still finite and negative there
+        assert h_of_c(penalty, dist, res.beta + 1e-4) <= 1e-7
         lo = penalty_value(penalty, dist.y_min)
         hi = cycle_stats(penalty, dist, zero_waiting(dist)).ratio
         grid = np.linspace(lo, hi, 11)
@@ -166,7 +161,7 @@ def test_criterion_7_simulator_matches_analytic():
         res = solve_beta(penalty, dist, tol=SOLVER_TOL)
         runs = [
             (ZeroWait(), zero_wait_average(penalty, dist)),
-            (Threshold(beta=res.beta, penalty=penalty), renewal_average(penalty, dist, res.waiting)),
+            (Threshold(res.waiting), renewal_average(penalty, dist, res.waiting)),
         ]
         for policy, exact in runs:
             mean, se = estimate_time_average(policy, penalty, dist, HORIZON, seeds=SEEDS)
@@ -190,7 +185,7 @@ def test_criterion_8_structured_replay(solved_instances):
     res = solve_beta(penalty, dist, tol=SOLVER_TOL)
     forced = [1, 1, 5, 5, 1, 1, 5]
     trace, _ = replay(
-        Threshold(beta=res.beta, penalty=penalty),
+        Threshold(res.waiting),
         BinarySymmetric(q=0.05),
         dist,
         forced,

@@ -30,6 +30,16 @@ q = 0.05
 dist = 1:0.5, 5:0.5
 """
 
+# A rare 3000-step service: the optimal wait after a 1-step service is 91.
+HEAVY_INI = """\
+[penalty]
+kind = affine
+slope = 1.0
+
+[service]
+dist = 1:0.999, 3000:0.001
+"""
+
 TRACE_INI = SOLVE_INI + """
 [trace]
 policy = threshold
@@ -70,6 +80,11 @@ class TestConfig:
     def test_build_service_validates(self):
         cfg = ExperimentConfig.from_ini("[service]\ndist = 0:1.0\n")
         with pytest.raises(ConfigError, match="integers >= 1"):
+            cfg.build_service()
+
+    def test_build_service_names_duplicate_point(self):
+        cfg = ExperimentConfig.from_ini("[service]\ndist = 1:0.5, 1:0.5\n")
+        with pytest.raises(ConfigError, match=r"\[service\] dist: .*1 is listed more than once"):
             cfg.build_service()
 
     def test_build_source_requires_kind_params(self):
@@ -148,6 +163,21 @@ class TestCli:
         assert fields["z[5]"] == "0"
         assert abs(float(fields["h_residual"])) < 1e-9
 
+    def test_solve_optimum_under_cap(self, tmp_path, capsys):
+        cfg = write(tmp_path, "h.ini", HEAVY_INI)
+        assert main(["solve", "--config", cfg, "--zmax", "300"]) == 0
+        fields = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines())
+        assert fields["problem"] == "min-penalty"
+        assert float(fields["beta"]) == pytest.approx(95.4592983942, abs=1e-9)
+        assert fields["z[1]"] == "91"
+
+    def test_solve_binding_cap_exit_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "h.ini", HEAVY_INI)
+        assert main(["solve", "--config", cfg, "--zmax", "50"]) == 2
+        err = capsys.readouterr().err
+        assert "service time 1 exceeds z_max = 50" in err
+        assert "hint: " in err and "--zmax" in err
+
     def test_sweep_schema_and_rerun_identical(self, tmp_path):
         cfg = write(tmp_path, "sw.ini", SWEEP_INI)
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -187,6 +217,22 @@ class TestCli:
         assert "deliver:3|gen:4|start:4" in joined
         assert "deliver:4|gen:5|start:5" in joined
         assert "deliver:1\n" in joined + "\n"
+
+    def test_trace_honors_solver_z_max(self, tmp_path):
+        # the solved wait after a 1-step service, 13944, exceeds the default
+        # cap; the trace must use the waits solved under [solver] z_max
+        ini = (
+            "[penalty]\nkind = affine\nslope = 1.0\n\n"
+            "[service]\ndist = 1:0.9998, 1000000:0.0002\n\n"
+            "[solver]\nz_max = 100000\n\n"
+            "[trace]\npolicy = threshold\nforced_services = 1, 1, 1\nhorizon = 14000\n"
+        )
+        cfg = write(tmp_path, "t.ini", ini)
+        out = str(tmp_path / "trace.csv")
+        assert main(["trace", "--config", cfg, "--out", out]) == 0
+        lines = open(out).read().splitlines()
+        assert len(lines) == 1 + 14001
+        assert lines[13946].endswith(",gen:2|start:2")  # delivered at 1, waited 13944
 
     def test_trace_exhausted_exit_2(self, tmp_path, capsys):
         bad = TRACE_INI.replace("horizon = 22", "horizon = 400")

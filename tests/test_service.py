@@ -51,6 +51,11 @@ class TestConstruction:
         assert d.support == (1, 2)
         assert d.probs == (0.75, 0.25)
 
+    def test_rejects_duplicate_points_by_value(self):
+        # the duplicates must be named, not collapsed into a short sum
+        with pytest.raises(ValueError, match="1 is listed more than once"):
+            ServiceTimeDist([(1, 0.5), (1, 0.5)])
+
     def test_equality_and_hash(self):
         assert ServiceTimeDist({1: 0.5, 5: 0.5}) == ServiceTimeDist({5: 0.5, 1: 0.5})
         assert hash(ServiceTimeDist({2: 1.0})) == hash(ServiceTimeDist({2: 1.0}))

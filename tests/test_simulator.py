@@ -67,8 +67,7 @@ n,delta,metric,queue_len,event
 
 def structured_replay(horizon=22):
     penalty = NegatedMI(BinarySymmetric(q=0.05))
-    beta = solve_beta(penalty, D15, tol=1e-12).beta
-    policy = Threshold(beta=beta, penalty=penalty)
+    policy = Threshold(solve_beta(penalty, D15, tol=1e-12).waiting)
     return replay(policy, BinarySymmetric(q=0.05), D15, [1, 1, 5, 5, 1, 1, 5], horizon)
 
 
@@ -153,9 +152,28 @@ class TestAgeBookkeeping:
         assert np.array_equal(trace.freshest, n - trace.delta)
 
 
+class TestThresholdPolicy:
+    def test_uses_solved_waits_beyond_default_cap(self):
+        # Z(1) = 13944 is past the default cap of 10000; the policy must
+        # carry the solved waits rather than re-derive them under another cap
+        dist = ServiceTimeDist({1: 0.9998, 1_000_000: 0.0002})
+        res = solve_beta(Affine(1.0), dist, z_max=100_000)
+        assert res.waiting[1] == 13_944
+        trace, summary = replay(Threshold(res.waiting), Affine(1.0), dist, [1, 1, 1], 30_000)
+        gens = [t for kind, _, t in trace.events if kind == "generated"]
+        assert gens == [0, 13_945, 27_890]
+        assert summary.samples_delivered == 3
+
+    def test_waits_must_cover_support(self):
+        with pytest.raises(ValueError, match="missing support point 5"):
+            replay(Threshold({1: 0}), Affine(1.0), D15, [1, 5], 3)
+
+
 class TestFIFO:
     def test_pi1_policies_never_queue(self):
-        for policy in (ZeroWait(), Threshold(beta=-0.05, penalty=NegatedMI(BinarySymmetric(q=0.1)))):
+        penalty = NegatedMI(BinarySymmetric(q=0.1))
+        waits = {y: optimal_wait(penalty, D15, y, beta=-0.05) for y in D15.support}
+        for policy in (ZeroWait(), Threshold(waits)):
             trace, summary = simulate(policy, Affine(1.0), D15, 3000, seed=4)
             assert trace.queue_len.max() == 0
             assert summary.mean_queue_wait == 0.0
@@ -212,7 +230,7 @@ class TestAverages:
     def test_threshold_matches_analytic_three_sigma(self):
         penalty = NegatedMI(BinarySymmetric(q=0.1))
         res = solve_beta(penalty, D111, tol=1e-10)
-        policy = Threshold(beta=res.beta, penalty=penalty)
+        policy = Threshold(res.waiting)
         exact = renewal_average(penalty, D111, res.waiting)
         mean, se = estimate_time_average(policy, penalty, D111, 200_000, seeds=range(6))
         assert abs(mean - exact) <= 3 * se
@@ -319,9 +337,7 @@ def reference_simulate(policy, dist, services, horizon, delta0):
             )
             delivered += 1
             if not isinstance(policy, Uniform):
-                z = 0 if isinstance(policy, ZeroWait) else optimal_wait(
-                    policy.penalty, dist, svc[in_service], policy.beta
-                )
+                z = 0 if isinstance(policy, ZeroWait) else policy.waiting[svc[in_service]]
                 next_gen = n + z
             busy_until = in_service = None
         due = (n % policy.period == 0) if isinstance(policy, Uniform) else (
@@ -353,11 +369,10 @@ class TestAgainstReferenceEngine:
         dist = D15 if seed % 2 else D111
         horizon = int(rng.integers(30, 300))
         penalty = NegatedMI(BinarySymmetric(q=0.08))
-        beta = solve_beta(penalty, dist, tol=1e-10).beta
         policies = [
             Uniform(period=int(rng.integers(1, 9))),
             ZeroWait(),
-            Threshold(beta=beta, penalty=penalty),
+            Threshold(solve_beta(penalty, dist, tol=1e-10).waiting),
         ]
         for policy in policies:
             # at most horizon + 1 samples can be generated, so never exhausted

@@ -1,10 +1,14 @@
-"""Threshold solver: waits, the Dinkelbach slack, and bisection."""
+"""Threshold solver: waits, the Dinkelbach slack, and Dinkelbach's iteration."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import infofresh.solver as solver
 from infofresh.analytic import brute_force_optimum, random_instances
 from infofresh.service import ServiceTimeDist
 from infofresh.solver import (
@@ -21,6 +25,8 @@ from infofresh.sources import Affine, BinarySymmetric, GaussianAR1, NegatedMI, P
 
 D15 = ServiceTimeDist({1: 0.5, 5: 0.5})
 D4 = ServiceTimeDist({4: 1.0})
+# A rare 3000-step service: the optimal wait after a 1-step service is 91.
+HEAVY = ServiceTimeDist({1: 0.999, 3000: 0.001})
 
 
 class TestOptimalWait:
@@ -121,6 +127,12 @@ class TestHOfC:
             elif c > beta + 1e-9:
                 assert h < 0.0
 
+    def test_above_supremum_takes_capped_waits(self):
+        # negated information never reaches 0.5, so every wait sits on the
+        # cap and the slack is finite and negative
+        h = h_of_c(NegatedMI(BinarySymmetric(q=0.2)), D15, 0.5, z_max=100)
+        assert math.isfinite(h) and h < 0.0
+
     def test_nonincreasing_on_grid(self):
         for penalty, dist in random_instances(6, seed=101):
             lo = min(
@@ -219,3 +231,81 @@ class TestSolveMI:
         res = solve_mi(model, D15, tol=1e-10)
         oracle = brute_force_optimum(NegatedMI(model), D15, z_cap=40)
         assert res.beta == pytest.approx(-oracle.best_ratio, abs=1e-8)
+
+
+class TestCap:
+    def test_levels_past_the_cap_are_not_fatal(self):
+        # the zero-wait level's crossing lies past z_max = 300; the optimum
+        # does not, so the solver must return it rather than raise
+        res = solve_beta(Affine(1.0), HEAVY, z_max=300)
+        assert res.beta == pytest.approx(95.4592983942, abs=1e-9)
+        assert dict(res.waiting) == {1: 91, 3000: 0}
+        achieved = cycle_stats(Affine(1.0), HEAVY, res.waiting).ratio
+        assert achieved == pytest.approx(res.beta, abs=1e-9)
+
+    def test_same_optimum_as_uncapped(self):
+        capped = solve_beta(Affine(1.0), HEAVY, z_max=300)
+        assert capped.beta == solve_beta(Affine(1.0), HEAVY, z_max=100_000).beta
+
+    def test_binding_cap_raises_naming_the_wait(self):
+        with pytest.raises(ThresholdUnreachable, match=r"service time 1 exceeds z_max = 50"):
+            solve_beta(Affine(1.0), HEAVY, z_max=50)
+
+    def test_huge_cap_costs_nothing(self, monkeypatch):
+        lengths = []
+        table = solver.metric_table
+        monkeypatch.setattr(solver, "metric_table", lambda m, n: lengths.append(n) or table(m, n))
+        penalty = NegatedMI(BinarySymmetric(q=0.1))
+        start = time.perf_counter()
+        default = solve_beta(penalty, D15)
+        t_default = time.perf_counter() - start
+        default_lengths, lengths[:] = lengths[:], []
+        start = time.perf_counter()
+        huge = solve_beta(penalty, D15, z_max=10**9)
+        t_huge = time.perf_counter() - start
+        assert huge == default
+        assert lengths == default_lengths  # the tables never extend toward z_max
+        assert t_huge < 10 * t_default + 0.1
+
+
+# Oracle caps: a two-point support enumerates (cap+1)^2 candidates, a
+# three-point one (cap+1)^3, so the larger cap is kept to the former.
+Z_CAP_SMALL = 40
+Z_CAP_TWO_POINT = 150
+
+
+@st.composite
+def solver_instances(draw):
+    """Penalty and service pairs, including two-point heavy-tailed supports."""
+    kind = draw(st.sampled_from(("binary", "gaussian", "affine", "table")))
+    if kind == "binary":
+        penalty = NegatedMI(BinarySymmetric(q=draw(st.floats(0.02, 0.5))))
+    elif kind == "gaussian":
+        penalty = NegatedMI(GaussianAR1(a=draw(st.floats(0.0, 0.97))))
+    elif kind == "affine":
+        penalty = Affine(slope=draw(st.floats(0.0, 2.0)), intercept=draw(st.floats(-1.0, 1.0)))
+    else:
+        values = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8))
+        penalty = PenaltyTable(values=tuple(sorted(values)))
+    if draw(st.booleans()):
+        rare = draw(st.floats(0.001, 0.05))
+        dist = ServiceTimeDist({1: 1.0 - rare, draw(st.integers(20, 1000)): rare})
+    else:
+        support = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True))
+        weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(support), max_size=len(support)))
+        total = math.fsum(weights)
+        dist = ServiceTimeDist({y: w / total for y, w in zip(support, weights)})
+    return penalty, dist
+
+
+@given(solver_instances())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_solver_matches_oracle_property(instance):
+    penalty, dist = instance
+    z_cap = Z_CAP_TWO_POINT if len(dist.support) <= 2 else Z_CAP_SMALL
+    res = solve_beta(penalty, dist, tol=1e-10)
+    assume(max(res.waiting.values()) <= z_cap)  # the oracle can see the optimum
+    oracle = brute_force_optimum(penalty, dist, z_cap=z_cap)
+    assert res.beta == pytest.approx(oracle.best_ratio, abs=1e-8)
+    achieved = cycle_stats(penalty, dist, res.waiting).ratio
+    assert achieved == pytest.approx(oracle.best_ratio, abs=1e-8)

@@ -16,6 +16,7 @@ from infofresh.sources import (
     Tabulated,
     binary_entropy,
     metric_function,
+    metric_table,
     mutual_information,
     penalty_value,
     sample_source_path,
@@ -190,6 +191,53 @@ class TestPenalties:
         assert metric_function(Affine(slope=2.0))(3) == 6.0
         with pytest.raises(TypeError):
             metric_function("not a metric")
+
+
+# Every model and penalty kind, including the degenerate parameters.
+TABLE_METRICS = [
+    GaussianAR1(a=0.99),
+    GaussianAR1(a=-0.5),
+    GaussianAR1(a=0.0),
+    BinarySymmetric(q=0.45),
+    BinarySymmetric(q=0.01),
+    BinarySymmetric(q=0.0),
+    BinarySymmetric(q=0.5),
+    Tabulated(values=(3.0, 2.0, 0.5)),
+    NegatedMI(GaussianAR1(a=0.9)),
+    NegatedMI(BinarySymmetric(q=0.2)),
+    NegatedMI(Tabulated(values=(1.0, 0.25))),
+    PenaltyTable(values=(-2.0, -1.0, 3.0)),
+    Affine(slope=1.5, intercept=-2.0),
+    Affine(slope=0.0),
+]
+
+
+class TestMetricTable:
+    @pytest.mark.parametrize("metric", TABLE_METRICS, ids=repr)
+    def test_matches_scalar_path(self, metric):
+        # numpy's log1p may differ from math.log1p in the last bit, so the
+        # comparison is to rounding rather than bitwise
+        n = 3000
+        table = metric_table(metric, n)
+        scalar = np.array([metric_function(metric)(d) for d in range(n)])
+        assert table.shape == (n,)
+        finite = np.isfinite(scalar)
+        assert np.array_equal(np.isfinite(table), finite)
+        assert np.array_equal(table[~finite], scalar[~finite])
+        np.testing.assert_allclose(table[finite], scalar[finite], rtol=1e-12, atol=1e-15)
+
+    def test_negated_binary_monotone_through_underflow(self):
+        # t = (1-2q)^delta drops below 1e-8 at age 9 and t*t underflows at age 162
+        table = metric_table(NegatedMI(BinarySymmetric(q=0.45)), 2001)
+        assert np.all(np.diff(table) >= 0.0)
+        assert table[-1] == 0.0
+
+    def test_empty_and_invalid_lengths(self):
+        assert metric_table(Affine(slope=1.0), 0).shape == (0,)
+        with pytest.raises(ValueError):
+            metric_table(Affine(slope=1.0), -1)
+        with pytest.raises(TypeError):
+            metric_table("not a metric", 3)
 
 
 class TestSamplePaths:
