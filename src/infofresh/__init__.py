@@ -51,11 +51,9 @@ from .sources import (
     PenaltyTable,
     Tabulated,
     binary_entropy,
-    metric_function,
     metric_table,
     mutual_information,
     penalty_value,
-    sample_source_path,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +89,6 @@ __all__ = [
     "cycle_stats",
     "estimate_time_average",
     "h_of_c",
-    "metric_function",
     "metric_table",
     "mutual_information",
     "optimal_wait",
@@ -99,7 +96,6 @@ __all__ = [
     "random_instances",
     "renewal_average",
     "replay",
-    "sample_source_path",
     "simulate",
     "solve_beta",
     "solve_mi",

@@ -75,6 +75,7 @@ def brute_force_optimum(
 
     top = int(ys.max()) * 2 + z_cap  # exclusive bound on summed ages
     cum = np.zeros(top + 1)
+    # scalar on purpose: the oracle must not share the solver's metric table
     vals = [penalty_value(penalty, n) for n in range(1, top)]
     if not all(math.isfinite(v) for v in vals):
         raise ValueError("penalty must be finite at every age >= 1")

@@ -12,7 +12,6 @@ import contextlib
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -25,18 +24,21 @@ from .analytic import (
     zero_wait_average,
 )
 from .config import ConfigError, ExperimentConfig
-from .service import ServiceTimeDist
-from .simulator import SequenceExhausted, Threshold, Uniform, ZeroWait, age_histogram, replay, simulate
+from .simulator import (
+    SequenceExhausted,
+    Threshold,
+    Uniform,
+    ZeroWait,
+    _average_from_hist,
+    _fmt,
+    age_histogram,
+    replay,
+    simulate,
+)
 from .solver import ThresholdUnreachable, cycle_stats, solve_beta, solve_mi
 from .sources import BinarySymmetric, GaussianAR1, NegatedMI, mutual_information
 
-WORKERS_ENV = "INFOFRESH_WORKERS"
-
 ORACLE_MATCH_TOL = 1e-8
-
-
-def _fmt(x: float) -> str:
-    return format(x + 0.0, ".12g")  # +0.0 folds -0.0 into 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,6 +118,7 @@ def cmd_mi_curve(args: argparse.Namespace) -> int:
     model = cfg.build_source()
     with _open_out(cfg) as f:
         f.write("delta,mi_bits\n")
+        # scalar on purpose: metric_table moves the 12th printed digit of some rows
         for d in range(cfg.delta_max + 1):
             f.write(f"{d},{_fmt(mutual_information(model, d))}\n")
     _maybe_plot_script(args, cfg, "mi-curve")
@@ -149,24 +152,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _uniform_hist_task(task) -> np.ndarray:
-    pairs, period, horizon, seed, delta0 = task
-    dist = ServiceTimeDist(dict(pairs))
-    return age_histogram(Uniform(period), dist, horizon, seed, delta0)
-
-
-def _uniform_histograms(cfg: ExperimentConfig, dist: ServiceTimeDist, period: int) -> list[np.ndarray]:
-    tasks = [
-        (tuple(zip(dist.support, dist.probs)), period, cfg.horizon, seed, cfg.delta0)
-        for seed in cfg.seeds
-    ]
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_uniform_hist_task, tasks))
-    return [_uniform_hist_task(t) for t in tasks]
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     cfg.validate_sweep()
@@ -176,7 +161,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     do_zw = "zero-wait" in cfg.policies
     do_uni = "uniform" in cfg.policies
 
-    hists = _uniform_histograms(cfg, dist, period) if do_uni else []
+    hists = []
+    if do_uni:
+        hists = [age_histogram(Uniform(period), dist, cfg.horizon, seed, cfg.delta0)
+                 for seed in cfg.seeds]
 
     def model_at(g: float):
         if cfg.sweep_variable == "q":
@@ -190,11 +178,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             i_opt = _fmt(solve_mi(model, dist, cfg.tol, cfg.z_max).beta) if do_opt else ""
             i_zw = _fmt(-zero_wait_average(NegatedMI(model), dist)) if do_zw else ""
             if do_uni:
-                size = max(len(h) for h in hists)
-                table = np.zeros(size)
-                for d in range(1, size):  # age 0 never occurs
-                    table[d] = mutual_information(model, d)
-                vals = np.array([float(h @ table[: len(h)]) / cfg.horizon for h in hists])
+                vals = np.array([_average_from_hist(h, model, cfg.horizon) for h in hists])
                 mean = float(vals.mean())
                 stderr = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
                 i_uni, i_se = _fmt(mean), _fmt(stderr)

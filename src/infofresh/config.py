@@ -1,7 +1,6 @@
 """Experiment configuration: a flat INI file plus flag overrides.
 
-Every field maps to one ``section.key`` pair; parsing and serialization
-are inverses, so ``from_ini(cfg.to_ini()) == cfg``.  Values are validated
+Every field maps to one ``section.key`` pair.  Values are validated
 lazily by the ``build_*`` methods, which construct the module objects and
 convert their errors into ConfigError diagnostics naming the field.
 """
@@ -78,7 +77,7 @@ class ExperimentConfig:
     out_path: str | None = None
 
     # ------------------------------------------------------------------
-    # parsing / serialization
+    # parsing
 
     @classmethod
     def from_ini(cls, text: str) -> "ExperimentConfig":
@@ -88,20 +87,18 @@ class ExperimentConfig:
         except configparser.Error as exc:
             raise ConfigError(f"config syntax error: {exc}") from exc
         cfg = cls()
-        seen = set()
         for section in parser.sections():
             for key, raw in parser.items(section):
                 spot = (section, key)
                 if spot not in _SCHEMA:
                     raise ConfigError(f"unknown config field [{section}] {key}")
-                name, decode, _ = _SCHEMA[spot]
+                name, decode = _SCHEMA[spot]
                 try:
                     setattr(cfg, name, decode(raw.strip()))
                 except ConfigError:
                     raise
                 except Exception as exc:
                     raise ConfigError(f"[{section}] {key}: {exc}") from exc
-                seen.add(spot)
         return cfg
 
     @classmethod
@@ -111,22 +108,6 @@ class ExperimentConfig:
                 return cls.from_ini(f.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-
-    def to_ini(self) -> str:
-        defaults = ExperimentConfig()
-        lines: list[str] = []
-        current = None
-        for (section, key), (name, _, encode) in _SCHEMA.items():
-            value = getattr(self, name)
-            if value is None or value == getattr(defaults, name):
-                continue
-            if section != current:
-                if lines:
-                    lines.append("")
-                lines.append(f"[{section}]")
-                current = section
-            lines.append(f"{key} = {encode(value)}")
-        return "\n".join(lines) + "\n"
 
     # ------------------------------------------------------------------
     # builders
@@ -193,19 +174,7 @@ class ExperimentConfig:
 
 
 # ----------------------------------------------------------------------
-# field codecs
-
-def _float(raw: str) -> float:
-    return float(raw)
-
-
-def _int(raw: str) -> int:
-    return int(raw)
-
-
-def _str(raw: str) -> str:
-    return raw
-
+# field decoders
 
 def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in raw.split(",") if tok.strip())
@@ -253,65 +222,37 @@ def _grid(raw: str) -> tuple[float, ...]:
     return _float_list(raw)
 
 
-def _enc_float(v: float) -> str:
-    return repr(v)
-
-
-def _enc_int(v: int) -> str:
-    return str(v)
-
-
-def _enc_str(v: str) -> str:
-    return v
-
-
-def _enc_float_list(v: tuple[float, ...]) -> str:
-    return ", ".join(repr(x) for x in v)
-
-
-def _enc_int_list(v: tuple[int, ...]) -> str:
-    return ", ".join(str(x) for x in v)
-
-
-def _enc_str_list(v: tuple[str, ...]) -> str:
-    return ", ".join(v)
-
-
-def _enc_service(v: tuple[tuple[int, float], ...]) -> str:
-    return ", ".join(f"{y}:{repr(p)}" for y, p in v)
-
-
-# (section, key) -> (field name, decode, encode), in canonical output order.
-_SCHEMA: dict[tuple[str, str], tuple[str, object, object]] = {
-    ("source", "kind"): ("source_kind", _str, _enc_str),
-    ("source", "q"): ("source_q", _float, _enc_float),
-    ("source", "a"): ("source_a", _float, _enc_float),
-    ("source", "sigma2"): ("source_sigma2", _float, _enc_float),
-    ("source", "values"): ("source_values", _float_list, _enc_float_list),
-    ("service", "dist"): ("service", _service_pairs, _enc_service),
-    ("penalty", "kind"): ("penalty_kind", _str, _enc_str),
-    ("penalty", "slope"): ("penalty_slope", _float, _enc_float),
-    ("penalty", "intercept"): ("penalty_intercept", _float, _enc_float),
-    ("penalty", "values"): ("penalty_values", _float_list, _enc_float_list),
-    ("solver", "tol"): ("tol", _float, _enc_float),
-    ("solver", "z_max"): ("z_max", _int, _enc_int),
-    ("sim", "horizon"): ("horizon", _int, _enc_int),
-    ("sim", "seeds"): ("seeds", _seeds, _enc_int_list),
-    ("sim", "delta0"): ("delta0", _int, _enc_int),
-    ("sweep", "variable"): ("sweep_variable", _str, _enc_str),
-    ("sweep", "grid"): ("sweep_grid", _grid, _enc_float_list),
-    ("sweep", "uniform_period"): ("uniform_period", _int, _enc_int),
-    ("sweep", "policies"): ("policies", _str_list, _enc_str_list),
-    ("trace", "policy"): ("trace_policy", _str, _enc_str),
-    ("trace", "forced_services"): ("forced_services", _int_list, _enc_int_list),
-    ("trace", "seed"): ("trace_seed", _int, _enc_int),
-    ("trace", "horizon"): ("trace_horizon", _int, _enc_int),
-    ("curve", "delta_max"): ("delta_max", _int, _enc_int),
-    ("oracle", "instances"): ("oracle_instances", _int, _enc_int),
-    ("oracle", "z_cap"): ("oracle_z_cap", _int, _enc_int),
-    ("oracle", "seed"): ("oracle_seed", _int, _enc_int),
-    ("output", "path"): ("out_path", _str, _enc_str),
+# (section, key) -> (field name, decode)
+_SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
+    ("source", "kind"): ("source_kind", str),
+    ("source", "q"): ("source_q", float),
+    ("source", "a"): ("source_a", float),
+    ("source", "sigma2"): ("source_sigma2", float),
+    ("source", "values"): ("source_values", _float_list),
+    ("service", "dist"): ("service", _service_pairs),
+    ("penalty", "kind"): ("penalty_kind", str),
+    ("penalty", "slope"): ("penalty_slope", float),
+    ("penalty", "intercept"): ("penalty_intercept", float),
+    ("penalty", "values"): ("penalty_values", _float_list),
+    ("solver", "tol"): ("tol", float),
+    ("solver", "z_max"): ("z_max", int),
+    ("sim", "horizon"): ("horizon", int),
+    ("sim", "seeds"): ("seeds", _seeds),
+    ("sim", "delta0"): ("delta0", int),
+    ("sweep", "variable"): ("sweep_variable", str),
+    ("sweep", "grid"): ("sweep_grid", _grid),
+    ("sweep", "uniform_period"): ("uniform_period", int),
+    ("sweep", "policies"): ("policies", _str_list),
+    ("trace", "policy"): ("trace_policy", str),
+    ("trace", "forced_services"): ("forced_services", _int_list),
+    ("trace", "seed"): ("trace_seed", int),
+    ("trace", "horizon"): ("trace_horizon", int),
+    ("curve", "delta_max"): ("delta_max", int),
+    ("oracle", "instances"): ("oracle_instances", int),
+    ("oracle", "z_cap"): ("oracle_z_cap", int),
+    ("oracle", "seed"): ("oracle_seed", int),
+    ("output", "path"): ("out_path", str),
 }
 
-_FIELD_NAMES = {name for name, _, _ in _SCHEMA.values()}
+_FIELD_NAMES = {name for name, _ in _SCHEMA.values()}
 assert _FIELD_NAMES == {f.name for f in fields(ExperimentConfig)}, "schema out of sync"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -72,14 +72,6 @@ class ServiceTimeDist:
     def mean(self) -> float:
         """Exact expected service time."""
         return math.fsum(y * p for y, p in zip(self.support, self.probs))
-
-    def expect(self, f: Callable[[int], float]) -> float:
-        """Exact expectation of f over the support; +inf terms absorb."""
-        return math.fsum(p * f(y) for y, p in zip(self.support, self.probs))
-
-    def sample(self, rng: np.random.Generator) -> int:
-        """One draw via inverse CDF; advances ``rng`` by one uniform."""
-        return int(self.sample_many(rng, 1)[0])
 
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` draws via inverse CDF on ``n`` uniforms, in draw order."""

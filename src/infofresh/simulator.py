@@ -21,7 +21,7 @@ from typing import IO, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .service import ServiceTimeDist
-from .sources import AgePenalty, MarkovSourceModel, metric_function
+from .sources import AgePenalty, MarkovSourceModel, metric_table
 
 QUEUE_GUARD = 1_000_000
 
@@ -67,11 +67,10 @@ class SimulationTrace:
     """Per-step record for n = 1..horizon plus the full event log.
 
     ``delta[n-1]`` is the age at step n, ``metric[n-1]`` the metric at that
-    age, ``queue_len[n-1]`` the number of samples waiting (excluding the one
-    in service), and ``freshest[n-1]`` the generation time of the freshest
-    delivered sample (-delta0 before the first delivery).  Events are
-    (kind, sample index, time) triples, kind in {generated, service_start,
-    delivered}, sample indices 1-based, including events at time 0.
+    age, and ``queue_len[n-1]`` the number of samples waiting (excluding the
+    one in service).  Events are (kind, sample index, time) triples, kind in
+    {generated, service_start, delivered}, sample indices 1-based, including
+    events at time 0.
     """
 
     horizon: int
@@ -80,7 +79,6 @@ class SimulationTrace:
     delta: np.ndarray
     metric: np.ndarray
     queue_len: np.ndarray
-    freshest: np.ndarray
     events: list[tuple[str, int, int]]
 
     def write_csv(self, f: IO[str]) -> None:
@@ -116,18 +114,6 @@ class RunSummary:
     samples_delivered: int
     mean_queue_wait: float
     seed: Optional[int]
-
-    def csv_header(self) -> list[str]:
-        return ["time_average", "samples_generated", "samples_delivered", "mean_queue_wait", "seed"]
-
-    def csv_row(self) -> list[str]:
-        return [
-            _fmt(self.time_average),
-            str(self.samples_generated),
-            str(self.samples_delivered),
-            _fmt(self.mean_queue_wait),
-            "" if self.seed is None else str(self.seed),
-        ]
 
 
 def _fmt(x: float) -> str:
@@ -236,23 +222,16 @@ def _hist_from_segments(seg_owner, seg_len, horizon):
     return np.cumsum(diff)[:-1] if size > 1 else np.zeros(0, dtype=np.int64)
 
 
-def _average_from_hist(hist, metric_fn, horizon):
-    ages = np.nonzero(hist)[0]
-    if len(ages) == 0:
-        return 0.0
-    vals = np.array([metric_fn(int(a)) for a in ages], dtype=float)
-    return float(hist[ages].astype(float) @ vals) / horizon
+def _average_from_hist(hist, metric, horizon):
+    table = metric_table(metric, len(hist))
+    table[0] = 0.0  # age 0 never occurs; zeroing it keeps 0 * inf out of the sum
+    return float(hist @ table) / horizon
 
 
-def _build_trace(s, start, d, horizon, delta0, metric_fn):
+def _build_trace(s, start, d, horizon, delta0, metric):
     seg_owner, seg_len, _ = _delivery_segments(s, d, horizon, delta0)
-    owner = np.repeat(seg_owner, seg_len)
-    delta = np.arange(1, horizon + 1, dtype=np.int64) - owner
-    uniq = np.unique(delta)
-    table = np.zeros(int(uniq.max()) + 1 if len(uniq) else 1)
-    for a in uniq:
-        table[a] = metric_fn(int(a))
-    metric = table[delta]
+    delta = np.arange(1, horizon + 1, dtype=np.int64) - np.repeat(seg_owner, seg_len)
+    table = metric_table(metric, max(int(delta.max()), delta0) + 1)
     started = start[start <= horizon]
     qdiff = np.bincount(s, minlength=horizon + 1)[: horizon + 1] - np.bincount(
         started, minlength=horizon + 1
@@ -269,19 +248,18 @@ def _build_trace(s, start, d, horizon, delta0, metric_fn):
     return SimulationTrace(
         horizon=horizon,
         delta0=delta0,
-        metric0=metric_fn(delta0),
+        metric0=float(table[delta0]),
         delta=delta,
-        metric=metric,
+        metric=table[delta],
         queue_len=queue_len,
-        freshest=owner,
         events=events,
     )
 
 
-def _summarize(s, start, d, horizon, delta0, metric_fn, seed):
+def _summarize(s, start, d, horizon, delta0, metric, seed):
     seg_owner, seg_len, k = _delivery_segments(s, d, horizon, delta0)
     hist = _hist_from_segments(seg_owner, seg_len, horizon)
-    avg = _average_from_hist(hist, metric_fn, horizon)
+    avg = _average_from_hist(hist, metric, horizon)
     mean_wait = float(np.mean(start[:k] - s[:k])) if k else 0.0
     return RunSummary(
         time_average=avg,
@@ -311,9 +289,8 @@ def simulate(
     _check_run_args(horizon, delta0)
     rng = np.random.Generator(np.random.PCG64(seed))
     s, start, d, _ = _schedule(policy, dist, horizon, rng=rng)
-    metric_fn = metric_function(metric)
-    summary = _summarize(s, start, d, horizon, delta0, metric_fn, seed)
-    trace = None if summary_only else _build_trace(s, start, d, horizon, delta0, metric_fn)
+    summary = _summarize(s, start, d, horizon, delta0, metric, seed)
+    trace = None if summary_only else _build_trace(s, start, d, horizon, delta0, metric)
     return trace, summary
 
 
@@ -332,9 +309,8 @@ def replay(
     """
     _check_run_args(horizon, delta0)
     s, start, d, _ = _schedule(policy, dist, horizon, forced=forced_services)
-    metric_fn = metric_function(metric)
-    summary = _summarize(s, start, d, horizon, delta0, metric_fn, None)
-    trace = _build_trace(s, start, d, horizon, delta0, metric_fn)
+    summary = _summarize(s, start, d, horizon, delta0, metric, None)
+    trace = _build_trace(s, start, d, horizon, delta0, metric)
     return trace, summary
 
 

@@ -206,6 +206,7 @@ def cycle_stats(
     top = max(y + z for y, z in zip(ys, zs)) + max(ys)  # largest exclusive age bound
     cum = [0.0] * (top + 1)
     acc = 0.0
+    # scalar on purpose: the reference the solver's tables are checked against
     for n in range(1, top):
         v = penalty_value(penalty, n)
         if not math.isfinite(v):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -86,6 +86,7 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
+# Scalar on purpose: the reference that metric_table is tested against.
 def mutual_information(model: MarkovSourceModel, delta: int) -> float:
     """Information (bits) a sample of age ``delta`` retains about the state.
 
@@ -154,6 +155,7 @@ class Affine:
 AgePenalty = Union[NegatedMI, PenaltyTable, Affine]
 
 
+# Scalar on purpose: the reference that metric_table is tested against.
 def penalty_value(penalty: AgePenalty, delta: int) -> float:
     """Evaluate a penalty at age ``delta`` (non-decreasing in delta)."""
     if delta < 0:
@@ -210,38 +212,3 @@ def metric_table(metric: "MarkovSourceModel | AgePenalty", n: int) -> np.ndarray
         return metric.slope * np.arange(n) + metric.intercept
     raise TypeError(f"metric must be a source model or an age penalty, got {metric!r}")
 
-
-def metric_function(metric: "MarkovSourceModel | AgePenalty") -> Callable[[int], float]:
-    """Adapt a source model (information curve) or a penalty to delta -> value."""
-    if isinstance(metric, (GaussianAR1, BinarySymmetric, Tabulated)):
-        return lambda d: mutual_information(metric, d)
-    if isinstance(metric, (NegatedMI, PenaltyTable, Affine)):
-        return lambda d: penalty_value(metric, d)
-    raise TypeError(f"metric must be a source model or an age penalty, got {metric!r}")
-
-
-def sample_source_path(model: MarkovSourceModel, horizon: int, seed: int) -> np.ndarray:
-    """Draw a state path of length ``horizon``, deterministic given ``seed``.
-
-    The chain starts from its stationary distribution.  Tabulated curves
-    carry no generative model and are rejected.
-    """
-    if horizon < 1:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    if isinstance(model, GaussianAR1):
-        sigma = math.sqrt(model.sigma2)
-        path = np.empty(horizon)
-        path[0] = rng.standard_normal() * sigma / math.sqrt(1.0 - model.a * model.a)
-        noise = rng.standard_normal(horizon - 1) * sigma
-        for n in range(1, horizon):
-            path[n] = model.a * path[n - 1] + noise[n - 1]
-        return path
-    if isinstance(model, BinarySymmetric):
-        x0 = int(rng.integers(0, 2))
-        flips = (rng.random(horizon - 1) < model.q).astype(np.int64)
-        path = np.empty(horizon, dtype=np.int64)
-        path[0] = x0
-        path[1:] = (x0 + np.cumsum(flips)) % 2
-        return path
-    raise TypeError(f"cannot sample a path from {type(model).__name__}")

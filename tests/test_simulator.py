@@ -20,7 +20,7 @@ from infofresh.simulator import (
     simulate,
 )
 from infofresh.solver import optimal_wait, solve_beta
-from infofresh.sources import Affine, BinarySymmetric, NegatedMI, mutual_information
+from infofresh.sources import Affine, BinarySymmetric, NegatedMI, metric_table
 
 D4 = ServiceTimeDist({4: 1.0})
 D15 = ServiceTimeDist({1: 0.5, 5: 0.5})
@@ -128,7 +128,7 @@ class TestAgeBookkeeping:
     def test_pre_delivery_age_uses_delta0(self):
         trace, _ = replay(ZeroWait(), Affine(1.0), D4, [4], 3, delta0=7)
         assert trace.delta.tolist() == [8, 9, 10]
-        assert trace.freshest.tolist() == [-7, -7, -7]
+        assert np.array_equal(trace.delta, trace.delta0 + np.arange(1, 4))
 
     def test_age_recurrence_and_reset(self):
         trace, _ = simulate(Uniform(period=3), Affine(1.0), D15, 400, seed=11)
@@ -147,9 +147,15 @@ class TestAgeBookkeeping:
         assert int(trace.delta[first - 1 :].min()) >= D111.y_min
 
     def test_freshest_is_n_minus_delta(self):
+        # the freshest delivered sample's generation time, read off the event log
         trace, _ = simulate(Uniform(period=4), Affine(1.0), D15, 200, seed=5)
-        n = np.arange(1, 201)
-        assert np.array_equal(trace.freshest, n - trace.delta)
+        gens = {i: t for kind, i, t in trace.events if kind == "generated"}
+        delivs = {t: i for kind, i, t in trace.events if kind == "delivered"}
+        freshest = -trace.delta0
+        for n in range(1, 201):
+            if n in delivs:
+                freshest = gens[delivs[n]]
+            assert trace.delta[n - 1] == n - freshest
 
 
 class TestThresholdPolicy:
@@ -244,9 +250,8 @@ class TestAverages:
         model = BinarySymmetric(q=0.1)
         hist = age_histogram(Uniform(period=6), D111, 50_000, seed=3)
         assert int(hist.sum()) == 50_000
-        table = np.array(
-            [0.0] + [mutual_information(model, d) for d in range(1, len(hist))]
-        )
+        table = metric_table(model, len(hist))
+        table[0] = 0.0
         via_hist = float(hist @ table) / 50_000
         _, summary = simulate(Uniform(period=6), model, D111, 50_000, seed=3, summary_only=True)
         assert via_hist == summary.time_average
@@ -255,21 +260,15 @@ class TestAverages:
         with pytest.raises(ValueError):
             estimate_time_average(ZeroWait(), Affine(1.0), D4, 100, seeds=[1])
 
-    def test_summary_csv_row(self):
+    def test_summary_fields(self):
         _, summary = simulate(ZeroWait(), Affine(1.0), D4, 100, seed=3, summary_only=True)
-        header, row = summary.csv_header(), summary.csv_row()
-        assert header == [
-            "time_average",
-            "samples_generated",
-            "samples_delivered",
-            "mean_queue_wait",
-            "seed",
-        ]
-        assert row[1] == str(summary.samples_generated)
-        assert row[4] == "3"
-        assert float(row[0]) == pytest.approx(summary.time_average)
+        # deterministic 4-step services: a sample at 0, 4, ..., 100, delivered at 4, ..., 100
+        assert summary.samples_generated == 26
+        assert summary.samples_delivered == 25
+        assert summary.mean_queue_wait == 0.0
+        assert summary.seed == 3
         _, forced_summary = replay(ZeroWait(), Affine(1.0), D4, [4, 4], 7)
-        assert forced_summary.csv_row()[4] == ""  # replays carry no seed
+        assert forced_summary.seed is None  # replays carry no seed
 
 
 class TestDeterminism:

@@ -15,11 +15,9 @@ from infofresh.sources import (
     PenaltyTable,
     Tabulated,
     binary_entropy,
-    metric_function,
     metric_table,
     mutual_information,
     penalty_value,
-    sample_source_path,
 )
 
 # Frozen by high-precision (40-digit) evaluation of the closed forms.
@@ -186,12 +184,6 @@ class TestPenalties:
         vals = [penalty_value(penalty, d) for d in range(1, 120)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
-    def test_metric_function_dispatch(self):
-        assert metric_function(BinarySymmetric(q=0.25))(1) == pytest.approx(MI_BIN_Q25_D1)
-        assert metric_function(Affine(slope=2.0))(3) == 6.0
-        with pytest.raises(TypeError):
-            metric_function("not a metric")
-
 
 # Every model and penalty kind, including the degenerate parameters.
 TABLE_METRICS = [
@@ -219,7 +211,9 @@ class TestMetricTable:
         # comparison is to rounding rather than bitwise
         n = 3000
         table = metric_table(metric, n)
-        scalar = np.array([metric_function(metric)(d) for d in range(n)])
+        is_penalty = isinstance(metric, (NegatedMI, PenaltyTable, Affine))
+        scalar_fn = penalty_value if is_penalty else mutual_information
+        scalar = np.array([scalar_fn(metric, d) for d in range(n)])
         assert table.shape == (n,)
         finite = np.isfinite(scalar)
         assert np.array_equal(np.isfinite(table), finite)
@@ -239,32 +233,3 @@ class TestMetricTable:
         with pytest.raises(TypeError):
             metric_table("not a metric", 3)
 
-
-class TestSamplePaths:
-    def test_zero_flip_probability_is_constant(self):
-        path = sample_source_path(BinarySymmetric(q=0.0), 5, seed=123)
-        assert len(path) == 5
-        assert len(set(path.tolist())) == 1
-
-    def test_decoupled_gaussian_is_iid_standard_normal(self):
-        path = sample_source_path(GaussianAR1(a=0.0, sigma2=1.0), 200_000, seed=7)
-        assert abs(path.mean()) < 0.01
-        assert abs(path.std() - 1.0) < 0.01
-        # adjacent-lag correlation vanishes when a = 0
-        assert abs(np.corrcoef(path[:-1], path[1:])[0, 1]) < 0.01
-
-    def test_seed_replay(self):
-        a = sample_source_path(BinarySymmetric(q=0.3), 100, seed=9)
-        b = sample_source_path(BinarySymmetric(q=0.3), 100, seed=9)
-        assert np.array_equal(a, b)
-        g1 = sample_source_path(GaussianAR1(a=0.5), 50, seed=1)
-        g2 = sample_source_path(GaussianAR1(a=0.5), 50, seed=1)
-        assert np.array_equal(g1, g2)
-
-    def test_tabulated_has_no_generative_model(self):
-        with pytest.raises(TypeError):
-            sample_source_path(Tabulated(values=(1.0,)), 10, seed=0)
-
-    def test_horizon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            sample_source_path(BinarySymmetric(q=0.1), 0, seed=0)
