@@ -75,7 +75,9 @@ class ServiceTimeDist:
 
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` draws via inverse CDF on ``n`` uniforms, in draw order."""
-        u = rng.random(n)
-        idx = np.searchsorted(self._cdf, u, side="right")
-        idx = np.minimum(idx, len(self.support) - 1)
-        return np.asarray(self.support, dtype=np.int64)[idx]
+        return np.asarray(self.support, dtype=np.int64)[self._sample_indices(rng, n)]
+
+    def _sample_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Support indices of the ``n`` draws ``sample_many`` would make."""
+        idx = np.searchsorted(self._cdf, rng.random(n), side="right")
+        return np.minimum(idx, len(self.support) - 1)

@@ -14,7 +14,6 @@ for million-step horizons.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import IO, Mapping, Optional, Sequence, Union
 
@@ -25,8 +24,10 @@ from .sources import AgePenalty, MarkovSourceModel, metric_table
 
 QUEUE_GUARD = 1_000_000
 
-_EVENT_TOKEN = {"generated": "gen", "service_start": "start", "delivered": "deliver"}
-_EVENT_ORDER = {"delivered": 0, "generated": 1, "service_start": 2}
+# Event kinds in the order they happen within one step, and their CSV tokens.
+_EVENT_KINDS = ("delivered", "generated", "service_start")
+_EVENT_TOKENS = ("deliver:", "gen:", "start:")
+_CSV_CHUNK_ROWS = 1 << 15  # rows formatted per write; bounds the memory of write_csv
 
 
 class SequenceExhausted(Exception):
@@ -64,13 +65,18 @@ PolicySpec = Union[Uniform, ZeroWait, Threshold]
 
 @dataclass(eq=False)
 class SimulationTrace:
-    """Per-step record for n = 1..horizon plus the full event log.
+    """Per-step record for n = 1..horizon plus the sample schedule.
 
     ``delta[n-1]`` is the age at step n, ``metric[n-1]`` the metric at that
     age, and ``queue_len[n-1]`` the number of samples waiting (excluding the
-    one in service).  Events are (kind, sample index, time) triples, kind in
-    {generated, service_start, delivered}, sample indices 1-based, including
-    events at time 0.
+    one in service); ``delta0`` and ``metric0`` belong to step 0.  Sample i
+    (1-based) is generated at ``s[i-1]``, enters service at ``start[i-1]``
+    and is delivered at ``d[i-1]``; the last two may lie past the horizon.
+
+    ``events`` is derived from the schedule on each access: (kind, sample
+    index, time) triples up to the horizon, kind in {generated,
+    service_start, delivered}, ordered by time and within a step as
+    delivered, generated, service_start.
     """
 
     horizon: int
@@ -79,30 +85,59 @@ class SimulationTrace:
     delta: np.ndarray
     metric: np.ndarray
     queue_len: np.ndarray
-    events: list[tuple[str, int, int]]
+    s: np.ndarray
+    start: np.ndarray
+    d: np.ndarray
+
+    def _event_steps(self) -> np.ndarray:
+        """Sample index (0 for none) of each event kind at steps 0..horizon.
+
+        Rows follow ``_EVENT_KINDS``.  One row per kind suffices: service
+        times are >= 1, so generation, start and delivery times each
+        strictly increase with the sample index.
+        """
+        steps = np.zeros((len(_EVENT_KINDS), self.horizon + 1), dtype=np.int64)
+        for row, times in zip(steps, (self.d, self.s, self.start)):
+            k = int(np.searchsorted(times, self.horizon, side="right"))
+            row[times[:k]] = np.arange(1, k + 1)
+        return steps
+
+    @property
+    def events(self) -> list[tuple[str, int, int]]:
+        steps = self._event_steps()
+        t, kind = np.nonzero(steps.T)  # time-major, so kinds keep their in-step order
+        return [
+            (_EVENT_KINDS[k], i, n)
+            for n, k, i in zip(t.tolist(), kind.tolist(), steps[kind, t].tolist())
+        ]
 
     def write_csv(self, f: IO[str]) -> None:
         """Emit rows ``n,delta,metric,queue_len,event`` for n = 0..horizon.
 
         The n = 0 row carries the initial age and the time-0 events (the
-        first sample is always generated at time 0).
+        first sample is always generated at time 0).  Each distinct age's
+        ``delta,metric`` prefix is formatted once.
         """
-        by_time: dict[int, list[str]] = {}
-        for kind, i, t in self.events:
-            by_time.setdefault(t, []).append(f"{_EVENT_TOKEN[kind]}:{i}")
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["n", "delta", "metric", "queue_len", "event"])
-        w.writerow([0, self.delta0, _fmt(self.metric0), 0, "|".join(by_time.get(0, []))])
-        for n in range(1, self.horizon + 1):
-            w.writerow(
-                [
-                    n,
-                    int(self.delta[n - 1]),
-                    _fmt(float(self.metric[n - 1])),
-                    int(self.queue_len[n - 1]),
-                    "|".join(by_time.get(n, [])),
-                ]
-            )
+        ages = np.concatenate(([self.delta0], self.delta))
+        values = np.concatenate(([self.metric0], self.metric))
+        uniq, first, which = np.unique(ages, return_index=True, return_inverse=True)
+        prefix = [f"{a},{_fmt(v)}," for a, v in zip(uniq.tolist(), values[first].tolist())]
+        queue = np.concatenate(([0], self.queue_len))
+        steps = self._event_steps()
+        f.write("n,delta,metric,queue_len,event\n")
+        for lo in range(0, self.horizon + 1, _CSV_CHUNK_ROWS):
+            hi = min(lo + _CSV_CHUNK_ROWS, self.horizon + 1)
+            event = [""] * (hi - lo)
+            for token, idx in zip(_EVENT_TOKENS, steps[:, lo:hi]):
+                at = np.flatnonzero(idx)
+                for k, i in zip(at.tolist(), idx[at].tolist()):
+                    event[k] = f"{event[k]}|{token}{i}" if event[k] else f"{token}{i}"
+            f.write("".join([
+                f"{n},{prefix[w]}{q},{e}\n"
+                for n, w, q, e in zip(
+                    range(lo, hi), which[lo:hi].tolist(), queue[lo:hi].tolist(), event
+                )
+            ]))
 
 
 @dataclass(frozen=True)
@@ -141,14 +176,13 @@ def _validate_forced(forced: Sequence[int], dist: ServiceTimeDist) -> np.ndarray
 
 def _pi1_schedule(dist, zarr, horizon, rng=None, forced=None):
     """Sample-at-idle policies: S[i+1] = D[i] + Z(Y[i]), no queueing."""
-    if forced is None:
-        y_all = dist.sample_many(rng, horizon // dist.y_min + 2)
-    else:
-        y_all = _validate_forced(forced, dist)
     sup = np.asarray(dist.support, dtype=np.int64)
-    idx = np.searchsorted(sup, y_all)
-    z_all = zarr[idx] if y_all.size else np.zeros(0, dtype=np.int64)
-    gen_all = np.concatenate(([0], np.cumsum(y_all + z_all)))
+    if forced is None:
+        idx = dist._sample_indices(rng, horizon // dist.y_min + 2)
+    else:
+        idx = np.searchsorted(sup, _validate_forced(forced, dist))
+    y_all = sup[idx]
+    gen_all = np.concatenate(([0], np.cumsum(y_all + zarr[idx])))
     m = int(np.searchsorted(gen_all, horizon, side="right"))
     if m > len(y_all):
         raise SequenceExhausted(
@@ -156,8 +190,7 @@ def _pi1_schedule(dist, zarr, horizon, rng=None, forced=None):
             f"but only {len(y_all)} forced service times were given"
         )
     s = gen_all[:m]
-    y = y_all[:m]
-    return s, s.copy(), s + y, y
+    return s, s.copy(), s + y_all[:m]
 
 
 def _uniform_schedule(dist, period, horizon, rng=None, forced=None):
@@ -184,7 +217,7 @@ def _uniform_schedule(dist, period, horizon, rng=None, forced=None):
             f"queue backlog reached {peak} samples (guard {QUEUE_GUARD}); "
             f"the uniform period {period} is too short for this service distribution"
         )
-    return s, start, d, y
+    return s, start, d
 
 
 def _schedule(policy, dist, horizon, rng=None, forced=None):
@@ -228,36 +261,29 @@ def _average_from_hist(hist, metric, horizon):
     return float(hist @ table) / horizon
 
 
-def _build_trace(s, start, d, horizon, delta0, metric):
-    seg_owner, seg_len, _ = _delivery_segments(s, d, horizon, delta0)
+def _build_trace(s, start, d, segments, horizon, delta0, metric):
+    seg_owner, seg_len, _ = segments
     delta = np.arange(1, horizon + 1, dtype=np.int64) - np.repeat(seg_owner, seg_len)
     table = metric_table(metric, max(int(delta.max()), delta0) + 1)
     started = start[start <= horizon]
     qdiff = np.bincount(s, minlength=horizon + 1)[: horizon + 1] - np.bincount(
         started, minlength=horizon + 1
     )[: horizon + 1]
-    queue_len = np.cumsum(qdiff)[1:]
-    events = []
-    for i in range(len(s)):
-        events.append(("generated", i + 1, int(s[i])))
-        if start[i] <= horizon:
-            events.append(("service_start", i + 1, int(start[i])))
-        if d[i] <= horizon:
-            events.append(("delivered", i + 1, int(d[i])))
-    events.sort(key=lambda e: (e[2], _EVENT_ORDER[e[0]], e[1]))
     return SimulationTrace(
         horizon=horizon,
         delta0=delta0,
         metric0=float(table[delta0]),
         delta=delta,
         metric=table[delta],
-        queue_len=queue_len,
-        events=events,
+        queue_len=np.cumsum(qdiff)[1:],
+        s=s,
+        start=start,
+        d=d,
     )
 
 
-def _summarize(s, start, d, horizon, delta0, metric, seed):
-    seg_owner, seg_len, k = _delivery_segments(s, d, horizon, delta0)
+def _summarize(s, start, segments, horizon, metric, seed):
+    seg_owner, seg_len, k = segments
     hist = _hist_from_segments(seg_owner, seg_len, horizon)
     avg = _average_from_hist(hist, metric, horizon)
     mean_wait = float(np.mean(start[:k] - s[:k])) if k else 0.0
@@ -288,9 +314,10 @@ def simulate(
     """
     _check_run_args(horizon, delta0)
     rng = np.random.Generator(np.random.PCG64(seed))
-    s, start, d, _ = _schedule(policy, dist, horizon, rng=rng)
-    summary = _summarize(s, start, d, horizon, delta0, metric, seed)
-    trace = None if summary_only else _build_trace(s, start, d, horizon, delta0, metric)
+    s, start, d = _schedule(policy, dist, horizon, rng=rng)
+    segments = _delivery_segments(s, d, horizon, delta0)
+    summary = _summarize(s, start, segments, horizon, metric, seed)
+    trace = None if summary_only else _build_trace(s, start, d, segments, horizon, delta0, metric)
     return trace, summary
 
 
@@ -308,10 +335,10 @@ def replay(
     than forced service times were provided.
     """
     _check_run_args(horizon, delta0)
-    s, start, d, _ = _schedule(policy, dist, horizon, forced=forced_services)
-    summary = _summarize(s, start, d, horizon, delta0, metric, None)
-    trace = _build_trace(s, start, d, horizon, delta0, metric)
-    return trace, summary
+    s, start, d = _schedule(policy, dist, horizon, forced=forced_services)
+    segments = _delivery_segments(s, d, horizon, delta0)
+    trace = _build_trace(s, start, d, segments, horizon, delta0, metric)
+    return trace, _summarize(s, start, segments, horizon, metric, None)
 
 
 def estimate_time_average(
@@ -350,7 +377,7 @@ def age_histogram(
     """
     _check_run_args(horizon, delta0)
     rng = np.random.Generator(np.random.PCG64(seed))
-    s, _, d, _ = _schedule(policy, dist, horizon, rng=rng)
+    s, _, d = _schedule(policy, dist, horizon, rng=rng)
     seg_owner, seg_len, _ = _delivery_segments(s, d, horizon, delta0)
     return _hist_from_segments(seg_owner, seg_len, horizon)
 

@@ -1,5 +1,6 @@
 """Configuration parsing and the CLI contract (schemas, determinism, exits)."""
 
+import hashlib
 import os
 from pathlib import Path
 
@@ -344,3 +345,36 @@ class TestTablePathPrintsScalarValues:
             table = np.array([0.0] + [mutual_information(model, d) for d in range(1, size)])
             vals = np.array([float(h @ table[: len(h)]) / cfg.horizon for h in hists])
             assert row[3] == _fmt(float(vals.mean())), row
+
+
+class TestTraceGoldenDigests:
+    """sha256 of whole ``trace`` CSVs, captured from the per-row csv.writer
+    implementation that the column writer replaced; any byte that moves fails."""
+
+    TRACES = {
+        "checked-in-threshold": (
+            (CONFIGS / "threshold_trace.ini").read_text(),
+            "d2c96663c58ca097c14524fc677e5fd808f0af19ad51b457697bc125e5776b72",
+        ),
+        # period 2 against a mean service of 3: the queue grows to 6716 samples
+        "seeded-uniform-queueing": (
+            "[source]\nkind = binary\nq = 0.1\n\n"
+            "[service]\ndist = 1:0.5, 5:0.5\n\n"
+            "[sweep]\nuniform_period = 2\n\n"
+            "[trace]\npolicy = uniform\nseed = 7\nhorizon = 40000\n",
+            "0376429acb6c329f76f3ac6f79b2a07e0ecdd08afad9ad45c536405eff0213e0",
+        ),
+        "seeded-gaussian-zero-wait": (
+            "[source]\nkind = gaussian\na = 0.9\n\n"
+            "[service]\ndist = 1:0.3, 4:0.7\n\n"
+            "[trace]\npolicy = zero-wait\nseed = 3\nhorizon = 40000\n",
+            "247115ebaafcde27047bf60e247e420691693dbe416507586821693f1f4d51e6",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", TRACES)
+    def test_trace_csv_digest(self, name, tmp_path):
+        text, digest = self.TRACES[name]
+        out = tmp_path / "trace.csv"
+        assert main(["trace", "--config", write(tmp_path, "t.ini", text), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -1,5 +1,6 @@
 """Queue simulation: age bookkeeping, FIFO behavior, and replay goldens."""
 
+import csv
 import io
 import math
 
@@ -384,3 +385,115 @@ class TestAgainstReferenceEngine:
             assert trace.queue_len.tolist() == qlens, f"{policy} queues diverge"
             assert sorted(trace.events) == sorted(events), f"{policy} events diverge"
             assert summary.samples_delivered == delivered
+
+
+# The tuple-list trace writer that the column writer replaced, kept as its
+# reference: one (kind, i, t) tuple per event, sorted, then csv.writer per row.
+_REFERENCE_TOKEN = {"generated": "gen", "service_start": "start", "delivered": "deliver"}
+_REFERENCE_ORDER = {"delivered": 0, "generated": 1, "service_start": 2}
+
+
+def reference_events(trace):
+    events = []
+    for i in range(len(trace.s)):
+        events.append(("generated", i + 1, int(trace.s[i])))
+        if trace.start[i] <= trace.horizon:
+            events.append(("service_start", i + 1, int(trace.start[i])))
+        if trace.d[i] <= trace.horizon:
+            events.append(("delivered", i + 1, int(trace.d[i])))
+    events.sort(key=lambda e: (e[2], _REFERENCE_ORDER[e[0]], e[1]))
+    return events
+
+
+def reference_csv(trace):
+    """CSV lines, line endings kept, so a mismatch reports its first line."""
+    by_time = {}
+    for kind, i, t in reference_events(trace):
+        by_time.setdefault(t, []).append(f"{_REFERENCE_TOKEN[kind]}:{i}")
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["n", "delta", "metric", "queue_len", "event"])
+    w.writerow([0, trace.delta0, simulator._fmt(trace.metric0), 0, "|".join(by_time.get(0, []))])
+    for n in range(1, trace.horizon + 1):
+        w.writerow(
+            [
+                n,
+                int(trace.delta[n - 1]),
+                simulator._fmt(float(trace.metric[n - 1])),
+                int(trace.queue_len[n - 1]),
+                "|".join(by_time.get(n, [])),
+            ]
+        )
+    return buf.getvalue().splitlines(keepends=True)
+
+
+def column_csv(trace):
+    buf = io.StringIO()
+    trace.write_csv(buf)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+def random_runs(seed):
+    """(policy, dist, services, horizon) for all three policies, as in
+    ``TestAgainstReferenceEngine``, plus a uniform period of 2 that queues."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    dist = D15 if seed % 2 else D111
+    horizon = int(rng.integers(30, 300))
+    penalty = NegatedMI(BinarySymmetric(q=0.08))
+    policies = [
+        Uniform(period=int(rng.integers(1, 9))),
+        Uniform(period=2),  # shorter than either mean service time
+        ZeroWait(),
+        Threshold(solve_beta(penalty, dist, tol=1e-10).waiting),
+    ]
+    for policy in policies:
+        yield policy, dist, rng.choice(dist.support, size=2 * horizon + 4).tolist(), horizon
+
+
+class TestColumnWriter:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_replays_match_reference_writer(self, seed):
+        queued = 0
+        for policy, dist, services, horizon in random_runs(seed):
+            trace, _ = replay(policy, BinarySymmetric(q=0.08), dist, services, horizon)
+            assert column_csv(trace) == reference_csv(trace), policy
+            assert trace.events == reference_events(trace), policy
+            queued += int(trace.queue_len.max())
+        assert queued > 0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_events_on_and_just_past_the_horizon(self, seed):
+        for policy, dist, services, horizon in random_runs(seed):
+            full, _ = replay(policy, Affine(1.0), dist, services, horizon)
+            k = int(np.searchsorted(full.d, horizon, side="right"))
+            for kind, times in (("service_start", full.start), ("delivered", full.d)):
+                for j in (k // 2, k - 1):
+                    t = int(times[j])
+                    at, _ = replay(policy, Affine(1.0), dist, services, t)
+                    assert (kind, j + 1, t) in at.events
+                    assert column_csv(at) == reference_csv(at), (policy, kind, t)
+                    if t > 1:
+                        past, _ = replay(policy, Affine(1.0), dist, services, t - 1)
+                        assert (kind, j + 1, t) not in past.events
+                        assert column_csv(past) == reference_csv(past), (policy, kind, t - 1)
+
+    @pytest.mark.parametrize("offset", [-2, -1, 0, 1])
+    def test_chunk_boundaries(self, monkeypatch, offset):
+        chunk = 16
+        monkeypatch.setattr(simulator, "_CSV_CHUNK_ROWS", chunk)
+        # rows = horizon + 1, so these put the last row on either side of a boundary
+        for horizon in (chunk + offset, 3 * chunk + offset):
+            trace, _ = simulate(Uniform(period=2), BinarySymmetric(q=0.1), D15, horizon, seed=6)
+            assert column_csv(trace) == reference_csv(trace), horizon
+
+    def test_default_chunk_size(self):
+        horizon = simulator._CSV_CHUNK_ROWS  # one full chunk and a one-row chunk
+        trace, _ = simulate(Uniform(period=2), BinarySymmetric(q=0.1), D15, horizon, seed=6)
+        assert column_csv(trace) == reference_csv(trace)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_at_most_one_event_of_each_kind_per_step(self, seed):
+        for policy, dist, services, horizon in random_runs(seed):
+            trace, _ = replay(policy, Affine(1.0), dist, services, horizon)
+            pairs = [(kind, t) for kind, _, t in reference_events(trace)]
+            assert len(pairs) == len(set(pairs)), policy
