@@ -25,6 +25,7 @@ from .simulator import (
     Uniform,
     ZeroWait,
     age_histogram,
+    average_over_seeds,
     estimate_time_average,
     replay,
     simulate,
@@ -84,6 +85,7 @@ __all__ = [
     "WaitingFunction",
     "ZeroWait",
     "age_histogram",
+    "average_over_seeds",
     "binary_entropy",
     "brute_force_optimum",
     "cycle_stats",

@@ -64,6 +64,8 @@ def brute_force_optimum(
     ``renewal_average`` (vectorized via penalty prefix sums).  Ties go to
     the lexicographically smallest wait vector ordered by ascending y.
     """
+    if z_cap < 0:
+        raise ValueError(f"z_cap must be >= 0, got {z_cap}")
     ys = np.asarray(dist.support, dtype=np.int64)
     ps = np.asarray(dist.probs)
     s = len(ys)

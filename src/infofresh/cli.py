@@ -9,12 +9,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import os
 import sys
 from typing import Sequence
-
-import numpy as np
 
 from .analytic import (
     BudgetExceeded,
@@ -29,9 +26,9 @@ from .simulator import (
     Threshold,
     Uniform,
     ZeroWait,
-    _average_from_hist,
     _fmt,
     age_histogram,
+    average_over_seeds,
     replay,
     simulate,
 )
@@ -169,7 +166,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     def model_at(g: float):
         if cfg.sweep_variable == "q":
             return BinarySymmetric(q=g)
-        return GaussianAR1(a=g, sigma2=cfg.source_sigma2)
+        return GaussianAR1(a=g)
 
     with _open_out(cfg) as f:
         f.write(f"{cfg.sweep_variable},i_opt,i_zero_wait,i_uniform_mean,i_uniform_stderr\n")
@@ -177,13 +174,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             model = model_at(g)
             i_opt = _fmt(solve_mi(model, dist, cfg.tol, cfg.z_max).beta) if do_opt else ""
             i_zw = _fmt(-zero_wait_average(NegatedMI(model), dist)) if do_zw else ""
-            if do_uni:
-                vals = np.array([_average_from_hist(h, model, cfg.horizon) for h in hists])
-                mean = float(vals.mean())
-                stderr = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-                i_uni, i_se = _fmt(mean), _fmt(stderr)
-            else:
-                i_uni, i_se = "", ""
+            i_uni, i_se = (map(_fmt, average_over_seeds(hists, model, cfg.horizon))
+                           if do_uni else ("", ""))
             f.write(f"{_fmt(g)},{i_opt},{i_zw},{i_uni},{i_se}\n")
     _maybe_plot_script(args, cfg, "sweep")
     return 0
@@ -218,6 +210,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    if cfg.oracle_instances < 1:
+        raise ConfigError(f"[oracle] instances must be >= 1, got {cfg.oracle_instances}")
     instances = random_instances(cfg.oracle_instances, cfg.oracle_seed)
     worst_dev = -1.0
     worst_line = ""

@@ -1,6 +1,7 @@
 """Experiment configuration: a flat INI file plus flag overrides.
 
-Every field maps to one ``section.key`` pair.  Values are validated
+Every field declares its ``[section] key`` and decoder through ``_ini``,
+so the INI schema is the field list itself.  Values are validated
 lazily by the ``build_*`` methods, which construct the module objects and
 convert their errors into ConfigError diagnostics naming the field.
 """
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .service import ServiceTimeDist
 from .sources import (
@@ -33,144 +34,6 @@ class ConfigError(Exception):
 def round_half_up(x: float) -> int:
     """Round to nearest integer with ties going up (period rounding rule)."""
     return int(math.floor(x + 0.5))
-
-
-@dataclass
-class ExperimentConfig:
-    # [source]
-    source_kind: str | None = None
-    source_q: float | None = None
-    source_a: float | None = None
-    source_sigma2: float = 1.0
-    source_values: tuple[float, ...] | None = None
-    # [service]
-    service: tuple[tuple[int, float], ...] | None = None
-    # [penalty]
-    penalty_kind: str = "negated-mi"
-    penalty_slope: float | None = None
-    penalty_intercept: float = 0.0
-    penalty_values: tuple[float, ...] | None = None
-    # [solver]
-    tol: float = 1e-10
-    z_max: int = 10_000
-    # [sim]
-    horizon: int = 1_000_000
-    seeds: tuple[int, ...] = tuple(range(10))
-    delta0: int = 1
-    # [sweep]
-    sweep_variable: str | None = None
-    sweep_grid: tuple[float, ...] | None = None
-    uniform_period: int | None = None
-    policies: tuple[str, ...] = KNOWN_POLICIES
-    # [trace]
-    trace_policy: str = "threshold"
-    forced_services: tuple[int, ...] | None = None
-    trace_seed: int | None = None
-    trace_horizon: int = 50
-    # [curve]
-    delta_max: int = 50
-    # [oracle]
-    oracle_instances: int = 20
-    oracle_z_cap: int = 40
-    oracle_seed: int = 0
-    # [output]
-    out_path: str | None = None
-
-    # ------------------------------------------------------------------
-    # parsing
-
-    @classmethod
-    def from_ini(cls, text: str) -> "ExperimentConfig":
-        parser = configparser.ConfigParser()
-        try:
-            parser.read_string(text)
-        except configparser.Error as exc:
-            raise ConfigError(f"config syntax error: {exc}") from exc
-        cfg = cls()
-        for section in parser.sections():
-            for key, raw in parser.items(section):
-                spot = (section, key)
-                if spot not in _SCHEMA:
-                    raise ConfigError(f"unknown config field [{section}] {key}")
-                name, decode = _SCHEMA[spot]
-                try:
-                    setattr(cfg, name, decode(raw.strip()))
-                except ConfigError:
-                    raise
-                except Exception as exc:
-                    raise ConfigError(f"[{section}] {key}: {exc}") from exc
-        return cfg
-
-    @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                return cls.from_ini(f.read())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-
-    # ------------------------------------------------------------------
-    # builders
-
-    def build_source(self) -> MarkovSourceModel:
-        kind = self.source_kind
-        if kind is None:
-            raise ConfigError("[source] kind is required for this command")
-        try:
-            if kind == "binary":
-                if self.source_q is None:
-                    raise ConfigError("[source] q is required for kind = binary")
-                return BinarySymmetric(q=self.source_q)
-            if kind == "gaussian":
-                if self.source_a is None:
-                    raise ConfigError("[source] a is required for kind = gaussian")
-                return GaussianAR1(a=self.source_a, sigma2=self.source_sigma2)
-            if kind == "tabulated":
-                if self.source_values is None:
-                    raise ConfigError("[source] values is required for kind = tabulated")
-                return Tabulated(values=self.source_values)
-        except ValueError as exc:
-            raise ConfigError(f"[source]: {exc}") from exc
-        raise ConfigError(f"[source] kind must be binary, gaussian, or tabulated, got {kind!r}")
-
-    def build_service(self) -> ServiceTimeDist:
-        if self.service is None:
-            raise ConfigError("[service] dist is required for this command")
-        try:
-            return ServiceTimeDist(self.service)
-        except ValueError as exc:
-            raise ConfigError(f"[service] dist: {exc}") from exc
-
-    def build_penalty(self) -> AgePenalty:
-        kind = self.penalty_kind
-        try:
-            if kind == "negated-mi":
-                return NegatedMI(self.build_source())
-            if kind == "affine":
-                if self.penalty_slope is None:
-                    raise ConfigError("[penalty] slope is required for kind = affine")
-                return Affine(slope=self.penalty_slope, intercept=self.penalty_intercept)
-            if kind == "table":
-                if self.penalty_values is None:
-                    raise ConfigError("[penalty] values is required for kind = table")
-                return PenaltyTable(values=self.penalty_values)
-        except ValueError as exc:
-            raise ConfigError(f"[penalty]: {exc}") from exc
-        raise ConfigError(f"[penalty] kind must be negated-mi, affine, or table, got {kind!r}")
-
-    def sweep_period(self, dist: ServiceTimeDist) -> int:
-        return self.uniform_period if self.uniform_period is not None else round_half_up(dist.mean())
-
-    def validate_sweep(self) -> None:
-        if self.sweep_variable not in ("q", "a"):
-            raise ConfigError(f"[sweep] variable must be q or a, got {self.sweep_variable!r}")
-        if not self.sweep_grid:
-            raise ConfigError("[sweep] grid must be non-empty")
-        if any(b <= a for a, b in zip(self.sweep_grid, self.sweep_grid[1:])):
-            raise ConfigError("[sweep] grid must be strictly increasing")
-        for p in self.policies:
-            if p not in KNOWN_POLICIES:
-                raise ConfigError(f"[sweep] unknown policy {p!r}, expected one of {KNOWN_POLICIES}")
 
 
 # ----------------------------------------------------------------------
@@ -222,37 +85,135 @@ def _grid(raw: str) -> tuple[float, ...]:
     return _float_list(raw)
 
 
-# (section, key) -> (field name, decode)
-_SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
-    ("source", "kind"): ("source_kind", str),
-    ("source", "q"): ("source_q", float),
-    ("source", "a"): ("source_a", float),
-    ("source", "sigma2"): ("source_sigma2", float),
-    ("source", "values"): ("source_values", _float_list),
-    ("service", "dist"): ("service", _service_pairs),
-    ("penalty", "kind"): ("penalty_kind", str),
-    ("penalty", "slope"): ("penalty_slope", float),
-    ("penalty", "intercept"): ("penalty_intercept", float),
-    ("penalty", "values"): ("penalty_values", _float_list),
-    ("solver", "tol"): ("tol", float),
-    ("solver", "z_max"): ("z_max", int),
-    ("sim", "horizon"): ("horizon", int),
-    ("sim", "seeds"): ("seeds", _seeds),
-    ("sim", "delta0"): ("delta0", int),
-    ("sweep", "variable"): ("sweep_variable", str),
-    ("sweep", "grid"): ("sweep_grid", _grid),
-    ("sweep", "uniform_period"): ("uniform_period", int),
-    ("sweep", "policies"): ("policies", _str_list),
-    ("trace", "policy"): ("trace_policy", str),
-    ("trace", "forced_services"): ("forced_services", _int_list),
-    ("trace", "seed"): ("trace_seed", int),
-    ("trace", "horizon"): ("trace_horizon", int),
-    ("curve", "delta_max"): ("delta_max", int),
-    ("oracle", "instances"): ("oracle_instances", int),
-    ("oracle", "z_cap"): ("oracle_z_cap", int),
-    ("oracle", "seed"): ("oracle_seed", int),
-    ("output", "path"): ("out_path", str),
-}
+def _ini(section: str, key: str, decode, default=None):
+    """A config field read from ``[section] key`` through ``decode``."""
+    return field(default=default, metadata={"ini": (section, key, decode)})
 
-_FIELD_NAMES = {name for name, _ in _SCHEMA.values()}
-assert _FIELD_NAMES == {f.name for f in fields(ExperimentConfig)}, "schema out of sync"
+
+@dataclass
+class ExperimentConfig:
+    source_kind: str | None = _ini("source", "kind", str)
+    source_q: float | None = _ini("source", "q", float)
+    source_a: float | None = _ini("source", "a", float)
+    source_values: tuple[float, ...] | None = _ini("source", "values", _float_list)
+    service: tuple[tuple[int, float], ...] | None = _ini("service", "dist", _service_pairs)
+    penalty_kind: str = _ini("penalty", "kind", str, "negated-mi")
+    penalty_slope: float | None = _ini("penalty", "slope", float)
+    penalty_intercept: float = _ini("penalty", "intercept", float, 0.0)
+    penalty_values: tuple[float, ...] | None = _ini("penalty", "values", _float_list)
+    tol: float = _ini("solver", "tol", float, 1e-10)
+    z_max: int = _ini("solver", "z_max", int, 10_000)
+    horizon: int = _ini("sim", "horizon", int, 1_000_000)
+    seeds: tuple[int, ...] = _ini("sim", "seeds", _seeds, tuple(range(10)))
+    delta0: int = _ini("sim", "delta0", int, 1)
+    sweep_variable: str | None = _ini("sweep", "variable", str)
+    sweep_grid: tuple[float, ...] | None = _ini("sweep", "grid", _grid)
+    uniform_period: int | None = _ini("sweep", "uniform_period", int)
+    policies: tuple[str, ...] = _ini("sweep", "policies", _str_list, KNOWN_POLICIES)
+    trace_policy: str = _ini("trace", "policy", str, "threshold")
+    forced_services: tuple[int, ...] | None = _ini("trace", "forced_services", _int_list)
+    trace_seed: int | None = _ini("trace", "seed", int)
+    trace_horizon: int = _ini("trace", "horizon", int, 50)
+    delta_max: int = _ini("curve", "delta_max", int, 50)
+    oracle_instances: int = _ini("oracle", "instances", int, 20)
+    oracle_z_cap: int = _ini("oracle", "z_cap", int, 40)
+    oracle_seed: int = _ini("oracle", "seed", int, 0)
+    out_path: str | None = _ini("output", "path", str)
+
+    # ------------------------------------------------------------------
+    # parsing
+
+    @classmethod
+    def from_ini(cls, text: str) -> "ExperimentConfig":
+        parser = configparser.ConfigParser()
+        try:
+            parser.read_string(text)
+        except configparser.Error as exc:
+            raise ConfigError(f"config syntax error: {exc}") from exc
+        spots = {f.metadata["ini"][:2]: (f.name, f.metadata["ini"][2]) for f in fields(cls)}
+        cfg = cls()
+        for section in parser.sections():
+            for key, raw in parser.items(section):
+                if (section, key) not in spots:
+                    raise ConfigError(f"unknown config field [{section}] {key}")
+                name, decode = spots[section, key]
+                try:
+                    setattr(cfg, name, decode(raw.strip()))
+                except ConfigError:
+                    raise
+                except Exception as exc:
+                    raise ConfigError(f"[{section}] {key}: {exc}") from exc
+        return cfg
+
+    @classmethod
+    def from_file(cls, path: str) -> "ExperimentConfig":
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                return cls.from_ini(f.read())
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+    # ------------------------------------------------------------------
+    # builders
+
+    def build_source(self) -> MarkovSourceModel:
+        kind = self.source_kind
+        if kind is None:
+            raise ConfigError("[source] kind is required for this command")
+        try:
+            if kind == "binary":
+                if self.source_q is None:
+                    raise ConfigError("[source] q is required for kind = binary")
+                return BinarySymmetric(q=self.source_q)
+            if kind == "gaussian":
+                if self.source_a is None:
+                    raise ConfigError("[source] a is required for kind = gaussian")
+                return GaussianAR1(a=self.source_a)
+            if kind == "tabulated":
+                if self.source_values is None:
+                    raise ConfigError("[source] values is required for kind = tabulated")
+                return Tabulated(values=self.source_values)
+        except ValueError as exc:
+            raise ConfigError(f"[source]: {exc}") from exc
+        raise ConfigError(f"[source] kind must be binary, gaussian, or tabulated, got {kind!r}")
+
+    def build_service(self) -> ServiceTimeDist:
+        if self.service is None:
+            raise ConfigError("[service] dist is required for this command")
+        try:
+            return ServiceTimeDist(self.service)
+        except ValueError as exc:
+            raise ConfigError(f"[service] dist: {exc}") from exc
+
+    def build_penalty(self) -> AgePenalty:
+        kind = self.penalty_kind
+        try:
+            if kind == "negated-mi":
+                return NegatedMI(self.build_source())
+            if kind == "affine":
+                if self.penalty_slope is None:
+                    raise ConfigError("[penalty] slope is required for kind = affine")
+                return Affine(slope=self.penalty_slope, intercept=self.penalty_intercept)
+            if kind == "table":
+                if self.penalty_values is None:
+                    raise ConfigError("[penalty] values is required for kind = table")
+                return PenaltyTable(values=self.penalty_values)
+        except ValueError as exc:
+            raise ConfigError(f"[penalty]: {exc}") from exc
+        raise ConfigError(f"[penalty] kind must be negated-mi, affine, or table, got {kind!r}")
+
+    def sweep_period(self, dist: ServiceTimeDist) -> int:
+        return self.uniform_period if self.uniform_period is not None else round_half_up(dist.mean())
+
+    def validate_sweep(self) -> None:
+        if self.sweep_variable not in ("q", "a"):
+            raise ConfigError(f"[sweep] variable must be q or a, got {self.sweep_variable!r}")
+        if not self.sweep_grid:
+            raise ConfigError("[sweep] grid must be non-empty")
+        if any(b <= a for a, b in zip(self.sweep_grid, self.sweep_grid[1:])):
+            raise ConfigError("[sweep] grid must be strictly increasing")
+        if not self.seeds:
+            raise ConfigError("[sim] seeds must name at least one seed")
+        for p in self.policies:
+            if p not in KNOWN_POLICIES:
+                raise ConfigError(f"[sweep] unknown policy {p!r}, expected one of {KNOWN_POLICIES}")

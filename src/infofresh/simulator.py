@@ -220,11 +220,23 @@ def _uniform_schedule(dist, period, horizon, rng=None, forced=None):
     return s, start, d
 
 
-def _schedule(policy, dist, horizon, rng=None, forced=None):
+def _run(policy, dist, horizon, delta0, seed=None, forced=None):
+    """Check the arguments, then build one run's schedule and delivery segments.
+
+    Service times are drawn from PCG64(``seed``) unless ``forced`` gives them.
+    Returns ``(s, start, d, segments)``.
+    """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if delta0 < 1:
+        raise ValueError(f"delta0 must be >= 1, got {delta0}")
+    rng = np.random.Generator(np.random.PCG64(seed)) if forced is None else None
     if isinstance(policy, Uniform):
-        return _uniform_schedule(dist, policy.period, horizon, rng=rng, forced=forced)
-    zarr = _waits_table(policy, dist)
-    return _pi1_schedule(dist, zarr, horizon, rng=rng, forced=forced)
+        s, start, d = _uniform_schedule(dist, policy.period, horizon, rng=rng, forced=forced)
+    else:
+        zarr = _waits_table(policy, dist)
+        s, start, d = _pi1_schedule(dist, zarr, horizon, rng=rng, forced=forced)
+    return s, start, d, _delivery_segments(s, d, horizon, delta0)
 
 
 def _delivery_segments(s, d, horizon, delta0):
@@ -243,8 +255,9 @@ def _delivery_segments(s, d, horizon, delta0):
     return seg_owner, seg_len, k
 
 
-def _hist_from_segments(seg_owner, seg_len, horizon):
+def _hist_from_segments(segments, horizon):
     """Histogram of ages over steps 1..horizon (index = age)."""
+    seg_owner, seg_len, _ = segments
     starts = np.cumsum(np.concatenate(([1], seg_len[:-1])))  # first step of each segment
     lo = starts - seg_owner
     hi = lo + seg_len
@@ -255,14 +268,14 @@ def _hist_from_segments(seg_owner, seg_len, horizon):
     return np.cumsum(diff)[:-1] if size > 1 else np.zeros(0, dtype=np.int64)
 
 
-def _average_from_hist(hist, metric, horizon):
+def _time_average(hist, metric, horizon):
     table = metric_table(metric, len(hist))
     table[0] = 0.0  # age 0 never occurs; zeroing it keeps 0 * inf out of the sum
     return float(hist @ table) / horizon
 
 
-def _build_trace(s, start, d, segments, horizon, delta0, metric):
-    seg_owner, seg_len, _ = segments
+def _build_trace(run, horizon, delta0, metric):
+    s, start, d, (seg_owner, seg_len, _) = run
     delta = np.arange(1, horizon + 1, dtype=np.int64) - np.repeat(seg_owner, seg_len)
     table = metric_table(metric, max(int(delta.max()), delta0) + 1)
     started = start[start <= horizon]
@@ -282,18 +295,13 @@ def _build_trace(s, start, d, segments, horizon, delta0, metric):
     )
 
 
-def _summarize(s, start, segments, horizon, metric, seed):
-    seg_owner, seg_len, k = segments
-    hist = _hist_from_segments(seg_owner, seg_len, horizon)
-    avg = _average_from_hist(hist, metric, horizon)
+def _summarize(run, horizon, metric, seed):
+    s, start, _, segments = run
+    k = segments[2]
+    avg = _time_average(_hist_from_segments(segments, horizon), metric, horizon)
     mean_wait = float(np.mean(start[:k] - s[:k])) if k else 0.0
-    return RunSummary(
-        time_average=avg,
-        samples_generated=len(s),
-        samples_delivered=k,
-        mean_queue_wait=mean_wait,
-        seed=seed,
-    )
+    return RunSummary(time_average=avg, samples_generated=len(s), samples_delivered=k,
+                      mean_queue_wait=mean_wait, seed=seed)
 
 
 def simulate(
@@ -303,22 +311,16 @@ def simulate(
     horizon: int,
     seed: int,
     delta0: int = 1,
-    summary_only: bool = False,
-) -> tuple[Optional[SimulationTrace], RunSummary]:
-    """Run one seeded simulation.
+) -> tuple[SimulationTrace, RunSummary]:
+    """Run one seeded simulation; return its per-step trace and its summary.
 
     The first sample is generated at time 0; each sample draws its service
     time at generation.  The age before the first delivery is delta0 + n.
-    Fully deterministic given the seed.  With ``summary_only`` the per-step
-    trace is not materialized.
+    Fully deterministic given the seed.  For the time average alone, score
+    ``age_histogram`` with ``average_over_seeds``: it skips the trace.
     """
-    _check_run_args(horizon, delta0)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    s, start, d = _schedule(policy, dist, horizon, rng=rng)
-    segments = _delivery_segments(s, d, horizon, delta0)
-    summary = _summarize(s, start, segments, horizon, metric, seed)
-    trace = None if summary_only else _build_trace(s, start, d, segments, horizon, delta0, metric)
-    return trace, summary
+    run = _run(policy, dist, horizon, delta0, seed=seed)
+    return _build_trace(run, horizon, delta0, metric), _summarize(run, horizon, metric, seed)
 
 
 def replay(
@@ -334,11 +336,43 @@ def replay(
     Raises SequenceExhausted if more samples are generated by the horizon
     than forced service times were provided.
     """
-    _check_run_args(horizon, delta0)
-    s, start, d = _schedule(policy, dist, horizon, forced=forced_services)
-    segments = _delivery_segments(s, d, horizon, delta0)
-    trace = _build_trace(s, start, d, segments, horizon, delta0, metric)
-    return trace, _summarize(s, start, segments, horizon, metric, None)
+    run = _run(policy, dist, horizon, delta0, forced=forced_services)
+    return _build_trace(run, horizon, delta0, metric), _summarize(run, horizon, metric, None)
+
+
+def age_histogram(
+    policy: PolicySpec,
+    dist: ServiceTimeDist,
+    horizon: int,
+    seed: int,
+    delta0: int = 1,
+) -> np.ndarray:
+    """Counts of each age over steps 1..horizon for one seeded run.
+
+    The age process does not depend on the metric, so one histogram per
+    seed serves every metric: ``average_over_seeds`` scores them with the
+    same ``hist @ table / horizon`` arithmetic that gives ``simulate``'s
+    ``time_average``, bit for bit.
+    """
+    segments = _run(policy, dist, horizon, delta0, seed=seed)[3]
+    return _hist_from_segments(segments, horizon)
+
+
+def average_over_seeds(
+    hists: Sequence[np.ndarray],
+    metric: "MarkovSourceModel | AgePenalty",
+    horizon: int,
+) -> tuple[float, float]:
+    """Across-seed mean and standard error of the metric's time average.
+
+    ``hists`` holds one ``age_histogram`` per seed.  The standard error is
+    0 for a single seed.
+    """
+    if not hists:
+        raise ValueError("need at least 1 seed for an average")
+    values = np.array([_time_average(h, metric, horizon) for h in hists])
+    stderr = values.std(ddof=1) / np.sqrt(len(values)) if len(values) > 1 else 0.0
+    return float(values.mean()), float(stderr)
 
 
 def estimate_time_average(
@@ -352,38 +386,5 @@ def estimate_time_average(
     """Across-seed mean and standard error of the per-run time average."""
     if len(seeds) < 2:
         raise ValueError("need at least 2 seeds for a standard error")
-    values = np.array(
-        [
-            simulate(policy, metric, dist, horizon, seed, delta0, summary_only=True)[1].time_average
-            for seed in seeds
-        ]
-    )
-    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(len(values)))
-
-
-def age_histogram(
-    policy: PolicySpec,
-    dist: ServiceTimeDist,
-    horizon: int,
-    seed: int,
-    delta0: int = 1,
-) -> np.ndarray:
-    """Counts of each age over steps 1..horizon for one seeded run.
-
-    The time average of any metric is ``hist @ metric(arange) / horizon``,
-    exactly as ``simulate`` computes it; sweeps over metric parameters can
-    reuse one histogram per seed since the age process does not depend on
-    the metric.
-    """
-    _check_run_args(horizon, delta0)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    s, _, d = _schedule(policy, dist, horizon, rng=rng)
-    seg_owner, seg_len, _ = _delivery_segments(s, d, horizon, delta0)
-    return _hist_from_segments(seg_owner, seg_len, horizon)
-
-
-def _check_run_args(horizon: int, delta0: int) -> None:
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if delta0 < 1:
-        raise ValueError(f"delta0 must be >= 1, got {delta0}")
+    hists = [age_histogram(policy, dist, horizon, seed, delta0) for seed in seeds]
+    return average_over_seeds(hists, metric, horizon)

@@ -22,19 +22,16 @@ _LN2 = math.log(2.0)
 class GaussianAR1:
     """First-order autoregressive Gaussian source x[n] = a*x[n-1] + noise.
 
-    ``a`` must lie in (-1, 1); ``sigma2`` is the noise variance.  The
-    information curve is -0.5*log2(1 - a^(2*delta)) bits, which is +inf at
-    delta = 0 (a real-valued state has infinite absolute entropy).
+    ``a`` must lie in (-1, 1).  The information curve is
+    -0.5*log2(1 - a^(2*delta)) bits whatever the noise variance, which is
+    +inf at delta = 0 (a real-valued state has infinite absolute entropy).
     """
 
     a: float
-    sigma2: float = 1.0
 
     def __post_init__(self) -> None:
         if not -1.0 < self.a < 1.0:
             raise ValueError(f"AR(1) coefficient must be in (-1, 1), got {self.a}")
-        if not self.sigma2 > 0.0:
-            raise ValueError(f"noise variance must be positive, got {self.sigma2}")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,13 @@ class TestConfig:
     def test_unknown_field(self):
         with pytest.raises(ConfigError, match="unknown config field"):
             ExperimentConfig.from_ini("[service]\ntypo = 1\n")
+        # the AR(1) information curve depends only on a, so there is no noise variance
+        with pytest.raises(ConfigError, match=r"unknown config field \[source\] sigma2"):
+            ExperimentConfig.from_ini("[source]\nkind = gaussian\na = 0.8\nsigma2 = 2.0\n")
+
+    def test_each_key_names_one_field(self):
+        spots = [f.metadata["ini"][:2] for f in fields(ExperimentConfig)]
+        assert len(set(spots)) == len(spots)
 
     def test_bad_service_pair(self):
         with pytest.raises(ConfigError, match=r"\[service\] dist"):
@@ -277,6 +285,30 @@ class TestCli:
         assert main(["oracle-check", "--config", cfg]) == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_oracle_check_no_instances_exit_1(self, tmp_path, capsys):
+        cfg = write(tmp_path, "oc.ini", "[oracle]\ninstances = 0\n")
+        assert main(["oracle-check", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert "[oracle] instances must be >= 1" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_oracle_check_negative_cap_exit_1(self, tmp_path, capsys):
+        cfg = write(tmp_path, "oc.ini", "[oracle]\ninstances = 2\nz_cap = -1\n")
+        assert main(["oracle-check", "--config", cfg]) == 1
+        assert "z_cap must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, ini",
+        [(["--seeds", "0"], SWEEP_INI), ([], SWEEP_INI.replace("seeds = 4", "seeds = -2"))],
+        ids=["flag", "config"],
+    )
+    def test_sweep_without_seeds_exit_1(self, tmp_path, capsys, flags, ini):
+        cfg = write(tmp_path, "sw.ini", ini)
+        assert main(["sweep", "--config", cfg, *flags]) == 1
+        captured = capsys.readouterr()
+        assert "[sim] seeds must name at least one seed" in captured.err
+        assert captured.out == ""
+
     def test_plot_script_emitted(self, tmp_path):
         cfg = write(tmp_path, "c.ini", "[source]\nkind = binary\nq = 0.2\n\n[curve]\ndelta_max = 5\n")
         out = str(tmp_path / "curve.csv")
@@ -302,7 +334,7 @@ class TestTablePathPrintsScalarValues:
     TRACES = {
         "checked-in-threshold": (CONFIGS / "threshold_trace.ini").read_text(),
         "seeded-gaussian-uniform": (
-            "[source]\nkind = gaussian\na = 0.8\nsigma2 = 2.0\n\n"
+            "[source]\nkind = gaussian\na = 0.8\n\n"
             "[service]\ndist = 1:0.3, 4:0.7\n\n"
             "[trace]\npolicy = uniform\nseed = 5\nhorizon = 3000\n"
         ),
@@ -345,6 +377,19 @@ class TestTablePathPrintsScalarValues:
             table = np.array([0.0] + [mutual_information(model, d) for d in range(1, size)])
             vals = np.array([float(h @ table[: len(h)]) / cfg.horizon for h in hists])
             assert row[3] == _fmt(float(vals.mean())), row
+
+    def test_sweep_one_seed(self, tmp_path, capsys):
+        path = write(tmp_path, "sw.ini", SWEEP_INI)
+        assert main(["sweep", "--config", path, "--seeds", "1"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        cfg = ExperimentConfig.from_file(path)
+        hist = age_histogram(Uniform(cfg.uniform_period), cfg.build_service(), cfg.horizon, 0)
+        assert [float(row[0]) for row in rows] == list(cfg.sweep_grid)
+        for q, row in zip(cfg.sweep_grid, rows):
+            model = BinarySymmetric(q=q)
+            table = np.array([0.0] + [mutual_information(model, d) for d in range(1, len(hist))])
+            assert row[3] == _fmt(float(hist @ table) / cfg.horizon), row
+            assert row[4] == "0", row
 
 
 class TestTraceGoldenDigests:

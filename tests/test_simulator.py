@@ -16,6 +16,7 @@ from infofresh.simulator import (
     Uniform,
     ZeroWait,
     age_histogram,
+    average_over_seeds,
     estimate_time_average,
     replay,
     simulate,
@@ -217,7 +218,7 @@ class TestFIFO:
 
 class TestAverages:
     def test_zero_wait_deterministic_converges(self):
-        _, summary = simulate(ZeroWait(), Affine(1.0), D4, 100_000, seed=0, summary_only=True)
+        _, summary = simulate(ZeroWait(), Affine(1.0), D4, 100_000, seed=0)
         assert summary.time_average == pytest.approx(5.5, abs=1e-3)
 
     def test_iid_source_metric_identically_zero(self):
@@ -242,11 +243,6 @@ class TestAverages:
         mean, se = estimate_time_average(policy, penalty, D111, 200_000, seeds=range(6))
         assert abs(mean - exact) <= 3 * se
 
-    def test_summary_only_skips_trace(self):
-        trace, summary = simulate(ZeroWait(), Affine(1.0), D4, 100, seed=0, summary_only=True)
-        assert trace is None
-        assert summary.samples_delivered <= summary.samples_generated
-
     def test_histogram_matches_simulate_average(self):
         model = BinarySymmetric(q=0.1)
         hist = age_histogram(Uniform(period=6), D111, 50_000, seed=3)
@@ -254,15 +250,23 @@ class TestAverages:
         table = metric_table(model, len(hist))
         table[0] = 0.0
         via_hist = float(hist @ table) / 50_000
-        _, summary = simulate(Uniform(period=6), model, D111, 50_000, seed=3, summary_only=True)
+        _, summary = simulate(Uniform(period=6), model, D111, 50_000, seed=3)
         assert via_hist == summary.time_average
+
+    def test_average_over_seeds_one_seed(self):
+        model = BinarySymmetric(q=0.1)
+        hist = age_histogram(Uniform(period=6), D111, 50_000, seed=3)
+        _, summary = simulate(Uniform(period=6), model, D111, 50_000, seed=3)
+        assert average_over_seeds([hist], model, 50_000) == (summary.time_average, 0.0)
+        with pytest.raises(ValueError, match="at least 1 seed"):
+            average_over_seeds([], model, 50_000)
 
     def test_estimate_needs_two_seeds(self):
         with pytest.raises(ValueError):
             estimate_time_average(ZeroWait(), Affine(1.0), D4, 100, seeds=[1])
 
     def test_summary_fields(self):
-        _, summary = simulate(ZeroWait(), Affine(1.0), D4, 100, seed=3, summary_only=True)
+        _, summary = simulate(ZeroWait(), Affine(1.0), D4, 100, seed=3)
         # deterministic 4-step services: a sample at 0, 4, ..., 100, delivered at 4, ..., 100
         assert summary.samples_generated == 26
         assert summary.samples_delivered == 25
@@ -283,8 +287,8 @@ class TestDeterminism:
         assert sa == sb
 
     def test_different_seeds_differ(self):
-        _, sa = simulate(ZeroWait(), BinarySymmetric(q=0.2), D111, 5000, seed=1, summary_only=True)
-        _, sb = simulate(ZeroWait(), BinarySymmetric(q=0.2), D111, 5000, seed=2, summary_only=True)
+        _, sa = simulate(ZeroWait(), BinarySymmetric(q=0.2), D111, 5000, seed=1)
+        _, sb = simulate(ZeroWait(), BinarySymmetric(q=0.2), D111, 5000, seed=2)
         assert sa.time_average != sb.time_average
 
 

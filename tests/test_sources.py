@@ -125,8 +125,6 @@ class TestModelValidation:
     def test_gaussian_bounds(self):
         with pytest.raises(ValueError):
             GaussianAR1(a=1.0)
-        with pytest.raises(ValueError):
-            GaussianAR1(a=0.5, sigma2=0.0)
 
     def test_binary_bounds(self):
         with pytest.raises(ValueError):
