@@ -11,7 +11,6 @@ from .analytic import (
     OracleResult,
     brute_force_optimum,
     random_instances,
-    renewal_average,
     zero_wait_average,
 )
 from .config import ConfigError, ExperimentConfig
@@ -37,7 +36,6 @@ from .solver import (
     WaitingFunction,
     cycle_stats,
     h_of_c,
-    optimal_wait,
     solve_beta,
     solve_mi,
     zero_waiting,
@@ -93,10 +91,8 @@ __all__ = [
     "h_of_c",
     "metric_table",
     "mutual_information",
-    "optimal_wait",
     "penalty_value",
     "random_instances",
-    "renewal_average",
     "replay",
     "simulate",
     "solve_beta",

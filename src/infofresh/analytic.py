@@ -40,16 +40,9 @@ class OracleResult:
     enumerated: int
 
 
-def renewal_average(
-    penalty: AgePenalty, dist: ServiceTimeDist, waiting: WaitingFunction
-) -> float:
-    """Exact long-run time average of p(age) under the given waits."""
-    return cycle_stats(penalty, dist, waiting).ratio
-
-
 def zero_wait_average(penalty: AgePenalty, dist: ServiceTimeDist) -> float:
     """Exact long-run average when every sample is taken at the delivery."""
-    return renewal_average(penalty, dist, zero_waiting(dist))
+    return cycle_stats(penalty, dist, zero_waiting(dist)).ratio
 
 
 def brute_force_optimum(
@@ -61,7 +54,7 @@ def brute_force_optimum(
     """Minimize the renewal average over all waits Z: support -> {0..z_cap}.
 
     Evaluates every candidate with the same exact cycle arithmetic as
-    ``renewal_average`` (vectorized via penalty prefix sums).  Ties go to
+    ``cycle_stats`` (vectorized via penalty prefix sums).  Ties go to
     the lexicographically smallest wait vector ordered by ascending y.
     """
     if z_cap < 0:

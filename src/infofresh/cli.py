@@ -17,7 +17,6 @@ from .analytic import (
     BudgetExceeded,
     brute_force_optimum,
     random_instances,
-    renewal_average,
     zero_wait_average,
 )
 from .config import ConfigError, ExperimentConfig
@@ -113,6 +112,8 @@ def _maybe_plot_script(args: argparse.Namespace, cfg: ExperimentConfig, kind: st
 def cmd_mi_curve(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     model = cfg.build_source()
+    if cfg.delta_max < 0:
+        raise ConfigError(f"[curve] delta_max must be >= 0, got {cfg.delta_max}")
     with _open_out(cfg) as f:
         f.write("delta,mi_bits\n")
         # scalar on purpose: metric_table moves the 12th printed digit of some rows
@@ -219,7 +220,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         res = solve_beta(penalty, dist, cfg.tol, cfg.z_max)
         oracle = brute_force_optimum(penalty, dist, cfg.oracle_z_cap)
         beta_dev = abs(res.beta - oracle.best_ratio)
-        ratio_dev = abs(renewal_average(penalty, dist, res.waiting) - oracle.best_ratio)
+        ratio_dev = abs(cycle_stats(penalty, dist, res.waiting).ratio - oracle.best_ratio)
         dev = max(beta_dev, ratio_dev)
         line = (f"instance {i:2d}: beta = {_fmt(res.beta)}, oracle = {_fmt(oracle.best_ratio)}, "
                 f"|beta dev| = {beta_dev:.3g}, |ratio dev| = {ratio_dev:.3g} "

@@ -217,3 +217,15 @@ class ExperimentConfig:
         for p in self.policies:
             if p not in KNOWN_POLICIES:
                 raise ConfigError(f"[sweep] unknown policy {p!r}, expected one of {KNOWN_POLICIES}")
+        if not self.policies:
+            raise ConfigError("[sweep] policies must name at least one policy")
+        if not self.tol > 0:
+            raise ConfigError(f"[solver] tol must be positive, got {self.tol}")
+        if self.z_max < 1:
+            raise ConfigError(f"[solver] z_max must be >= 1, got {self.z_max}")
+        if self.horizon < 1:
+            raise ConfigError(f"[sim] horizon must be >= 1, got {self.horizon}")
+        if self.uniform_period is not None and self.uniform_period < 1:
+            raise ConfigError(
+                f"[sweep] uniform_period must be >= 1, got {self.uniform_period}"
+            )

@@ -58,9 +58,6 @@ class ServiceTimeDist:
     def __hash__(self) -> int:
         return hash((self.support, self.probs))
 
-    def __contains__(self, y: int) -> bool:
-        return y in self.support
-
     @property
     def y_min(self) -> int:
         return self.support[0]

@@ -161,32 +161,6 @@ def _check_z_max(z_max: int) -> None:
         raise ValueError(f"z_max must be >= 1, got {z_max}")
 
 
-def optimal_wait(
-    penalty: AgePenalty,
-    dist: ServiceTimeDist,
-    y_prev: int,
-    beta: float,
-    z_max: int = DEFAULT_Z_MAX,
-) -> int:
-    """Smallest n >= 0 with E[p(y_prev + n + Y')] >= beta.
-
-    The expectation is non-decreasing in n because p is non-decreasing, so
-    it is the first crossing of the g table at or after t = y_prev.
-    """
-    if y_prev not in dist:
-        raise ValueError(f"y_prev = {y_prev} is not in the service support {dist.support}")
-    _check_z_max(z_max)
-    tables = _Tables(penalty, dist)
-    tables.reach(beta, y_prev + z_max)
-    t_star = tables.crossing(beta)
-    if t_star > y_prev + z_max:
-        raise ThresholdUnreachable(
-            f"E[p({y_prev} + n + Y')] stayed below beta = {beta} through n = {z_max}; "
-            f"the penalty may be bounded above below beta"
-        )
-    return max(0, t_star - y_prev)
-
-
 def cycle_stats(
     penalty: AgePenalty, dist: ServiceTimeDist, waiting: Mapping[int, int]
 ) -> CycleStats:

@@ -12,7 +12,6 @@ import pytest
 from infofresh.analytic import (
     brute_force_optimum,
     random_instances,
-    renewal_average,
     zero_wait_average,
 )
 from infofresh.service import ServiceTimeDist
@@ -118,7 +117,7 @@ def test_criterion_4_solver_vs_oracle(solved_instances):
     worst_beta = worst_ratio = 0.0
     for penalty, dist, res, oracle in solved_instances:
         beta_dev = abs(res.beta - oracle.best_ratio)
-        ratio_dev = abs(renewal_average(penalty, dist, res.waiting) - oracle.best_ratio)
+        ratio_dev = abs(cycle_stats(penalty, dist, res.waiting).ratio - oracle.best_ratio)
         worst_beta = max(worst_beta, beta_dev)
         worst_ratio = max(worst_ratio, ratio_dev)
         assert beta_dev <= 1e-8, f"beta off oracle by {beta_dev} on {penalty}, {dist}"
@@ -183,7 +182,7 @@ def test_criterion_7_simulator_matches_analytic():
         res = solve_beta(penalty, dist, tol=SOLVER_TOL)
         runs = [
             (ZeroWait(), zero_wait_average(penalty, dist)),
-            (Threshold(res.waiting), renewal_average(penalty, dist, res.waiting)),
+            (Threshold(res.waiting), cycle_stats(penalty, dist, res.waiting).ratio),
         ]
         for policy, exact in runs:
             mean, se = estimate_time_average(policy, penalty, dist, HORIZON, seeds=SEEDS)

@@ -6,11 +6,10 @@ from infofresh.analytic import (
     BudgetExceeded,
     brute_force_optimum,
     random_instances,
-    renewal_average,
     zero_wait_average,
 )
 from infofresh.service import ServiceTimeDist
-from infofresh.solver import WaitingFunction, solve_beta, zero_waiting
+from infofresh.solver import WaitingFunction, cycle_stats, solve_beta, zero_waiting
 from infofresh.sources import (
     Affine,
     BinarySymmetric,
@@ -29,11 +28,11 @@ ZW_NEGMI_Q01 = -0.08054545647922222
 
 class TestRenewalAverage:
     def test_zero_waiting_plain_age(self):
-        assert renewal_average(Affine(1.0), D4, zero_waiting(D4)) == pytest.approx(5.5, abs=1e-12)
+        assert cycle_stats(Affine(1.0), D4, zero_waiting(D4)).ratio == pytest.approx(5.5, abs=1e-12)
 
     def test_iid_source_is_zero(self):
         penalty = NegatedMI(BinarySymmetric(q=0.5))
-        assert renewal_average(penalty, D111, WaitingFunction({1: 2, 11: 0})) == 0.0
+        assert cycle_stats(penalty, D111, WaitingFunction({1: 2, 11: 0})).ratio == 0.0
 
     def test_monotone_under_dominated_penalties(self):
         # p1 <= p2 pointwise implies average1 <= average2 for the same waits
@@ -47,7 +46,8 @@ class TestRenewalAverage:
                 penalty_value(p1, d) <= penalty_value(p2, d) + 1e-15 for d in range(1, 60)
             )
             for waits in (WaitingFunction({1: 0, 11: 0}), WaitingFunction({1: 3, 11: 1})):
-                assert renewal_average(p1, D111, waits) <= renewal_average(p2, D111, waits) + 1e-12
+                r1, r2 = cycle_stats(p1, D111, waits).ratio, cycle_stats(p2, D111, waits).ratio
+                assert r1 <= r2 + 1e-12
 
 
 class TestZeroWaitAverage:
@@ -90,7 +90,7 @@ class TestBruteForceOptimum:
         res = brute_force_optimum(penalty, dist, z_cap=6)
         for z1 in range(7):
             for z5 in range(7):
-                ratio = renewal_average(penalty, dist, WaitingFunction({1: z1, 5: z5}))
+                ratio = cycle_stats(penalty, dist, WaitingFunction({1: z1, 5: z5})).ratio
                 assert res.best_ratio <= ratio + 1e-12
 
     def test_best_ratio_below_zero_wait(self):
@@ -102,7 +102,7 @@ class TestBruteForceOptimum:
         penalty = NegatedMI(GaussianAR1(a=0.8))
         dist = ServiceTimeDist({2: 0.3, 5: 0.7})
         res = brute_force_optimum(penalty, dist, z_cap=30)
-        assert renewal_average(penalty, dist, res.best_waiting) == pytest.approx(
+        assert cycle_stats(penalty, dist, res.best_waiting).ratio == pytest.approx(
             res.best_ratio, abs=1e-12
         )
 

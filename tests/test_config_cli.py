@@ -127,6 +127,25 @@ class TestConfig:
             ExperimentConfig.from_ini(
                 "[sweep]\nvariable = q\ngrid = 0.1, 0.2\npolicies = optimal, lazy\n"
             ).validate_sweep()
+        ok = "[sweep]\nvariable = q\ngrid = 0.1, 0.2\n"
+        for ini, key in [
+            (ok + "policies =\n", r"\[sweep\] policies must name at least one policy"),
+            (ok + "uniform_period = 0\n", r"\[sweep\] uniform_period must be >= 1, got 0"),
+            (ok + "[sim]\nhorizon = 0\n", r"\[sim\] horizon must be >= 1, got 0"),
+            (ok + "[solver]\ntol = -1\n", r"\[solver\] tol must be positive, got -1.0"),
+            (ok + "[solver]\ntol = nan\n", r"\[solver\] tol must be positive, got nan"),
+            (ok + "[solver]\nz_max = 0\n", r"\[solver\] z_max must be >= 1, got 0"),
+        ]:
+            with pytest.raises(ConfigError, match=key):
+                ExperimentConfig.from_ini(ini).validate_sweep()
+        cfg = ExperimentConfig.from_ini(ok)
+        cfg.horizon = -5  # as --horizon -5 sets it
+        with pytest.raises(ConfigError, match=r"\[sim\] horizon must be >= 1, got -5"):
+            cfg.validate_sweep()
+        # the boundary values are valid
+        ExperimentConfig.from_ini(
+            ok + "uniform_period = 1\n[sim]\nhorizon = 1\n[solver]\nz_max = 1\n"
+        ).validate_sweep()
 
     def test_syntax_error(self):
         with pytest.raises(ConfigError, match="syntax"):
@@ -309,6 +328,33 @@ class TestCli:
         assert "[sim] seeds must name at least one seed" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "ini, flags, key",
+        [
+            (SWEEP_INI + "\n[solver]\ntol = -1\n", [], "[solver] tol"),
+            (SWEEP_INI + "\n[solver]\nz_max = -1\n", [], "[solver] z_max"),
+            (SWEEP_INI + "policies =\n", [], "[sweep] policies"),
+            (SWEEP_INI.replace("horizon = 20000", "horizon = 0"), [], "[sim] horizon"),
+            (SWEEP_INI, ["--horizon", "0"], "[sim] horizon"),
+            (SWEEP_INI.replace("uniform_period = 6", "uniform_period = 0"), [],
+             "[sweep] uniform_period"),
+        ],
+        ids=["tol", "z_max", "no-policies", "horizon", "horizon-flag", "uniform-period"],
+    )
+    def test_sweep_bad_config_exit_1_before_output(self, tmp_path, capsys, ini, flags, key):
+        cfg = write(tmp_path, "sw.ini", ini)
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out), *flags]) == 1
+        assert f"infofresh: error: {key} " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mi_curve_negative_delta_max_exit_1(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.ini", "[source]\nkind = binary\nq = 0.2\n\n[curve]\ndelta_max = -3\n")
+        assert main(["mi-curve", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert "[curve] delta_max must be >= 0, got -3" in captured.err
+        assert captured.out == ""
+
     def test_plot_script_emitted(self, tmp_path):
         cfg = write(tmp_path, "c.ini", "[source]\nkind = binary\nq = 0.2\n\n[curve]\ndelta_max = 5\n")
         out = str(tmp_path / "curve.csv")
@@ -422,4 +468,33 @@ class TestTraceGoldenDigests:
         text, digest = self.TRACES[name]
         out = tmp_path / "trace.csv"
         assert main(["trace", "--config", write(tmp_path, "t.ini", text), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestSolveSweepGoldenDigests:
+    """sha256 of whole ``solve`` and ``sweep`` CSVs; any byte that moves fails."""
+
+    RUNS = {
+        "sweep-policy-comparison": (
+            ["sweep", "--seeds", "2", "--horizon", "20000"],
+            (CONFIGS / "policy_comparison.ini").read_text(),
+            "12eb12de9b0057edf431aa7f2ed7628b93b0d0f0bf33349097f6cadfc545fef1",
+        ),
+        "solve-binary": (
+            ["solve"],
+            SOLVE_INI,
+            "eb442b688d7af9e855170739d5c1bb7010c55638f84cde2a7679d9a00955af88",
+        ),
+        "solve-heavy-tail-under-cap": (
+            ["solve", "--zmax", "300"],
+            HEAVY_INI,
+            "03603115b72d7d08c046f540d579ff4a1a43e56c1f75ce2dc9bd146b883a261d",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_csv_digest(self, name, tmp_path):
+        argv, text, digest = self.RUNS[name]
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--config", write(tmp_path, "c.ini", text), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import infofresh.simulator as simulator
-from infofresh.analytic import renewal_average, zero_wait_average
+from infofresh.analytic import zero_wait_average
 from infofresh.service import ServiceTimeDist
 from infofresh.simulator import (
     SequenceExhausted,
@@ -21,7 +21,7 @@ from infofresh.simulator import (
     replay,
     simulate,
 )
-from infofresh.solver import optimal_wait, solve_beta
+from infofresh.solver import cycle_stats, solve_beta
 from infofresh.sources import Affine, BinarySymmetric, NegatedMI, metric_table
 
 D4 = ServiceTimeDist({4: 1.0})
@@ -179,8 +179,7 @@ class TestThresholdPolicy:
 
 class TestFIFO:
     def test_pi1_policies_never_queue(self):
-        penalty = NegatedMI(BinarySymmetric(q=0.1))
-        waits = {y: optimal_wait(penalty, D15, y, beta=-0.05) for y in D15.support}
+        waits = {1: 3, 5: 0}
         for policy in (ZeroWait(), Threshold(waits)):
             trace, summary = simulate(policy, Affine(1.0), D15, 3000, seed=4)
             assert trace.queue_len.max() == 0
@@ -239,7 +238,7 @@ class TestAverages:
         penalty = NegatedMI(BinarySymmetric(q=0.1))
         res = solve_beta(penalty, D111, tol=1e-10)
         policy = Threshold(res.waiting)
-        exact = renewal_average(penalty, D111, res.waiting)
+        exact = cycle_stats(penalty, D111, res.waiting).ratio
         mean, se = estimate_time_average(policy, penalty, D111, 200_000, seeds=range(6))
         assert abs(mean - exact) <= 3 * se
 

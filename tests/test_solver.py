@@ -16,49 +16,23 @@ from infofresh.solver import (
     WaitingFunction,
     cycle_stats,
     h_of_c,
-    optimal_wait,
     solve_beta,
     solve_mi,
     zero_waiting,
 )
-from infofresh.sources import Affine, BinarySymmetric, GaussianAR1, NegatedMI, PenaltyTable
+from infofresh.sources import (
+    Affine,
+    BinarySymmetric,
+    GaussianAR1,
+    NegatedMI,
+    PenaltyTable,
+    penalty_value,
+)
 
 D15 = ServiceTimeDist({1: 0.5, 5: 0.5})
 D4 = ServiceTimeDist({4: 1.0})
 # A rare 3000-step service: the optimal wait after a 1-step service is 91.
 HEAVY = ServiceTimeDist({1: 0.999, 3000: 0.001})
-
-
-class TestOptimalWait:
-    def test_low_threshold_means_zero_wait(self):
-        # condition already holds at n = 0
-        assert optimal_wait(Affine(1.0), D4, 4, beta=-1e9) == 0
-
-    def test_deterministic_arithmetic(self):
-        # E[p(4 + n + 4)] = 8 + n, first >= 10 at n = 2
-        assert optimal_wait(Affine(1.0), D4, 4, beta=10.0) == 2
-
-    def test_matches_oracle_waits(self):
-        penalty = NegatedMI(BinarySymmetric(q=0.2))
-        beta = solve_beta(penalty, D15, tol=1e-12).beta
-        oracle = brute_force_optimum(penalty, D15, z_cap=40)
-        for y in D15.support:
-            assert optimal_wait(penalty, D15, y, beta) == oracle.best_waiting[y]
-
-    def test_unreachable_threshold(self):
-        # negated information is bounded above by 0
-        with pytest.raises(ThresholdUnreachable):
-            optimal_wait(NegatedMI(BinarySymmetric(q=0.2)), D15, 1, beta=0.5, z_max=100)
-
-    def test_y_prev_must_be_in_support(self):
-        with pytest.raises(ValueError):
-            optimal_wait(Affine(1.0), D4, 3, beta=0.0)
-
-    def test_nonincreasing_in_y(self):
-        penalty = NegatedMI(BinarySymmetric(q=0.05))
-        beta = solve_beta(penalty, D15, tol=1e-12).beta
-        waits = [optimal_wait(penalty, D15, y, beta) for y in D15.support]
-        assert all(b <= a for a, b in zip(waits, waits[1:]))
 
 
 class TestCycleStats:
@@ -266,6 +240,44 @@ class TestCap:
         assert huge == default
         assert lengths == default_lengths  # the tables never extend toward z_max
         assert t_huge < 10 * t_default + 0.1
+
+
+def expected_next_penalty(penalty, dist, t):
+    """E[p(t + Y')] by a scalar scan that shares nothing with the solver's tables."""
+    return math.fsum(py * penalty_value(penalty, t + y) for y, py in zip(dist.support, dist.probs))
+
+
+class TestThresholdRule:
+    """The paper's per-sample rule, checked on the solved waits: after a
+    delivery with service y, wait the smallest n >= 0 at which
+    E[p(y + n + Y')] reaches beta."""
+
+    NAMED = {
+        "binary-q0.05": (NegatedMI(BinarySymmetric(q=0.05)), D15),
+        "binary-q0.2": (NegatedMI(BinarySymmetric(q=0.2)), D15),
+        "gaussian-a0.9": (NegatedMI(GaussianAR1(a=0.9)), D15),
+        "affine-D4": (Affine(1.0), D4),
+        "heavy-tail": (Affine(1.0), HEAVY),
+    }
+
+    @staticmethod
+    def check(penalty, dist):
+        res = solve_beta(penalty, dist)
+        for y, z in res.waiting.items():
+            scan = [expected_next_penalty(penalty, dist, y + n) for n in range(z + 1)]
+            assert scan[-1] >= res.beta - 1e-12, (y, z, scan[-1], res.beta)
+            assert all(e < res.beta + 1e-12 for e in scan[:-1]), (y, z, res.beta)
+        waits = [res.waiting[y] for y in dist.support]
+        assert all(b <= a for a, b in zip(waits, waits[1:])), waits
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_instances(self, seed):
+        for penalty, dist in random_instances(40, seed):
+            self.check(penalty, dist)
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_named_instances(self, name):
+        self.check(*self.NAMED[name])
 
 
 # Oracle caps: a two-point support enumerates (cap+1)^2 candidates, a
