@@ -84,6 +84,9 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         cfg.seeds = tuple(range(args.seeds))
     if getattr(args, "horizon", None) is not None:
         cfg.horizon = args.horizon
+    cfg.check()
+    if args.plot_script and not cfg.out_path:
+        raise ConfigError("--plot-script needs an output path (--out or [output] path)")
     return cfg
 
 
@@ -97,10 +100,8 @@ def _open_out(cfg: ExperimentConfig):
 
 
 def _maybe_plot_script(args: argparse.Namespace, cfg: ExperimentConfig, kind: str) -> None:
-    if not getattr(args, "plot_script", False):
+    if not args.plot_script:
         return
-    if not cfg.out_path:
-        raise ConfigError("--plot-script needs an output path (--out or [output] path)")
     path = cfg.out_path + ".plot.py"
     with open(path, "w", encoding="utf-8") as f:
         f.write(_PLOT_TEMPLATES[kind].format(csv=os.path.basename(cfg.out_path)))
@@ -112,8 +113,6 @@ def _maybe_plot_script(args: argparse.Namespace, cfg: ExperimentConfig, kind: st
 def cmd_mi_curve(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     model = cfg.build_source()
-    if cfg.delta_max < 0:
-        raise ConfigError(f"[curve] delta_max must be >= 0, got {cfg.delta_max}")
     with _open_out(cfg) as f:
         f.write("delta,mi_bits\n")
         # scalar on purpose: metric_table moves the 12th printed digit of some rows
@@ -169,15 +168,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             return BinarySymmetric(q=g)
         return GaussianAR1(a=g)
 
+    rows = [f"{cfg.sweep_variable},i_opt,i_zero_wait,i_uniform_mean,i_uniform_stderr\n"]
+    for g in cfg.sweep_grid:
+        model = model_at(g)
+        i_opt = _fmt(solve_mi(model, dist, cfg.tol, cfg.z_max).beta) if do_opt else ""
+        i_zw = _fmt(-zero_wait_average(NegatedMI(model), dist)) if do_zw else ""
+        i_uni, i_se = (map(_fmt, average_over_seeds(hists, model, cfg.horizon))
+                       if do_uni else ("", ""))
+        rows.append(f"{_fmt(g)},{i_opt},{i_zw},{i_uni},{i_se}\n")
     with _open_out(cfg) as f:
-        f.write(f"{cfg.sweep_variable},i_opt,i_zero_wait,i_uniform_mean,i_uniform_stderr\n")
-        for g in cfg.sweep_grid:
-            model = model_at(g)
-            i_opt = _fmt(solve_mi(model, dist, cfg.tol, cfg.z_max).beta) if do_opt else ""
-            i_zw = _fmt(-zero_wait_average(NegatedMI(model), dist)) if do_zw else ""
-            i_uni, i_se = (map(_fmt, average_over_seeds(hists, model, cfg.horizon))
-                           if do_uni else ("", ""))
-            f.write(f"{_fmt(g)},{i_opt},{i_zw},{i_uni},{i_se}\n")
+        f.writelines(rows)
     _maybe_plot_script(args, cfg, "sweep")
     return 0
 
@@ -211,8 +211,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    if cfg.oracle_instances < 1:
-        raise ConfigError(f"[oracle] instances must be >= 1, got {cfg.oracle_instances}")
     instances = random_instances(cfg.oracle_instances, cfg.oracle_seed)
     worst_dev = -1.0
     worst_line = ""

@@ -1,9 +1,9 @@
 """Experiment configuration: a flat INI file plus flag overrides.
 
-Every field declares its ``[section] key`` and decoder through ``_ini``,
-so the INI schema is the field list itself.  Values are validated
-lazily by the ``build_*`` methods, which construct the module objects and
-convert their errors into ConfigError diagnostics naming the field.
+Every field declares its ``[section] key``, decoder and valid range through
+``_ini``, so the INI schema is the field list itself.  ``check`` tests each
+set value against its range; the ``build_*`` methods construct the module
+objects and convert their errors into ConfigError diagnostics naming the field.
 """
 
 from __future__ import annotations
@@ -85,9 +85,10 @@ def _grid(raw: str) -> tuple[float, ...]:
     return _float_list(raw)
 
 
-def _ini(section: str, key: str, decode, default=None):
-    """A config field read from ``[section] key`` through ``decode``."""
-    return field(default=default, metadata={"ini": (section, key, decode)})
+def _ini(section: str, key: str, decode, default=None, rule=None):
+    """A field read from ``[section] key`` through ``decode``; a set value must
+    satisfy ``rule = (predicate, phrase)``, where the phrase states the range."""
+    return field(default=default, metadata={"ini": (section, key, decode), "rule": rule})
 
 
 @dataclass
@@ -101,22 +102,28 @@ class ExperimentConfig:
     penalty_slope: float | None = _ini("penalty", "slope", float)
     penalty_intercept: float = _ini("penalty", "intercept", float, 0.0)
     penalty_values: tuple[float, ...] | None = _ini("penalty", "values", _float_list)
-    tol: float = _ini("solver", "tol", float, 1e-10)
-    z_max: int = _ini("solver", "z_max", int, 10_000)
-    horizon: int = _ini("sim", "horizon", int, 1_000_000)
-    seeds: tuple[int, ...] = _ini("sim", "seeds", _seeds, tuple(range(10)))
-    delta0: int = _ini("sim", "delta0", int, 1)
+    tol: float = _ini("solver", "tol", float, 1e-10, (lambda v: v > 0, "must be positive"))
+    z_max: int = _ini("solver", "z_max", int, 10_000, (lambda v: v >= 1, "must be >= 1"))
+    horizon: int = _ini("sim", "horizon", int, 1_000_000, (lambda v: v >= 1, "must be >= 1"))
+    seeds: tuple[int, ...] = _ini("sim", "seeds", _seeds, tuple(range(10)),
+                                  (bool, "must name at least one seed"))
+    delta0: int = _ini("sim", "delta0", int, 1, (lambda v: v >= 1, "must be >= 1"))
     sweep_variable: str | None = _ini("sweep", "variable", str)
-    sweep_grid: tuple[float, ...] | None = _ini("sweep", "grid", _grid)
-    uniform_period: int | None = _ini("sweep", "uniform_period", int)
-    policies: tuple[str, ...] = _ini("sweep", "policies", _str_list, KNOWN_POLICIES)
+    sweep_grid: tuple[float, ...] | None = _ini("sweep", "grid", _grid, None, (
+        lambda g: g and all(b > a for a, b in zip(g, g[1:])),
+        "must be non-empty and strictly increasing"))
+    uniform_period: int | None = _ini("sweep", "uniform_period", int, None,
+                                      (lambda v: v >= 1, "must be >= 1"))
+    policies: tuple[str, ...] = _ini("sweep", "policies", _str_list, KNOWN_POLICIES,
+                                     (bool, "must name at least one policy"))
     trace_policy: str = _ini("trace", "policy", str, "threshold")
     forced_services: tuple[int, ...] | None = _ini("trace", "forced_services", _int_list)
     trace_seed: int | None = _ini("trace", "seed", int)
-    trace_horizon: int = _ini("trace", "horizon", int, 50)
-    delta_max: int = _ini("curve", "delta_max", int, 50)
-    oracle_instances: int = _ini("oracle", "instances", int, 20)
-    oracle_z_cap: int = _ini("oracle", "z_cap", int, 40)
+    trace_horizon: int = _ini("trace", "horizon", int, 50, (lambda v: v >= 1, "must be >= 1"))
+    delta_max: int = _ini("curve", "delta_max", int, 50, (lambda v: v >= 0, "must be >= 0"))
+    oracle_instances: int = _ini("oracle", "instances", int, 20,
+                                 (lambda v: v >= 1, "must be >= 1"))
+    oracle_z_cap: int = _ini("oracle", "z_cap", int, 40, (lambda v: v >= 0, "must be >= 0"))
     oracle_seed: int = _ini("oracle", "seed", int, 0)
     out_path: str | None = _ini("output", "path", str)
 
@@ -205,27 +212,20 @@ class ExperimentConfig:
     def sweep_period(self, dist: ServiceTimeDist) -> int:
         return self.uniform_period if self.uniform_period is not None else round_half_up(dist.mean())
 
+    def check(self) -> None:
+        """Raise ConfigError naming the first set value outside its field's range."""
+        for f in fields(self):
+            value, rule = getattr(self, f.name), f.metadata["rule"]
+            if rule and value is not None and not rule[0](value):
+                section, key, _ = f.metadata["ini"]
+                raise ConfigError(f"[{section}] {key} {rule[1]}, got {value}")
+
     def validate_sweep(self) -> None:
+        self.check()
         if self.sweep_variable not in ("q", "a"):
             raise ConfigError(f"[sweep] variable must be q or a, got {self.sweep_variable!r}")
         if not self.sweep_grid:
             raise ConfigError("[sweep] grid must be non-empty")
-        if any(b <= a for a, b in zip(self.sweep_grid, self.sweep_grid[1:])):
-            raise ConfigError("[sweep] grid must be strictly increasing")
-        if not self.seeds:
-            raise ConfigError("[sim] seeds must name at least one seed")
         for p in self.policies:
             if p not in KNOWN_POLICIES:
                 raise ConfigError(f"[sweep] unknown policy {p!r}, expected one of {KNOWN_POLICIES}")
-        if not self.policies:
-            raise ConfigError("[sweep] policies must name at least one policy")
-        if not self.tol > 0:
-            raise ConfigError(f"[solver] tol must be positive, got {self.tol}")
-        if self.z_max < 1:
-            raise ConfigError(f"[solver] z_max must be >= 1, got {self.z_max}")
-        if self.horizon < 1:
-            raise ConfigError(f"[sim] horizon must be >= 1, got {self.horizon}")
-        if self.uniform_period is not None and self.uniform_period < 1:
-            raise ConfigError(
-                f"[sweep] uniform_period must be >= 1, got {self.uniform_period}"
-            )

@@ -1,12 +1,17 @@
 """Configuration parsing and the CLI contract (schemas, determinism, exits)."""
 
+import contextlib
 import hashlib
+import io
 import os
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infofresh.cli import main
 from infofresh.config import ConfigError, ExperimentConfig, round_half_up
@@ -348,6 +353,40 @@ class TestCli:
         assert f"infofresh: error: {key} " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, ini, flags, key",
+        [
+            ("solve", SOLVE_INI + "\n[solver]\ntol = -1\n", [], "[solver] tol"),
+            ("solve", SOLVE_INI, ["--zmax", "0"], "[solver] z_max"),
+            ("trace", TRACE_INI, ["--tol", "-1"], "[solver] tol"),
+            ("oracle-check", "[oracle]\ninstances = 2\n", ["--tol", "-1"], "[solver] tol"),
+            ("sweep", SWEEP_INI.replace("seeds = 4", "seeds = 4\ndelta0 = 0"), [], "[sim] delta0"),
+            ("trace", TRACE_INI.replace("horizon = 22", "horizon = 0"), [], "[trace] horizon"),
+            ("oracle-check", "[oracle]\ninstances = 2\nz_cap = -1\n", [],
+             "[oracle] z_cap must be >= 0, got -1"),
+        ],
+        ids=["solve-tol", "solve-zmax-flag", "trace-tol-flag", "oracle-tol-flag",
+             "sweep-delta0", "trace-horizon", "oracle-z-cap"],
+    )
+    def test_range_error_names_key_before_output(self, tmp_path, capsys, command, ini, flags,
+                                                 key):
+        cfg = write(tmp_path, "c.ini", ini)
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", cfg, "--out", str(out), *flags]) == 1
+        captured = capsys.readouterr()
+        assert f"infofresh: error: {key}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_sweep_runtime_error_leaves_no_file(self, tmp_path, capsys):
+        # the optimal wait after a 1-step service passes z_max = 1 at some grid point
+        ini = SWEEP_INI.replace("grid = 0.1:0.5:0.2", "grid = 0.01:0.49:0.02")
+        cfg = write(tmp_path, "sw.ini", ini + "\n[solver]\nz_max = 1\n")
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert "exceeds z_max = 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mi_curve_negative_delta_max_exit_1(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.ini", "[source]\nkind = binary\nq = 0.2\n\n[curve]\ndelta_max = -3\n")
         assert main(["mi-curve", "--config", cfg]) == 1
@@ -366,11 +405,97 @@ class TestCli:
     def test_plot_script_requires_out(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.ini", "[source]\nkind = binary\nq = 0.2\n")
         assert main(["mi-curve", "--config", cfg, "--plot-script"]) == 1
+        captured = capsys.readouterr()
+        assert "--plot-script needs an output path" in captured.err
+        assert captured.out == ""
 
     def test_usage_error_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 1
+
+
+class TestCliFuzz:
+    """Every subcommand on drawn INI files either writes its whole output and
+    exits 0, or exits 1 or 2 with one error line and no output file; a value
+    out of its key's range exits 1 and names the key."""
+
+    # (section, key, in-range values with their boundary, out-of-range values)
+    RANGES = (
+        ("solver", "tol", ("5e-324", "1e-10"), ("0", "-1", "nan")),
+        ("solver", "z_max", ("1", "40"), ("0", "-3")),
+        ("sim", "horizon", ("1", "200"), ("0", "-1")),
+        ("sim", "seeds", ("1", "2, 7"), ("0", "-2")),
+        ("sim", "delta0", ("1", "5"), ("0", "-1")),
+        ("sweep", "grid", ("0.5", "0.1, 0.3", "0:0.5:0.25"), ("", "0.3, 0.1", "0.2, 0.2")),
+        ("sweep", "uniform_period", ("1", "4"), ("0", "-1")),
+        ("sweep", "policies", ("optimal", "zero-wait, uniform"), ("", ",")),
+        ("trace", "horizon", ("1", "200"), ("0", "-5")),
+        ("curve", "delta_max", ("0", "30"), ("-1",)),
+        ("oracle", "instances", ("1", "6"), ("0", "-1")),
+        ("oracle", "z_cap", ("0", "30"), ("-1",)),
+    )
+    BASE = {
+        "source": {"kind": "binary", "q": "0.1"},
+        "sweep": {"variable": "q"},
+        "trace": {"seed": "1"},
+    }
+
+    @staticmethod
+    def csv_lines(command, cfg):
+        if command == "mi-curve":
+            return 1 + cfg.delta_max + 1
+        if command == "solve":
+            return 4 + len(cfg.service)
+        if command == "sweep":
+            return 1 + len(cfg.sweep_grid)
+        return 1 + cfg.trace_horizon + 1
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        command=st.sampled_from(["mi-curve", "solve", "sweep", "trace", "oracle-check"]),
+        policy=st.sampled_from(["threshold", "zero-wait", "uniform"]),
+        # the optimal wait after a 1-step service is 0 on the first, above 1 on the second
+        dist=st.sampled_from(["1:0.5, 3:0.5", "1:0.5, 11:0.5"]),
+        data=st.data(),
+    )
+    def test_outcome(self, command, policy, dist, data):
+        sections = {name: dict(keys) for name, keys in self.BASE.items()}
+        sections["service"] = {"dist": dist}
+        sections["trace"]["policy"] = policy
+        bad = set(data.draw(st.lists(st.integers(0, len(self.RANGES) - 1), max_size=2)))
+        for i, (section, key, good, out_of_range) in enumerate(self.RANGES):
+            value = data.draw(st.sampled_from(out_of_range if i in bad else good))
+            sections.setdefault(section, {})[key] = value
+        ini = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                      for name, keys in sections.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = write(Path(tmp), "f.ini", ini)
+            out = Path(tmp) / "o.csv"
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = main([command, "--config", cfg_path, "--out", str(out)])
+            errors = [line for line in stderr.getvalue().splitlines()
+                      if line.startswith("infofresh: error:")]
+            if bad:
+                named = [f"infofresh: error: [{self.RANGES[i][0]}] {self.RANGES[i][1]} "
+                         for i in bad]
+                assert rc == 1, ini
+                assert len(errors) == 1 and errors[0].startswith(tuple(named)), errors
+                assert stdout.getvalue() == ""
+            elif command == "oracle-check" and rc in (0, 2) and not errors:
+                # the report goes to stdout; a FAIL verdict exits 2
+                verdict = stdout.getvalue().splitlines()[int(sections["oracle"]["instances"])]
+                assert verdict.startswith("PASS" if rc == 0 else "FAIL")
+            elif rc == 0:
+                text = out.read_text()
+                assert text.endswith("\n")
+                assert len(text.splitlines()) == self.csv_lines(
+                    command, ExperimentConfig.from_ini(ini))
+            else:
+                assert rc == 2 and len(errors) == 1, (rc, stderr.getvalue())
+            if rc != 0:
+                assert not out.exists()
 
 
 class TestTablePathPrintsScalarValues:
