@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
+from dataclasses import fields
 from typing import Sequence
 
 from .analytic import (
@@ -32,7 +34,7 @@ from .simulator import (
     simulate,
 )
 from .solver import ThresholdUnreachable, cycle_stats, solve_beta, solve_mi
-from .sources import BinarySymmetric, GaussianAR1, NegatedMI, mutual_information
+from .sources import NegatedMI, mutual_information
 
 ORACLE_MATCH_TOL = 1e-8
 
@@ -47,47 +49,49 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="infofresh", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # (flag, the config field it sets as that field's INI key would, help)
+    solver_flags = (("--tol", "tol", "solver convergence guard override"),
+                    ("--zmax", "z_max", "wait cap override"))
+    sim_flags = (("--seeds", "seeds", "seed count N (0..N-1) or a list, as [sim] seeds"),
+                 ("--horizon", "horizon", "simulation horizon override"))
 
-    def add(name: str, func, help_: str, solver_flags: bool = False, sim_flags: bool = False):
+    def add(name: str, cmd, help_: str, flags=()):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", metavar="PATH", help="INI experiment config")
-        p.add_argument("--out", metavar="PATH", help="output CSV path (default stdout)")
-        p.add_argument("--plot-script", action="store_true", help="also write <out>.plot.py")
-        if solver_flags:
-            p.add_argument("--tol", type=float, help="solver convergence guard override")
-            p.add_argument("--zmax", type=int, help="wait cap override")
-        if sim_flags:
-            p.add_argument("--seeds", type=int, metavar="N", help="use seeds 0..N-1")
-            p.add_argument("--horizon", type=int, help="simulation horizon override")
-        p.set_defaults(func=func)
-        return p
+        p.add_argument("--out", dest="out_path", metavar="PATH",
+                       help="output path (default stdout)")
+        if name in _PLOTS:
+            p.add_argument("--plot-script", action="store_true", help="also write <out>.plot.py")
+        for flag, dest, help_ in flags:
+            p.add_argument(flag, dest=dest, help=help_)
+        p.set_defaults(func=functools.partial(_run, cmd, name))
 
     add("mi-curve", cmd_mi_curve, "information-vs-age curve of a source")
-    add("solve", cmd_solve, "optimal threshold and waits", solver_flags=True)
+    add("solve", cmd_solve, "optimal threshold and waits", solver_flags)
     add("sweep", cmd_sweep, "policy comparison over a source-parameter grid",
-        solver_flags=True, sim_flags=True)
-    add("trace", cmd_trace, "per-step event log of one simulated run", solver_flags=True)
+        solver_flags + sim_flags)
+    add("trace", cmd_trace, "per-step event log of one simulated run", solver_flags)
     add("oracle-check", cmd_oracle_check, "solver vs exhaustive-enumeration check",
-        solver_flags=True)
+        solver_flags)
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+def _run(cmd, name: str, args: argparse.Namespace) -> int:
+    """Load the config, each value checked as it is set, run ``cmd`` on it, then write
+    the plot script."""
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    if args.out:
-        cfg.out_path = args.out
-    if getattr(args, "tol", None) is not None:
-        cfg.tol = args.tol
-    if getattr(args, "zmax", None) is not None:
-        cfg.z_max = args.zmax
-    if getattr(args, "seeds", None) is not None:
-        cfg.seeds = tuple(range(args.seeds))
-    if getattr(args, "horizon", None) is not None:
-        cfg.horizon = args.horizon
-    cfg.check()
-    if args.plot_script and not cfg.out_path:
+    for f in fields(cfg):
+        if getattr(args, f.name, None) is not None:
+            cfg.set_text(f.name, getattr(args, f.name))
+    plot = getattr(args, "plot_script", False)
+    if plot and not cfg.out_path:
         raise ConfigError("--plot-script needs an output path (--out or [output] path)")
-    return cfg
+    code = cmd(cfg)
+    if plot:
+        with open(cfg.out_path + ".plot.py", "w", encoding="utf-8") as f:
+            f.write(_PLOT_TEMPLATE.format(name=name, csv=os.path.basename(cfg.out_path),
+                                          **_PLOTS[name]))
+    return code
 
 
 @contextlib.contextmanager
@@ -99,49 +103,35 @@ def _open_out(cfg: ExperimentConfig):
         yield sys.stdout
 
 
-def _maybe_plot_script(args: argparse.Namespace, cfg: ExperimentConfig, kind: str) -> None:
-    if not args.plot_script:
-        return
-    path = cfg.out_path + ".plot.py"
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(_PLOT_TEMPLATES[kind].format(csv=os.path.basename(cfg.out_path)))
-
-
 # ----------------------------------------------------------------------
 # subcommands
 
-def cmd_mi_curve(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+def cmd_mi_curve(cfg: ExperimentConfig) -> int:
     model = cfg.build_source()
     with _open_out(cfg) as f:
         f.write("delta,mi_bits\n")
         # scalar on purpose: metric_table moves the 12th printed digit of some rows
         for d in range(cfg.delta_max + 1):
             f.write(f"{d},{_fmt(mutual_information(model, d))}\n")
-    _maybe_plot_script(args, cfg, "mi-curve")
     return 0
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+def cmd_solve(cfg: ExperimentConfig) -> int:
     dist = cfg.build_service()
     penalty = cfg.build_penalty()
-    if cfg.penalty_kind == "negated-mi":
-        res = solve_mi(cfg.build_source(), dist, cfg.tol, cfg.z_max)
-        problem = "max-info"
-        achieved = -cycle_stats(penalty, dist, res.waiting).ratio
-    else:
-        res = solve_beta(penalty, dist, cfg.tol, cfg.z_max)
-        problem = "min-penalty"
-        achieved = cycle_stats(penalty, dist, res.waiting).ratio
+    # the information problem is solved as the penalty problem on -I
+    problem, sign = ("max-info", -1) if cfg.penalty_kind == "negated-mi" else ("min-penalty", 1)
+    res = solve_beta(penalty, dist, cfg.tol, cfg.z_max)
+    beta = sign * res.beta
+    achieved = sign * cycle_stats(penalty, dist, res.waiting).ratio
     with _open_out(cfg) as f:
         f.write(f"problem,{problem}\n")
-        f.write(f"beta,{_fmt(res.beta)}\n")
+        f.write(f"beta,{_fmt(beta)}\n")
         f.write(f"h_residual,{_fmt(res.h_residual)}\n")
         f.write(f"iterations,{res.iterations}\n")
         for y in dist.support:
             f.write(f"z[{y}],{res.waiting[y]}\n")
-    print(f"{problem}: beta = {_fmt(res.beta)} "
+    print(f"{problem}: beta = {_fmt(beta)} "
           f"(achieved average {_fmt(achieved)}, |h| = {abs(res.h_residual):.3g}, "
           f"{res.iterations} Dinkelbach steps)", file=sys.stderr)
     print("waits: " + ", ".join(f"Z({y}) = {res.waiting[y]}" for y in dist.support),
@@ -149,28 +139,21 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    cfg.validate_sweep()
+def cmd_sweep(cfg: ExperimentConfig) -> int:
+    models = cfg.validate_sweep()
     dist = cfg.build_service()
-    period = cfg.sweep_period(dist)
     do_opt = "optimal" in cfg.policies
     do_zw = "zero-wait" in cfg.policies
     do_uni = "uniform" in cfg.policies
 
     hists = []
     if do_uni:
+        period = cfg.sweep_period(dist)
         hists = [age_histogram(Uniform(period), dist, cfg.horizon, seed, cfg.delta0)
                  for seed in cfg.seeds]
 
-    def model_at(g: float):
-        if cfg.sweep_variable == "q":
-            return BinarySymmetric(q=g)
-        return GaussianAR1(a=g)
-
     rows = [f"{cfg.sweep_variable},i_opt,i_zero_wait,i_uniform_mean,i_uniform_stderr\n"]
-    for g in cfg.sweep_grid:
-        model = model_at(g)
+    for g, model in zip(cfg.sweep_grid, models):
         i_opt = _fmt(solve_mi(model, dist, cfg.tol, cfg.z_max).beta) if do_opt else ""
         i_zw = _fmt(-zero_wait_average(NegatedMI(model), dist)) if do_zw else ""
         i_uni, i_se = (map(_fmt, average_over_seeds(hists, model, cfg.horizon))
@@ -178,119 +161,88 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows.append(f"{_fmt(g)},{i_opt},{i_zw},{i_uni},{i_se}\n")
     with _open_out(cfg) as f:
         f.writelines(rows)
-    _maybe_plot_script(args, cfg, "sweep")
     return 0
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+def cmd_trace(cfg: ExperimentConfig) -> int:
+    if cfg.forced_services is None and cfg.trace_seed is None:
+        raise ConfigError("[trace] needs either forced_services or seed")
     dist = cfg.build_service()
     if cfg.trace_policy == "threshold":
-        penalty = cfg.build_penalty()
-        policy = Threshold(waiting=solve_beta(penalty, dist, cfg.tol, cfg.z_max).waiting)
+        policy = Threshold(solve_beta(cfg.build_penalty(), dist, cfg.tol, cfg.z_max).waiting)
     elif cfg.trace_policy == "zero-wait":
         policy = ZeroWait()
-    elif cfg.trace_policy == "uniform":
-        policy = Uniform(period=cfg.sweep_period(dist))
     else:
-        raise ConfigError(
-            f"[trace] policy must be threshold, zero-wait, or uniform, got {cfg.trace_policy!r}"
-        )
+        policy = Uniform(period=cfg.sweep_period(dist))
     metric = cfg.build_source() if cfg.source_kind else cfg.build_penalty()
     if cfg.forced_services is not None:
         trace, _ = replay(policy, metric, dist, cfg.forced_services, cfg.trace_horizon, cfg.delta0)
-    elif cfg.trace_seed is not None:
-        trace, _ = simulate(policy, metric, dist, cfg.trace_horizon, cfg.trace_seed, cfg.delta0)
     else:
-        raise ConfigError("[trace] needs either forced_services or seed")
+        trace, _ = simulate(policy, metric, dist, cfg.trace_horizon, cfg.trace_seed, cfg.delta0)
     with _open_out(cfg) as f:
         trace.write_csv(f)
-    _maybe_plot_script(args, cfg, "trace")
     return 0
 
 
-def cmd_oracle_check(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+def cmd_oracle_check(cfg: ExperimentConfig) -> int:
     instances = random_instances(cfg.oracle_instances, cfg.oracle_seed)
-    worst_dev = -1.0
-    worst_line = ""
+    devs, lines = [], []
     for i, (penalty, dist) in enumerate(instances):
         res = solve_beta(penalty, dist, cfg.tol, cfg.z_max)
         oracle = brute_force_optimum(penalty, dist, cfg.oracle_z_cap)
         beta_dev = abs(res.beta - oracle.best_ratio)
         ratio_dev = abs(cycle_stats(penalty, dist, res.waiting).ratio - oracle.best_ratio)
-        dev = max(beta_dev, ratio_dev)
-        line = (f"instance {i:2d}: beta = {_fmt(res.beta)}, oracle = {_fmt(oracle.best_ratio)}, "
-                f"|beta dev| = {beta_dev:.3g}, |ratio dev| = {ratio_dev:.3g} "
-                f"({oracle.enumerated} candidates)")
-        print(line)
-        if dev > worst_dev:
-            worst_dev, worst_line = dev, line
-    ok = worst_dev <= ORACLE_MATCH_TOL
-    print(f"{'PASS' if ok else 'FAIL'}: max deviation {worst_dev:.3g} over "
-          f"{len(instances)} instances (tolerance {ORACLE_MATCH_TOL:g})")
+        devs.append(max(beta_dev, ratio_dev))
+        lines.append(f"instance {i:2d}: beta = {_fmt(res.beta)}, "
+                     f"oracle = {_fmt(oracle.best_ratio)}, |beta dev| = {beta_dev:.3g}, "
+                     f"|ratio dev| = {ratio_dev:.3g} ({oracle.enumerated} candidates)")
+    worst = max(range(len(devs)), key=devs.__getitem__)
+    ok = devs[worst] <= ORACLE_MATCH_TOL
+    lines.append(f"{'PASS' if ok else 'FAIL'}: max deviation {devs[worst]:.3g} over "
+                 f"{len(instances)} instances (tolerance {ORACLE_MATCH_TOL:g})")
     if not ok:
-        print("worst: " + worst_line)
+        lines.append("worst: " + lines[worst])
+    with _open_out(cfg) as f:
+        f.writelines(line + "\n" for line in lines)
     return 0 if ok else 2
 
 
 # ----------------------------------------------------------------------
 
-_PLOT_TEMPLATES = {
-    "mi-curve": '''\
-"""Plot the information-vs-age curve from {csv}."""
+# subcommand -> its plot script's fields: (CSV column, legend label) series drawn against
+# column 0, skipped if empty; the pyplot call and style; the x label as an expression; the y label
+_PLOTS = {
+    "mi-curve": dict(series=((1, None),), call="step", style='where="post"',
+                     xlabel='"age (steps)"', ylabel="information (bits)"),
+    "sweep": dict(series=((1, "optimal"), (2, "zero-wait"), (3, "uniform")), call="plot",
+                  style='marker="o"', xlabel="header[0]",
+                  ylabel="time-average information (bits)"),
+    "trace": dict(series=((1, None),), call="step", style='where="post"',
+                  xlabel='"time step"', ylabel="age (steps)"),
+}
+
+_PLOT_TEMPLATE = '''\
+"""Plot {csv}, written by `infofresh {name}`."""
 import csv
 import matplotlib.pyplot as plt
 
-deltas, mis = [], []
-with open("{csv}") as f:
-    for row in csv.DictReader(f):
-        deltas.append(int(row["delta"]))
-        mis.append(float(row["mi_bits"]))
-plt.step(deltas, mis, where="post")
-plt.xlabel("age (steps)")
-plt.ylabel("information (bits)")
-plt.tight_layout()
-plt.savefig("{csv}.png", dpi=150)
-''',
-    "sweep": '''\
-"""Plot the policy comparison from {csv}."""
-import csv
-import matplotlib.pyplot as plt
-
-rows = []
+series = {series}  # (CSV column, legend label), each against column 0
 with open("{csv}") as f:
     reader = csv.reader(f)
     header = next(reader)
-    rows = [[float(x) if x else None for x in row] for row in reader]
-xs = [r[0] for r in rows]
-for col, label in ((1, "optimal"), (2, "zero-wait"), (3, "uniform")):
-    ys = [r[col] for r in rows]
-    if any(v is not None for v in ys):
-        plt.plot(xs, ys, marker="o", label=label)
-plt.xlabel(header[0])
-plt.ylabel("time-average information (bits)")
-plt.legend()
+    columns = list(zip(*reader))
+xs = [float(x) for x in columns[0]]
+for col, label in series:
+    ys = [float(y) if y else None for y in columns[col]]
+    if any(y is not None for y in ys):
+        plt.{call}(xs, ys, {style}, label=label)
+plt.xlabel({xlabel})
+plt.ylabel({ylabel!r})
+if any(label for _, label in series):
+    plt.legend()
 plt.tight_layout()
 plt.savefig("{csv}.png", dpi=150)
-''',
-    "trace": '''\
-"""Plot the age sample path from {csv}."""
-import csv
-import matplotlib.pyplot as plt
-
-ns, deltas = [], []
-with open("{csv}") as f:
-    for row in csv.DictReader(f):
-        ns.append(int(row["n"]))
-        deltas.append(int(row["delta"]))
-plt.step(ns, deltas, where="post")
-plt.xlabel("time step")
-plt.ylabel("age (steps)")
-plt.tight_layout()
-plt.savefig("{csv}.png", dpi=150)
-''',
-}
+'''
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -300,13 +252,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"infofresh: error: {exc}", file=sys.stderr)
         return 1
-    except ThresholdUnreachable as exc:
+    except (ThresholdUnreachable, SequenceExhausted, BudgetExceeded, RuntimeError) as exc:
         print(f"infofresh: error: {exc}", file=sys.stderr)
-        print("hint: the optimal waits do not fit under z_max; raise z_max (--zmax or "
-              "[solver] z_max) until they do", file=sys.stderr)
-        return 2
-    except (SequenceExhausted, BudgetExceeded, RuntimeError) as exc:
-        print(f"infofresh: error: {exc}", file=sys.stderr)
+        if isinstance(exc, ThresholdUnreachable):
+            print("hint: the optimal waits do not fit under z_max; raise z_max (--zmax or "
+                  "[solver] z_max) until they do", file=sys.stderr)
         return 2
 
 

@@ -1,9 +1,10 @@
 """Experiment configuration: a flat INI file plus flag overrides.
 
 Every field declares its ``[section] key``, decoder and valid range through
-``_ini``, so the INI schema is the field list itself.  ``check`` tests each
-set value against its range; the ``build_*`` methods construct the module
-objects and convert their errors into ConfigError diagnostics naming the field.
+``_ini``, so the INI schema is the field list itself.  ``set_text`` decodes
+a value as its key would be, from the file or from a flag, and checks its
+range; the ``build_*`` methods construct the module objects and convert
+their errors into ConfigError diagnostics naming the field.
 """
 
 from __future__ import annotations
@@ -24,7 +25,14 @@ from .sources import (
     Tabulated,
 )
 
-KNOWN_POLICIES = ("optimal", "zero-wait", "uniform")
+# [source] kind -> (model class, the [source] key holding its parameter)
+SOURCES = {"binary": (BinarySymmetric, "q"), "gaussian": (GaussianAR1, "a"),
+           "tabulated": (Tabulated, "values")}
+# [sweep] variable -> the source model whose scalar parameter it is
+SWEEP_MODELS = {key: model for model, key in SOURCES.values() if key != "values"}
+PENALTIES = ("negated-mi", "affine", "table")
+POLICIES = ("optimal", "zero-wait", "uniform")
+TRACE_POLICIES = ("threshold", "zero-wait", "uniform")
 
 
 class ConfigError(Exception):
@@ -39,23 +47,14 @@ def round_half_up(x: float) -> int:
 # ----------------------------------------------------------------------
 # field decoders
 
-def _float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-
-
-def _int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-
-
-def _str_list(raw: str) -> tuple[str, ...]:
-    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+def _list(decode):
+    """A comma list of ``decode``d items; empty items are skipped."""
+    return lambda raw: tuple(decode(tok.strip()) for tok in raw.split(",") if tok.strip())
 
 
 def _seeds(raw: str) -> tuple[int, ...]:
     """A bare count N means seeds 0..N-1; a comma list is explicit."""
-    if "," in raw:
-        return _int_list(raw)
-    return tuple(range(int(raw)))
+    return _list(int)(raw) if "," in raw else tuple(range(int(raw)))
 
 
 def _service_pairs(raw: str) -> tuple[tuple[int, float], ...]:
@@ -82,42 +81,51 @@ def _grid(raw: str) -> tuple[float, ...]:
             raise ValueError(f"grid step must be positive, got {step}")
         count = int(round((stop - start) / step)) + 1
         return tuple(round(start + k * step, 12) for k in range(count))
-    return _float_list(raw)
+    return _list(float)(raw)
 
 
-def _ini(section: str, key: str, decode, default=None, rule=None):
+def _ini(section: str, key: str, decode, default=None, *rules):
     """A field read from ``[section] key`` through ``decode``; a set value must
-    satisfy ``rule = (predicate, phrase)``, where the phrase states the range."""
-    return field(default=default, metadata={"ini": (section, key, decode), "rule": rule})
+    satisfy each ``(predicate, phrase)`` rule, where the phrase states the range."""
+    return field(default=default, metadata={"ini": (section, key, decode), "rules": rules})
+
+
+def _one_of(names) -> tuple:
+    """The rule that a value is one of ``names``."""
+    *head, last = names
+    listed = f"{', '.join(head)}, or {last}" if len(head) > 1 else f"{head[0]} or {last}"
+    return (lambda v: v in names, f"must be {listed}")
 
 
 @dataclass
 class ExperimentConfig:
-    source_kind: str | None = _ini("source", "kind", str)
+    source_kind: str | None = _ini("source", "kind", str, None, _one_of(SOURCES))
     source_q: float | None = _ini("source", "q", float)
     source_a: float | None = _ini("source", "a", float)
-    source_values: tuple[float, ...] | None = _ini("source", "values", _float_list)
+    source_values: tuple[float, ...] | None = _ini("source", "values", _list(float))
     service: tuple[tuple[int, float], ...] | None = _ini("service", "dist", _service_pairs)
-    penalty_kind: str = _ini("penalty", "kind", str, "negated-mi")
+    penalty_kind: str = _ini("penalty", "kind", str, "negated-mi", _one_of(PENALTIES))
     penalty_slope: float | None = _ini("penalty", "slope", float)
     penalty_intercept: float = _ini("penalty", "intercept", float, 0.0)
-    penalty_values: tuple[float, ...] | None = _ini("penalty", "values", _float_list)
+    penalty_values: tuple[float, ...] | None = _ini("penalty", "values", _list(float))
     tol: float = _ini("solver", "tol", float, 1e-10, (lambda v: v > 0, "must be positive"))
     z_max: int = _ini("solver", "z_max", int, 10_000, (lambda v: v >= 1, "must be >= 1"))
     horizon: int = _ini("sim", "horizon", int, 1_000_000, (lambda v: v >= 1, "must be >= 1"))
     seeds: tuple[int, ...] = _ini("sim", "seeds", _seeds, tuple(range(10)),
                                   (bool, "must name at least one seed"))
     delta0: int = _ini("sim", "delta0", int, 1, (lambda v: v >= 1, "must be >= 1"))
-    sweep_variable: str | None = _ini("sweep", "variable", str)
+    sweep_variable: str | None = _ini("sweep", "variable", str, None, _one_of(SWEEP_MODELS))
     sweep_grid: tuple[float, ...] | None = _ini("sweep", "grid", _grid, None, (
         lambda g: g and all(b > a for a, b in zip(g, g[1:])),
         "must be non-empty and strictly increasing"))
     uniform_period: int | None = _ini("sweep", "uniform_period", int, None,
                                       (lambda v: v >= 1, "must be >= 1"))
-    policies: tuple[str, ...] = _ini("sweep", "policies", _str_list, KNOWN_POLICIES,
-                                     (bool, "must name at least one policy"))
-    trace_policy: str = _ini("trace", "policy", str, "threshold")
-    forced_services: tuple[int, ...] | None = _ini("trace", "forced_services", _int_list)
+    policies: tuple[str, ...] = _ini(
+        "sweep", "policies", _list(str), POLICIES, (bool, "must name at least one policy"),
+        (lambda v: set(v) <= set(POLICIES),
+         f"must not name an unknown policy (known: {', '.join(POLICIES)})"))
+    trace_policy: str = _ini("trace", "policy", str, "threshold", _one_of(TRACE_POLICIES))
+    forced_services: tuple[int, ...] | None = _ini("trace", "forced_services", _list(int))
     trace_seed: int | None = _ini("trace", "seed", int)
     trace_horizon: int = _ini("trace", "horizon", int, 50, (lambda v: v >= 1, "must be >= 1"))
     delta_max: int = _ini("curve", "delta_max", int, 50, (lambda v: v >= 0, "must be >= 0"))
@@ -137,19 +145,13 @@ class ExperimentConfig:
             parser.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(f"config syntax error: {exc}") from exc
-        spots = {f.metadata["ini"][:2]: (f.name, f.metadata["ini"][2]) for f in fields(cls)}
+        spots = {f.metadata["ini"][:2]: f.name for f in fields(cls)}
         cfg = cls()
         for section in parser.sections():
             for key, raw in parser.items(section):
                 if (section, key) not in spots:
                     raise ConfigError(f"unknown config field [{section}] {key}")
-                name, decode = spots[section, key]
-                try:
-                    setattr(cfg, name, decode(raw.strip()))
-                except ConfigError:
-                    raise
-                except Exception as exc:
-                    raise ConfigError(f"[{section}] {key}: {exc}") from exc
+                cfg.set_text(spots[section, key], raw)
         return cfg
 
     @classmethod
@@ -160,35 +162,38 @@ class ExperimentConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
+    def set_text(self, name: str, raw: str) -> None:
+        """Set field ``name`` from text as its INI key decodes it, then check its range."""
+        section, key, decode = _FIELDS[name].metadata["ini"]
+        try:
+            value = decode(raw.strip())
+        except Exception as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from exc
+        _check_rules(_FIELDS[name], value)
+        setattr(self, name, value)
+
+    def _required(self, name: str, by: str = "this command"):
+        value = getattr(self, name)
+        if value is None:
+            section, key, _ = _FIELDS[name].metadata["ini"]
+            raise ConfigError(f"[{section}] {key} is required for {by}")
+        return value
+
     # ------------------------------------------------------------------
     # builders
 
     def build_source(self) -> MarkovSourceModel:
-        kind = self.source_kind
-        if kind is None:
-            raise ConfigError("[source] kind is required for this command")
+        kind = self._required("source_kind")
+        model, key = SOURCES[kind]
+        value = self._required("source_" + key, f"kind = {kind}")
         try:
-            if kind == "binary":
-                if self.source_q is None:
-                    raise ConfigError("[source] q is required for kind = binary")
-                return BinarySymmetric(q=self.source_q)
-            if kind == "gaussian":
-                if self.source_a is None:
-                    raise ConfigError("[source] a is required for kind = gaussian")
-                return GaussianAR1(a=self.source_a)
-            if kind == "tabulated":
-                if self.source_values is None:
-                    raise ConfigError("[source] values is required for kind = tabulated")
-                return Tabulated(values=self.source_values)
+            return model(value)
         except ValueError as exc:
             raise ConfigError(f"[source]: {exc}") from exc
-        raise ConfigError(f"[source] kind must be binary, gaussian, or tabulated, got {kind!r}")
 
     def build_service(self) -> ServiceTimeDist:
-        if self.service is None:
-            raise ConfigError("[service] dist is required for this command")
         try:
-            return ServiceTimeDist(self.service)
+            return ServiceTimeDist(self._required("service"))
         except ValueError as exc:
             raise ConfigError(f"[service] dist: {exc}") from exc
 
@@ -198,16 +203,11 @@ class ExperimentConfig:
             if kind == "negated-mi":
                 return NegatedMI(self.build_source())
             if kind == "affine":
-                if self.penalty_slope is None:
-                    raise ConfigError("[penalty] slope is required for kind = affine")
-                return Affine(slope=self.penalty_slope, intercept=self.penalty_intercept)
-            if kind == "table":
-                if self.penalty_values is None:
-                    raise ConfigError("[penalty] values is required for kind = table")
-                return PenaltyTable(values=self.penalty_values)
+                slope = self._required("penalty_slope", "kind = affine")
+                return Affine(slope=slope, intercept=self.penalty_intercept)
+            return PenaltyTable(values=self._required("penalty_values", "kind = table"))
         except ValueError as exc:
             raise ConfigError(f"[penalty]: {exc}") from exc
-        raise ConfigError(f"[penalty] kind must be negated-mi, affine, or table, got {kind!r}")
 
     def sweep_period(self, dist: ServiceTimeDist) -> int:
         return self.uniform_period if self.uniform_period is not None else round_half_up(dist.mean())
@@ -215,17 +215,26 @@ class ExperimentConfig:
     def check(self) -> None:
         """Raise ConfigError naming the first set value outside its field's range."""
         for f in fields(self):
-            value, rule = getattr(self, f.name), f.metadata["rule"]
-            if rule and value is not None and not rule[0](value):
-                section, key, _ = f.metadata["ini"]
-                raise ConfigError(f"[{section}] {key} {rule[1]}, got {value}")
+            _check_rules(f, getattr(self, f.name))
 
-    def validate_sweep(self) -> None:
+    def validate_sweep(self) -> list[MarkovSourceModel]:
+        """Check the keys ``sweep`` reads; return the source model at each grid point."""
         self.check()
-        if self.sweep_variable not in ("q", "a"):
-            raise ConfigError(f"[sweep] variable must be q or a, got {self.sweep_variable!r}")
-        if not self.sweep_grid:
-            raise ConfigError("[sweep] grid must be non-empty")
-        for p in self.policies:
-            if p not in KNOWN_POLICIES:
-                raise ConfigError(f"[sweep] unknown policy {p!r}, expected one of {KNOWN_POLICIES}")
+        model = SWEEP_MODELS[self._required("sweep_variable")]
+        try:
+            return [model(g) for g in self._required("sweep_grid")]
+        except ValueError as exc:
+            raise ConfigError(f"[sweep] grid: {exc}") from exc
+
+
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+
+
+def _check_rules(f, value) -> None:
+    if value is None:
+        return
+    for holds, phrase in f.metadata["rules"]:
+        if not holds(value):
+            section, key, _ = f.metadata["ini"]
+            shown = repr(value) if isinstance(value, str) else value
+            raise ConfigError(f"[{section}] {key} {phrase}, got {shown}")

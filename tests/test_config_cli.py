@@ -1,10 +1,14 @@
 """Configuration parsing and the CLI contract (schemas, determinism, exits)."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import os
+import runpy
+import sys
 import tempfile
+import types
 from dataclasses import fields
 from pathlib import Path
 
@@ -152,6 +156,21 @@ class TestConfig:
             ok + "uniform_period = 1\n[sim]\nhorizon = 1\n[solver]\nz_max = 1\n"
         ).validate_sweep()
 
+    def test_kind_names_checked_when_read(self):
+        for section, key, value, names in [
+            ("source", "kind", "brownian", "binary, gaussian, or tabulated"),
+            ("penalty", "kind", "cubic", "negated-mi, affine, or table"),
+            ("trace", "policy", "lazy", "threshold, zero-wait, or uniform"),
+            ("sweep", "variable", "b", "q or a"),
+        ]:
+            with pytest.raises(ConfigError) as exc:
+                ExperimentConfig.from_ini(f"[{section}]\n{key} = {value}\n")
+            assert str(exc.value) == f"[{section}] {key} must be {names}, got {value!r}"
+        cfg = ExperimentConfig()
+        cfg.trace_policy = "lazy"  # set in code, so only check() sees it
+        with pytest.raises(ConfigError, match=r"^\[trace\] policy must be .*, got 'lazy'$"):
+            cfg.check()
+
     def test_syntax_error(self):
         with pytest.raises(ConfigError, match="syntax"):
             ExperimentConfig.from_ini("not an ini at all\n")
@@ -231,6 +250,24 @@ class TestCli:
         assert main(["sweep", "--config", cfg, "--out", out, "--seeds", "2", "--horizon", "5000"]) == 0
         assert len(open(out).read().splitlines()) == 4
 
+    def test_seeds_flag_decodes_like_its_key(self, tmp_path):
+        cfg = write(tmp_path, "sw.ini", SWEEP_INI)
+        via_flag, via_key = tmp_path / "flag.csv", tmp_path / "key.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(via_flag), "--seeds", "5, 9"]) == 0
+        cfg = write(tmp_path, "sw.ini", SWEEP_INI.replace("seeds = 4", "seeds = 5, 9"))
+        assert main(["sweep", "--config", cfg, "--out", str(via_key)]) == 0
+        assert via_flag.read_text() == via_key.read_text()
+
+    def test_sweep_grid_outside_variable_domain_exit_1(self, tmp_path, capsys):
+        ini = SWEEP_INI.replace("grid = 0.1:0.5:0.2", "grid = 0.3, 0.7")
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", write(tmp_path, "sw.ini", ini), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("infofresh: error: [sweep] grid: flip probability must be in "
+                                "[0, 0.5], got 0.7\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_trace_structured_replay(self, tmp_path):
         cfg = write(tmp_path, "t.ini", TRACE_INI)
         out = str(tmp_path / "trace.csv")
@@ -268,6 +305,15 @@ class TestCli:
     def test_trace_needs_forced_or_seed(self, tmp_path, capsys):
         cfg = write(tmp_path, "t.ini", SOLVE_INI + "\n[trace]\npolicy = zero-wait\n")
         assert main(["trace", "--config", cfg]) == 1
+
+    def test_trace_needs_forced_or_seed_before_solving(self, tmp_path, capsys):
+        # the cap binds, so solving first would exit 2 with ThresholdUnreachable
+        cfg = write(tmp_path, "t.ini", HEAVY_INI + "\n[solver]\nz_max = 50\n")
+        out = tmp_path / "o.csv"
+        assert main(["trace", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "infofresh: error: [trace] needs either forced_services or seed\n")
+        assert not out.exists()
 
     def test_trace_seeded(self, tmp_path, capsys):
         cfg = write(
@@ -315,6 +361,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert "[oracle] instances must be >= 1" in captured.err
         assert "PASS" not in captured.out
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_oracle_check_writes_out(self, tmp_path, capsys, via):
+        out = tmp_path / "oracle.txt"
+        ini = "[oracle]\ninstances = 3\n"
+        flags = ["--out", str(out)] if via == "flag" else []
+        if via == "config":
+            ini += f"\n[output]\npath = {out}\n"
+        assert main(["oracle-check", "--config", write(tmp_path, "oc.ini", ini), *flags]) == 0
+        assert capsys.readouterr().out == ""
+        report = out.read_text().splitlines()
+        assert len(report) == 4 and report[-1].startswith("PASS: ")
 
     def test_oracle_check_negative_cap_exit_1(self, tmp_path, capsys):
         cfg = write(tmp_path, "oc.ini", "[oracle]\ninstances = 2\nz_cap = -1\n")
@@ -402,12 +460,67 @@ class TestCli:
         assert os.path.exists(script)
         compile(open(script).read(), script, "exec")  # syntactically valid
 
+    @pytest.mark.parametrize(
+        "command, ini, x, series, xlabel, ylabel",
+        [
+            ("mi-curve", "[source]\nkind = binary\nq = 0.2\n\n[curve]\ndelta_max = 5\n",
+             "delta", [("mi_bits", None)], "age (steps)", "information (bits)"),
+            ("sweep", SWEEP_INI.replace("horizon = 20000", "horizon = 2000"), "q",
+             [("i_opt", "optimal"), ("i_zero_wait", "zero-wait"),
+              ("i_uniform_mean", "uniform")], "q", "time-average information (bits)"),
+            # a column left empty by [sweep] policies is not plotted
+            ("sweep", SWEEP_INI.replace("uniform_period = 6", "policies = zero-wait"), "q",
+             [("i_zero_wait", "zero-wait")], "q", "time-average information (bits)"),
+            ("trace", TRACE_INI, "n", [("delta", None)], "time step", "age (steps)"),
+        ],
+        ids=["mi-curve", "sweep", "sweep-one-policy", "trace"],
+    )
+    def test_plot_script_plots_the_csv(self, tmp_path, monkeypatch, command, ini, x, series,
+                                       xlabel, ylabel):
+        out = tmp_path / "out.csv"
+        cfg = write(tmp_path, "c.ini", ini)
+        assert main([command, "--config", cfg, "--out", str(out), "--plot-script"]) == 0
+        calls = []
+        pyplot = types.ModuleType("matplotlib.pyplot")
+        pyplot.__getattr__ = lambda name: lambda *a, **k: calls.append((name, a, k))
+        matplotlib = types.ModuleType("matplotlib")
+        matplotlib.pyplot = pyplot
+        monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+        monkeypatch.chdir(tmp_path)
+        runpy.run_path(str(out) + ".plot.py")
+
+        with open(out, newline="") as f:
+            rows = list(csv.DictReader(f))
+        column = lambda name: [float(row[name]) for row in rows]
+        drawn = [(a, k) for name, a, k in calls if name in ("plot", "step")]
+        assert len(drawn) == len(series)
+        for (args, kwargs), (name, label) in zip(drawn, series):
+            assert list(args[0]) == column(x)
+            assert list(args[1]) == column(name)
+            assert kwargs.get("label") == label
+        names = [name for name, _, _ in calls]
+        assert ("legend" in names) == (series[0][1] is not None)
+        assert ("xlabel", (xlabel,), {}) in calls
+        assert ("ylabel", (ylabel,), {}) in calls
+        assert calls[-1][0] == "savefig" and calls[-1][1] == ("out.csv.png",)
+
     def test_plot_script_requires_out(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.ini", "[source]\nkind = binary\nq = 0.2\n")
         assert main(["mi-curve", "--config", cfg, "--plot-script"]) == 1
         captured = capsys.readouterr()
         assert "--plot-script needs an output path" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["solve", "oracle-check"])
+    def test_plot_script_without_template_is_usage_error(self, tmp_path, capsys, command):
+        cfg = write(tmp_path, "s.ini", SOLVE_INI + "\n[oracle]\ninstances = 1\n")
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--out", str(out), "--plot-script"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --plot-script" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -418,7 +531,8 @@ class TestCli:
 class TestCliFuzz:
     """Every subcommand on drawn INI files either writes its whole output and
     exits 0, or exits 1 or 2 with one error line and no output file; a value
-    out of its key's range exits 1 and names the key."""
+    out of its key's range exits 1 and names the key.  A failed oracle check
+    exits 2 with its whole report written."""
 
     # (section, key, in-range values with their boundary, out-of-range values)
     RANGES = (
@@ -434,6 +548,8 @@ class TestCliFuzz:
         ("curve", "delta_max", ("0", "30"), ("-1",)),
         ("oracle", "instances", ("1", "6"), ("0", "-1")),
         ("oracle", "z_cap", ("0", "30"), ("-1",)),
+        ("sweep", "variable", ("q", "a"), ("b", "")),
+        ("penalty", "kind", ("negated-mi",), ("cubic",)),
     )
     BASE = {
         "source": {"kind": "binary", "q": "0.1"},
@@ -484,9 +600,15 @@ class TestCliFuzz:
                 assert len(errors) == 1 and errors[0].startswith(tuple(named)), errors
                 assert stdout.getvalue() == ""
             elif command == "oracle-check" and rc in (0, 2) and not errors:
-                # the report goes to stdout; a FAIL verdict exits 2
-                verdict = stdout.getvalue().splitlines()[int(sections["oracle"]["instances"])]
-                assert verdict.startswith("PASS" if rc == 0 else "FAIL")
+                # a FAIL verdict exits 2 with the whole report written, ending in its verdict
+                report = out.read_text().splitlines()
+                instances = int(sections["oracle"]["instances"])
+                assert stdout.getvalue() == ""
+                if rc == 0:
+                    assert len(report) == instances + 1 and report[-1].startswith("PASS: ")
+                else:
+                    assert len(report) == instances + 2
+                    assert report[-2].startswith("FAIL: ") and report[-1].startswith("worst: ")
             elif rc == 0:
                 text = out.read_text()
                 assert text.endswith("\n")
@@ -494,7 +616,7 @@ class TestCliFuzz:
                     command, ExperimentConfig.from_ini(ini))
             else:
                 assert rc == 2 and len(errors) == 1, (rc, stderr.getvalue())
-            if rc != 0:
+            if errors:
                 assert not out.exists()
 
 
