@@ -224,10 +224,12 @@ _PLOTS = {
 _PLOT_TEMPLATE = '''\
 """Plot {csv}, written by `infofresh {name}`."""
 import csv
+import os
 import matplotlib.pyplot as plt
 
+here = os.path.dirname(os.path.abspath(__file__))  # the CSV sits beside this script
 series = {series}  # (CSV column, legend label), each against column 0
-with open("{csv}") as f:
+with open(os.path.join(here, "{csv}")) as f:
     reader = csv.reader(f)
     header = next(reader)
     columns = list(zip(*reader))
@@ -241,7 +243,7 @@ plt.ylabel({ylabel!r})
 if any(label for _, label in series):
     plt.legend()
 plt.tight_layout()
-plt.savefig("{csv}.png", dpi=150)
+plt.savefig(os.path.join(here, "{csv}.png"), dpi=150)
 '''
 
 

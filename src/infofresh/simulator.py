@@ -177,20 +177,29 @@ def _validate_forced(forced: Sequence[int], dist: ServiceTimeDist) -> np.ndarray
 def _pi1_schedule(dist, zarr, horizon, rng=None, forced=None):
     """Sample-at-idle policies: S[i+1] = D[i] + Z(Y[i]), no queueing."""
     sup = np.asarray(dist.support, dtype=np.int64)
+    cycle = sup + zarr  # steps from a generation to the next, by support index
     if forced is None:
-        idx = dist._sample_indices(rng, horizon // dist.y_min + 2)
+        # Draw 1% and 16 more than the rest of the horizon takes on average, but no
+        # more than it can take, until a generation passes the horizon.  PCG64 draws
+        # in chunks replay the stream of one large draw, so chunking moves no sample.
+        mean, least = float(np.dot(dist.probs, cycle)), int(cycle.min())
+        chunks, t = [], 0
+        while t <= horizon:
+            n = min(int((horizon - t) / mean * 1.01) + 16, (horizon - t) // least + 1)
+            chunks.append(dist._sample_indices(rng, n))
+            t += int(cycle[chunks[-1]].sum())
+        idx = np.concatenate(chunks)
     else:
         idx = np.searchsorted(sup, _validate_forced(forced, dist))
-    y_all = sup[idx]
-    gen_all = np.concatenate(([0], np.cumsum(y_all + zarr[idx])))
+    gen_all = np.concatenate(([0], np.cumsum(cycle[idx])))
     m = int(np.searchsorted(gen_all, horizon, side="right"))
-    if m > len(y_all):
+    if m > len(idx):
         raise SequenceExhausted(
             f"sample {m} is generated at time {int(gen_all[m - 1])} <= horizon {horizon} "
-            f"but only {len(y_all)} forced service times were given"
+            f"but only {len(idx)} forced service times were given"
         )
     s = gen_all[:m]
-    return s, s.copy(), s + y_all[:m]
+    return s, s.copy(), s + sup[idx[:m]]
 
 
 def _uniform_schedule(dist, period, horizon, rng=None, forced=None):
@@ -210,8 +219,10 @@ def _uniform_schedule(dist, period, horizon, rng=None, forced=None):
     cum_y = np.cumsum(y)
     d = cum_y + np.maximum.accumulate(s - (cum_y - y))
     start = d - y
-    backlog = np.arange(1, m + 1) - np.searchsorted(start, s, side="right")
-    peak = int(backlog.max(initial=0))
+    # sample i is generated at i * period, after the samples with ceil(start / period) <= i
+    # entered service, so the backlog then is the sum over j <= i of (1 - those started at j)
+    backlog = 1 - np.bincount(np.minimum(-(-start // period), m), minlength=m + 1)[:m]
+    peak = int(np.cumsum(backlog, out=backlog).max(initial=0))
     if peak > QUEUE_GUARD:
         raise RuntimeError(
             f"queue backlog reached {peak} samples (guard {QUEUE_GUARD}); "
@@ -221,10 +232,10 @@ def _uniform_schedule(dist, period, horizon, rng=None, forced=None):
 
 
 def _run(policy, dist, horizon, delta0, seed=None, forced=None):
-    """Check the arguments, then build one run's schedule and delivery segments.
+    """Check the arguments, then build one run's schedule.
 
     Service times are drawn from PCG64(``seed``) unless ``forced`` gives them.
-    Returns ``(s, start, d, segments)``.
+    Returns ``(s, start, d, k)``, k the number of samples delivered by the horizon.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -236,47 +247,36 @@ def _run(policy, dist, horizon, delta0, seed=None, forced=None):
     else:
         zarr = _waits_table(policy, dist)
         s, start, d = _pi1_schedule(dist, zarr, horizon, rng=rng, forced=forced)
-    return s, start, d, _delivery_segments(s, d, horizon, delta0)
+    return s, start, d, int(np.searchsorted(d, horizon, side="right"))
 
 
-def _delivery_segments(s, d, horizon, delta0):
+def _segments(run, horizon, delta0):
     """Split steps 1..horizon into constant-owner segments.
 
-    Returns (owner generation times, segment lengths); the pre-delivery
-    segment has owner -delta0 so that age = n - owner holds throughout.
+    Returns the owner generation times and each segment's first step and
+    one-past-last step.  The pre-delivery segment has owner -delta0 so that
+    age = n - owner holds throughout; it is empty if the first delivery is
+    at step 1.  Every later segment runs from one delivery to the next.
     """
-    k = int(np.searchsorted(d, horizon, side="right"))
-    sd, dd = s[:k], d[:k]
-    if k == 0:
-        return np.array([-delta0], dtype=np.int64), np.array([horizon], dtype=np.int64), 0
-    nxt = np.concatenate((dd[1:], [horizon + 1]))
-    seg_owner = np.concatenate(([-delta0], sd))
-    seg_len = np.concatenate(([dd[0] - 1], np.minimum(nxt, horizon + 1) - dd))
-    return seg_owner, seg_len, k
+    s, _, d, k = run
+    bounds = np.concatenate(([1], d[:k], [horizon + 1]))
+    return np.concatenate(([-delta0], s[:k])), bounds[:-1], bounds[1:]
 
 
-def _hist_from_segments(segments, horizon):
+def _histogram(run, horizon, delta0):
     """Histogram of ages over steps 1..horizon (index = age)."""
-    seg_owner, seg_len, _ = segments
-    starts = np.cumsum(np.concatenate(([1], seg_len[:-1])))  # first step of each segment
-    lo = starts - seg_owner
-    hi = lo + seg_len
-    keep = seg_len > 0
-    lo, hi = lo[keep], hi[keep]
-    size = int(hi.max()) + 1 if len(hi) else 1
-    diff = np.bincount(lo, minlength=size) - np.bincount(hi, minlength=size)
-    return np.cumsum(diff)[:-1] if size > 1 else np.zeros(0, dtype=np.int64)
-
-
-def _time_average(hist, metric, horizon):
-    table = metric_table(metric, len(hist))
-    table[0] = 0.0  # age 0 never occurs; zeroing it keeps 0 * inf out of the sum
-    return float(hist @ table) / horizon
+    owner, first, end = _segments(run, horizon, delta0)
+    lo, hi = first - owner, end - owner  # the ages of a segment are lo .. hi - 1
+    j = int(lo[0] == hi[0])  # an empty pre-delivery segment must not set the length
+    lo, hi = lo[j:], hi[j:]
+    size = int(hi.max()) + 1
+    return np.cumsum(np.bincount(lo, minlength=size) - np.bincount(hi, minlength=size))[:-1]
 
 
 def _build_trace(run, horizon, delta0, metric):
-    s, start, d, (seg_owner, seg_len, _) = run
-    delta = np.arange(1, horizon + 1, dtype=np.int64) - np.repeat(seg_owner, seg_len)
+    s, start, d, _ = run
+    owner, first, end = _segments(run, horizon, delta0)
+    delta = np.arange(1, horizon + 1, dtype=np.int64) - np.repeat(owner, end - first)
     table = metric_table(metric, max(int(delta.max()), delta0) + 1)
     started = start[start <= horizon]
     qdiff = np.bincount(s, minlength=horizon + 1)[: horizon + 1] - np.bincount(
@@ -295,10 +295,9 @@ def _build_trace(run, horizon, delta0, metric):
     )
 
 
-def _summarize(run, horizon, metric, seed):
-    s, start, _, segments = run
-    k = segments[2]
-    avg = _time_average(_hist_from_segments(segments, horizon), metric, horizon)
+def _summarize(run, horizon, delta0, metric, seed):
+    s, start, _, k = run
+    avg = average_over_seeds([_histogram(run, horizon, delta0)], metric, horizon)[0]
     mean_wait = float(np.mean(start[:k] - s[:k])) if k else 0.0
     return RunSummary(time_average=avg, samples_generated=len(s), samples_delivered=k,
                       mean_queue_wait=mean_wait, seed=seed)
@@ -320,7 +319,8 @@ def simulate(
     ``age_histogram`` with ``average_over_seeds``: it skips the trace.
     """
     run = _run(policy, dist, horizon, delta0, seed=seed)
-    return _build_trace(run, horizon, delta0, metric), _summarize(run, horizon, metric, seed)
+    return (_build_trace(run, horizon, delta0, metric),
+            _summarize(run, horizon, delta0, metric, seed))
 
 
 def replay(
@@ -337,7 +337,8 @@ def replay(
     than forced service times were provided.
     """
     run = _run(policy, dist, horizon, delta0, forced=forced_services)
-    return _build_trace(run, horizon, delta0, metric), _summarize(run, horizon, metric, None)
+    return (_build_trace(run, horizon, delta0, metric),
+            _summarize(run, horizon, delta0, metric, None))
 
 
 def age_histogram(
@@ -349,13 +350,14 @@ def age_histogram(
 ) -> np.ndarray:
     """Counts of each age over steps 1..horizon for one seeded run.
 
+    Built from the sample schedule without the per-step trace: the ages
+    between two deliveries run from d_k - s_k up to d_{k+1} - s_k - 1.
     The age process does not depend on the metric, so one histogram per
-    seed serves every metric: ``average_over_seeds`` scores them with the
-    same ``hist @ table / horizon`` arithmetic that gives ``simulate``'s
-    ``time_average``, bit for bit.
+    seed serves every metric.  ``average_over_seeds`` scores it as
+    ``hist @ table[:len(hist)] / horizon``, the arithmetic that gives
+    ``simulate``'s ``time_average``, so the two agree bit for bit.
     """
-    segments = _run(policy, dist, horizon, delta0, seed=seed)[3]
-    return _hist_from_segments(segments, horizon)
+    return _histogram(_run(policy, dist, horizon, delta0, seed=seed), horizon, delta0)
 
 
 def average_over_seeds(
@@ -365,12 +367,15 @@ def average_over_seeds(
 ) -> tuple[float, float]:
     """Across-seed mean and standard error of the metric's time average.
 
-    ``hists`` holds one ``age_histogram`` per seed.  The standard error is
-    0 for a single seed.
+    ``hists`` holds one ``age_histogram`` per seed; one metric table, sized
+    to the longest, scores them all.  The standard error is 0 for a single
+    seed.
     """
     if not hists:
         raise ValueError("need at least 1 seed for an average")
-    values = np.array([_time_average(h, metric, horizon) for h in hists])
+    table = metric_table(metric, max(len(h) for h in hists))
+    table[0] = 0.0  # age 0 never occurs; zeroing it keeps 0 * inf out of the sum
+    values = np.array([float(h @ table[: len(h)]) / horizon for h in hists])
     stderr = values.std(ddof=1) / np.sqrt(len(values)) if len(values) > 1 else 0.0
     return float(values.mean()), float(stderr)
 

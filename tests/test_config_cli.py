@@ -487,7 +487,9 @@ class TestCli:
         matplotlib.pyplot = pyplot
         monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
         monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
-        monkeypatch.chdir(tmp_path)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)  # the script finds its CSV from any working directory
         runpy.run_path(str(out) + ".plot.py")
 
         with open(out, newline="") as f:
@@ -503,7 +505,7 @@ class TestCli:
         assert ("legend" in names) == (series[0][1] is not None)
         assert ("xlabel", (xlabel,), {}) in calls
         assert ("ylabel", (ylabel,), {}) in calls
-        assert calls[-1][0] == "savefig" and calls[-1][1] == ("out.csv.png",)
+        assert calls[-1][0] == "savefig" and calls[-1][1] == (str(out) + ".png",)
 
     def test_plot_script_requires_out(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.ini", "[source]\nkind = binary\nq = 0.2\n")
@@ -726,6 +728,13 @@ class TestSolveSweepGoldenDigests:
             ["sweep", "--seeds", "2", "--horizon", "20000"],
             (CONFIGS / "policy_comparison.ini").read_text(),
             "12eb12de9b0057edf431aa7f2ed7628b93b0d0f0bf33349097f6cadfc545fef1",
+        ),
+        # the config's own 10 seeds x 1e6 steps: histograms and metric tables
+        # thousands of ages long, where a table prefix must match a fresh table
+        "sweep-policy-comparison-full": (
+            ["sweep"],
+            (CONFIGS / "policy_comparison.ini").read_text(),
+            "e78a897c65599f471b93bd6da0a2aa4c8a2e90012a951e0d3b55327c9f7b7a52",
         ),
         "solve-binary": (
             ["solve"],

@@ -390,6 +390,74 @@ class TestAgainstReferenceEngine:
             assert summary.samples_delivered == delivered
 
 
+HEAVY = ServiceTimeDist({1: 0.999, 300: 0.001})
+
+
+def one_shot_services(dist, horizon, seed):
+    """``horizon // y_min + 2`` inverse-CDF service times on PCG64(``seed``)
+    uniforms, drawn at once: the engine draws the same stream in chunks."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    idx = np.searchsorted(np.cumsum(dist.probs), rng.random(horizon // dist.y_min + 2),
+                          side="right")
+    return np.asarray(dist.support)[np.minimum(idx, len(dist.support) - 1)].tolist()
+
+
+def seeded_cases():
+    """Params (policy, dist, horizon, seeds) of seeded runs checked against the reference."""
+    q08 = NegatedMI(BinarySymmetric(q=0.08))
+    cases = [
+        ("uniform-period-1", Uniform(period=1), D15, 1500, (0, 1)),
+        ("uniform-period-3", Uniform(period=3), D15, 1500, (2, 3)),
+        ("uniform-above-y-max", Uniform(period=7), D15, 1500, (4,)),
+        ("zero-wait", ZeroWait(), D111, 1500, (5, 6)),
+        ("threshold", Threshold(solve_beta(q08, D15, tol=1e-10).waiting), D15, 1500, (7, 8)),
+        ("threshold-heavy", Threshold(solve_beta(Affine(1.0), HEAVY).waiting), HEAVY, 2000, (1,)),
+        # these seeds draw no 300 early enough, so the first chunk falls short
+        ("zero-wait-heavy", ZeroWait(), HEAVY, 2000, (0, 6)),
+    ]
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+class TestSeededHistograms:
+    @pytest.mark.parametrize("policy, dist, horizon, seeds", seeded_cases())
+    def test_histogram_matches_reference_bit_for_bit(self, monkeypatch, policy, dist, horizon,
+                                                     seeds):
+        chunks = []
+        draw = ServiceTimeDist._sample_indices
+        monkeypatch.setattr(ServiceTimeDist, "_sample_indices",
+                            lambda self, rng, n: chunks.append(n) or draw(self, rng, n))
+        for seed in seeds:
+            delta0 = 1 + seed % 3
+            chunks.clear()
+            hist = age_histogram(policy, dist, horizon, seed, delta0)
+            deltas = reference_simulate(policy, dist, one_shot_services(dist, horizon, seed),
+                                        horizon, delta0)[0]
+            assert hist.dtype == np.int64
+            assert np.array_equal(hist, np.bincount(deltas)), (policy, seed)
+            if dist is HEAVY and isinstance(policy, ZeroWait):
+                assert len(chunks) > 1, "expected the draws to be extended past one chunk"
+
+    @pytest.mark.parametrize("policy, dist, horizon, seeds",
+                             [p for p in seeded_cases() if isinstance(p.values[0], Uniform)])
+    def test_backlog_guard_peak(self, monkeypatch, policy, dist, horizon, seeds):
+        peaks = {}
+        for seed in seeds:
+            trace, _ = simulate(policy, Affine(1.0), dist, horizon, seed)
+            generated = np.arange(1, len(trace.s) + 1)
+            peaks[seed] = int((generated - np.searchsorted(trace.start, trace.s,
+                                                           side="right")).max())
+            qlens = reference_simulate(policy, dist, one_shot_services(dist, horizon, seed),
+                                       horizon, 1)[1]
+            assert peaks[seed] == max(qlens)
+        for seed, peak in peaks.items():
+            # the guard reports the peak it computes: it trips one below it and passes at it
+            monkeypatch.setattr(simulator, "QUEUE_GUARD", peak - 1)
+            with pytest.raises(RuntimeError, match=f"backlog reached {peak} samples"):
+                age_histogram(policy, dist, horizon, seed)
+            monkeypatch.setattr(simulator, "QUEUE_GUARD", peak)
+            age_histogram(policy, dist, horizon, seed)
+
+
 # The tuple-list trace writer that the column writer replaced, kept as its
 # reference: one (kind, i, t) tuple per event, sorted, then csv.writer per row.
 _REFERENCE_TOKEN = {"generated": "gen", "service_start": "start", "delivered": "deliver"}
