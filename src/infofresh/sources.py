@@ -54,8 +54,9 @@ class BinarySymmetric:
 class Tabulated:
     """Information curve given directly as a table r(0), r(1), ..., r(max).
 
-    Values must be non-negative and non-increasing.  Ages past the table
-    evaluate to 0 (the curve has decayed off the table).
+    Values must be non-negative and non-increasing, so NaN is rejected and
+    +inf is allowed only where it leads, as at age 0 of a Gaussian curve.
+    Ages past the table evaluate to 0 (the curve has decayed off the table).
     """
 
     values: tuple[float, ...]
@@ -64,9 +65,10 @@ class Tabulated:
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise ValueError("tabulated curve needs at least one value")
-        if any(v < 0.0 for v in vals):
+        # each check phrased so that NaN fails it
+        if not all(v >= 0.0 for v in vals):
             raise ValueError("tabulated curve values must be non-negative")
-        if any(b > a for a, b in zip(vals, vals[1:])):
+        if not all(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("tabulated curve values must be non-increasing")
         object.__setattr__(self, "values", vals)
 
@@ -132,7 +134,9 @@ class PenaltyTable:
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise ValueError("penalty table needs at least one value")
-        if any(b < a for a, b in zip(vals, vals[1:])):
+        if any(math.isnan(v) for v in vals):
+            raise ValueError("penalty table values must not be NaN")
+        if not all(b >= a for a, b in zip(vals, vals[1:])):
             raise ValueError("penalty table values must be non-decreasing")
         object.__setattr__(self, "values", vals)
 
@@ -145,8 +149,10 @@ class Affine:
     intercept: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.slope < 0.0:
+        if not self.slope >= 0.0:  # NaN fails too
             raise ValueError(f"slope must be non-negative, got {self.slope}")
+        if math.isnan(self.intercept):
+            raise ValueError("intercept must not be NaN")
 
 
 AgePenalty = Union[NegatedMI, PenaltyTable, Affine]

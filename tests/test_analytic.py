@@ -1,5 +1,7 @@
 """Renewal-reward averages and the exhaustive oracle."""
 
+import itertools
+
 import pytest
 
 from infofresh.analytic import (
@@ -84,14 +86,27 @@ class TestBruteForceOptimum:
         assert a.best_ratio == pytest.approx(b.best_ratio, abs=1e-15)
         assert dict(a.best_waiting) == dict(b.best_waiting)
 
-    def test_best_is_minimal_over_candidates(self):
-        penalty = NegatedMI(BinarySymmetric(q=0.2))
-        dist = ServiceTimeDist({1: 0.5, 5: 0.5})
-        res = brute_force_optimum(penalty, dist, z_cap=6)
-        for z1 in range(7):
-            for z5 in range(7):
-                ratio = cycle_stats(penalty, dist, WaitingFunction({1: z1, 5: z5})).ratio
-                assert res.best_ratio <= ratio + 1e-12
+    @pytest.mark.parametrize(
+        "q, pmf, z_cap",
+        [
+            (0.2, {1: 0.5, 5: 0.5}, 6),
+            (0.2, {3: 1.0}, 8),
+            # optimum {1: 2, 2: 1, 4: 0, 7: 0}: any mix-up of the axes moves it
+            (0.02, {1: 0.1, 2: 0.2, 4: 0.3, 7: 0.4}, 3),
+        ],
+        ids=["2-point", "1-point", "4-point"],
+    )
+    def test_best_is_minimal_over_candidates(self, q, pmf, z_cap):
+        penalty = NegatedMI(BinarySymmetric(q=q))
+        dist = ServiceTimeDist(pmf)
+        res = brute_force_optimum(penalty, dist, z_cap=z_cap)
+        assert res.enumerated == (z_cap + 1) ** len(dist.support)
+        assert cycle_stats(penalty, dist, res.best_waiting).ratio == pytest.approx(
+            res.best_ratio, abs=1e-12
+        )
+        for waits in itertools.product(range(z_cap + 1), repeat=len(dist.support)):
+            ratio = cycle_stats(penalty, dist, WaitingFunction(dict(zip(dist.support, waits)))).ratio
+            assert res.best_ratio <= ratio + 1e-12
 
     def test_best_ratio_below_zero_wait(self):
         for penalty, dist in random_instances(6, seed=77):

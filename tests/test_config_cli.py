@@ -452,6 +452,25 @@ class TestCli:
         assert "[curve] delta_max must be >= 0, got -3" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "command, ini, message",
+        [
+            ("mi-curve", "[source]\nkind = tabulated\nvalues = 1, nan, 0.5\n",
+             "[source]: tabulated curve values must be non-negative"),
+            ("solve", "[penalty]\nkind = table\nvalues = 0, nan\n\n[service]\ndist = 1:1\n",
+             "[penalty]: penalty table values must not be NaN"),
+            ("solve", "[penalty]\nkind = affine\nslope = 1\nintercept = nan\n\n"
+             "[service]\ndist = 1:1\n", "[penalty]: intercept must not be NaN"),
+        ],
+        ids=["mi-curve-tabulated", "solve-table", "solve-affine-intercept"],
+    )
+    def test_nan_model_value_exit_1(self, tmp_path, capsys, command, ini, message):
+        cfg = write(tmp_path, "c.ini", ini)
+        assert main([command, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert f"infofresh: error: {message}" in captured.err
+        assert captured.out == ""
+
     def test_plot_script_emitted(self, tmp_path):
         cfg = write(tmp_path, "c.ini", "[source]\nkind = binary\nq = 0.2\n\n[curve]\ndelta_max = 5\n")
         out = str(tmp_path / "curve.csv")
@@ -721,7 +740,8 @@ class TestTraceGoldenDigests:
 
 
 class TestSolveSweepGoldenDigests:
-    """sha256 of whole ``solve`` and ``sweep`` CSVs; any byte that moves fails."""
+    """sha256 of whole ``solve`` and ``sweep`` CSVs and ``oracle-check`` reports;
+    any byte that moves fails."""
 
     RUNS = {
         "sweep-policy-comparison": (
@@ -745,6 +765,17 @@ class TestSolveSweepGoldenDigests:
             ["solve", "--zmax", "300"],
             HEAVY_INI,
             "03603115b72d7d08c046f540d579ff4a1a43e56c1f75ce2dc9bd146b883a261d",
+        ),
+        # reports of the meshgrid enumeration that the per-axis tables replaced
+        "oracle-check-defaults": (
+            ["oracle-check"],
+            "",
+            "7faa85b6cb087882b7ae3c9c4832f9f09ed3e9381459c7c238d4f935c54f15a3",
+        ),
+        "oracle-check-50-seed-1": (
+            ["oracle-check"],
+            "[oracle]\ninstances = 50\nseed = 1\n",
+            "0a82c090678a7b50f08ce02a207265b2eeb8842cc561ea469386b0cdd98a43ec",
         ),
     }
 

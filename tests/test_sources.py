@@ -140,6 +140,15 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             Tabulated(values=())
 
+    def test_tabulated_rejects_nan(self):
+        for values in ((1.0, math.nan, 0.5), (math.nan,), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                Tabulated(values=values)
+
+    def test_tabulated_allows_leading_inf(self):
+        # the Gaussian curve's own shape: infinite information at age 0
+        assert Tabulated(values=(math.inf, 1.0, 0.0)).values[0] == math.inf
+
 
 class TestPenalties:
     def test_negated_mi_binary_half(self):
@@ -165,9 +174,23 @@ class TestPenalties:
         with pytest.raises(ValueError):
             PenaltyTable(values=(1.0, 0.0))
 
+    def test_table_rejects_nan(self):
+        for values in ((math.nan,), (0.0, math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="NaN"):
+                PenaltyTable(values=values)
+
+    def test_table_allows_leading_minus_inf(self):
+        assert penalty_value(PenaltyTable(values=(-math.inf, 0.0)), 0) == -math.inf
+
     def test_affine_slope_nonnegative(self):
         with pytest.raises(ValueError):
             Affine(slope=-1.0)
+
+    def test_affine_rejects_nan(self):
+        with pytest.raises(ValueError, match="slope"):
+            Affine(slope=math.nan)
+        with pytest.raises(ValueError, match="intercept"):
+            Affine(slope=1.0, intercept=math.nan)
 
     @pytest.mark.parametrize(
         "penalty",
