@@ -7,9 +7,11 @@ curve or an age penalty) is scored at the age every step.
 
 The engine is vectorized over samples rather than stepped per tick: each
 sample's generation, service-start, and delivery times are computed as
-arrays, and per-step quantities are recovered from the delivery intervals.
-This is exact, bit-reproducible given the seed (PCG64), and fast enough
-for million-step horizons.
+arrays, and per-step quantities (age, metric, queue length, events) are
+recovered from the delivery intervals as arrays too, down to the trace
+CSV, whose bytes are laid out a chunk of rows at a time with no Python
+string per row.  This is exact, bit-reproducible given the seed (PCG64),
+and fast enough for million-step horizons.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ QUEUE_GUARD = 1_000_000
 _EVENT_KINDS = ("delivered", "generated", "service_start")
 _EVENT_TOKENS = ("deliver:", "gen:", "start:")
 _CSV_CHUNK_ROWS = 1 << 15  # rows formatted per write; bounds the memory of write_csv
+_COMMA = np.array([ord(",")], dtype=np.uint8)
 
 
 class SequenceExhausted(Exception):
@@ -89,55 +92,94 @@ class SimulationTrace:
     start: np.ndarray
     d: np.ndarray
 
-    def _event_steps(self) -> np.ndarray:
-        """Sample index (0 for none) of each event kind at steps 0..horizon.
+    def _event_steps(self, lo: int, hi: int) -> np.ndarray:
+        """Sample index (0 for none) of each event kind at steps lo..hi-1.
 
         Rows follow ``_EVENT_KINDS``.  One row per kind suffices: service
         times are >= 1, so generation, start and delivery times each
         strictly increase with the sample index.
         """
-        steps = np.zeros((len(_EVENT_KINDS), self.horizon + 1), dtype=np.int64)
+        steps = np.zeros((len(_EVENT_KINDS), hi - lo), dtype=np.int64)
         for row, times in zip(steps, (self.d, self.s, self.start)):
-            k = int(np.searchsorted(times, self.horizon, side="right"))
-            row[times[:k]] = np.arange(1, k + 1)
+            a, b = np.searchsorted(times, (lo, hi)).tolist()
+            row[times[a:b] - lo] = np.arange(a + 1, b + 1)
         return steps
 
     @property
     def events(self) -> list[tuple[str, int, int]]:
-        steps = self._event_steps()
+        steps = self._event_steps(0, self.horizon + 1)
         t, kind = np.nonzero(steps.T)  # time-major, so kinds keep their in-step order
         return [
             (_EVENT_KINDS[k], i, n)
             for n, k, i in zip(t.tolist(), kind.tolist(), steps[kind, t].tolist())
         ]
 
+    def _age_prefixes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``delta,metric,`` bytes of each distinct age as NUL-padded
+        rows of a ``uint8`` table, and the table row of each step 0..horizon.
+
+        Ages key a table of horizon + 1 slots.  Only steps before the first
+        delivery can be older than the horizon, and their ages are distinct,
+        so each such step keys a slot of its own past the table: nothing is
+        sized by delta0.
+        """
+        rows = self.horizon + 1
+        ages = np.concatenate(([self.delta0], self.delta))
+        key = np.where(ages < rows, ages, rows + np.arange(rows))
+        used = np.zeros(2 * rows, dtype=bool)
+        used[key] = True
+        step = np.zeros(2 * rows, dtype=np.int64)
+        step[key] = np.arange(rows)
+        step = step[used]  # a step with each key; the metric is a function of the age
+        values = np.where(step > 0, self.metric[step - 1], self.metric0)
+        table = np.array([f"{a},{_fmt(v)},".encode("ascii")
+                          for a, v in zip(ages[step].tolist(), values.tolist())])
+        return table.view(np.uint8).reshape(len(step), -1), (np.cumsum(used) - 1)[key]
+
     def write_csv(self, f: IO[str]) -> None:
         """Emit rows ``n,delta,metric,queue_len,event`` for n = 0..horizon.
 
         The n = 0 row carries the initial age and the time-0 events (the
-        first sample is always generated at time 0).  Each distinct age's
-        ``delta,metric`` prefix is formatted once.
+        first sample is always generated at time 0).
+
+        Each chunk of ``_CSV_CHUNK_ROWS`` rows is built as one ``uint8``
+        grid: a row per CSV line and a fixed-width slot per field, each
+        slot filled for the whole chunk at once.  ``n`` and ``queue_len``
+        are right-aligned digits; ``delta,metric,`` is gathered from a
+        table holding each distinct age's prefix, formatted once; each
+        event kind has a ``|`` where an earlier token of the same step is
+        present, then its token and sample index.  Bytes that a row does
+        not use stay NUL.  No CSV byte is NUL, so dropping every NUL byte
+        removes the padding and nothing else; the chunk is written as that
+        one compacted string.
         """
-        ages = np.concatenate(([self.delta0], self.delta))
-        values = np.concatenate(([self.metric0], self.metric))
-        uniq, first, which = np.unique(ages, return_index=True, return_inverse=True)
-        prefix = [f"{a},{_fmt(v)}," for a, v in zip(uniq.tolist(), values[first].tolist())]
+        prefix, which = self._age_prefixes()
         queue = np.concatenate(([0], self.queue_len))
-        steps = self._event_steps()
+        tokens = [np.frombuffer(f"|{t}".encode("ascii"), dtype=np.uint8) for t in _EVENT_TOKENS]
         f.write("n,delta,metric,queue_len,event\n")
         for lo in range(0, self.horizon + 1, _CSV_CHUNK_ROWS):
             hi = min(lo + _CSV_CHUNK_ROWS, self.horizon + 1)
-            event = [""] * (hi - lo)
-            for token, idx in zip(_EVENT_TOKENS, steps[:, lo:hi]):
-                at = np.flatnonzero(idx)
-                for k, i in zip(at.tolist(), idx[at].tolist()):
-                    event[k] = f"{event[k]}|{token}{i}" if event[k] else f"{token}{i}"
-            f.write("".join([
-                f"{n},{prefix[w]}{q},{e}\n"
-                for n, w, q, e in zip(
-                    range(lo, hi), which[lo:hi].tolist(), queue[lo:hi].tolist(), event
-                )
-            ]))
+            q, idx = queue[lo:hi], self._event_steps(lo, hi)
+            fields = [_digits(np.arange(lo, hi), _width(hi - 1)), _COMMA,
+                      prefix[which[lo:hi]], _digits(q, _width(q.max())), _COMMA]
+            widths = [_width(i.max()) for i in idx]
+            grid = np.zeros((hi - lo, sum(x.shape[-1] for x in fields)
+                             + sum(map(len, tokens)) + sum(widths) + 1), dtype=np.uint8)
+            c = 0
+            for x in fields:
+                grid[:, c:c + x.shape[-1]] = x
+                c += x.shape[-1]
+            earlier = np.zeros(hi - lo, dtype=bool)
+            for token, i, w in zip(tokens, idx, widths):
+                at = i != 0
+                np.copyto(grid[:, c:c + len(token)], token, where=at[:, None])
+                grid[:, c] *= earlier  # the "|" only follows an earlier token
+                c += len(token)
+                grid[at, c:c + w] = _digits(i[at], w)
+                c += w
+                earlier |= at
+            grid[:, c] = ord("\n")
+            f.write(grid[grid != 0].tobytes().decode("ascii"))
 
 
 @dataclass(frozen=True)
@@ -153,6 +195,27 @@ class RunSummary:
 
 def _fmt(x: float) -> str:
     return format(x + 0.0, ".12g")  # +0.0 folds -0.0 into 0
+
+
+def _width(value) -> int:
+    """Digits in the decimal form of a non-negative integer."""
+    return len(str(int(value)))
+
+
+def _digits(values: np.ndarray, width: int) -> np.ndarray:
+    """ASCII digits of non-negative integers, right-aligned in ``width`` bytes.
+
+    Leading bytes a value does not use are NUL; 0 prints as "0".  The loop
+    runs over the ``width`` digit columns, each a whole-array divmod.
+    """
+    out = np.zeros((len(values), width), dtype=np.uint8)
+    v = values.astype(np.int64)
+    for col in range(width - 1, -1, -1):
+        live = v > 0
+        v, r = np.divmod(v, 10)
+        np.copyto(out[:, col], r + 48, where=live, casting="unsafe")
+    out[:, -1] |= 48  # a value of 0 still prints its last digit
+    return out
 
 
 def _waits_table(policy: PolicySpec, dist: ServiceTimeDist) -> np.ndarray:

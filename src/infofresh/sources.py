@@ -143,16 +143,22 @@ class PenaltyTable:
 
 @dataclass(frozen=True)
 class Affine:
-    """Penalty slope*delta + intercept; slope >= 0 keeps it non-decreasing."""
+    """Penalty slope*delta + intercept; slope >= 0 keeps it non-decreasing.
+
+    Both must be finite: an infinite slope or intercept gives no finite
+    cycle sum at any age.
+    """
 
     slope: float
     intercept: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.slope >= 0.0:  # NaN fails too
-            raise ValueError(f"slope must be non-negative, got {self.slope}")
+        if not 0.0 <= self.slope < math.inf:  # NaN fails too
+            raise ValueError(f"slope must be non-negative and finite, got {self.slope}")
         if math.isnan(self.intercept):
             raise ValueError("intercept must not be NaN")
+        if math.isinf(self.intercept):
+            raise ValueError(f"intercept must be finite, got {self.intercept}")
 
 
 AgePenalty = Union[NegatedMI, PenaltyTable, Affine]

@@ -6,6 +6,7 @@ import hashlib
 import io
 import os
 import runpy
+import subprocess
 import sys
 import tempfile
 import types
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import infofresh
 from infofresh.cli import main
 from infofresh.config import ConfigError, ExperimentConfig, round_half_up
 from infofresh.simulator import Uniform, _fmt, age_histogram
@@ -470,6 +472,26 @@ class TestCli:
         captured = capsys.readouterr()
         assert f"infofresh: error: {message}" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "penalty, message",
+        [
+            ("slope = inf", "slope must be non-negative and finite, got inf"),
+            ("slope = 1\nintercept = -inf", "intercept must be finite, got -inf"),
+        ],
+        ids=["slope", "intercept"],
+    )
+    def test_infinite_affine_exit_1_without_numpy_output(self, tmp_path, penalty, message):
+        # a separate process, so that a numpy warning would reach the real stderr
+        cfg = write(tmp_path, "c.ini",
+                    f"[penalty]\nkind = affine\n{penalty}\n\n[service]\ndist = 1:0.5, 5:0.5\n")
+        src = str(Path(infofresh.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "infofresh.cli", "solve", "--config", cfg],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [f"infofresh: error: [penalty]: {message}"]
 
     def test_plot_script_emitted(self, tmp_path):
         cfg = write(tmp_path, "c.ini", "[source]\nkind = binary\nq = 0.2\n\n[curve]\ndelta_max = 5\n")

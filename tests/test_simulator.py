@@ -1,11 +1,15 @@
 """Queue simulation: age bookkeeping, FIFO behavior, and replay goldens."""
 
 import csv
+import dataclasses
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import infofresh.simulator as simulator
 from infofresh.analytic import zero_wait_average
@@ -22,7 +26,7 @@ from infofresh.simulator import (
     simulate,
 )
 from infofresh.solver import cycle_stats, solve_beta
-from infofresh.sources import Affine, BinarySymmetric, NegatedMI, metric_table
+from infofresh.sources import Affine, BinarySymmetric, NegatedMI, PenaltyTable, metric_table
 
 D4 = ServiceTimeDist({4: 1.0})
 D15 = ServiceTimeDist({1: 0.5, 5: 0.5})
@@ -568,3 +572,72 @@ class TestColumnWriter:
             trace, _ = replay(policy, Affine(1.0), dist, services, horizon)
             pairs = [(kind, t) for kind, _, t in reference_events(trace)]
             assert len(pairs) == len(set(pairs)), policy
+
+
+class TestWriterDigitWidths:
+    """``write_csv`` against ``reference_csv`` wherever a field gains a digit."""
+
+    @pytest.mark.parametrize("horizon", [9, 10, 99, 100, 999, 1000])
+    def test_step_number_widths(self, horizon):
+        for policy in (ZeroWait(), Uniform(period=3)):
+            trace, _ = replay(policy, Affine(1.0, -2.0), D15, [1, 5, 5, 1] * 400, horizon)
+            assert column_csv(trace) == reference_csv(trace), (policy, horizon)
+
+    def test_queue_length_widths(self):
+        # period 2 against a 4-step service: the backlog grows by one every 4 steps
+        trace, _ = replay(Uniform(period=2), Affine(1.0), D4, [4] * 600, 1000)
+        assert {9, 10, 99, 100} <= set(trace.queue_len.tolist())
+        assert column_csv(trace) == reference_csv(trace)
+
+    def test_sample_index_widths(self):
+        for policy in (ZeroWait(), Uniform(period=2), Uniform(period=5)):
+            trace, _ = replay(policy, NegatedMI(BinarySymmetric(q=0.1)), D4, [4] * 600, 1000)
+            for kind in ("generated", "service_start", "delivered"):
+                indices = {i for k, i, _ in trace.events if k == kind}
+                assert {9, 10, 99, 100} <= indices, (policy, kind)
+            assert column_csv(trace) == reference_csv(trace), policy
+
+    def test_thirteen_digit_ages(self):
+        # replay sizes its tables by delta0, so move a delta0 = 1 trace's
+        # pre-delivery ages to delta0 = 10**12 by hand; the writer must not
+        # size anything by delta0
+        delta0 = 10**12
+        trace, _ = replay(ZeroWait(), Affine(1.0), D4, [4] * 40, 100)
+        pre = np.arange(1, trace.horizon + 1) < trace.d[0]
+        delta = np.where(pre, trace.delta + delta0 - 1, trace.delta)
+        big = dataclasses.replace(trace, delta0=delta0, metric0=-delta0 / 8, delta=delta,
+                                  metric=-delta / 8)
+        assert len(str(int(big.delta.max()))) == 13
+        assert column_csv(big) == reference_csv(big)
+
+
+@st.composite
+def writer_replays(draw):
+    """A replay of any policy on a small random support, scored by a metric
+    whose printed values include negatives and exact zeros."""
+    support = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True))
+    dist = ServiceTimeDist({y: 1.0 / len(support) for y in support})
+    policy = draw(st.one_of(
+        st.builds(Uniform, period=st.integers(1, 8)),
+        st.just(ZeroWait()),
+        st.builds(Threshold, st.fixed_dictionaries({y: st.integers(0, 6) for y in support})),
+    ))
+    metric = draw(st.one_of(
+        st.builds(Affine, slope=st.sampled_from([0.0, 0.5, 1.0]),
+                  intercept=st.sampled_from([0.0, -1.0, -3.0, -7.25])),
+        st.builds(lambda q: NegatedMI(BinarySymmetric(q=q)), st.sampled_from([0.05, 0.3, 0.5])),
+        st.just(PenaltyTable(values=(-3.0, -1.0, 0.0, 0.0, 2.5))),
+        st.just(BinarySymmetric(q=0.5)),  # exactly 0 at every age past 0
+    ))
+    horizon = draw(st.integers(1, 150))
+    pattern = draw(st.lists(st.sampled_from(support), min_size=1, max_size=6))
+    services = (pattern * (horizon + 2))[: horizon + 2]
+    delta0 = draw(st.sampled_from([1, 9, 10, 99, 100]) | st.integers(1, 5000))
+    return replay(policy, metric, dist, services, horizon, delta0)[0]
+
+
+@given(writer_replays(), st.sampled_from([1, 7, 16, simulator._CSV_CHUNK_ROWS]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_column_writer_matches_reference_property(trace, chunk):
+    with mock.patch.object(simulator, "_CSV_CHUNK_ROWS", chunk):
+        assert column_csv(trace) == reference_csv(trace)

@@ -192,6 +192,13 @@ class TestPenalties:
         with pytest.raises(ValueError, match="intercept"):
             Affine(slope=1.0, intercept=math.nan)
 
+    def test_affine_rejects_infinity(self):
+        with pytest.raises(ValueError, match="slope"):
+            Affine(slope=math.inf)
+        for intercept in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match="intercept"):
+                Affine(slope=1.0, intercept=intercept)
+
     @pytest.mark.parametrize(
         "penalty",
         [
