@@ -33,6 +33,9 @@ SWEEP_MODELS = {key: model for model, key in SOURCES.values() if key != "values"
 PENALTIES = ("negated-mi", "affine", "table")
 POLICIES = ("optimal", "zero-wait", "uniform")
 TRACE_POLICIES = ("threshold", "zero-wait", "uniform")
+# Runs size their age histograms and metric tables by delta0; at this bound each is
+# about 8 MB, where an unbounded delta0 could ask for terabytes.
+DELTA0_MAX = 10**6
 
 
 class ConfigError(Exception):
@@ -113,7 +116,8 @@ class ExperimentConfig:
     horizon: int = _ini("sim", "horizon", int, 1_000_000, (lambda v: v >= 1, "must be >= 1"))
     seeds: tuple[int, ...] = _ini("sim", "seeds", _seeds, tuple(range(10)),
                                   (bool, "must name at least one seed"))
-    delta0: int = _ini("sim", "delta0", int, 1, (lambda v: v >= 1, "must be >= 1"))
+    delta0: int = _ini("sim", "delta0", int, 1, (lambda v: v >= 1, "must be >= 1"),
+                       (lambda v: v <= DELTA0_MAX, f"must be <= {DELTA0_MAX}"))
     sweep_variable: str | None = _ini("sweep", "variable", str, None, _one_of(SWEEP_MODELS))
     sweep_grid: tuple[float, ...] | None = _ini("sweep", "grid", _grid, None, (
         lambda g: g and all(b > a for a, b in zip(g, g[1:])),

@@ -8,6 +8,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 _PROB_SUM_TOL = 1e-12
+_COUNTED_SUPPORT = 8  # largest support whose draws count comparisons instead of searching
 
 
 class ServiceTimeDist:
@@ -75,6 +76,17 @@ class ServiceTimeDist:
         return np.asarray(self.support, dtype=np.int64)[self._sample_indices(rng, n)]
 
     def _sample_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Support indices of the ``n`` draws ``sample_many`` would make."""
-        idx = np.searchsorted(self._cdf, rng.random(n), side="right")
-        return np.minimum(idx, len(self.support) - 1)
+        """Support indices of the ``n`` draws ``sample_many`` would make.
+
+        The index of uniform u is ``min(searchsorted(cdf, u, "right"), |S| - 1)``:
+        the count of ``u >= cdf[j]`` over the first |S| - 1 entries, which is
+        how supports of up to ``_COUNTED_SUPPORT`` points compute it, one
+        whole-array comparison per entry; larger ones binary-search.
+        """
+        u = rng.random(n)
+        if len(self.support) > _COUNTED_SUPPORT:
+            return np.minimum(np.searchsorted(self._cdf, u, side="right"), len(self.support) - 1)
+        idx = np.zeros(n, dtype=np.intp)
+        for c in self._cdf[:-1]:
+            idx += u >= c
+        return idx

@@ -5,13 +5,18 @@ delivered after their service time.  The age at step n is the time since
 the generation of the freshest delivered sample; a metric (an information
 curve or an age penalty) is scored at the age every step.
 
-The engine is vectorized over samples rather than stepped per tick: each
-sample's generation, service-start, and delivery times are computed as
-arrays, and per-step quantities (age, metric, queue length, events) are
-recovered from the delivery intervals as arrays too, down to the trace
-CSV, whose bytes are laid out a chunk of rows at a time with no Python
-string per row.  This is exact, bit-reproducible given the seed (PCG64),
-and fast enough for million-step horizons.
+The engine is vectorized over samples rather than stepped per tick.  A
+policy's producer yields the schedule in blocks of ``_CHUNK`` samples:
+each sample's generation, service-start and delivery times as arrays,
+with one integer carried from a block to the next (the previous delivery
+for the uniform queue, by Lindley's recursion; the next generation time
+for the sample-at-idle policies).  The age histogram folds the blocks
+one at a time, so a sweep never holds an array sized by the horizon; a
+trace concatenates them and recovers its per-step quantities (age,
+metric, queue length, events) from the delivery intervals as arrays too,
+down to the CSV, whose bytes are laid out a chunk of rows at a time with
+no Python string per row.  This is exact and bit-reproducible given the
+seed: PCG64 draws in blocks replay the stream of one large draw.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ QUEUE_GUARD = 1_000_000
 # Event kinds in the order they happen within one step, and their CSV tokens.
 _EVENT_KINDS = ("delivered", "generated", "service_start")
 _EVENT_TOKENS = ("deliver:", "gen:", "start:")
+_CHUNK = 1 << 14  # samples per schedule block; a block's arrays stay in cache
 _CSV_CHUNK_ROWS = 1 << 15  # rows formatted per write; bounds the memory of write_csv
 _COMMA = np.array([ord(",")], dtype=np.uint8)
 
@@ -238,38 +244,50 @@ def _validate_forced(forced: Sequence[int], dist: ServiceTimeDist) -> np.ndarray
 
 
 def _pi1_schedule(dist, zarr, horizon, rng=None, forced=None):
-    """Sample-at-idle policies: S[i+1] = D[i] + Z(Y[i]), no queueing."""
+    """Sample-at-idle policies: S[i+1] = D[i] + Z(Y[i]), no queueing.
+
+    Yields ``(s, start, d)`` blocks, carrying the next generation time from
+    one to the next, until a generation passes the horizon.  A forced
+    replay is one block.
+    """
     sup = np.asarray(dist.support, dtype=np.int64)
     cycle = sup + zarr  # steps from a generation to the next, by support index
-    if forced is None:
-        # Draw 1% and 16 more than the rest of the horizon takes on average, but no
-        # more than it can take, until a generation passes the horizon.  PCG64 draws
-        # in chunks replay the stream of one large draw, so chunking moves no sample.
-        mean, least = float(np.dot(dist.probs, cycle)), int(cycle.min())
-        chunks, t = [], 0
-        while t <= horizon:
-            n = min(int((horizon - t) / mean * 1.01) + 16, (horizon - t) // least + 1)
-            chunks.append(dist._sample_indices(rng, n))
-            t += int(cycle[chunks[-1]].sum())
-        idx = np.concatenate(chunks)
-    else:
-        idx = np.searchsorted(sup, _validate_forced(forced, dist))
-    gen_all = np.concatenate(([0], np.cumsum(cycle[idx])))
-    m = int(np.searchsorted(gen_all, horizon, side="right"))
-    if m > len(idx):
-        raise SequenceExhausted(
-            f"sample {m} is generated at time {int(gen_all[m - 1])} <= horizon {horizon} "
-            f"but only {len(idx)} forced service times were given"
-        )
-    s = gen_all[:m]
-    return s, s.copy(), s + sup[idx[:m]]
+    mean, least = float(np.dot(dist.probs, cycle)), int(cycle.min())
+    t = 0  # the next generation time
+    while t <= horizon:
+        if forced is None:
+            # Draw 1% and 16 more than the rest of the horizon takes on average, but
+            # no more than it can take, nor more than a block.  PCG64 draws in blocks
+            # replay the stream of one large draw, so blocking moves no sample.
+            n = min(int((horizon - t) / mean * 1.01) + 16, (horizon - t) // least + 1, _CHUNK)
+            idx = dist._sample_indices(rng, n)
+        else:
+            idx = np.searchsorted(sup, _validate_forced(forced, dist))
+        gen = np.cumsum(np.concatenate(([t], cycle[idx])))
+        m = int(np.searchsorted(gen, horizon, side="right"))
+        if m > len(idx):
+            if forced is not None:
+                raise SequenceExhausted(
+                    f"sample {m} is generated at time {int(gen[m - 1])} <= horizon {horizon} "
+                    f"but only {len(idx)} forced service times were given"
+                )
+            m = len(idx)
+        s = gen[:m]
+        yield s, s, s + sup[idx[:m]]
+        t = int(gen[m])
 
 
 def _uniform_schedule(dist, period, horizon, rng=None, forced=None):
-    """Periodic generation; service starts when the server frees up (FIFO)."""
+    """Periodic generation; service starts when the server frees up (FIFO).
+
+    Yields ``(s, start, d)`` blocks of ``_CHUNK`` samples (a forced replay
+    is one block).  The queue's only state from one sample to the next is
+    Lindley's recursion d_i = max(d_{i-1}, s_i) + y_i, so each block
+    carries the previous delivery and nothing else.
+    """
     m = horizon // period + 1
     if forced is None:
-        y = dist.sample_many(rng, m)
+        ys = (dist.sample_many(rng, min(_CHUNK, m - o)) for o in range(0, m, _CHUNK))
     else:
         y = _validate_forced(forced, dist)
         if len(y) < m:
@@ -277,28 +295,40 @@ def _uniform_schedule(dist, period, horizon, rng=None, forced=None):
                 f"{m} samples are generated by the horizon but only {len(y)} forced "
                 f"service times were given"
             )
-        y = y[:m]
-    s = np.arange(m, dtype=np.int64) * period
-    cum_y = np.cumsum(y)
-    d = cum_y + np.maximum.accumulate(s - (cum_y - y))
-    start = d - y
-    # sample i is generated at i * period, after the samples with ceil(start / period) <= i
-    # entered service, so the backlog then is the sum over j <= i of (1 - those started at j)
-    backlog = 1 - np.bincount(np.minimum(-(-start // period), m), minlength=m + 1)[:m]
-    peak = int(np.cumsum(backlog, out=backlog).max(initial=0))
-    if peak > QUEUE_GUARD:
-        raise RuntimeError(
-            f"queue backlog reached {peak} samples (guard {QUEUE_GUARD}); "
-            f"the uniform period {period} is too short for this service distribution"
-        )
-    return s, start, d
+        ys = [y[:m]]
+    o = d_prev = peak = 0
+    guarded = False
+    for y in ys:
+        n = len(y)
+        s = np.arange(o, o + n, dtype=np.int64) * period
+        cum_y = np.cumsum(y)
+        d = cum_y + np.maximum(np.maximum.accumulate(s - (cum_y - y)), d_prev)
+        start = d - y
+        if not guarded:
+            # Let c = min(ceil(start_k / period), m) for sample k (0-based).  By the
+            # generation at (c - 1) * period, c samples are generated and at most k of
+            # them started, as sample k had not; the first sample not yet started makes
+            # that exact, so the backlog peaks at max_k c - k.  Once a delivery passes
+            # the horizon, every later sample starts past it at c = m, so the next
+            # sample holds the peak of all of them.
+            peak = max(peak, int((np.minimum(-(-start // period), m)
+                                  - np.arange(o, o + n)).max()))
+            if d[-1] > horizon or o + n == m:
+                peak, guarded = max(peak, m - o - n), True
+                if peak > QUEUE_GUARD:
+                    raise RuntimeError(
+                        f"queue backlog reached {peak} samples (guard {QUEUE_GUARD}); "
+                        f"the uniform period {period} is too short for this service "
+                        f"distribution"
+                    )
+        yield s, start, d
+        o, d_prev = o + n, int(d[-1])
 
 
-def _run(policy, dist, horizon, delta0, seed=None, forced=None):
-    """Check the arguments, then build one run's schedule.
+def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
+    """Check the arguments, then return the producer of one run's schedule blocks.
 
     Service times are drawn from PCG64(``seed``) unless ``forced`` gives them.
-    Returns ``(s, start, d, k)``, k the number of samples delivered by the horizon.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -306,10 +336,16 @@ def _run(policy, dist, horizon, delta0, seed=None, forced=None):
         raise ValueError(f"delta0 must be >= 1, got {delta0}")
     rng = np.random.Generator(np.random.PCG64(seed)) if forced is None else None
     if isinstance(policy, Uniform):
-        s, start, d = _uniform_schedule(dist, policy.period, horizon, rng=rng, forced=forced)
-    else:
-        zarr = _waits_table(policy, dist)
-        s, start, d = _pi1_schedule(dist, zarr, horizon, rng=rng, forced=forced)
+        return _uniform_schedule(dist, policy.period, horizon, rng=rng, forced=forced)
+    zarr = _waits_table(policy, dist)
+    return _pi1_schedule(dist, zarr, horizon, rng=rng, forced=forced)
+
+
+def _run(policy, dist, horizon, delta0, seed=None, forced=None):
+    """One run's whole schedule: ``(s, start, d, k)``, the blocks concatenated,
+    k the number of samples delivered by the horizon."""
+    blocks = _schedule(policy, dist, horizon, delta0, seed, forced)
+    s, start, d = map(np.concatenate, zip(*blocks))
     return s, start, d, int(np.searchsorted(d, horizon, side="right"))
 
 
@@ -326,14 +362,45 @@ def _segments(run, horizon, delta0):
     return np.concatenate(([-delta0], s[:k])), bounds[:-1], bounds[1:]
 
 
-def _histogram(run, horizon, delta0):
-    """Histogram of ages over steps 1..horizon (index = age)."""
-    owner, first, end = _segments(run, horizon, delta0)
-    lo, hi = first - owner, end - owner  # the ages of a segment are lo .. hi - 1
-    j = int(lo[0] == hi[0])  # an empty pre-delivery segment must not set the length
-    lo, hi = lo[j:], hi[j:]
-    size = int(hi.max()) + 1
-    return np.cumsum(np.bincount(lo, minlength=size) - np.bincount(hi, minlength=size))[:-1]
+def _tally(acc, values):
+    """``acc`` plus the counts of ``values``, grown to fit them."""
+    counts = np.bincount(values)
+    if len(counts) > len(acc):
+        counts[: len(acc)] += acc
+        return counts
+    acc[: len(counts)] += counts
+    return acc
+
+
+def _histogram(blocks, horizon, delta0):
+    """Histogram of ages over steps 1..horizon (index = age), folded from
+    ``(s, start, d)`` blocks.
+
+    The sample delivered last owns the steps from its delivery to the next,
+    at ages d_k - s_k up to d_{k+1} - s_k - 1; before the first delivery the
+    owner is -delta0.  Each block tallies the first and one-past-last age of
+    every segment it closes, carrying the open segment's owner and first
+    step to the next block; the fold stops once a delivery passes the
+    horizon.  The histogram is the running sum of the first-age counts less
+    the one-past-last ones.
+    """
+    owner, first = -delta0, 1  # the open segment: before the first delivery
+    lo, hi = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    for s, _, d in blocks:
+        k = int(np.searchsorted(d, horizon, side="right"))
+        if k:
+            seg_lo = np.concatenate(([first - owner], d[: k - 1] - s[: k - 1]))
+            seg_hi = np.concatenate(([d[0] - owner], d[1:k] - s[: k - 1]))
+            j = int(seg_lo[0] == seg_hi[0])  # only the pre-delivery segment can be empty
+            lo, hi = _tally(lo, seg_lo[j:]), _tally(hi, seg_hi[j:])
+            owner, first = int(s[k - 1]), int(d[k - 1])
+        if k < len(d):
+            break
+    lo = _tally(lo, np.array([first - owner]))
+    hi = _tally(hi, np.array([horizon + 1 - owner]))
+    hist = -hi
+    hist[: len(lo)] += lo
+    return np.cumsum(hist[:-1])
 
 
 def _build_trace(run, horizon, delta0, metric):
@@ -359,8 +426,8 @@ def _build_trace(run, horizon, delta0, metric):
 
 
 def _summarize(run, horizon, delta0, metric, seed):
-    s, start, _, k = run
-    avg = average_over_seeds([_histogram(run, horizon, delta0)], metric, horizon)[0]
+    s, start, d, k = run
+    avg = average_over_seeds([_histogram([(s, start, d)], horizon, delta0)], metric, horizon)[0]
     mean_wait = float(np.mean(start[:k] - s[:k])) if k else 0.0
     return RunSummary(time_average=avg, samples_generated=len(s), samples_delivered=k,
                       mean_queue_wait=mean_wait, seed=seed)
@@ -415,12 +482,15 @@ def age_histogram(
 
     Built from the sample schedule without the per-step trace: the ages
     between two deliveries run from d_k - s_k up to d_{k+1} - s_k - 1.
+    The schedule's blocks are folded one at a time and dropped, and the
+    fold stops at the first delivery past the horizon, so memory stays
+    bounded by the block and the oldest age, not by the horizon.
     The age process does not depend on the metric, so one histogram per
     seed serves every metric.  ``average_over_seeds`` scores it as
     ``hist @ table[:len(hist)] / horizon``, the arithmetic that gives
     ``simulate``'s ``time_average``, so the two agree bit for bit.
     """
-    return _histogram(_run(policy, dist, horizon, delta0, seed=seed), horizon, delta0)
+    return _histogram(_schedule(policy, dist, horizon, delta0, seed=seed), horizon, delta0)
 
 
 def average_over_seeds(

@@ -184,6 +184,14 @@ class TestConfig:
         assert round_half_up(6.4) == 6
 
 
+def run_cli(*args):
+    """Run the command line in a child process, so that its real stderr is captured."""
+    src = str(Path(infofresh.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "infofresh.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -485,13 +493,23 @@ class TestCli:
         # a separate process, so that a numpy warning would reach the real stderr
         cfg = write(tmp_path, "c.ini",
                     f"[penalty]\nkind = affine\n{penalty}\n\n[service]\ndist = 1:0.5, 5:0.5\n")
-        src = str(Path(infofresh.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run([sys.executable, "-m", "infofresh.cli", "solve", "--config", cfg],
-                              capture_output=True, text=True, env=env, timeout=60)
+        proc = run_cli("solve", "--config", cfg)
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [f"infofresh: error: [penalty]: {message}"]
+
+    @pytest.mark.parametrize("command", ["trace", "sweep"])
+    def test_huge_delta0_exit_1_without_traceback(self, tmp_path, command):
+        # unbounded, delta0 = 10**12 sized a 7 TiB metric table and died of MemoryError
+        ini = {"trace": TRACE_INI + "\n[sim]\ndelta0 = 1000000000000\n",
+               "sweep": SWEEP_INI.replace("seeds = 4", "seeds = 4\ndelta0 = 1000000000000")}
+        out = tmp_path / "o.csv"
+        proc = run_cli(command, "--config", write(tmp_path, "c.ini", ini[command]),
+                       "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "infofresh: error: [sim] delta0 must be <= 1000000, got 1000000000000"]
+        assert not out.exists()
 
     def test_plot_script_emitted(self, tmp_path):
         cfg = write(tmp_path, "c.ini", "[source]\nkind = binary\nq = 0.2\n\n[curve]\ndelta_max = 5\n")
@@ -583,7 +601,7 @@ class TestCliFuzz:
         ("solver", "z_max", ("1", "40"), ("0", "-3")),
         ("sim", "horizon", ("1", "200"), ("0", "-1")),
         ("sim", "seeds", ("1", "2, 7"), ("0", "-2")),
-        ("sim", "delta0", ("1", "5"), ("0", "-1")),
+        ("sim", "delta0", ("1", "5"), ("0", "-1", "1000001", "1000000000000")),
         ("sweep", "grid", ("0.5", "0.1, 0.3", "0:0.5:0.25"), ("", "0.3, 0.1", "0.2, 0.2")),
         ("sweep", "uniform_period", ("1", "4"), ("0", "-1")),
         ("sweep", "policies", ("optimal", "zero-wait, uniform"), ("", ",")),

@@ -108,3 +108,45 @@ class TestSampling:
         r = rng(11)
         singles = [int(d.sample_many(r, 1)[0]) for _ in range(50)]
         assert singles == d.sample_many(rng(11), 50).tolist()
+
+
+class _Uniforms:
+    """A stand-in generator whose ``random`` returns the uniforms it was given."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u
+
+
+def searched_indices(dist, u):
+    return np.minimum(np.searchsorted(dist._cdf, u, side="right"), len(dist.support) - 1)
+
+
+class TestSampleIndices:
+    """Supports of up to 8 points count comparisons and larger ones search;
+    on the same uniforms both give the clamped right-side search's indices."""
+
+    @pytest.mark.parametrize("size", range(1, 10))
+    def test_matches_search_with_ties(self, size):
+        r = rng(size)
+        probs = r.random(size) + 0.01
+        dist = ServiceTimeDist({y: p / probs.sum() for y, p in zip(range(1, size + 1), probs)})
+        cdf = dist._cdf
+        # every cdf entry exactly, and its neighbours on either side
+        u = np.concatenate((r.random(10_000), cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 2),
+                            [0.0, np.nextafter(1.0, 0)]))
+        assert np.array_equal(dist._sample_indices(_Uniforms(u), len(u)),
+                              searched_indices(dist, u))
+
+    @pytest.mark.parametrize("size", [7, 10])
+    def test_last_cdf_entry_below_one(self, size):
+        dist = ServiceTimeDist({y: 1 / size for y in range(1, size + 1)})
+        last = dist._cdf[-1]
+        assert last < 1.0
+        u = np.array([np.nextafter(last, 0), last, np.nextafter(last, 1), np.nextafter(1.0, 0)])
+        idx = dist._sample_indices(_Uniforms(u), len(u))
+        assert np.array_equal(idx, searched_indices(dist, u))
+        assert idx.tolist() == [size - 1] * 4

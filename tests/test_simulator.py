@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import infofresh.simulator as simulator
@@ -397,12 +397,13 @@ class TestAgainstReferenceEngine:
 HEAVY = ServiceTimeDist({1: 0.999, 300: 0.001})
 
 
-def one_shot_services(dist, horizon, seed):
-    """``horizon // y_min + 2`` inverse-CDF service times on PCG64(``seed``)
-    uniforms, drawn at once: the engine draws the same stream in chunks."""
+def one_shot_services(dist, horizon, seed, count=None):
+    """``count`` (by default ``horizon // y_min + 2``) inverse-CDF service times
+    on PCG64(``seed``) uniforms, drawn at once: the engine draws the same
+    stream in blocks."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    idx = np.searchsorted(np.cumsum(dist.probs), rng.random(horizon // dist.y_min + 2),
-                          side="right")
+    count = horizon // dist.y_min + 2 if count is None else count
+    idx = np.searchsorted(np.cumsum(dist.probs), rng.random(count), side="right")
     return np.asarray(dist.support)[np.minimum(idx, len(dist.support) - 1)].tolist()
 
 
@@ -453,13 +454,69 @@ class TestSeededHistograms:
             qlens = reference_simulate(policy, dist, one_shot_services(dist, horizon, seed),
                                        horizon, 1)[1]
             assert peaks[seed] == max(qlens)
-        for seed, peak in peaks.items():
-            # the guard reports the peak it computes: it trips one below it and passes at it
-            monkeypatch.setattr(simulator, "QUEUE_GUARD", peak - 1)
-            with pytest.raises(RuntimeError, match=f"backlog reached {peak} samples"):
+        # the peak is taken block by block, so small blocks must find the same one
+        for chunk in (1, 7, simulator._CHUNK):
+            monkeypatch.setattr(simulator, "_CHUNK", chunk)
+            for seed, peak in peaks.items():
+                # the guard reports the peak it computes: it trips one below it and passes at it
+                monkeypatch.setattr(simulator, "QUEUE_GUARD", peak - 1)
+                with pytest.raises(RuntimeError, match=f"backlog reached {peak} samples"):
+                    age_histogram(policy, dist, horizon, seed)
+                monkeypatch.setattr(simulator, "QUEUE_GUARD", peak)
                 age_histogram(policy, dist, horizon, seed)
-            monkeypatch.setattr(simulator, "QUEUE_GUARD", peak)
-            age_histogram(policy, dist, horizon, seed)
+
+
+BLOCK_SIZES = [1, 2, 3, 7, simulator._CHUNK]
+
+
+@st.composite
+def seeded_runs(draw):
+    """A seeded run of any policy on a small random support."""
+    support = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True))
+    dist = ServiceTimeDist({y: 1.0 / len(support) for y in support})
+    policy = draw(st.one_of(
+        st.builds(Uniform, period=st.integers(1, 8)),
+        st.just(ZeroWait()),
+        st.builds(Threshold, st.fixed_dictionaries({y: st.integers(0, 6) for y in support})),
+    ))
+    # short horizons end before the first delivery, so only the pre-delivery segment counts
+    horizon = draw(st.integers(1, 200))
+    return policy, dist, horizon, draw(st.integers(0, 2**32)), draw(st.integers(1, 40))
+
+
+def assert_histogram_matches_reference(policy, dist, horizon, seed, delta0, chunk):
+    with mock.patch.object(simulator, "_CHUNK", chunk):
+        hist = age_histogram(policy, dist, horizon, seed, delta0)
+    # at most horizon + 1 samples are generated, so horizon + 2 draws never run out
+    services = one_shot_services(dist, horizon, seed, count=horizon + 2)
+    deltas = reference_simulate(policy, dist, services, horizon, delta0)[0]
+    assert hist.dtype == np.int64
+    assert np.array_equal(hist, np.bincount(deltas)), (policy, horizon, seed, delta0, chunk)
+
+
+@given(seeded_runs(), st.sampled_from(BLOCK_SIZES))
+@example((ZeroWait(), ServiceTimeDist({12: 1.0}), 5, 0, 3), 2)  # no delivery by the horizon
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_histogram_across_block_boundaries_property(run, chunk):
+    assert_histogram_matches_reference(*run, chunk)
+
+
+@pytest.mark.parametrize("policy", [Uniform(period=2), ZeroWait(), Threshold({1: 3, 5: 0})],
+                         ids=["uniform", "zero-wait", "threshold"])
+@pytest.mark.parametrize("chunk", BLOCK_SIZES[1:4])
+def test_histogram_horizon_on_a_blocks_last_delivery(policy, chunk):
+    # the horizon is the delivery of each block's last sample in turn: that block
+    # delivers all it holds, and the next block delivers nothing by the horizon
+    seed, delta0 = 3, 4
+    with mock.patch.object(simulator, "_CHUNK", chunk):
+        blocks = list(simulator._schedule(policy, D15, 300, delta0, seed=seed))
+    ends = [int(d[-1]) for _, _, d in blocks[:-1] if len(d) == chunk]
+    assert len(ends) > 3
+    for horizon in ends[:4]:
+        with mock.patch.object(simulator, "_CHUNK", chunk):
+            blocks = list(simulator._schedule(policy, D15, horizon, delta0, seed=seed))
+        assert horizon in [int(d[-1]) for _, _, d in blocks]
+        assert_histogram_matches_reference(policy, D15, horizon, seed, delta0, chunk)
 
 
 # The tuple-list trace writer that the column writer replaced, kept as its
