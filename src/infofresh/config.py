@@ -34,8 +34,8 @@ PENALTIES = ("negated-mi", "affine", "table")
 POLICIES = ("optimal", "zero-wait", "uniform")
 TRACE_POLICIES = ("threshold", "zero-wait", "uniform")
 # Runs size their age histograms and metric tables by delta0; at this bound each is
-# about 8 MB, where an unbounded delta0 could ask for terabytes.
-DELTA0_MAX = 10**6
+# about 80 MB, where an unbounded delta0 could ask for terabytes.
+DELTA0_MAX = 10**7
 
 
 class ConfigError(Exception):

@@ -34,7 +34,10 @@ QUEUE_GUARD = 1_000_000
 # Event kinds in the order they happen within one step, and their CSV tokens.
 _EVENT_KINDS = ("delivered", "generated", "service_start")
 _EVENT_TOKENS = ("deliver:", "gen:", "start:")
-_CHUNK = 1 << 14  # samples per schedule block; a block's arrays stay in cache
+# Samples per schedule block.  A block's int64 arrays (64 KiB) stay in cache and
+# below glibc's 128 KiB mmap threshold, so they are not mapped and unmapped per
+# block; smaller blocks cost more in per-call overhead than they save in faults.
+_CHUNK = 1 << 13
 _CSV_CHUNK_ROWS = 1 << 15  # rows formatted per write; bounds the memory of write_csv
 _COMMA = np.array([ord(",")], dtype=np.uint8)
 
@@ -349,17 +352,22 @@ def _run(policy, dist, horizon, delta0, seed=None, forced=None):
     return s, start, d, int(np.searchsorted(d, horizon, side="right"))
 
 
-def _segments(run, horizon, delta0):
-    """Split steps 1..horizon into constant-owner segments.
+def _segments(s, d, end, owner, first):
+    """Split steps first..end-1 into constant-owner segments.
 
-    Returns the owner generation times and each segment's first step and
-    one-past-last step.  The pre-delivery segment has owner -delta0 so that
-    age = n - owner holds throughout; it is empty if the first delivery is
-    at step 1.  Every later segment runs from one delivery to the next.
+    The open segment, owned by the sample generated at ``owner`` since step
+    ``first``, runs to the first delivery ``d[0]``; the sample generated at
+    ``s[i]`` owns the steps from its delivery ``d[i]`` to the next, and the
+    last segment ends at ``end``.  A run opens with owner -delta0 at step 1,
+    so that age = n - owner holds throughout, and ends at horizon + 1.
+    Returns the owners and each segment's first and one-past-last step; only
+    the open segment can be empty (a delivery at its first step), and an
+    empty one is dropped.
     """
-    s, _, d, k = run
-    bounds = np.concatenate(([1], d[:k], [horizon + 1]))
-    return np.concatenate(([-delta0], s[:k])), bounds[:-1], bounds[1:]
+    bounds = np.concatenate(([first], d, [end]))
+    owners = np.concatenate(([owner], s))
+    j = int(bounds[0] == bounds[1])
+    return owners[j:], bounds[j:-1], bounds[j + 1:]
 
 
 def _tally(acc, values):
@@ -376,27 +384,23 @@ def _histogram(blocks, horizon, delta0):
     """Histogram of ages over steps 1..horizon (index = age), folded from
     ``(s, start, d)`` blocks.
 
-    The sample delivered last owns the steps from its delivery to the next,
-    at ages d_k - s_k up to d_{k+1} - s_k - 1; before the first delivery the
-    owner is -delta0.  Each block tallies the first and one-past-last age of
-    every segment it closes, carrying the open segment's owner and first
-    step to the next block; the fold stops once a delivery passes the
-    horizon.  The histogram is the running sum of the first-age counts less
-    the one-past-last ones.
+    Each block closes the segments (see ``_segments``) up to its last
+    delivery by the horizon and tallies their first and one-past-last ages,
+    carrying the segment that delivery opens to the next block; the fold
+    stops once a delivery passes the horizon.  The histogram is the running
+    sum of the first-age counts less the one-past-last ones.
     """
-    owner, first = -delta0, 1  # the open segment: before the first delivery
+    owner, first = -delta0, 1  # the run's opening segment, before the first delivery
     lo, hi = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     for s, _, d in blocks:
         k = int(np.searchsorted(d, horizon, side="right"))
         if k:
-            seg_lo = np.concatenate(([first - owner], d[: k - 1] - s[: k - 1]))
-            seg_hi = np.concatenate(([d[0] - owner], d[1:k] - s[: k - 1]))
-            j = int(seg_lo[0] == seg_hi[0])  # only the pre-delivery segment can be empty
-            lo, hi = _tally(lo, seg_lo[j:]), _tally(hi, seg_hi[j:])
+            owners, firsts, ends = _segments(s[: k - 1], d[: k - 1], d[k - 1], owner, first)
+            lo, hi = _tally(lo, firsts - owners), _tally(hi, ends - owners)
             owner, first = int(s[k - 1]), int(d[k - 1])
         if k < len(d):
             break
-    lo = _tally(lo, np.array([first - owner]))
+    lo = _tally(lo, np.array([first - owner]))  # the open segment ends at horizon + 1
     hi = _tally(hi, np.array([horizon + 1 - owner]))
     hist = -hi
     hist[: len(lo)] += lo
@@ -404,8 +408,8 @@ def _histogram(blocks, horizon, delta0):
 
 
 def _build_trace(run, horizon, delta0, metric):
-    s, start, d, _ = run
-    owner, first, end = _segments(run, horizon, delta0)
+    s, start, d, k = run
+    owner, first, end = _segments(s[:k], d[:k], horizon + 1, -delta0, 1)
     delta = np.arange(1, horizon + 1, dtype=np.int64) - np.repeat(owner, end - first)
     table = metric_table(metric, max(int(delta.max()), delta0) + 1)
     started = start[start <= horizon]

@@ -508,7 +508,7 @@ class TestCli:
                        "--out", str(out))
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [
-            "infofresh: error: [sim] delta0 must be <= 1000000, got 1000000000000"]
+            "infofresh: error: [sim] delta0 must be <= 10000000, got 1000000000000"]
         assert not out.exists()
 
     def test_plot_script_emitted(self, tmp_path):
@@ -601,7 +601,7 @@ class TestCliFuzz:
         ("solver", "z_max", ("1", "40"), ("0", "-3")),
         ("sim", "horizon", ("1", "200"), ("0", "-1")),
         ("sim", "seeds", ("1", "2, 7"), ("0", "-2")),
-        ("sim", "delta0", ("1", "5"), ("0", "-1", "1000001", "1000000000000")),
+        ("sim", "delta0", ("1", "5"), ("0", "-1", "10000001", "1000000000000")),
         ("sweep", "grid", ("0.5", "0.1, 0.3", "0:0.5:0.25"), ("", "0.3, 0.1", "0.2, 0.2")),
         ("sweep", "uniform_period", ("1", "4"), ("0", "-1")),
         ("sweep", "policies", ("optimal", "zero-wait, uniform"), ("", ",")),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from infofresh.service import ServiceTimeDist
+from infofresh.service import _COUNTED_SUPPORT, ServiceTimeDist
 from infofresh.sources import BinarySymmetric, mutual_information
 
 # Frozen by high-precision evaluation: 0.5*r(1) + 0.5*r(11) for q = 0.1.
@@ -126,10 +126,11 @@ def searched_indices(dist, u):
 
 
 class TestSampleIndices:
-    """Supports of up to 8 points count comparisons and larger ones search;
-    on the same uniforms both give the clamped right-side search's indices."""
+    """Supports of up to ``_COUNTED_SUPPORT`` points count comparisons and
+    larger ones search; on the same uniforms both give the clamped
+    right-side search's indices."""
 
-    @pytest.mark.parametrize("size", range(1, 10))
+    @pytest.mark.parametrize("size", [*range(1, 10), _COUNTED_SUPPORT, _COUNTED_SUPPORT + 1])
     def test_matches_search_with_ties(self, size):
         r = rng(size)
         probs = r.random(size) + 0.01
@@ -141,8 +142,9 @@ class TestSampleIndices:
         assert np.array_equal(dist._sample_indices(_Uniforms(u), len(u)),
                               searched_indices(dist, u))
 
-    @pytest.mark.parametrize("size", [7, 10])
+    @pytest.mark.parametrize("size", [7, 10, 44])
     def test_last_cdf_entry_below_one(self, size):
+        assert (size > _COUNTED_SUPPORT) == (size == 44)  # both sides of the switch
         dist = ServiceTimeDist({y: 1 / size for y in range(1, size + 1)})
         last = dist._cdf[-1]
         assert last < 1.0
