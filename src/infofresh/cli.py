@@ -161,6 +161,10 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         rows.append(f"{_fmt(g)},{i_opt},{i_zw},{i_uni},{i_se}\n")
     with _open_out(cfg) as f:
         f.writelines(rows)
+    if do_uni and dist.mean() >= period:
+        print(f"infofresh: note: the uniform queue is unstable at load E[Y] / [sweep] "
+              f"uniform_period = {_fmt(dist.mean())} / {period} >= 1: its wait has no steady "
+              f"state, so the uniform column depends on the horizon", file=sys.stderr)
     return 0
 
 

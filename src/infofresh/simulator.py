@@ -6,14 +6,16 @@ the generation of the freshest delivered sample; a metric (an information
 curve or an age penalty) is scored at the age every step.
 
 The engine is vectorized over samples rather than stepped per tick.  A
-policy's producer yields the schedule in blocks of ``_CHUNK`` samples:
-each sample's generation, service-start and delivery times as arrays,
-with one integer carried from a block to the next (the previous delivery
-for the uniform queue, by Lindley's recursion; the next generation time
-for the sample-at-idle policies).  The age histogram folds the blocks
-one at a time, so a sweep never holds an array sized by the horizon; a
-trace concatenates them and recovers its per-step quantities (age,
-metric, queue length, events) from the delivery intervals as arrays too,
+policy's producer yields the schedule in blocks of ``_CHUNK`` samples,
+with one integer carried from a block to the next.  A uniform block holds
+each sample's queue wait and sojourn (generation to delivery) and carries
+the wait, by Lindley's recursion; a sample-at-idle block holds the
+generation, service-start and delivery times and carries the next
+generation time.  The age histogram folds the blocks one at a time, a
+uniform block with one tally of its sojourns, so a sweep never holds an
+array sized by the horizon; a trace derives each block's times,
+concatenates them and recovers its per-step quantities (age, metric,
+queue length, events) from the delivery intervals as arrays too,
 down to the CSV, whose bytes are laid out a chunk of rows at a time with
 no Python string per row.  This is exact and bit-reproducible given the
 seed: PCG64 draws in blocks replay the stream of one large draw.
@@ -22,7 +24,7 @@ seed: PCG64 draws in blocks replay the stream of one large draw.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Mapping, Optional, Sequence, Union
+from typing import IO, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -280,13 +282,33 @@ def _pi1_schedule(dist, zarr, horizon, rng=None, forced=None):
         t = int(gen[m])
 
 
+class _Queued(NamedTuple):
+    """A block of a uniform run: samples ``first``.. (0-based), sample i
+    generated at ``i * period``, with each one's queue ``wait`` and its
+    ``sojourn``, the wait plus the service time (generation to delivery)."""
+
+    first: int
+    period: int
+    wait: np.ndarray
+    sojourn: np.ndarray
+
+
+def _times(block):
+    """A block's generation, service-start and delivery times ``(s, start, d)``."""
+    if isinstance(block, _Queued):
+        s = np.arange(block.first, block.first + len(block.wait), dtype=np.int64) * block.period
+        return s, s + block.wait, s + block.sojourn
+    return block
+
+
 def _uniform_schedule(dist, period, horizon, rng=None, forced=None):
     """Periodic generation; service starts when the server frees up (FIFO).
 
-    Yields ``(s, start, d)`` blocks of ``_CHUNK`` samples (a forced replay
-    is one block).  The queue's only state from one sample to the next is
-    Lindley's recursion d_i = max(d_{i-1}, s_i) + y_i, so each block
-    carries the previous delivery and nothing else.
+    Yields ``_Queued`` blocks of ``_CHUNK`` samples (a forced replay is one
+    block).  The queue's only state from one sample to the next is the wait,
+    by Lindley's recursion W' = max(0, W + y - period), so a block carries the
+    wait alone.  With F the running sum of y - period before each sample and
+    c the wait carried in, W = F + max(c, -min F), min F over the block so far.
     """
     m = horizon // period + 1
     if forced is None:
@@ -299,24 +321,30 @@ def _uniform_schedule(dist, period, horizon, rng=None, forced=None):
                 f"service times were given"
             )
         ys = [y[:m]]
-    o = d_prev = peak = 0
+    o = wait = peak = 0
     guarded = False
     for y in ys:
         n = len(y)
-        s = np.arange(o, o + n, dtype=np.int64) * period
-        cum_y = np.cumsum(y)
-        d = cum_y + np.maximum(np.maximum.accumulate(s - (cum_y - y)), d_prev)
-        start = d - y
+        x = y - period
+        w = np.cumsum(x)
+        w -= x  # F
+        np.minimum.accumulate(w, out=x)
+        np.minimum(x, -wait, out=x)
+        w -= x  # W = F - min(-c, min F)
+        a = np.add(w, y, out=x)
         if not guarded:
-            # Let c = min(ceil(start_k / period), m) for sample k (0-based).  By the
-            # generation at (c - 1) * period, c samples are generated and at most k of
-            # them started, as sample k had not; the first sample not yet started makes
-            # that exact, so the backlog peaks at max_k c - k.  Once a delivery passes
-            # the horizon, every later sample starts past it at c = m, so the next
-            # sample holds the peak of all of them.
-            peak = max(peak, int((np.minimum(-(-start // period), m)
-                                  - np.arange(o, o + n)).max()))
-            if d[-1] > horizon or o + n == m:
+            # Sample k (0-based) starts at k * period + W_k.  By the generation at
+            # (c - 1) * period, c = k + min(ceil(W_k / period), m - k), c samples are
+            # generated and at most k started, as sample k had not; the first sample
+            # not yet started makes that exact, so the backlog peaks at max_k c - k.
+            # No cap m - k binds in a block whose largest ceil(W / period) is at most
+            # its last cap.  Once a delivery passes the horizon, every later sample
+            # starts past it at c = m, so the next sample holds the peak of them all.
+            top = -(-int(w.max()) // period)
+            if top > m - (o + n - 1):
+                top = int(np.minimum(-(-w // period), m - np.arange(o, o + n)).max())
+            peak = max(peak, top)
+            if (o + n - 1) * period + int(a[-1]) > horizon or o + n == m:
                 peak, guarded = max(peak, m - o - n), True
                 if peak > QUEUE_GUARD:
                     raise RuntimeError(
@@ -324,8 +352,11 @@ def _uniform_schedule(dist, period, horizon, rng=None, forced=None):
                         f"the uniform period {period} is too short for this service "
                         f"distribution"
                     )
-        yield s, start, d
-        o, d_prev = o + n, int(d[-1])
+        o, wait = o + n, max(int(a[-1]) - period, 0)
+        # Free the draws now: held until the next draw, they leave enough free heap
+        # top, once the block is dropped, for glibc to trim and the next to fault back.
+        del y
+        yield _Queued(o - n, period, w, a)
 
 
 def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
@@ -345,72 +376,77 @@ def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
 
 
 def _run(policy, dist, horizon, delta0, seed=None, forced=None):
-    """One run's whole schedule: ``(s, start, d, k)``, the blocks concatenated,
-    k the number of samples delivered by the horizon."""
-    blocks = _schedule(policy, dist, horizon, delta0, seed, forced)
-    s, start, d = map(np.concatenate, zip(*blocks))
-    return s, start, d, int(np.searchsorted(d, horizon, side="right"))
+    """One run's ``(s, start, d, k)``, its blocks' times concatenated (k the
+    number of samples delivered by the horizon), and its age histogram."""
+    blocks = list(_schedule(policy, dist, horizon, delta0, seed, forced))
+    s, start, d = map(np.concatenate, zip(*map(_times, blocks)))
+    run = s, start, d, int(np.searchsorted(d, horizon, side="right"))
+    return run, _histogram(blocks, horizon, delta0)
 
 
-def _segments(s, d, end, owner, first):
-    """Split steps first..end-1 into constant-owner segments.
-
-    The open segment, owned by the sample generated at ``owner`` since step
-    ``first``, runs to the first delivery ``d[0]``; the sample generated at
-    ``s[i]`` owns the steps from its delivery ``d[i]`` to the next, and the
-    last segment ends at ``end``.  A run opens with owner -delta0 at step 1,
-    so that age = n - owner holds throughout, and ends at horizon + 1.
-    Returns the owners and each segment's first and one-past-last step; only
-    the open segment can be empty (a delivery at its first step), and an
-    empty one is dropped.
-    """
-    bounds = np.concatenate(([first], d, [end]))
-    owners = np.concatenate(([owner], s))
-    j = int(bounds[0] == bounds[1])
-    return owners[j:], bounds[j:-1], bounds[j + 1:]
-
-
-def _tally(acc, values):
-    """``acc`` plus the counts of ``values``, grown to fit them."""
-    counts = np.bincount(values)
-    if len(counts) > len(acc):
-        counts[: len(acc)] += acc
-        return counts
-    acc[: len(counts)] += counts
-    return acc
+def _grow(acc, n):
+    """``acc`` zero-extended to at least ``n`` entries."""
+    return acc if len(acc) >= n else np.concatenate((acc, np.zeros(n - len(acc), dtype=np.int64)))
 
 
 def _histogram(blocks, horizon, delta0):
-    """Histogram of ages over steps 1..horizon (index = age), folded from
-    ``(s, start, d)`` blocks.
+    """Histogram of ages over steps 1..horizon (index = age), folded from a
+    run's schedule blocks up to the first with a delivery past the horizon.
 
-    Each block closes the segments (see ``_segments``) up to its last
-    delivery by the horizon and tallies their first and one-past-last ages,
-    carrying the segment that delivery opens to the next block; the fold
-    stops once a delivery passes the horizon.  The histogram is the running
-    sum of the first-age counts less the one-past-last ones.
+    The sample generated at s_i owns ages d_i - s_i .. d_{i+1} - s_i - 1, and
+    the run opens with one generated at -delta0, from step 1.  ``diff``
+    counts each segment's first age less its one-past-last age (an empty
+    opening segment cancels); its running sum, up to the largest
+    one-past-last age, is the histogram.  A uniform block tallies its
+    sojourns A_i once: d_{i+1} - s_i = A_{i+1} + period, so the one-past-last
+    counts are those counts shifted by the period, but for sample 0's, which
+    closes the opening segment at A_0 + delta0.
     """
-    owner, first = -delta0, 1  # the run's opening segment, before the first delivery
-    lo, hi = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    for s, _, d in blocks:
-        k = int(np.searchsorted(d, horizon, side="right"))
-        if k:
-            owners, firsts, ends = _segments(s[: k - 1], d[: k - 1], d[k - 1], owner, first)
-            lo, hi = _tally(lo, firsts - owners), _tally(hi, ends - owners)
-            owner, first = int(s[k - 1]), int(d[k - 1])
-        if k < len(d):
+    diff = np.zeros(0, dtype=np.int64)
+    owner = -delta0  # generation time of the latest sample delivered
+    firsts, ends = [1 + delta0], []  # single ages, counted at the end
+    for block in blocks:
+        if isinstance(block, _Queued):
+            a, period, n = block.sojourn, block.period, len(block.sojourn)
+            k = n
+            if (block.first + n - 1) * period + int(a[-1]) > horizon:
+                k = int(np.searchsorted(_times(block)[2], horizon, side="right"))
+            if k:
+                counts = np.bincount(a[:k])
+                diff = _grow(diff, len(counts) + period)
+                diff[: len(counts)] += counts
+                diff[period: period + len(counts)] -= counts
+                if block.first == 0:  # move sample 0's shifted count
+                    firsts.append(int(a[0]) + period)
+                    ends.append(int(a[0]) + delta0)
+                owner = (block.first + k - 1) * period
+        else:
+            s, _, d = block
+            n = len(d)
+            k = int(np.searchsorted(d, horizon, side="right"))
+            if k:
+                lo, hi = np.bincount(d[:k] - s[:k]), np.bincount(d[1:k] - s[: k - 1])
+                diff = _grow(diff, max(len(lo), len(hi)))
+                diff[: len(lo)] += lo
+                diff[: len(hi)] -= hi
+                ends.append(int(d[0]) - owner)  # the segment open before the block
+                owner = int(s[k - 1])
+        if k < n:
             break
-    lo = _tally(lo, np.array([first - owner]))  # the open segment ends at horizon + 1
-    hi = _tally(hi, np.array([horizon + 1 - owner]))
-    hist = -hi
-    hist[: len(lo)] += lo
-    return np.cumsum(hist[:-1])
+    ends.append(horizon + 1 - owner)
+    diff = _grow(diff, max(firsts + ends) + 1)
+    np.add.at(diff, firsts, 1)
+    np.subtract.at(diff, ends, 1)
+    return np.cumsum(diff[: np.flatnonzero(diff)[-1]])
 
 
 def _build_trace(run, horizon, delta0, metric):
     s, start, d, k = run
-    owner, first, end = _segments(s[:k], d[:k], horizon + 1, -delta0, 1)
-    delta = np.arange(1, horizon + 1, dtype=np.int64) - np.repeat(owner, end - first)
+    # age = n - owner: the sample generated at s[i] owns the steps from its delivery to
+    # the next, and the run opens at step 1 owned by one generated at -delta0
+    owner = np.concatenate(([-delta0], s[:k]))
+    steps = np.diff(np.concatenate(([1], d[:k], [horizon + 1])))
+    delta = np.arange(1, horizon + 1, dtype=np.int64) - np.repeat(owner, steps)
     table = metric_table(metric, max(int(delta.max()), delta0) + 1)
     started = start[start <= horizon]
     qdiff = np.bincount(s, minlength=horizon + 1)[: horizon + 1] - np.bincount(
@@ -429,9 +465,9 @@ def _build_trace(run, horizon, delta0, metric):
     )
 
 
-def _summarize(run, horizon, delta0, metric, seed):
+def _summarize(run, hist, horizon, metric, seed):
     s, start, d, k = run
-    avg = average_over_seeds([_histogram([(s, start, d)], horizon, delta0)], metric, horizon)[0]
+    avg = average_over_seeds([hist], metric, horizon)[0]
     mean_wait = float(np.mean(start[:k] - s[:k])) if k else 0.0
     return RunSummary(time_average=avg, samples_generated=len(s), samples_delivered=k,
                       mean_queue_wait=mean_wait, seed=seed)
@@ -452,9 +488,9 @@ def simulate(
     Fully deterministic given the seed.  For the time average alone, score
     ``age_histogram`` with ``average_over_seeds``: it skips the trace.
     """
-    run = _run(policy, dist, horizon, delta0, seed=seed)
+    run, hist = _run(policy, dist, horizon, delta0, seed=seed)
     return (_build_trace(run, horizon, delta0, metric),
-            _summarize(run, horizon, delta0, metric, seed))
+            _summarize(run, hist, horizon, metric, seed))
 
 
 def replay(
@@ -470,9 +506,9 @@ def replay(
     Raises SequenceExhausted if more samples are generated by the horizon
     than forced service times were provided.
     """
-    run = _run(policy, dist, horizon, delta0, forced=forced_services)
+    run, hist = _run(policy, dist, horizon, delta0, forced=forced_services)
     return (_build_trace(run, horizon, delta0, metric),
-            _summarize(run, horizon, delta0, metric, None))
+            _summarize(run, hist, horizon, metric, None))
 
 
 def age_histogram(
@@ -486,9 +522,11 @@ def age_histogram(
 
     Built from the sample schedule without the per-step trace: the ages
     between two deliveries run from d_k - s_k up to d_{k+1} - s_k - 1.
-    The schedule's blocks are folded one at a time and dropped, and the
-    fold stops at the first delivery past the horizon, so memory stays
-    bounded by the block and the oldest age, not by the horizon.
+    The schedule's blocks are folded one at a time and dropped, a uniform
+    block with one tally of its sojourns d_k - s_k (it carries the queue
+    wait to the next block), and the fold stops at the first delivery past
+    the horizon, so memory stays bounded by the block and the oldest age,
+    not by the horizon.
     The age process does not depend on the metric, so one histogram per
     seed serves every metric.  ``average_over_seeds`` scores it as
     ``hist @ table[:len(hist)] / horizon``, the arithmetic that gives

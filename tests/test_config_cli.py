@@ -455,6 +455,30 @@ class TestCli:
         assert "exceeds z_max = 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("period, note", [
+        (6, "infofresh: note: the uniform queue is unstable at load E[Y] / [sweep] "
+            "uniform_period = 6 / 6 >= 1: its wait has no steady state, so the uniform column "
+            "depends on the horizon\n"),
+        (7, ""),
+    ], ids=["load-1", "load-below-1"])
+    def test_sweep_notes_an_unstable_uniform_queue(self, tmp_path, capsys, period, note):
+        ini = SWEEP_INI.replace("uniform_period = 6", f"uniform_period = {period}")
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", write(tmp_path, "sw.ini", ini), "--out", str(out),
+                     "--seeds", "2", "--horizon", "2000"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == note
+        assert captured.out == ""
+        assert len(out.read_text().splitlines()) == 4
+
+    def test_sweep_error_exit_prints_no_note(self, tmp_path, capsys):
+        # at load 1, as the note's case above, but the solver fails at some grid point
+        ini = SWEEP_INI.replace("grid = 0.1:0.5:0.2", "grid = 0.01:0.49:0.02")
+        cfg = write(tmp_path, "sw.ini", ini + "\n[solver]\nz_max = 1\n")
+        assert main(["sweep", "--config", cfg, "--seeds", "2", "--horizon", "2000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("infofresh: error: ") and "note" not in err
+
     def test_mi_curve_negative_delta_max_exit_1(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.ini", "[source]\nkind = binary\nq = 0.2\n\n[curve]\ndelta_max = -3\n")
         assert main(["mi-curve", "--config", cfg]) == 1

@@ -414,6 +414,8 @@ def seeded_cases():
         ("uniform-period-1", Uniform(period=1), D15, 1500, (0, 1)),
         ("uniform-period-3", Uniform(period=3), D15, 1500, (2, 3)),
         ("uniform-above-y-max", Uniform(period=7), D15, 1500, (4,)),
+        # the paper config's load 1: three full default blocks and one more sample
+        ("uniform-load-1", Uniform(period=6), D111, 3 * simulator._CHUNK * 6, (9,)),
         ("zero-wait", ZeroWait(), D111, 1500, (5, 6)),
         ("threshold", Threshold(solve_beta(q08, D15, tol=1e-10).waiting), D15, 1500, (7, 8)),
         ("threshold-heavy", Threshold(solve_beta(Affine(1.0), HEAVY).waiting), HEAVY, 2000, (1,)),
@@ -501,6 +503,12 @@ def test_histogram_across_block_boundaries_property(run, chunk):
     assert_histogram_matches_reference(*run, chunk)
 
 
+def block_times(policy, horizon, delta0, seed, chunk):
+    """Each schedule block's ``(s, start, d)``, in blocks of ``chunk`` samples."""
+    with mock.patch.object(simulator, "_CHUNK", chunk):
+        return list(map(simulator._times, simulator._schedule(policy, D15, horizon, delta0, seed)))
+
+
 @pytest.mark.parametrize("policy", [Uniform(period=2), ZeroWait(), Threshold({1: 3, 5: 0})],
                          ids=["uniform", "zero-wait", "threshold"])
 @pytest.mark.parametrize("chunk", BLOCK_SIZES[1:4])
@@ -508,13 +516,11 @@ def test_histogram_horizon_on_a_blocks_last_delivery(policy, chunk):
     # the horizon is the delivery of each block's last sample in turn: that block
     # delivers all it holds, and the next block delivers nothing by the horizon
     seed, delta0 = 3, 4
-    with mock.patch.object(simulator, "_CHUNK", chunk):
-        blocks = list(simulator._schedule(policy, D15, 300, delta0, seed=seed))
+    blocks = block_times(policy, 300, delta0, seed, chunk)
     ends = [int(d[-1]) for _, _, d in blocks[:-1] if len(d) == chunk]
     assert len(ends) > 3
     for horizon in ends[:4]:
-        with mock.patch.object(simulator, "_CHUNK", chunk):
-            blocks = list(simulator._schedule(policy, D15, horizon, delta0, seed=seed))
+        blocks = block_times(policy, horizon, delta0, seed, chunk)
         assert horizon in [int(d[-1]) for _, _, d in blocks]
         assert_histogram_matches_reference(policy, D15, horizon, seed, delta0, chunk)
 
