@@ -76,13 +76,18 @@ def _service_pairs(raw: str) -> tuple[tuple[int, float], ...]:
 
 
 def _grid(raw: str) -> tuple[float, ...]:
-    """Either a comma list or start:stop:step (stop inclusive)."""
+    """Either a comma list or start:stop:step (stop inclusive).
+
+    The range holds every start + k*step up to the stop and none past it;
+    a stop that the steps reach up to float noise (1e-9 of a step) counts,
+    so 0.02:0.50:0.02 has 25 points.
+    """
     if ":" in raw:
         start_s, stop_s, step_s = raw.split(":")
         start, stop, step = float(start_s), float(stop_s), float(step_s)
         if step <= 0:
             raise ValueError(f"grid step must be positive, got {step}")
-        count = int(round((stop - start) / step)) + 1
+        count = math.floor((stop - start) / step + 1e-9) + 1
         return tuple(round(start + k * step, 12) for k in range(count))
     return _list(float)(raw)
 
@@ -100,6 +105,9 @@ def _one_of(names) -> tuple:
     return (lambda v: v in names, f"must be {listed}")
 
 
+_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+
+
 @dataclass
 class ExperimentConfig:
     source_kind: str | None = _ini("source", "kind", str, None, _one_of(SOURCES))
@@ -115,7 +123,8 @@ class ExperimentConfig:
     z_max: int = _ini("solver", "z_max", int, 10_000, (lambda v: v >= 1, "must be >= 1"))
     horizon: int = _ini("sim", "horizon", int, 1_000_000, (lambda v: v >= 1, "must be >= 1"))
     seeds: tuple[int, ...] = _ini("sim", "seeds", _seeds, tuple(range(10)),
-                                  (bool, "must name at least one seed"))
+                                  (bool, "must name at least one seed"),
+                                  (lambda v: min(v) >= 0, "must all be >= 0"))
     delta0: int = _ini("sim", "delta0", int, 1, (lambda v: v >= 1, "must be >= 1"),
                        (lambda v: v <= DELTA0_MAX, f"must be <= {DELTA0_MAX}"))
     sweep_variable: str | None = _ini("sweep", "variable", str, None, _one_of(SWEEP_MODELS))
@@ -130,13 +139,13 @@ class ExperimentConfig:
          f"must not name an unknown policy (known: {', '.join(POLICIES)})"))
     trace_policy: str = _ini("trace", "policy", str, "threshold", _one_of(TRACE_POLICIES))
     forced_services: tuple[int, ...] | None = _ini("trace", "forced_services", _list(int))
-    trace_seed: int | None = _ini("trace", "seed", int)
+    trace_seed: int | None = _ini("trace", "seed", int, None, _NON_NEGATIVE)
     trace_horizon: int = _ini("trace", "horizon", int, 50, (lambda v: v >= 1, "must be >= 1"))
-    delta_max: int = _ini("curve", "delta_max", int, 50, (lambda v: v >= 0, "must be >= 0"))
+    delta_max: int = _ini("curve", "delta_max", int, 50, _NON_NEGATIVE)
     oracle_instances: int = _ini("oracle", "instances", int, 20,
                                  (lambda v: v >= 1, "must be >= 1"))
-    oracle_z_cap: int = _ini("oracle", "z_cap", int, 40, (lambda v: v >= 0, "must be >= 0"))
-    oracle_seed: int = _ini("oracle", "seed", int, 0)
+    oracle_z_cap: int = _ini("oracle", "z_cap", int, 40, _NON_NEGATIVE)
+    oracle_seed: int = _ini("oracle", "seed", int, 0, _NON_NEGATIVE)
     out_path: str | None = _ini("output", "path", str)
 
     # ------------------------------------------------------------------

@@ -9,10 +9,12 @@ import numpy as np
 
 _PROB_SUM_TOL = 1e-12
 # Largest support whose draws count comparisons instead of binary-searching: the
-# measured crossover at 8,192 draws, one schedule block.  Median of three timeit
-# runs (2-core Xeon VM, Python 3.11.7, numpy 2.4.6), count vs search per block:
+# measured crossover at 8,192 draws, one schedule block when it was set.  Median of
+# three timeit runs (2-core Xeon VM, Python 3.11.7, numpy 2.4.6), count vs search:
 #   points  8:  59 vs 181 us     16: 115 vs 249 us     24: 170 vs 263 us
 #   points 32: 256 vs 297 us     40: 338 vs 376 us     48: 400 vs 386 us
+# At 32,768 draws, one block now, counting still wins at 40 points (762 vs 1,092
+# us, best of three) and the crossover lies between 64 and 72 points.
 _COUNTED_SUPPORT = 40
 
 

@@ -36,10 +36,14 @@ QUEUE_GUARD = 1_000_000
 # Event kinds in the order they happen within one step, and their CSV tokens.
 _EVENT_KINDS = ("delivered", "generated", "service_start")
 _EVENT_TOKENS = ("deliver:", "gen:", "start:")
-# Samples per schedule block.  A block's int64 arrays (64 KiB) stay in cache and
-# below glibc's 128 KiB mmap threshold, so they are not mapped and unmapped per
-# block; smaller blocks cost more in per-call overhead than they save in faults.
-_CHUNK = 1 << 13
+# Samples per schedule block.  Alternating benchmark runs of sweep-q (2-core Xeon
+# VM, 2 MiB L2 per core) put 1 << 15 7% ahead of 1 << 13 and 2% ahead of 1 << 14;
+# at 1 << 16 (512 KiB arrays, likely past what L2 holds of a block) the sweep is
+# 45% slower.  A block's 256 KiB arrays lie past glibc's initial 128 KiB mmap
+# threshold.  A process that has freed a larger array, as the benchmark has, gets
+# them from the heap with no faults; a fresh `infofresh sweep` faults about twice
+# as many pages as at 1 << 13 (10k vs 5k) and takes the same CPU time.
+_CHUNK = 1 << 15
 _CSV_CHUNK_ROWS = 1 << 15  # rows formatted per write; bounds the memory of write_csv
 _COMMA = np.array([ord(",")], dtype=np.uint8)
 
@@ -308,7 +312,9 @@ def _uniform_schedule(dist, period, horizon, rng=None, forced=None):
     block).  The queue's only state from one sample to the next is the wait,
     by Lindley's recursion W' = max(0, W + y - period), so a block carries the
     wait alone.  With F the running sum of y - period before each sample and
-    c the wait carried in, W = F + max(c, -min F), min F over the block so far.
+    c the wait carried in, W = c + F - min(0, c + min F), min F over the block
+    so far: one prefix sum of 0, c and the block's y - period but the last,
+    and its running minimum, both exact in integers.
     """
     m = horizon // period + 1
     if forced is None:
@@ -325,13 +331,13 @@ def _uniform_schedule(dist, period, horizon, rng=None, forced=None):
     guarded = False
     for y in ys:
         n = len(y)
-        x = y - period
-        w = np.cumsum(x)
-        w -= x  # F
-        np.minimum.accumulate(w, out=x)
-        np.minimum(x, -wait, out=x)
-        w -= x  # W = F - min(-c, min F)
-        a = np.add(w, y, out=x)
+        g = np.empty(n + 1, dtype=np.int64)
+        g[:2] = 0, wait
+        np.subtract(y[:-1], period, out=g[2:])
+        np.cumsum(g, out=g)  # 0, then c + F
+        low = np.minimum.accumulate(g)  # 0, then min(0, c + min F)
+        w = np.subtract(g[1:], low[1:], out=g[1:])  # W = c + F - min(0, c + min F)
+        a = np.add(w, y, out=low[1:])
         if not guarded:
             # Sample k (0-based) starts at k * period + W_k.  By the generation at
             # (c - 1) * period, c = k + min(ceil(W_k / period), m - k), c samples are

@@ -181,23 +181,52 @@ def penalty_value(penalty: AgePenalty, delta: int) -> float:
 
 
 def _information_table(model: MarkovSourceModel, n: int) -> np.ndarray:
-    """``mutual_information(model, d)`` for d = 0..n-1, elementwise in numpy."""
-    delta = np.arange(n)
-    if isinstance(model, GaussianAR1):
-        t = (model.a * model.a) ** delta
-        with np.errstate(divide="ignore"):  # t = 1 at age 0 gives +inf
-            return -0.5 * np.log1p(-t) / _LN2 + 0.0
-    if isinstance(model, BinarySymmetric):
-        t = (1.0 - 2.0 * model.q) ** delta
-        with np.errstate(divide="ignore", invalid="ignore"):  # t = 1 is masked below
-            exact = ((1.0 - t) * np.log1p(-t) + (1.0 + t) * np.log1p(t)) / (2.0 * _LN2)
-        return np.where(t >= 1.0, 1.0, np.where(t < 1e-8, t * t / (2.0 * _LN2), exact))
+    """``mutual_information(model, d)`` for d = 0..n-1, elementwise in numpy.
+
+    The binary and Gaussian curves are closed forms in t = base ** d, and
+    both are 0.0 where t is.  libm's ``pow`` is about ten times slower where
+    its result underflows, so it runs only on ages below ``_powers_end``;
+    past those the table keeps the 0.0 it would have given.
+    """
     if isinstance(model, Tabulated):
         out = np.zeros(n)
         k = min(n, len(model.values))
         out[:k] = model.values[:k]
         return out
-    raise TypeError(f"unknown source model {model!r}")
+    if isinstance(model, GaussianAR1):
+        base = model.a * model.a
+    elif isinstance(model, BinarySymmetric):
+        base = 1.0 - 2.0 * model.q
+    else:
+        raise TypeError(f"unknown source model {model!r}")
+    out = np.zeros(n)
+    k = _powers_end(base, n)
+    t = base ** np.arange(k)
+    if isinstance(model, GaussianAR1):
+        with np.errstate(divide="ignore"):  # t = 1 at age 0 gives +inf
+            out[:k] = -0.5 * np.log1p(-t) / _LN2 + 0.0
+        return out
+    out[:k] = t * t / (2.0 * _LN2)  # the asymptote, taken where t < 1e-8
+    big = np.flatnonzero(t >= 1e-8)
+    j = int(big[-1]) + 1 if big.size else 0  # no age from j on needs the exact form
+    t = t[:j]
+    with np.errstate(divide="ignore", invalid="ignore"):  # t = 1 is masked below
+        exact = ((1.0 - t) * np.log1p(-t) + (1.0 + t) * np.log1p(t)) / (2.0 * _LN2)
+    out[:j] = np.where(t >= 1.0, 1.0, np.where(t < 1e-8, out[:j], exact))
+    return out
+
+
+def _powers_end(base: float, n: int) -> int:
+    """An age k <= n such that ``base ** d`` is 0.0 for every d in k..n-1.
+
+    For 0 < base < 1, base ** d < 2**-1077, an eighth of the smallest
+    subnormal, once d > -1077 / log2(base), so a ``pow`` good to 7/8 of an
+    ulp returns 0.0 there; the two extra ages absorb the rounding of that
+    bound.  Any other base gets no cut.
+    """
+    if 0.0 < base < 1.0:
+        return min(n, int(-1077.0 / math.log2(base)) + 2)
+    return n
 
 
 def metric_table(metric: "MarkovSourceModel | AgePenalty", n: int) -> np.ndarray:

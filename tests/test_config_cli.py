@@ -74,6 +74,16 @@ class TestConfig:
         assert cfg.sweep_grid[0] == 0.02
         assert cfg.sweep_grid[-1] == 0.5
 
+    # the steps stop at the stop: 0.1:0.4:0.2 once swept q = 0.5, and 0.5:0.9:0.25 a = 1
+    @pytest.mark.parametrize("raw, grid", [
+        ("0.1:0.4:0.2", (0.1, 0.3)),
+        ("0.5:0.9:0.25", (0.5, 0.75)),
+        ("0:0.5:0.25", (0.0, 0.25, 0.5)),
+        ("0.1:0.1:0.2", (0.1,)),
+    ])
+    def test_grid_stepped_form_stops_at_stop(self, raw, grid):
+        assert ExperimentConfig.from_ini(f"[sweep]\ngrid = {raw}\n").sweep_grid == grid
+
     def test_grid_list_form(self):
         cfg = ExperimentConfig.from_ini("[sweep]\ngrid = 0.1, 0.2, 0.4\n")
         assert cfg.sweep_grid == (0.1, 0.2, 0.4)
@@ -268,6 +278,13 @@ class TestCli:
         assert main(["sweep", "--config", cfg, "--out", str(via_key)]) == 0
         assert via_flag.read_text() == via_key.read_text()
 
+    def test_sweep_grid_stops_at_its_stop(self, tmp_path):
+        ini = SWEEP_INI.replace("variable = q", "variable = a").replace(
+            "grid = 0.1:0.5:0.2", "grid = 0.5:0.9:0.25")
+        cfg, out = write(tmp_path, "sw.ini", ini), tmp_path / "o.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--horizon", "2000"]) == 0
+        assert [row[0] for row in csv.reader(out.open())] == ["a", "0.5", "0.75"]
+
     def test_sweep_grid_outside_variable_domain_exit_1(self, tmp_path, capsys):
         ini = SWEEP_INI.replace("grid = 0.1:0.5:0.2", "grid = 0.3, 0.7")
         out = tmp_path / "o.csv"
@@ -432,9 +449,18 @@ class TestCli:
             ("trace", TRACE_INI.replace("horizon = 22", "horizon = 0"), [], "[trace] horizon"),
             ("oracle-check", "[oracle]\ninstances = 2\nz_cap = -1\n", [],
              "[oracle] z_cap must be >= 0, got -1"),
+            # negative seeds once reached numpy, whose error named no key
+            ("sweep", SWEEP_INI.replace("seeds = 4", "seeds = -1, 2"), [],
+             "[sim] seeds must all be >= 0, got (-1, 2)"),
+            ("sweep", SWEEP_INI, ["--seeds=-1,2"], "[sim] seeds must all be >= 0"),
+            ("trace", SOLVE_INI + "\n[trace]\nseed = -3\n", [],
+             "[trace] seed must be >= 0, got -3"),
+            ("oracle-check", "[oracle]\ninstances = 2\nseed = -2\n", [],
+             "[oracle] seed must be >= 0, got -2"),
         ],
         ids=["solve-tol", "solve-zmax-flag", "trace-tol-flag", "oracle-tol-flag",
-             "sweep-delta0", "trace-horizon", "oracle-z-cap"],
+             "sweep-delta0", "trace-horizon", "oracle-z-cap", "sim-seeds", "sim-seeds-flag",
+             "trace-seed", "oracle-seed"],
     )
     def test_range_error_names_key_before_output(self, tmp_path, capsys, command, ini, flags,
                                                  key):
@@ -624,7 +650,7 @@ class TestCliFuzz:
         ("solver", "tol", ("5e-324", "1e-10"), ("0", "-1", "nan")),
         ("solver", "z_max", ("1", "40"), ("0", "-3")),
         ("sim", "horizon", ("1", "200"), ("0", "-1")),
-        ("sim", "seeds", ("1", "2, 7"), ("0", "-2")),
+        ("sim", "seeds", ("1", "2, 7"), ("0", "-2", "-1, 2")),
         ("sim", "delta0", ("1", "5"), ("0", "-1", "10000001", "1000000000000")),
         ("sweep", "grid", ("0.5", "0.1, 0.3", "0:0.5:0.25"), ("", "0.3, 0.1", "0.2, 0.2")),
         ("sweep", "uniform_period", ("1", "4"), ("0", "-1")),
@@ -633,6 +659,8 @@ class TestCliFuzz:
         ("curve", "delta_max", ("0", "30"), ("-1",)),
         ("oracle", "instances", ("1", "6"), ("0", "-1")),
         ("oracle", "z_cap", ("0", "30"), ("-1",)),
+        ("oracle", "seed", ("0", "3"), ("-2",)),
+        ("trace", "seed", ("1", "7"), ("-3",)),
         ("sweep", "variable", ("q", "a"), ("b", "")),
         ("penalty", "kind", ("negated-mi",), ("cubic",)),
     )

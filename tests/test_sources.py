@@ -254,6 +254,33 @@ class TestMetricTable:
         assert np.all(np.diff(table) >= 0.0)
         assert table[-1] == 0.0
 
+    # The closed forms with base ** d taken at every age, none cut: metric_table
+    # must give these bytes.
+    @staticmethod
+    def every_power(model, n):
+        if isinstance(model, GaussianAR1):
+            t = (model.a * model.a) ** np.arange(n)
+            with np.errstate(divide="ignore"):
+                return -0.5 * np.log1p(-t) / math.log(2.0) + 0.0
+        t = (1.0 - 2.0 * model.q) ** np.arange(n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            exact = ((1.0 - t) * np.log1p(-t) + (1.0 + t) * np.log1p(t)) / (2.0 * math.log(2.0))
+        return np.where(t >= 1.0, 1.0, np.where(t < 1e-8, t * t / (2.0 * math.log(2.0)), exact))
+
+    # n = 20,000 reaches the subnormal and zero powers of every base below
+    # about 0.96; 1e-9 and 1e-160 put the base a hair from 1 and at a subnormal
+    @pytest.mark.parametrize("n", [0, 1, 3, 4400, 20000])
+    @pytest.mark.parametrize("family, grid", [
+        (BinarySymmetric, [*np.linspace(0.0, 0.5, 101), 1e-9, 0.4999999]),
+        (GaussianAR1, [*np.linspace(-0.999, 0.999, 101), 0.0, 1e-160]),
+    ], ids=["binary", "gaussian"])
+    def test_bytes_match_every_power(self, family, grid, n):
+        for x in map(float, grid):
+            model = family(x)
+            want = self.every_power(model, n).tobytes()
+            assert metric_table(model, n).tobytes() == want, x
+            assert (-metric_table(NegatedMI(model), n)).tobytes() == want, x
+
     def test_empty_and_invalid_lengths(self):
         assert metric_table(Affine(slope=1.0), 0).shape == (0,)
         with pytest.raises(ValueError):
