@@ -5,20 +5,21 @@ delivered after their service time.  The age at step n is the time since
 the generation of the freshest delivered sample; a metric (an information
 curve or an age penalty) is scored at the age every step.
 
-The engine is vectorized over samples rather than stepped per tick.  A
-policy's producer yields the schedule in blocks of ``_CHUNK`` samples,
-with one integer carried from a block to the next.  A uniform block holds
-each sample's queue wait and sojourn (generation to delivery) and carries
-the wait, by Lindley's recursion; a sample-at-idle block holds the
-generation, service-start and delivery times and carries the next
-generation time.  The age histogram folds the blocks one at a time, a
-uniform block with one tally of its sojourns, so a sweep never holds an
-array sized by the horizon; a trace derives each block's times,
-concatenates them and recovers its per-step quantities (age, metric,
-queue length, events) from the delivery intervals as arrays too,
-down to the CSV, whose bytes are laid out a chunk of rows at a time with
-no Python string per row.  This is exact and bit-reproducible given the
-seed: PCG64 draws in blocks replay the stream of one large draw.
+The engine is vectorized over samples rather than stepped per tick.  Each
+policy is a generation gap, the steps from one generation to the next: the
+period (uniform), or y + Z(y) after a sample served in y steps (zero-wait
+and threshold, which wait Z(y) after its delivery).  One producer yields
+the schedule in blocks of ``_CHUNK`` samples, each sample's queue wait by
+Lindley's recursion W' = max(0, W + y - gap), which stays 0 where no gap is
+shorter than its service, and its sojourn (generation to delivery); a block
+carries the next generation time and wait to the next.  The age histogram
+folds the blocks one at a time, a constant gap with one tally of its
+sojourns, so a sweep never holds an array sized by the horizon; a trace
+derives each block's times, concatenates them and recovers its per-step
+quantities (age, metric, queue length, events) from the delivery intervals
+as arrays too, down to the CSV, whose bytes are laid out a chunk of rows at
+a time with no Python string per row.  This is exact and bit-reproducible
+given the seed: PCG64 draws in blocks replay the stream of one large draw.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import IO, Mapping, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .service import ServiceTimeDist
+from .solver import WaitingFunction
 from .sources import AgePenalty, MarkovSourceModel, metric_table
 
 QUEUE_GUARD = 1_000_000
@@ -60,8 +62,8 @@ class Uniform:
     period: int
 
     def __post_init__(self) -> None:
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
+        if not (isinstance(self.period, (int, np.integer)) and self.period >= 1):
+            raise ValueError(f"period must be an integer >= 1, got {self.period!r}")
 
 
 @dataclass(frozen=True)
@@ -73,9 +75,14 @@ class ZeroWait:
 class Threshold:
     """Wait ``waiting[y]`` steps after delivering a sample whose service
     time was y, then generate.  The waits are the solved threshold rule
-    (``SolverResult.waiting``), so they honor the cap they were solved with."""
+    (``SolverResult.waiting``), so they honor the cap they were solved with.
+    They are kept as a ``WaitingFunction``, which rejects a negative or
+    fractional wait."""
 
     waiting: Mapping[int, int]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "waiting", WaitingFunction(self.waiting))
 
 
 PolicySpec = Union[Uniform, ZeroWait, Threshold]
@@ -233,17 +240,6 @@ def _digits(values: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _waits_table(policy: PolicySpec, dist: ServiceTimeDist) -> np.ndarray:
-    if isinstance(policy, ZeroWait):
-        return np.zeros(len(dist.support), dtype=np.int64)
-    if isinstance(policy, Threshold):
-        missing = [y for y in dist.support if y not in policy.waiting]
-        if missing:
-            raise ValueError(f"threshold waits are missing support point {missing[0]}")
-        return np.array([policy.waiting[y] for y in dist.support], dtype=np.int64)
-    raise TypeError(f"no waits table for policy {policy!r}")
-
-
 def _validate_forced(forced: Sequence[int], dist: ServiceTimeDist) -> np.ndarray:
     arr = np.asarray(list(forced), dtype=np.int64)
     if arr.size and not np.isin(arr, dist.support).all():
@@ -252,92 +248,90 @@ def _validate_forced(forced: Sequence[int], dist: ServiceTimeDist) -> np.ndarray
     return arr
 
 
-def _pi1_schedule(dist, zarr, horizon, rng=None, forced=None):
-    """Sample-at-idle policies: S[i+1] = D[i] + Z(Y[i]), no queueing.
+class _Block(NamedTuple):
+    """Samples generated from time ``t`` to ``last``, each ``gap`` steps before
+    the next (one gap for all, or an array of each one's), with each one's
+    queue ``wait`` and its ``sojourn``, the wait plus the service time
+    (generation to delivery)."""
 
-    Yields ``(s, start, d)`` blocks, carrying the next generation time from
-    one to the next, until a generation passes the horizon.  A forced
-    replay is one block.
-    """
-    sup = np.asarray(dist.support, dtype=np.int64)
-    cycle = sup + zarr  # steps from a generation to the next, by support index
-    mean, least = float(np.dot(dist.probs, cycle)), int(cycle.min())
-    t = 0  # the next generation time
-    while t <= horizon:
-        if forced is None:
-            # Draw 1% and 16 more than the rest of the horizon takes on average, but
-            # no more than it can take, nor more than a block.  PCG64 draws in blocks
-            # replay the stream of one large draw, so blocking moves no sample.
-            n = min(int((horizon - t) / mean * 1.01) + 16, (horizon - t) // least + 1, _CHUNK)
-            idx = dist._sample_indices(rng, n)
-        else:
-            idx = np.searchsorted(sup, _validate_forced(forced, dist))
-        gen = np.cumsum(np.concatenate(([t], cycle[idx])))
-        m = int(np.searchsorted(gen, horizon, side="right"))
-        if m > len(idx):
-            if forced is not None:
-                raise SequenceExhausted(
-                    f"sample {m} is generated at time {int(gen[m - 1])} <= horizon {horizon} "
-                    f"but only {len(idx)} forced service times were given"
-                )
-            m = len(idx)
-        s = gen[:m]
-        yield s, s, s + sup[idx[:m]]
-        t = int(gen[m])
-
-
-class _Queued(NamedTuple):
-    """A block of a uniform run: samples ``first``.. (0-based), sample i
-    generated at ``i * period``, with each one's queue ``wait`` and its
-    ``sojourn``, the wait plus the service time (generation to delivery)."""
-
-    first: int
-    period: int
+    t: int
+    last: int
+    gap: Union[int, np.ndarray]
     wait: np.ndarray
     sojourn: np.ndarray
 
 
 def _times(block):
     """A block's generation, service-start and delivery times ``(s, start, d)``."""
-    if isinstance(block, _Queued):
-        s = np.arange(block.first, block.first + len(block.wait), dtype=np.int64) * block.period
-        return s, s + block.wait, s + block.sojourn
-    return block
+    s = np.zeros(len(block.wait), dtype=np.int64)
+    s += block.gap
+    np.cumsum(s, out=s)
+    s += block.t - block.gap  # t plus the gaps before each sample
+    return s, s + block.wait, s + block.sojourn
 
 
-def _uniform_schedule(dist, period, horizon, rng=None, forced=None):
-    """Periodic generation; service starts when the server frees up (FIFO).
+def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
+    """Check the arguments, then yield one run's schedule as ``_Block``s.
 
-    Yields ``_Queued`` blocks of ``_CHUNK`` samples (a forced replay is one
-    block).  The queue's only state from one sample to the next is the wait,
-    by Lindley's recursion W' = max(0, W + y - period), so a block carries the
-    wait alone.  With F the running sum of y - period before each sample and
-    c the wait carried in, W = c + F - min(0, c + min F), min F over the block
-    so far: one prefix sum of 0, c and the block's y - period but the last,
-    and its running minimum, both exact in integers.
+    Service times are drawn from PCG64(``seed``) unless ``forced`` gives them,
+    as one block.  A policy is its gap by support index: the period, or
+    y + Z(y), Z identically 0 for zero-wait.  The queue's only state from one
+    sample to the next is the wait, by Lindley's recursion W' = max(0, W + y -
+    gap), so a block carries the next generation time and its wait, until a
+    generation passes the horizon; the last block may hold samples generated
+    past it.  With F the running sum of y - gap before each sample and c the
+    wait carried in, W = c + F - min(0, c + min F), min F over the block so
+    far: one prefix sum of 0, c and the block's y - gap, and its running
+    minimum, both exact in integers; the last W is the next block's wait.
     """
-    m = horizon // period + 1
-    if forced is None:
-        ys = (dist.sample_many(rng, min(_CHUNK, m - o)) for o in range(0, m, _CHUNK))
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if delta0 < 1:
+        raise ValueError(f"delta0 must be >= 1, got {delta0}")
+    sup = np.asarray(dist.support, dtype=np.int64)
+    if isinstance(policy, Uniform):
+        gaps = policy.period
+    elif isinstance(policy, Threshold):
+        missing = [y for y in dist.support if y not in policy.waiting]
+        if missing:
+            raise ValueError(f"threshold waits are missing support point {missing[0]}")
+        gaps = sup + [policy.waiting[y] for y in dist.support]
     else:
-        y = _validate_forced(forced, dist)
-        if len(y) < m:
-            raise SequenceExhausted(
-                f"{m} samples are generated by the horizon but only {len(y)} forced "
-                f"service times were given"
-            )
-        ys = [y[:m]]
-    o = wait = peak = 0
-    guarded = False
-    for y in ys:
+        gaps = sup
+    table = sup * 0 + gaps  # each support index's gap
+    mean, least = float(np.dot(dist.probs, table)), int(table.min())
+    if forced is None:
+        rng = np.random.Generator(np.random.PCG64(seed))
+    else:
+        forced = _validate_forced(forced, dist)
+    t = wait = peak = 0  # the next generation time, its sample's wait, the backlog peak
+    guarded = isinstance(gaps, np.ndarray)  # a gap of y + Z(y) never leaves a sample waiting
+    while t <= horizon:
+        # Unless forced, draw 1% and 16 more than the rest of the horizon takes on
+        # average, but no more than it can take (a constant gap's exact count), nor
+        # more than a block.  PCG64 draws in blocks replay the stream of one large
+        # draw, so blocking moves no sample.
+        n = min(int((horizon - t) / mean * 1.01) + 16, (horizon - t) // least + 1, _CHUNK)
+        if isinstance(gaps, np.ndarray):  # each sample's own gap, by its support index
+            idx = dist._sample_indices(rng, n) if forced is None else np.searchsorted(sup, forced)
+            y, gap = sup[idx], gaps[idx]
+            last, nxt = t + int(gap[:-1].sum()), t + int(gap.sum())
+        else:
+            y = dist.sample_many(rng, n) if forced is None else forced
+            gap, last, nxt = gaps, t + (len(y) - 1) * gaps, t + len(y) * gaps
         n = len(y)
-        g = np.empty(n + 1, dtype=np.int64)
+        if forced is not None and nxt <= horizon:
+            raise SequenceExhausted(
+                f"sample {n + 1} is generated at time {nxt} <= horizon {horizon} "
+                f"but only {n} forced service times were given"
+            )
+        g = np.empty(n + 2, dtype=np.int64)
         g[:2] = 0, wait
-        np.subtract(y[:-1], period, out=g[2:])
+        np.subtract(y, gap, out=g[2:])
         np.cumsum(g, out=g)  # 0, then c + F
         low = np.minimum.accumulate(g)  # 0, then min(0, c + min F)
         w = np.subtract(g[1:], low[1:], out=g[1:])  # W = c + F - min(0, c + min F)
-        a = np.add(w, y, out=low[1:])
+        a = np.add(w[:n], y, out=low[1:-1])
         if not guarded:
             # Sample k (0-based) starts at k * period + W_k.  By the generation at
             # (c - 1) * period, c = k + min(ceil(W_k / period), m - k), c samples are
@@ -346,48 +340,25 @@ def _uniform_schedule(dist, period, horizon, rng=None, forced=None):
             # No cap m - k binds in a block whose largest ceil(W / period) is at most
             # its last cap.  Once a delivery passes the horizon, every later sample
             # starts past it at c = m, so the next sample holds the peak of them all.
-            top = -(-int(w.max()) // period)
+            m, o = horizon // gap + 1, t // gap
+            top = -(-int(w[:n].max()) // gap)
             if top > m - (o + n - 1):
-                top = int(np.minimum(-(-w // period), m - np.arange(o, o + n)).max())
+                top = int(np.minimum(-(-w[:n] // gap), m - np.arange(o, o + n)).max())
             peak = max(peak, top)
-            if (o + n - 1) * period + int(a[-1]) > horizon or o + n == m:
+            if last + int(a[-1]) > horizon or nxt > horizon:
                 peak, guarded = max(peak, m - o - n), True
                 if peak > QUEUE_GUARD:
                     raise RuntimeError(
                         f"queue backlog reached {peak} samples (guard {QUEUE_GUARD}); "
-                        f"the uniform period {period} is too short for this service "
+                        f"the uniform period {gap} is too short for this service "
                         f"distribution"
                     )
-        o, wait = o + n, max(int(a[-1]) - period, 0)
+        block = _Block(t, last, gap, w[:n], a)
+        t, wait = nxt, int(w[n])
         # Free the draws now: held until the next draw, they leave enough free heap
         # top, once the block is dropped, for glibc to trim and the next to fault back.
         del y
-        yield _Queued(o - n, period, w, a)
-
-
-def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
-    """Check the arguments, then return the producer of one run's schedule blocks.
-
-    Service times are drawn from PCG64(``seed``) unless ``forced`` gives them.
-    """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if delta0 < 1:
-        raise ValueError(f"delta0 must be >= 1, got {delta0}")
-    rng = np.random.Generator(np.random.PCG64(seed)) if forced is None else None
-    if isinstance(policy, Uniform):
-        return _uniform_schedule(dist, policy.period, horizon, rng=rng, forced=forced)
-    zarr = _waits_table(policy, dist)
-    return _pi1_schedule(dist, zarr, horizon, rng=rng, forced=forced)
-
-
-def _run(policy, dist, horizon, delta0, seed=None, forced=None):
-    """One run's ``(s, start, d, k)``, its blocks' times concatenated (k the
-    number of samples delivered by the horizon), and its age histogram."""
-    blocks = list(_schedule(policy, dist, horizon, delta0, seed, forced))
-    s, start, d = map(np.concatenate, zip(*map(_times, blocks)))
-    run = s, start, d, int(np.searchsorted(d, horizon, side="right"))
-    return run, _histogram(blocks, horizon, delta0)
+        yield block
 
 
 def _grow(acc, n):
@@ -403,40 +374,36 @@ def _histogram(blocks, horizon, delta0):
     the run opens with one generated at -delta0, from step 1.  ``diff``
     counts each segment's first age less its one-past-last age (an empty
     opening segment cancels); its running sum, up to the largest
-    one-past-last age, is the histogram.  A uniform block tallies its
-    sojourns A_i once: d_{i+1} - s_i = A_{i+1} + period, so the one-past-last
-    counts are those counts shifted by the period, but for sample 0's, which
-    closes the opening segment at A_0 + delta0.
+    one-past-last age, is the histogram.  In a block the first ages are the
+    sojourns A_i and the one-past-last ages d_{i+1} - s_i = A_{i+1} + gap_i;
+    the segment open before the block closes at its first delivery.  A
+    constant gap tallies the sojourns once: its one-past-last counts are
+    those counts shifted by the gap.  That counts A_0 + gap too, where no
+    segment of the block ends (the one before it ends at its first
+    delivery), so it is added back as a single first age.
     """
     diff = np.zeros(0, dtype=np.int64)
     owner = -delta0  # generation time of the latest sample delivered
     firsts, ends = [1 + delta0], []  # single ages, counted at the end
     for block in blocks:
-        if isinstance(block, _Queued):
-            a, period, n = block.sojourn, block.period, len(block.sojourn)
-            k = n
-            if (block.first + n - 1) * period + int(a[-1]) > horizon:
-                k = int(np.searchsorted(_times(block)[2], horizon, side="right"))
-            if k:
-                counts = np.bincount(a[:k])
-                diff = _grow(diff, len(counts) + period)
-                diff[: len(counts)] += counts
-                diff[period: period + len(counts)] -= counts
-                if block.first == 0:  # move sample 0's shifted count
-                    firsts.append(int(a[0]) + period)
-                    ends.append(int(a[0]) + delta0)
-                owner = (block.first + k - 1) * period
-        else:
-            s, _, d = block
-            n = len(d)
+        t, last, gap, _, a = block
+        n = k = len(a)
+        if last + int(a[-1]) > horizon:
+            s, _, d = _times(block)
             k = int(np.searchsorted(d, horizon, side="right"))
-            if k:
-                lo, hi = np.bincount(d[:k] - s[:k]), np.bincount(d[1:k] - s[: k - 1])
-                diff = _grow(diff, max(len(lo), len(hi)))
-                diff[: len(lo)] += lo
-                diff[: len(hi)] -= hi
-                ends.append(int(d[0]) - owner)  # the segment open before the block
-                owner = int(s[k - 1])
+        if k:
+            counts = np.bincount(a[:k])
+            if isinstance(gap, np.ndarray):
+                shut = np.bincount(a[1:k] + gap[: k - 1])
+                diff = _grow(diff, max(len(counts), len(shut)))
+                diff[: len(shut)] -= shut
+            else:
+                diff = _grow(diff, len(counts) + gap)
+                diff[gap: gap + len(counts)] -= counts
+                firsts.append(int(a[0]) + gap)
+            diff[: len(counts)] += counts
+            ends.append(t + int(a[0]) - owner)  # the segment open before the block
+            owner = last if k == n else int(s[k - 1])
         if k < n:
             break
     ends.append(horizon + 1 - owner)
@@ -446,8 +413,14 @@ def _histogram(blocks, horizon, delta0):
     return np.cumsum(diff[: np.flatnonzero(diff)[-1]])
 
 
-def _build_trace(run, horizon, delta0, metric):
-    s, start, d, k = run
+def _run(policy, metric, dist, horizon, delta0, seed=None, forced=None):
+    """One run's per-step trace and its summary, from its blocks' times
+    concatenated and cut to the samples generated by the horizon."""
+    blocks = _schedule(policy, dist, horizon, delta0, seed, forced)
+    s, start, d = map(np.concatenate, zip(*map(_times, blocks)))
+    m = int(np.searchsorted(s, horizon, side="right"))
+    s, start, d = s[:m], start[:m], d[:m]
+    k = int(np.searchsorted(d, horizon, side="right"))  # samples delivered by the horizon
     # age = n - owner: the sample generated at s[i] owns the steps from its delivery to
     # the next, and the run opens at step 1 owned by one generated at -delta0
     owner = np.concatenate(([-delta0], s[:k]))
@@ -458,7 +431,7 @@ def _build_trace(run, horizon, delta0, metric):
     qdiff = np.bincount(s, minlength=horizon + 1)[: horizon + 1] - np.bincount(
         started, minlength=horizon + 1
     )[: horizon + 1]
-    return SimulationTrace(
+    trace = SimulationTrace(
         horizon=horizon,
         delta0=delta0,
         metric0=float(table[delta0]),
@@ -469,14 +442,11 @@ def _build_trace(run, horizon, delta0, metric):
         start=start,
         d=d,
     )
-
-
-def _summarize(run, hist, horizon, metric, seed):
-    s, start, d, k = run
-    avg = average_over_seeds([hist], metric, horizon)[0]
+    # the bincount of the ages is the histogram age_histogram folds, bit for bit
+    avg = average_over_seeds([np.bincount(delta)], metric, horizon)[0]
     mean_wait = float(np.mean(start[:k] - s[:k])) if k else 0.0
-    return RunSummary(time_average=avg, samples_generated=len(s), samples_delivered=k,
-                      mean_queue_wait=mean_wait, seed=seed)
+    return trace, RunSummary(time_average=avg, samples_generated=m, samples_delivered=k,
+                             mean_queue_wait=mean_wait, seed=seed)
 
 
 def simulate(
@@ -494,9 +464,7 @@ def simulate(
     Fully deterministic given the seed.  For the time average alone, score
     ``age_histogram`` with ``average_over_seeds``: it skips the trace.
     """
-    run, hist = _run(policy, dist, horizon, delta0, seed=seed)
-    return (_build_trace(run, horizon, delta0, metric),
-            _summarize(run, hist, horizon, metric, seed))
+    return _run(policy, metric, dist, horizon, delta0, seed=seed)
 
 
 def replay(
@@ -512,9 +480,7 @@ def replay(
     Raises SequenceExhausted if more samples are generated by the horizon
     than forced service times were provided.
     """
-    run, hist = _run(policy, dist, horizon, delta0, forced=forced_services)
-    return (_build_trace(run, horizon, delta0, metric),
-            _summarize(run, hist, horizon, metric, None))
+    return _run(policy, metric, dist, horizon, delta0, forced=forced_services)
 
 
 def age_histogram(
@@ -528,15 +494,15 @@ def age_histogram(
 
     Built from the sample schedule without the per-step trace: the ages
     between two deliveries run from d_k - s_k up to d_{k+1} - s_k - 1.
-    The schedule's blocks are folded one at a time and dropped, a uniform
-    block with one tally of its sojourns d_k - s_k (it carries the queue
-    wait to the next block), and the fold stops at the first delivery past
-    the horizon, so memory stays bounded by the block and the oldest age,
-    not by the horizon.
+    The schedule's blocks are folded one at a time and dropped, a block of
+    one gap (uniform) with one tally of its sojourns d_k - s_k, and the
+    fold stops at the first delivery past the horizon, so memory stays
+    bounded by the block and the oldest age, not by the horizon.
     The age process does not depend on the metric, so one histogram per
     seed serves every metric.  ``average_over_seeds`` scores it as
-    ``hist @ table[:len(hist)] / horizon``, the arithmetic that gives
-    ``simulate``'s ``time_average``, so the two agree bit for bit.
+    ``hist @ table[:len(hist)] / horizon``.  ``simulate``'s ``time_average``
+    scores the bincount of its trace's ages, the same histogram, the same
+    way, so the two agree bit for bit.
     """
     return _histogram(_schedule(policy, dist, horizon, delta0, seed=seed), horizon, delta0)
 

@@ -821,6 +821,14 @@ class TestTraceGoldenDigests:
             "[trace]\npolicy = zero-wait\nseed = 3\nhorizon = 40000\n",
             "247115ebaafcde27047bf60e247e420691693dbe416507586821693f1f4d51e6",
         ),
+        # perfbench's trace-long config at seed 1: waits {1: 1, 5: 0} and 57,135
+        # samples, so the seeded threshold schedule spans two default blocks
+        "seeded-threshold-two-blocks": (
+            "[source]\nkind = binary\nq = 0.05\n\n"
+            "[service]\ndist = 1:0.5, 5:0.5\n\n"
+            "[trace]\npolicy = threshold\nseed = 1\nhorizon = 200000\n",
+            "342e4899f9b32e3ad7372f89fa739b72c2e137313c1d3ece8c157dca1b566da8",
+        ),
     }
 
     @pytest.mark.parametrize("name", TRACES)

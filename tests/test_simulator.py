@@ -29,6 +29,7 @@ from infofresh.solver import cycle_stats, solve_beta
 from infofresh.sources import Affine, BinarySymmetric, NegatedMI, PenaltyTable, metric_table
 
 D4 = ServiceTimeDist({4: 1.0})
+D13 = ServiceTimeDist({1: 0.5, 3: 0.5})
 D15 = ServiceTimeDist({1: 0.5, 5: 0.5})
 D111 = ServiceTimeDist({1: 0.5, 11: 0.5})
 
@@ -126,7 +127,8 @@ class TestReplay:
             replay(ZeroWait(), Affine(1.0), D4, [3], 5)
 
     def test_uniform_forced_needs_one_per_period(self):
-        with pytest.raises(SequenceExhausted):
+        with pytest.raises(SequenceExhausted, match="sample 3 is generated at time 4 <= horizon "
+                                                    "10 but only 2 forced service times were given"):
             replay(Uniform(period=2), Affine(1.0), D4, [4, 4], 10)
 
 
@@ -308,6 +310,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             Uniform(period=0)
 
+    def test_uniform_period_integer(self):
+        with pytest.raises(ValueError, match="period must be an integer >= 1, got 2.5"):
+            age_histogram(Uniform(2.5), D13, 50, 0)
+
+    @pytest.mark.parametrize("waits", [{1: -1, 3: 0}, {1: -2, 3: 0}, {1: 0.5, 3: 0}],
+                             ids=["minus-one", "minus-two", "fraction"])
+    def test_threshold_waits_non_negative_integers(self, waits):
+        with pytest.raises(ValueError, match=r"waits must be non-negative integers, got Z\(1\)"):
+            age_histogram(Threshold(waits), D13, 50, 0)
+
     def test_gaussian_metric_never_hits_age_zero(self):
         from infofresh.sources import GaussianAR1
 
@@ -447,25 +459,31 @@ class TestSeededHistograms:
     @pytest.mark.parametrize("policy, dist, horizon, seeds",
                              [p for p in seeded_cases() if isinstance(p.values[0], Uniform)])
     def test_backlog_guard_peak(self, monkeypatch, policy, dist, horizon, seeds):
-        peaks = {}
-        for seed in seeds:
-            trace, _ = simulate(policy, Affine(1.0), dist, horizon, seed)
+        def peak_at(steps, seed):
+            trace, _ = simulate(policy, Affine(1.0), dist, steps, seed)
             generated = np.arange(1, len(trace.s) + 1)
-            peaks[seed] = int((generated - np.searchsorted(trace.start, trace.s,
-                                                           side="right")).max())
-            qlens = reference_simulate(policy, dist, one_shot_services(dist, horizon, seed),
-                                       horizon, 1)[1]
-            assert peaks[seed] == max(qlens)
-        # the peak is taken block by block, so small blocks must find the same one
-        for chunk in (1, 7, simulator._CHUNK):
+            peak = int((generated - np.searchsorted(trace.start, trace.s, side="right")).max())
+            qlens = reference_simulate(policy, dist, one_shot_services(dist, steps, seed),
+                                       steps, 1)[1]
+            assert peak == max(qlens)
+            return peak
+
+        # the peak is taken block by block, so small blocks must find the same one; they
+        # run at most a few thousand steps, which keeps one-sample blocks quick
+        horizons = {chunk: horizon if chunk == simulator._CHUNK else min(horizon, 6000)
+                    for chunk in (1, 7, simulator._CHUNK)}
+        peaks = {(steps, seed): peak_at(steps, seed)
+                 for steps in set(horizons.values()) for seed in seeds}
+        for chunk, steps in horizons.items():
             monkeypatch.setattr(simulator, "_CHUNK", chunk)
-            for seed, peak in peaks.items():
+            for seed in seeds:
                 # the guard reports the peak it computes: it trips one below it and passes at it
+                peak = peaks[steps, seed]
                 monkeypatch.setattr(simulator, "QUEUE_GUARD", peak - 1)
                 with pytest.raises(RuntimeError, match=f"backlog reached {peak} samples"):
-                    age_histogram(policy, dist, horizon, seed)
+                    age_histogram(policy, dist, steps, seed)
                 monkeypatch.setattr(simulator, "QUEUE_GUARD", peak)
-                age_histogram(policy, dist, horizon, seed)
+                age_histogram(policy, dist, steps, seed)
 
 
 BLOCK_SIZES = [1, 2, 3, 7, simulator._CHUNK]
@@ -504,7 +522,7 @@ def test_histogram_across_block_boundaries_property(run, chunk):
 
 
 def block_times(policy, horizon, delta0, seed, chunk):
-    """Each schedule block's ``(s, start, d)``, in blocks of ``chunk`` samples."""
+    """Each schedule ``_Block``'s times ``(s, start, d)``, in blocks of ``chunk`` samples."""
     with mock.patch.object(simulator, "_CHUNK", chunk):
         return list(map(simulator._times, simulator._schedule(policy, D15, horizon, delta0, seed)))
 
