@@ -25,7 +25,6 @@ from .simulator import (
     ZeroWait,
     age_histogram,
     average_over_seeds,
-    estimate_time_average,
     replay,
     simulate,
 )
@@ -49,7 +48,6 @@ from .sources import (
     NegatedMI,
     PenaltyTable,
     Tabulated,
-    binary_entropy,
     metric_table,
     mutual_information,
     penalty_value,
@@ -84,10 +82,8 @@ __all__ = [
     "ZeroWait",
     "age_histogram",
     "average_over_seeds",
-    "binary_entropy",
     "brute_force_optimum",
     "cycle_stats",
-    "estimate_time_average",
     "h_of_c",
     "metric_table",
     "mutual_information",

@@ -36,6 +36,8 @@ TRACE_POLICIES = ("threshold", "zero-wait", "uniform")
 # Runs size their age histograms and metric tables by delta0; at this bound each is
 # about 80 MB, where an unbounded delta0 could ask for terabytes.
 DELTA0_MAX = 10**7
+# A uniform histogram is sized by the period; the bound also keeps int64 times exact.
+UNIFORM_PERIOD_MAX = 10**7
 
 
 class ConfigError(Exception):
@@ -131,8 +133,9 @@ class ExperimentConfig:
     sweep_grid: tuple[float, ...] | None = _ini("sweep", "grid", _grid, None, (
         lambda g: g and all(b > a for a, b in zip(g, g[1:])),
         "must be non-empty and strictly increasing"))
-    uniform_period: int | None = _ini("sweep", "uniform_period", int, None,
-                                      (lambda v: v >= 1, "must be >= 1"))
+    uniform_period: int | None = _ini(
+        "sweep", "uniform_period", int, None, (lambda v: v >= 1, "must be >= 1"),
+        (lambda v: v <= UNIFORM_PERIOD_MAX, f"must be <= {UNIFORM_PERIOD_MAX}"))
     policies: tuple[str, ...] = _ini(
         "sweep", "policies", _list(str), POLICIES, (bool, "must name at least one policy"),
         (lambda v: set(v) <= set(POLICIES),

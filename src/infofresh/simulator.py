@@ -17,13 +17,14 @@ folds the blocks one at a time, a constant gap with one tally of its
 sojourns, so a sweep never holds an array sized by the horizon; a trace
 derives each block's times, concatenates them and recovers its per-step
 quantities (age, metric, queue length, events) from the delivery intervals
-as arrays too, down to the CSV, whose bytes are laid out a chunk of rows at
-a time with no Python string per row.  This is exact and bit-reproducible
-given the seed: PCG64 draws in blocks replay the stream of one large draw.
+as arrays too, down to the CSV, laid out in 8-byte words a chunk of rows
+at a time.  This is exact and bit-reproducible given the seed:
+PCG64 draws in blocks replay the stream of one large draw.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import IO, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -35,9 +36,8 @@ from .sources import AgePenalty, MarkovSourceModel, metric_table
 
 QUEUE_GUARD = 1_000_000
 
-# Event kinds in the order they happen within one step, and their CSV tokens.
+# Event kinds in the order they happen within one step.
 _EVENT_KINDS = ("delivered", "generated", "service_start")
-_EVENT_TOKENS = ("deliver:", "gen:", "start:")
 # Samples per schedule block.  Alternating benchmark runs of sweep-q (2-core Xeon
 # VM, 2 MiB L2 per core) put 1 << 15 7% ahead of 1 << 13 and 2% ahead of 1 << 14;
 # at 1 << 16 (512 KiB arrays, likely past what L2 holds of a block) the sweep is
@@ -46,8 +46,13 @@ _EVENT_TOKENS = ("deliver:", "gen:", "start:")
 # them from the heap with no faults; a fresh `infofresh sweep` faults about twice
 # as many pages as at 1 << 13 (10k vs 5k) and takes the same CPU time.
 _CHUNK = 1 << 15
-_CSV_CHUNK_ROWS = 1 << 15  # rows formatted per write; bounds the memory of write_csv
-_COMMA = np.array([ord(",")], dtype=np.uint8)
+# Rows per trace CSV write: on trace-long 6% and 10% faster than 1 << 13 and 1 << 12,
+# at 4.5 MB more peak memory than 1 << 13.
+_CSV_CHUNK_ROWS = 1 << 14
+# Trace CSV words, little-endian: separators, event tokens, newline, a last digit 0.
+_COMMA, _DELIVER, _GEN, _START, _BAR, _COLON, _NEWLINE, _ZERO = (
+    np.uint64(int.from_bytes(t.encode(), "little"))
+    for t in (",", "\0deliver", "\0gen", "\0start", "|", ":", "\n", "\0" * 7 + "0"))
 
 
 class SequenceExhausted(Exception):
@@ -137,26 +142,23 @@ class SimulationTrace:
         ]
 
     def _age_prefixes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``delta,metric,`` bytes of each distinct age as NUL-padded
-        rows of a ``uint8`` table, and the table row of each step 0..horizon.
-
-        Ages key a table of horizon + 1 slots.  Only steps before the first
-        delivery can be older than the horizon, and their ages are distinct,
-        so each such step keys a slot of its own past the table: nothing is
-        sized by delta0.
-        """
+        """Each distinct age's ``,delta,metric,`` in NUL-padded words, a
+        column per age, and each step's column.  Ages up to the horizon key
+        their value; older ones, all before the first delivery and distinct,
+        key a slot of their own past it, so nothing is sized by delta0."""
         rows = self.horizon + 1
         ages = np.concatenate(([self.delta0], self.delta))
         key = np.where(ages < rows, ages, rows + np.arange(rows))
-        used = np.zeros(2 * rows, dtype=bool)
+        used = np.zeros(int(key.max()) + 1, dtype=bool)
         used[key] = True
-        step = np.zeros(2 * rows, dtype=np.int64)
+        step = np.zeros(len(used), dtype=np.int64)
         step[key] = np.arange(rows)
         step = step[used]  # a step with each key; the metric is a function of the age
         values = np.where(step > 0, self.metric[step - 1], self.metric0)
-        table = np.array([f"{a},{_fmt(v)},".encode("ascii")
-                          for a, v in zip(ages[step].tolist(), values.tolist())])
-        return table.view(np.uint8).reshape(len(step), -1), (np.cumsum(used) - 1)[key]
+        text = np.array([f",{a},{_fmt(v)},".encode("ascii")
+                         for a, v in zip(ages[step].tolist(), values.tolist())])
+        table = text.astype(f"S{-(-text.itemsize // 8) * 8}").view("<u8")
+        return table.reshape(len(step), -1).T.copy(), (np.cumsum(used) - 1)[key]
 
     def write_csv(self, f: IO[str]) -> None:
         """Emit rows ``n,delta,metric,queue_len,event`` for n = 0..horizon.
@@ -164,44 +166,45 @@ class SimulationTrace:
         The n = 0 row carries the initial age and the time-0 events (the
         first sample is always generated at time 0).
 
-        Each chunk of ``_CSV_CHUNK_ROWS`` rows is built as one ``uint8``
-        grid: a row per CSV line and a fixed-width slot per field, each
-        slot filled for the whole chunk at once.  ``n`` and ``queue_len``
-        are right-aligned digits; ``delta,metric,`` is gathered from a
-        table holding each distinct age's prefix, formatted once; each
-        event kind has a ``|`` where an earlier token of the same step is
-        present, then its token and sample index.  Bytes that a row does
-        not use stay NUL.  No CSV byte is NUL, so dropping every NUL byte
-        removes the padding and nothing else; the chunk is written as that
-        one compacted string.
+        Each chunk of ``_CSV_CHUNK_ROWS`` rows is a grid of little-endian
+        ``uint64`` words stored slot by slot, so a field fills each of its
+        words for the chunk with one array write.  A field takes the whole
+        words its widest value needs; unused bytes stay NUL.  A row is the
+        newline and ``n``, ``,delta,metric,`` from a table of each age's
+        prefix, ``queue_len``, and per event kind a token word (``,deliver``
+        ends ``queue_len``; ``|`` follows an earlier token) and ``:`` with
+        the sample index.  No CSV byte is NUL, so dropping the grid's NULs,
+        read row by row, leaves the text.
         """
         prefix, which = self._age_prefixes()
         queue = np.concatenate(([0], self.queue_len))
-        tokens = [np.frombuffer(f"|{t}".encode("ascii"), dtype=np.uint8) for t in _EVENT_TOKENS]
-        f.write("n,delta,metric,queue_len,event\n")
+        samples = len(self.s)
+        index = np.empty((len(str(samples)) // 8 + 1, samples + 1), dtype="<u8")
+        _decimal(np.arange(samples + 1), index)
+        index[0, 1:] |= _COLON  # 0 (no event) stays NUL
+        w, p = len(index), len(prefix)
+        f.write("n,delta,metric,queue_len,event")
         for lo in range(0, self.horizon + 1, _CSV_CHUNK_ROWS):
             hi = min(lo + _CSV_CHUNK_ROWS, self.horizon + 1)
             q, idx = queue[lo:hi], self._event_steps(lo, hi)
-            fields = [_digits(np.arange(lo, hi), _width(hi - 1)), _COMMA,
-                      prefix[which[lo:hi]], _digits(q, _width(q.max())), _COMMA]
-            widths = [_width(i.max()) for i in idx]
-            grid = np.zeros((hi - lo, sum(x.shape[-1] for x in fields)
-                             + sum(map(len, tokens)) + sum(widths) + 1), dtype=np.uint8)
-            c = 0
-            for x in fields:
-                grid[:, c:c + x.shape[-1]] = x
-                c += x.shape[-1]
-            earlier = np.zeros(hi - lo, dtype=bool)
-            for token, i, w in zip(tokens, idx, widths):
-                at = i != 0
-                np.copyto(grid[:, c:c + len(token)], token, where=at[:, None])
-                grid[:, c] *= earlier  # the "|" only follows an earlier token
-                c += len(token)
-                grid[at, c:c + w] = _digits(i[at], w)
-                c += w
-                earlier |= at
-            grid[:, c] = ord("\n")
-            f.write(grid[grid != 0].tobytes().decode("ascii"))
+            n = len(str(hi - 1)) // 8 + 1
+            c = n + p + -(-len(str(q.max())) // 8)  # the first event word
+            grid = np.empty((c + 3 * (1 + w), hi - lo), dtype="<u8")
+            _decimal(np.arange(lo, hi), grid[:n])
+            grid[0] |= _NEWLINE
+            grid[n - 1, 0] |= _ZERO  # n = 0 prints its digit
+            np.take(prefix, which[lo:hi], axis=1, out=grid[n:n + p])
+            _decimal(q, grid[n + p:c])
+            grid[c - 1] |= _ZERO
+            at = idx != 0
+            np.multiply(at[0], _DELIVER, out=grid[c])
+            grid[c] |= _COMMA
+            np.multiply(at[1], _GEN | at[0] * _BAR, out=grid[c + 1 + w])
+            np.multiply(at[2], _START | (at[0] | at[1]) * _BAR, out=grid[c + 2 + 2 * w])
+            for k, i in enumerate(idx):
+                np.take(index, i, axis=1, out=grid[c + 1 + k * (1 + w):c + (k + 1) * (1 + w)])
+            f.write(grid.T.tobytes().translate(None, b"\0").decode("ascii"))
+        f.write("\n")
 
 
 @dataclass(frozen=True)
@@ -219,25 +222,33 @@ def _fmt(x: float) -> str:
     return format(x + 0.0, ".12g")  # +0.0 folds -0.0 into 0
 
 
-def _width(value) -> int:
-    """Digits in the decimal form of a non-negative integer."""
-    return len(str(int(value)))
+@functools.cache
+def _digit_groups() -> np.ndarray:
+    """Each 4-digit group as ASCII in bytes 0-3 of a little-endian word: entry
+    x < 10**4 unpadded (leading zeros NUL, 0 all NUL), 10**4 + x zero-padded."""
+    x = np.arange(10_000)[:, None]
+    place = 10 ** np.arange(3, -1, -1)  # byte 0: thousands
+    digit = x // place % 10 + ord("0")
+    text = np.concatenate((np.where(x >= place, digit, 0), digit)).astype(np.uint8)
+    groups = text.view("<u4").ravel().astype("<u8")
+    groups.flags.writeable = False  # shared by every caller
+    return groups
 
 
-def _digits(values: np.ndarray, width: int) -> np.ndarray:
-    """ASCII digits of non-negative integers, right-aligned in ``width`` bytes.
-
-    Leading bytes a value does not use are NUL; 0 prints as "0".  The loop
-    runs over the ``width`` digit columns, each a whole-array divmod.
-    """
-    out = np.zeros((len(values), width), dtype=np.uint8)
-    v = values.astype(np.int64)
-    for col in range(width - 1, -1, -1):
-        live = v > 0
-        v, r = np.divmod(v, 10)
-        np.copyto(out[:, col], r + 48, where=live, casting="unsafe")
-    out[:, -1] |= 48  # a value of 0 still prints its last digit
-    return out
+def _decimal(values: np.ndarray, out: np.ndarray) -> None:
+    """Write non-negative integers below 10**(8 * len(out)) as ASCII digits,
+    right-aligned in the word rows of ``out``; leading bytes and 0 are NUL.
+    A word is two ``_digit_groups`` entries: min(v, v % 10**4 + 10**4) pads
+    v's last group exactly when v >= 10**4."""
+    groups = _digit_groups()
+    q = values
+    for j in range(len(out) - 1, -1, -1):  # the last word holds the lowest digits
+        above, r = np.divmod(q, 10_000)
+        tail = groups[np.minimum(q, r + 10_000)] << 32
+        if j:
+            q, r = np.divmod(above, 10_000)
+            above = np.minimum(above, r + 10_000)
+        np.bitwise_or(groups[above], tail, out=out[j])
 
 
 def _validate_forced(forced: Sequence[int], dist: ServiceTimeDist) -> np.ndarray:
@@ -526,17 +537,3 @@ def average_over_seeds(
     stderr = values.std(ddof=1) / np.sqrt(len(values)) if len(values) > 1 else 0.0
     return float(values.mean()), float(stderr)
 
-
-def estimate_time_average(
-    policy: PolicySpec,
-    metric: "MarkovSourceModel | AgePenalty",
-    dist: ServiceTimeDist,
-    horizon: int,
-    seeds: Sequence[int],
-    delta0: int = 1,
-) -> tuple[float, float]:
-    """Across-seed mean and standard error of the per-run time average."""
-    if len(seeds) < 2:
-        raise ValueError("need at least 2 seeds for a standard error")
-    hists = [age_histogram(policy, dist, horizon, seed, delta0) for seed in seeds]
-    return average_over_seeds(hists, metric, horizon)

@@ -76,15 +76,6 @@ class Tabulated:
 MarkovSourceModel = Union[GaussianAR1, BinarySymmetric, Tabulated]
 
 
-def binary_entropy(x: float) -> float:
-    """Binary entropy -x*log2(x) - (1-x)*log2(1-x), with 0*log2(0) = 0."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"binary_entropy argument must be in [0, 1], got {x}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
-
-
 # Scalar on purpose: the reference that metric_table is tested against.
 def mutual_information(model: MarkovSourceModel, delta: int) -> float:
     """Information (bits) a sample of age ``delta`` retains about the state.

@@ -152,6 +152,8 @@ class TestConfig:
         for ini, key in [
             (ok + "policies =\n", r"\[sweep\] policies must name at least one policy"),
             (ok + "uniform_period = 0\n", r"\[sweep\] uniform_period must be >= 1, got 0"),
+            (ok + "uniform_period = 10000001\n",
+             r"\[sweep\] uniform_period must be <= 10000000, got 10000001"),
             (ok + "[sim]\nhorizon = 0\n", r"\[sim\] horizon must be >= 1, got 0"),
             (ok + "[solver]\ntol = -1\n", r"\[solver\] tol must be positive, got -1.0"),
             (ok + "[solver]\ntol = nan\n", r"\[solver\] tol must be positive, got nan"),
@@ -561,6 +563,23 @@ class TestCli:
             "infofresh: error: [sim] delta0 must be <= 10000000, got 1000000000000"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["trace", "sweep"])
+    def test_huge_uniform_period_exit_1_without_traceback(self, tmp_path, command):
+        # unbounded, a 20-digit period overflowed the int64 schedule arithmetic
+        # with an OverflowError that named no key
+        period = "uniform_period = 10000000000000000000"
+        trace = "[trace]\npolicy = uniform\nseed = 1\n"
+        ini = {"trace": SOLVE_INI + f"\n[sweep]\n{period}\n\n{trace}",
+               "sweep": SWEEP_INI.replace("uniform_period = 6", period)}
+        out = tmp_path / "o.csv"
+        proc = run_cli(command, "--config", write(tmp_path, "c.ini", ini[command]),
+                       "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "infofresh: error: [sweep] uniform_period must be <= 10000000, "
+            "got 10000000000000000000"]
+        assert not out.exists()
+
     def test_plot_script_emitted(self, tmp_path):
         cfg = write(tmp_path, "c.ini", "[source]\nkind = binary\nq = 0.2\n\n[curve]\ndelta_max = 5\n")
         out = str(tmp_path / "curve.csv")
@@ -653,7 +672,7 @@ class TestCliFuzz:
         ("sim", "seeds", ("1", "2, 7"), ("0", "-2", "-1, 2")),
         ("sim", "delta0", ("1", "5"), ("0", "-1", "10000001", "1000000000000")),
         ("sweep", "grid", ("0.5", "0.1, 0.3", "0:0.5:0.25"), ("", "0.3, 0.1", "0.2, 0.2")),
-        ("sweep", "uniform_period", ("1", "4"), ("0", "-1")),
+        ("sweep", "uniform_period", ("1", "4"), ("0", "-1", "10000001")),
         ("sweep", "policies", ("optimal", "zero-wait, uniform"), ("", ",")),
         ("trace", "horizon", ("1", "200"), ("0", "-5")),
         ("curve", "delta_max", ("0", "30"), ("-1",)),

@@ -21,7 +21,6 @@ from infofresh.simulator import (
     ZeroWait,
     age_histogram,
     average_over_seeds,
-    estimate_time_average,
     replay,
     simulate,
 )
@@ -229,15 +228,15 @@ class TestAverages:
     def test_iid_source_metric_identically_zero(self):
         _, summary = simulate(Uniform(period=6), BinarySymmetric(q=0.5), D111, 10_000, seed=1)
         assert summary.time_average == 0.0
-        mean, se = estimate_time_average(
-            Uniform(period=6), BinarySymmetric(q=0.5), D111, 10_000, seeds=range(3)
-        )
+        hists = [age_histogram(Uniform(period=6), D111, 10_000, seed) for seed in range(3)]
+        mean, se = average_over_seeds(hists, BinarySymmetric(q=0.5), 10_000)
         assert mean == 0.0 and se == 0.0
 
     def test_zero_wait_matches_analytic_three_sigma(self):
         model = BinarySymmetric(q=0.1)
         exact = -zero_wait_average(NegatedMI(model), D111)
-        mean, se = estimate_time_average(ZeroWait(), model, D111, 200_000, seeds=range(6))
+        hists = [age_histogram(ZeroWait(), D111, 200_000, seed) for seed in range(6)]
+        mean, se = average_over_seeds(hists, model, 200_000)
         assert abs(mean - exact) <= 3 * se
 
     def test_threshold_matches_analytic_three_sigma(self):
@@ -245,7 +244,8 @@ class TestAverages:
         res = solve_beta(penalty, D111, tol=1e-10)
         policy = Threshold(res.waiting)
         exact = cycle_stats(penalty, D111, res.waiting).ratio
-        mean, se = estimate_time_average(policy, penalty, D111, 200_000, seeds=range(6))
+        hists = [age_histogram(policy, D111, 200_000, seed) for seed in range(6)]
+        mean, se = average_over_seeds(hists, penalty, 200_000)
         assert abs(mean - exact) <= 3 * se
 
     def test_histogram_matches_simulate_average(self):
@@ -265,10 +265,6 @@ class TestAverages:
         assert average_over_seeds([hist], model, 50_000) == (summary.time_average, 0.0)
         with pytest.raises(ValueError, match="at least 1 seed"):
             average_over_seeds([], model, 50_000)
-
-    def test_estimate_needs_two_seeds(self):
-        with pytest.raises(ValueError):
-            estimate_time_average(ZeroWait(), Affine(1.0), D4, 100, seeds=[1])
 
     def test_summary_fields(self):
         _, summary = simulate(ZeroWait(), Affine(1.0), D4, 100, seed=3)
@@ -690,6 +686,30 @@ class TestWriterDigitWidths:
                                   metric=-delta / 8)
         assert len(str(int(big.delta.max()))) == 13
         assert column_csv(big) == reference_csv(big)
+
+    def test_long_queue_lengths(self):
+        # queue lengths past 7 and 8 digits, set by hand as the ages above
+        trace, _ = replay(Uniform(period=2), Affine(1.0), D4, [4] * 60, 100)
+        queue_len = trace.queue_len.copy()
+        queue_len[[10, 20, 30, 40]] = [10**7 - 1, 10**7, 10**8, 10**15]
+        big = dataclasses.replace(trace, queue_len=queue_len)
+        assert column_csv(big) == reference_csv(big)
+
+    def test_decimal_words_match_str(self):
+        # every power-of-ten boundary, which includes both sides of each 8-digit
+        # word boundary (10**8, 10**16), the largest int64, and groups of zeros
+        # between nonzero ones
+        values = {0, 2**63 - 1, 10**8 + 1, 10**12 + 10**4, 12_345_678_901_234_567}
+        values |= {10**k + e for k in range(19) for e in (-1, 0)}
+        for words in (1, 2, 3):
+            fit = sorted(v for v in values if v < 10 ** (8 * words))
+            out = np.empty((words, len(fit)), dtype="<u8")
+            simulator._decimal(np.array(fit, dtype=np.int64), out)
+            width = 8 * words
+            rows = out.T.tobytes()
+            for k, v in enumerate(fit):
+                digits = str(v).encode() if v else b""  # 0 has no digits
+                assert rows[width * k: width * (k + 1)] == digits.rjust(width, b"\0"), (v, words)
 
 
 @st.composite

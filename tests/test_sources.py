@@ -14,7 +14,6 @@ from infofresh.sources import (
     NegatedMI,
     PenaltyTable,
     Tabulated,
-    binary_entropy,
     metric_table,
     mutual_information,
     penalty_value,
@@ -24,6 +23,16 @@ from infofresh.sources import (
 H_QUARTER = 0.8112781244591328
 MI_BIN_Q25_D1 = 0.18872187554086714
 MI_GAUSS_A5_D1 = 0.2075187496394219
+
+
+def binary_entropy(x: float) -> float:
+    """Binary entropy -x*log2(x) - (1-x)*log2(1-x), with 0*log2(0) = 0: the
+    reference that the binary information curve is checked against."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"binary_entropy argument must be in [0, 1], got {x}")
+    if x == 0.0 or x == 1.0:
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
 class TestBinaryEntropy:
