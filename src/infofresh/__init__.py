@@ -34,7 +34,6 @@ from .solver import (
     ThresholdUnreachable,
     WaitingFunction,
     cycle_stats,
-    h_of_c,
     solve_beta,
     solve_mi,
     zero_waiting,
@@ -84,7 +83,6 @@ __all__ = [
     "average_over_seeds",
     "brute_force_optimum",
     "cycle_stats",
-    "h_of_c",
     "metric_table",
     "mutual_information",
     "penalty_value",

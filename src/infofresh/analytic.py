@@ -49,7 +49,6 @@ def brute_force_optimum(
     penalty: AgePenalty,
     dist: ServiceTimeDist,
     z_cap: int,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> OracleResult:
     """Minimize the renewal average over all waits Z: support -> {0..z_cap}.
 
@@ -61,7 +60,7 @@ def brute_force_optimum(
     axis 0 holding the wait for the smallest y.  Ties go to the first
     minimum in C order, which is the lexicographically smallest wait vector
     ordered by ascending y.  The peak is two float64 arrays of the
-    candidate count: about 160 MB at the default budget.
+    candidate count: about 160 MB at the budget.
     """
     if z_cap < 0:
         raise ValueError(f"z_cap must be >= 0, got {z_cap}")
@@ -69,9 +68,10 @@ def brute_force_optimum(
     ps = np.asarray(dist.probs)
     s = len(ys)
     count = (z_cap + 1) ** s
-    if count > budget:
+    if count > DEFAULT_ENUMERATION_BUDGET:
         raise BudgetExceeded(
-            f"(z_cap+1)^|support| = {count} exceeds the enumeration budget {budget}"
+            f"(z_cap+1)^|support| = {count} exceeds the enumeration budget "
+            f"{DEFAULT_ENUMERATION_BUDGET}"
         )
 
     top = int(ys.max()) * 2 + z_cap  # exclusive bound on summed ages

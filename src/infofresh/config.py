@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .service import ServiceTimeDist
+from .solver import DEFAULT_Z_MAX
 from .sources import (
     Affine,
     AgePenalty,
@@ -36,7 +37,7 @@ TRACE_POLICIES = ("threshold", "zero-wait", "uniform")
 # Runs size their age histograms and metric tables by delta0; at this bound each is
 # about 80 MB, where an unbounded delta0 could ask for terabytes.
 DELTA0_MAX = 10**7
-# A uniform histogram is sized by the period; the bound also keeps int64 times exact.
+# Keeps int64 times exact; no simulator array outgrows the ages a run reaches.
 UNIFORM_PERIOD_MAX = 10**7
 
 
@@ -122,7 +123,7 @@ class ExperimentConfig:
     penalty_intercept: float = _ini("penalty", "intercept", float, 0.0)
     penalty_values: tuple[float, ...] | None = _ini("penalty", "values", _list(float))
     tol: float = _ini("solver", "tol", float, 1e-10, (lambda v: v > 0, "must be positive"))
-    z_max: int = _ini("solver", "z_max", int, 10_000, (lambda v: v >= 1, "must be >= 1"))
+    z_max: int = _ini("solver", "z_max", int, DEFAULT_Z_MAX, (lambda v: v >= 1, "must be >= 1"))
     horizon: int = _ini("sim", "horizon", int, 1_000_000, (lambda v: v >= 1, "must be >= 1"))
     seeds: tuple[int, ...] = _ini("sim", "seeds", _seeds, tuple(range(10)),
                                   (bool, "must name at least one seed"),

@@ -102,11 +102,6 @@ class SimulationTrace:
     one in service); ``delta0`` and ``metric0`` belong to step 0.  Sample i
     (1-based) is generated at ``s[i-1]``, enters service at ``start[i-1]``
     and is delivered at ``d[i-1]``; the last two may lie past the horizon.
-
-    ``events`` is derived from the schedule on each access: (kind, sample
-    index, time) triples up to the horizon, kind in {generated,
-    service_start, delivered}, ordered by time and within a step as
-    delivered, generated, service_start.
     """
 
     horizon: int
@@ -131,15 +126,6 @@ class SimulationTrace:
             a, b = np.searchsorted(times, (lo, hi)).tolist()
             row[times[a:b] - lo] = np.arange(a + 1, b + 1)
         return steps
-
-    @property
-    def events(self) -> list[tuple[str, int, int]]:
-        steps = self._event_steps(0, self.horizon + 1)
-        t, kind = np.nonzero(steps.T)  # time-major, so kinds keep their in-step order
-        return [
-            (_EVENT_KINDS[k], i, n)
-            for n, k, i in zip(t.tolist(), kind.tolist(), steps[kind, t].tolist())
-        ]
 
     def _age_prefixes(self) -> tuple[np.ndarray, np.ndarray]:
         """Each distinct age's ``,delta,metric,`` in NUL-padded words, a
@@ -301,7 +287,7 @@ def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
         raise ValueError(f"delta0 must be >= 1, got {delta0}")
     sup = np.asarray(dist.support, dtype=np.int64)
     if isinstance(policy, Uniform):
-        gaps = policy.period
+        gaps = min(policy.period, horizon + 1)  # past the horizon, only time 0 generates
     elif isinstance(policy, Threshold):
         missing = [y for y in dist.support if y not in policy.waiting]
         if missing:

@@ -104,9 +104,7 @@ class _Tables:
     """g(t) = E[p(t + Y')] and G(t) = E[cum(t + Y')] for 0 <= t < n.
 
     cum(k) is the sum of p(a) over 1 <= a < k, so a cycle after service y
-    with wait z has expected reward G(y + z) - cum(y).  ``reach`` doubles n
-    until g attains a level, so the tables only extend as far as the
-    crossings they are asked for.
+    with wait z has expected reward G(y + z) - cum(y).
     """
 
     def __init__(self, penalty: AgePenalty, dist: ServiceTimeDist):
@@ -115,9 +113,9 @@ class _Tables:
         self.ps = np.asarray(dist.probs)
         self.y_max = dist.y_max
         self.mean = dist.mean()
-        self._build(dist.y_max + 1)
+        self.build(dist.y_max + 1)
 
-    def _build(self, n: int) -> None:
+    def build(self, n: int) -> None:
         p = metric_table(self.penalty, n + self.y_max)
         bad = np.flatnonzero(~np.isfinite(p[1:]))
         if bad.size:
@@ -130,15 +128,10 @@ class _Tables:
         for y, py in zip(self.ys, self.ps):
             g += py * p[y : y + n]
             G += py * cum[y : y + n]
-        self.n, self.cum, self.g, self.G = n, cum, g, G
-
-    def reach(self, c: float, t_limit: int) -> None:
-        """Grow the tables until g attains c or they cover t = t_limit."""
-        while self.g[-1] < c and self.n <= t_limit:
-            self._build(min(2 * self.n, t_limit + 1))
+        self.cum, self.g, self.G = cum, g, G
 
     def crossing(self, c: float) -> int:
-        """First t with g(t) >= c, or n if the tables never reach c."""
+        """First t with g(t) >= c, or n if g stays below c."""
         return int(np.searchsorted(self.g, c, side="left"))
 
     def waits(self, c: float, z_max: int) -> np.ndarray:
@@ -154,11 +147,6 @@ class _Tables:
         """Expected cycle reward and length under waits z, aligned with the support."""
         reward = float(self.ps @ (self.G[self.ys + z] - self.cum[self.ys]))
         return reward, self.mean + float(self.ps @ z)
-
-
-def _check_z_max(z_max: int) -> None:
-    if z_max < 1:
-        raise ValueError(f"z_max must be >= 1, got {z_max}")
 
 
 def cycle_stats(
@@ -196,23 +184,6 @@ def cycle_stats(
     return CycleStats(expected_reward=reward, expected_length=length, ratio=reward / length)
 
 
-def h_of_c(
-    penalty: AgePenalty, dist: ServiceTimeDist, c: float, z_max: int = DEFAULT_Z_MAX
-) -> float:
-    """Signed slack E[reward] - c * E[length] at the best waits in 0..z_max.
-
-    The per-sample minimizer of reward - c*length is the threshold rule at
-    beta = c, capped at z_max, so this is the exact infimum over stationary
-    waits up to the cap.  It is non-increasing and concave in c, positive
-    below the optimal ratio and negative above it.
-    """
-    _check_z_max(z_max)
-    tables = _Tables(penalty, dist)
-    tables.reach(c, dist.y_max + z_max)
-    reward, length = tables.cycle(tables.waits(c, z_max))
-    return reward - c * length
-
-
 def solve_beta(
     penalty: AgePenalty,
     dist: ServiceTimeDist,
@@ -230,15 +201,17 @@ def solve_beta(
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    _check_z_max(z_max)
+    if z_max < 1:
+        raise ValueError(f"z_max must be >= 1, got {z_max}")
     tables = _Tables(penalty, dist)
     z = np.zeros(len(dist.support), dtype=np.int64)
     reward, length = tables.cycle(z)
     c = reward / length
     # Zero-wait cycles see no age past 2*y_max - 1, so g(2*y_max) >= c and
-    # that reach bounds every crossing, since the levels only decrease.
-    # The min absorbs a ratio rounded a hair above the table.
-    tables.reach(c, 2 * dist.y_max)
+    # tables to t = 2*y_max bound every crossing, since the levels only
+    # decrease.  The min absorbs a ratio rounded a hair above the table.
+    if tables.g[-1] < c:
+        tables.build(2 * dist.y_max + 1)
     c = min(c, float(tables.g[-1]))
     iterations = 0
     while True:

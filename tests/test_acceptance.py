@@ -23,7 +23,7 @@ from infofresh.simulator import (
     average_over_seeds,
     replay,
 )
-from infofresh.solver import cycle_stats, h_of_c, solve_beta, solve_mi, zero_waiting
+from infofresh.solver import cycle_stats, solve_beta, solve_mi, zero_waiting
 from infofresh.sources import (
     Affine,
     BinarySymmetric,
@@ -34,6 +34,7 @@ from infofresh.sources import (
     mutual_information,
     penalty_value,
 )
+from reference import reference_events, slack
 
 SWEEP_DIST = ServiceTimeDist({1: 0.5, 11: 0.5})
 SWEEP_QS = tuple(round(0.02 * k, 12) for k in range(1, 26))
@@ -138,15 +139,16 @@ def test_criterion_5_fixed_point(solved_instances):
 
 
 def test_criterion_6_sign_property(solved_instances):
+    # the slack is the brute-force reference, independent of the solver
     for penalty, dist, res, _ in solved_instances:
-        assert h_of_c(penalty, dist, res.beta - 1e-4) >= -1e-7
+        assert slack(penalty, dist, res.beta - 1e-4) >= -1e-7
         # above the penalty's supremum the waits sit on the cap; the slack
         # is still finite and negative there
-        assert h_of_c(penalty, dist, res.beta + 1e-4) <= 1e-7
+        assert slack(penalty, dist, res.beta + 1e-4) <= 1e-7
         lo = penalty_value(penalty, dist.y_min)
         hi = cycle_stats(penalty, dist, zero_waiting(dist)).ratio
         grid = np.linspace(lo, hi, 11)
-        vals = [h_of_c(penalty, dist, float(c)) for c in grid]
+        vals = [slack(penalty, dist, float(c)) for c in grid]
         assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:])), "h not non-increasing"
     print("PASS criterion 6: sign change at beta and monotone slack on all 20 instances")
 
@@ -213,8 +215,9 @@ def test_criterion_8_structured_replay(solved_instances):
         forced,
         horizon=22,
     )
-    gens = {i: t for kind, i, t in trace.events if kind == "generated"}
-    delivs = {i: t for kind, i, t in trace.events if kind == "delivered"}
+    events = reference_events(trace)
+    gens = {i: t for kind, i, t in events if kind == "generated"}
+    delivs = {i: t for kind, i, t in events if kind == "delivered"}
     checked = 0
     for i, t in sorted(delivs.items()):
         if i + 1 not in gens:

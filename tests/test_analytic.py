@@ -122,9 +122,10 @@ class TestBruteForceOptimum:
         )
 
     def test_budget_exceeded(self):
+        # 216**3 candidates pass the 10**7 budget; the check comes before any allocation
         dist = ServiceTimeDist({1: 0.4, 2: 0.3, 3: 0.3})
         with pytest.raises(BudgetExceeded):
-            brute_force_optimum(Affine(1.0), dist, z_cap=40, budget=1000)
+            brute_force_optimum(Affine(1.0), dist, z_cap=215)
 
     def test_small_cap_misses_interior_optimum(self):
         # with the cap at 0 the oracle can only see the zero-wait policy

@@ -15,7 +15,6 @@ from infofresh.solver import (
     ThresholdUnreachable,
     WaitingFunction,
     cycle_stats,
-    h_of_c,
     solve_beta,
     solve_mi,
     zero_waiting,
@@ -28,6 +27,7 @@ from infofresh.sources import (
     PenaltyTable,
     penalty_value,
 )
+from reference import slack
 
 D15 = ServiceTimeDist({1: 0.5, 5: 0.5})
 D4 = ServiceTimeDist({4: 1.0})
@@ -80,22 +80,22 @@ class TestWaitingFunction:
 
 
 class TestHOfC:
+    """Dinkelbach's slack h(c), from the brute-force reference ``slack``."""
+
     def test_nonpositive_at_zero_wait_ratio(self):
         penalty = NegatedMI(BinarySymmetric(q=0.1))
         zw = cycle_stats(penalty, D15, zero_waiting(D15)).ratio
-        assert h_of_c(penalty, D15, zw) <= 1e-12
+        assert slack(penalty, D15, zw) <= 1e-12
 
     def test_nonnegative_at_penalty_floor(self):
         penalty = NegatedMI(BinarySymmetric(q=0.1))
-        from infofresh.sources import penalty_value
-
-        assert h_of_c(penalty, D15, penalty_value(penalty, 1)) >= -1e-12
+        assert slack(penalty, D15, penalty_value(penalty, 1)) >= -1e-12
 
     def test_sign_tracks_oracle_beta(self):
         penalty = NegatedMI(BinarySymmetric(q=0.15))
         beta = brute_force_optimum(penalty, D15, z_cap=40).best_ratio
         for c in np.linspace(beta - 0.05, beta + 0.05, 9):
-            h = h_of_c(penalty, D15, float(c))
+            h = slack(penalty, D15, float(c))
             if c < beta - 1e-9:
                 assert h > 0.0
             elif c > beta + 1e-9:
@@ -104,7 +104,7 @@ class TestHOfC:
     def test_above_supremum_takes_capped_waits(self):
         # negated information never reaches 0.5, so every wait sits on the
         # cap and the slack is finite and negative
-        h = h_of_c(NegatedMI(BinarySymmetric(q=0.2)), D15, 0.5, z_max=100)
+        h = slack(NegatedMI(BinarySymmetric(q=0.2)), D15, 0.5, z_max=100)
         assert math.isfinite(h) and h < 0.0
 
     def test_nonincreasing_on_grid(self):
@@ -115,7 +115,7 @@ class TestHOfC:
             )
             hi = cycle_stats(penalty, dist, zero_waiting(dist)).ratio
             grid = np.linspace(lo, hi, 7)
-            vals = [h_of_c(penalty, dist, float(c)) for c in grid]
+            vals = [slack(penalty, dist, float(c)) for c in grid]
             assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
 
 
@@ -163,8 +163,8 @@ class TestSolveBeta:
     def test_sign_property_around_beta(self):
         penalty = NegatedMI(BinarySymmetric(q=0.1))
         res = solve_beta(penalty, D15, tol=1e-10)
-        assert h_of_c(penalty, D15, res.beta - 1e-4) >= -1e-7
-        assert h_of_c(penalty, D15, res.beta + 1e-4) <= 1e-7
+        assert slack(penalty, D15, res.beta - 1e-4) >= -1e-7
+        assert slack(penalty, D15, res.beta + 1e-4) <= 1e-7
 
     def test_dominates_enumerated_waitings(self):
         penalty = NegatedMI(BinarySymmetric(q=0.2))
@@ -321,3 +321,38 @@ def test_solver_matches_oracle_property(instance):
     assert res.beta == pytest.approx(oracle.best_ratio, abs=1e-8)
     achieved = cycle_stats(penalty, dist, res.waiting).ratio
     assert achieved == pytest.approx(oracle.best_ratio, abs=1e-8)
+
+
+@st.composite
+def wide_instances(draw):
+    """Binary, Gaussian and affine penalties on supports of up to 50 points in 1..60."""
+    kind = draw(st.sampled_from(("binary", "gaussian", "affine")))
+    if kind == "binary":
+        penalty = NegatedMI(BinarySymmetric(q=draw(st.floats(0.02, 0.5))))
+    elif kind == "gaussian":
+        penalty = NegatedMI(GaussianAR1(a=draw(st.floats(0.0, 0.97))))
+    else:
+        penalty = Affine(slope=draw(st.floats(0.0, 2.0)), intercept=draw(st.floats(-1.0, 1.0)))
+    support = draw(st.lists(st.integers(1, 60), min_size=1, max_size=50, unique=True))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(support), max_size=len(support)))
+    total = math.fsum(weights)
+    return penalty, ServiceTimeDist({y: w / total for y, w in zip(support, weights)})
+
+
+def assert_beta_is_the_root(penalty, dist, z_max):
+    """The theorem: beta is the root of the slack over every wait up to z_max."""
+    beta = solve_beta(penalty, dist).beta
+    assert abs(slack(penalty, dist, beta, z_max)) <= 1e-9 * max(1.0, abs(beta))
+
+
+@given(wide_instances())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_beta_is_the_root_of_the_slack_property(instance):
+    # the optimal waits end by t = 2*y_max, so this cap lets the slack try past them
+    penalty, dist = instance
+    assert_beta_is_the_root(penalty, dist, 2 * dist.y_max + 5)
+
+
+def test_beta_is_the_root_of_the_slack_heavy_tail():
+    # the slack tries every wait up to 100000, far past the optimal 91
+    assert_beta_is_the_root(Affine(1.0), HEAVY, 100_000)
