@@ -171,6 +171,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 def cmd_trace(cfg: ExperimentConfig) -> int:
     if cfg.forced_services is None and cfg.trace_seed is None:
         raise ConfigError("[trace] needs either forced_services or seed")
+    if cfg.forced_services is not None and cfg.trace_seed is not None:
+        raise ConfigError("[trace] forced_services and seed exclude each other; set one")
     dist = cfg.build_service()
     if cfg.trace_policy == "threshold":
         policy = Threshold(solve_beta(cfg.build_penalty(), dist, cfg.tol, cfg.z_max).waiting)
@@ -183,8 +185,12 @@ def cmd_trace(cfg: ExperimentConfig) -> int:
         trace, _ = replay(policy, metric, dist, cfg.forced_services, cfg.trace_horizon, cfg.delta0)
     else:
         trace, _ = simulate(policy, metric, dist, cfg.trace_horizon, cfg.trace_seed, cfg.delta0)
-    with _open_out(cfg) as f:
-        trace.write_csv(f)
+    if cfg.out_path:
+        with open(cfg.out_path, "wb") as f:
+            trace.write_csv(f)
+    else:
+        sys.stdout.flush()  # text written before goes first: the bytes bypass the text layer
+        trace.write_csv(sys.stdout.buffer)
     return 0
 
 

@@ -16,9 +16,12 @@ carries the next generation time and wait to the next.  The age histogram
 folds the blocks one at a time, a constant gap with one tally of its
 sojourns, so a sweep never holds an array sized by the horizon; a trace
 derives each block's times, concatenates them and recovers its per-step
-quantities (age, metric, queue length, events) from the delivery intervals
-as arrays too, down to the CSV, laid out in 8-byte words a chunk of rows
-at a time.  This is exact and bit-reproducible given the seed:
+quantities (age, metric, queue length) from the delivery intervals as
+arrays too, down to the CSV, laid out in 8-byte words a chunk of rows at a
+time and written as bytes to a binary stream: the step numbers by runs of
+10**4, and the event words only at the steps where their events happen,
+found by a binary search of the sample times.  This is exact and
+bit-reproducible given the seed:
 PCG64 draws in blocks replay the stream of one large draw.
 """
 
@@ -36,8 +39,6 @@ from .sources import AgePenalty, MarkovSourceModel, metric_table
 
 QUEUE_GUARD = 1_000_000
 
-# Event kinds in the order they happen within one step.
-_EVENT_KINDS = ("delivered", "generated", "service_start")
 # Samples per schedule block.  Alternating benchmark runs of sweep-q (2-core Xeon
 # VM, 2 MiB L2 per core) put 1 << 15 7% ahead of 1 << 13 and 2% ahead of 1 << 14;
 # at 1 << 16 (512 KiB arrays, likely past what L2 holds of a block) the sweep is
@@ -114,19 +115,6 @@ class SimulationTrace:
     start: np.ndarray
     d: np.ndarray
 
-    def _event_steps(self, lo: int, hi: int) -> np.ndarray:
-        """Sample index (0 for none) of each event kind at steps lo..hi-1.
-
-        Rows follow ``_EVENT_KINDS``.  One row per kind suffices: service
-        times are >= 1, so generation, start and delivery times each
-        strictly increase with the sample index.
-        """
-        steps = np.zeros((len(_EVENT_KINDS), hi - lo), dtype=np.int64)
-        for row, times in zip(steps, (self.d, self.s, self.start)):
-            a, b = np.searchsorted(times, (lo, hi)).tolist()
-            row[times[a:b] - lo] = np.arange(a + 1, b + 1)
-        return steps
-
     def _age_prefixes(self) -> tuple[np.ndarray, np.ndarray]:
         """Each distinct age's ``,delta,metric,`` in NUL-padded words, a
         column per age, and each step's column.  Ages up to the horizon key
@@ -146,8 +134,9 @@ class SimulationTrace:
         table = text.astype(f"S{-(-text.itemsize // 8) * 8}").view("<u8")
         return table.reshape(len(step), -1).T.copy(), (np.cumsum(used) - 1)[key]
 
-    def write_csv(self, f: IO[str]) -> None:
-        """Emit rows ``n,delta,metric,queue_len,event`` for n = 0..horizon.
+    def write_csv(self, f: IO[bytes]) -> None:
+        """Emit rows ``n,delta,metric,queue_len,event`` for n = 0..horizon
+        as ASCII bytes to the binary stream ``f``.
 
         The n = 0 row carries the initial age and the time-0 events (the
         first sample is always generated at time 0).
@@ -156,41 +145,55 @@ class SimulationTrace:
         ``uint64`` words stored slot by slot, so a field fills each of its
         words for the chunk with one array write.  A field takes the whole
         words its widest value needs; unused bytes stay NUL.  A row is the
-        newline and ``n``, ``,delta,metric,`` from a table of each age's
-        prefix, ``queue_len``, and per event kind a token word (``,deliver``
-        ends ``queue_len``; ``|`` follows an earlier token) and ``:`` with
-        the sample index.  No CSV byte is NUL, so dropping the grid's NULs,
-        read row by row, leaves the text.
+        newline and ``n``, written a run of 10**4 steps at a time,
+        ``,delta,metric,`` from a table of each age's prefix, ``queue_len``,
+        and per event kind a token word (``,deliver`` ends ``queue_len``;
+        ``|`` follows an earlier token) and ``:`` with the sample index.
+        The event slots start NUL and are written only at their kind's
+        steps, found by a binary search of the kind's times: service times
+        are >= 1, so generation, start and delivery times each strictly
+        increase with the sample index, and a step holds at most one event
+        of each kind.  No CSV byte is NUL, so dropping the grid's NULs, read
+        row by row, leaves the text.
         """
         prefix, which = self._age_prefixes()
         queue = np.concatenate(([0], self.queue_len))
         samples = len(self.s)
-        index = np.empty((len(str(samples)) // 8 + 1, samples + 1), dtype="<u8")
-        _decimal(np.arange(samples + 1), index)
-        index[0, 1:] |= _COLON  # 0 (no event) stays NUL
+        index = np.empty((len(str(samples)) // 8 + 1, samples), dtype="<u8")
+        _decimal_range(1, samples + 1, index)
+        index[0] |= _COLON
         w, p = len(index), len(prefix)
-        f.write("n,delta,metric,queue_len,event")
+        # each kind's steps up to the horizon, in the order the kinds happen within
+        # one step, its token, and whether an earlier kind fired at each of its steps
+        fired = np.zeros(self.horizon + 1, dtype=bool)
+        events = []
+        for times, token in zip((self.d, self.s, self.start), (_DELIVER, _GEN, _START)):
+            steps = times[:np.searchsorted(times, self.horizon, side="right")]
+            events.append((steps, token, fired[steps]))
+            fired[steps] = True
+        f.write(b"n,delta,metric,queue_len,event")
         for lo in range(0, self.horizon + 1, _CSV_CHUNK_ROWS):
             hi = min(lo + _CSV_CHUNK_ROWS, self.horizon + 1)
-            q, idx = queue[lo:hi], self._event_steps(lo, hi)
+            q = queue[lo:hi]
             n = len(str(hi - 1)) // 8 + 1
             c = n + p + -(-len(str(q.max())) // 8)  # the first event word
             grid = np.empty((c + 3 * (1 + w), hi - lo), dtype="<u8")
-            _decimal(np.arange(lo, hi), grid[:n])
+            _decimal_range(lo, hi, grid[:n])
             grid[0] |= _NEWLINE
             grid[n - 1, 0] |= _ZERO  # n = 0 prints its digit
             np.take(prefix, which[lo:hi], axis=1, out=grid[n:n + p])
             _decimal(q, grid[n + p:c])
             grid[c - 1] |= _ZERO
-            at = idx != 0
-            np.multiply(at[0], _DELIVER, out=grid[c])
+            grid[c:] = 0
+            for k, (steps, token, bar) in enumerate(events):
+                a, b = np.searchsorted(steps, (lo, hi)).tolist()
+                at, row = steps[a:b] - lo, c + k * (1 + w)
+                grid[row][at] = token | bar[a:b] * _BAR
+                for j, digits in enumerate(index[:, a:b], row + 1):
+                    grid[j][at] = digits
             grid[c] |= _COMMA
-            np.multiply(at[1], _GEN | at[0] * _BAR, out=grid[c + 1 + w])
-            np.multiply(at[2], _START | (at[0] | at[1]) * _BAR, out=grid[c + 2 + 2 * w])
-            for k, i in enumerate(idx):
-                np.take(index, i, axis=1, out=grid[c + 1 + k * (1 + w):c + (k + 1) * (1 + w)])
-            f.write(grid.T.tobytes().translate(None, b"\0").decode("ascii"))
-        f.write("\n")
+            f.write(grid.T.tobytes().translate(None, b"\0"))
+        f.write(b"\n")
 
 
 @dataclass(frozen=True)
@@ -225,16 +228,37 @@ def _decimal(values: np.ndarray, out: np.ndarray) -> None:
     """Write non-negative integers below 10**(8 * len(out)) as ASCII digits,
     right-aligned in the word rows of ``out``; leading bytes and 0 are NUL.
     A word is two ``_digit_groups`` entries: min(v, v % 10**4 + 10**4) pads
-    v's last group exactly when v >= 10**4."""
+    v's last group exactly when v >= 10**4.  One word of values all below
+    10**4 takes one lookup: its higher group is all NUL."""
     groups = _digit_groups()
+    if len(out) == 1 and values.max(initial=0) < 10_000:
+        np.take(groups, values, out=out[0])
+        out[0] <<= 32
+        return
     q = values
     for j in range(len(out) - 1, -1, -1):  # the last word holds the lowest digits
-        above, r = np.divmod(q, 10_000)
-        tail = groups[np.minimum(q, r + 10_000)] << 32
+        above = q // 10_000
+        tail = groups[np.minimum(q, q - above * 10_000 + 10_000)] << 32
         if j:
-            q, r = np.divmod(above, 10_000)
-            above = np.minimum(above, r + 10_000)
+            q = above // 10_000
+            above = np.minimum(above, above - q * 10_000 + 10_000)
         np.bitwise_or(groups[above], tail, out=out[j])
+
+
+def _decimal_range(lo: int, hi: int, out: np.ndarray) -> None:
+    """``_decimal(np.arange(lo, hi), out)``, a run of 10**4 at a time: within
+    a run every digit group above the lowest is constant, and the lowest
+    groups are a slice of ``_digit_groups``."""
+    groups = _digit_groups()
+    head = np.empty((len(out), 1), dtype="<u8")
+    for base in range(lo - lo % 10_000, hi, 10_000):
+        a, b = max(lo, base), min(hi, base + 10_000)
+        _decimal(np.array([base]), head)  # its lowest group, 0000 or NUL, ORs into any digits as is
+        run = out[:, a - lo:b - lo]
+        run[:-1] = head[:-1]
+        pad = 10_000 if base else 0  # past the first run the lowest group is zero-padded
+        np.left_shift(groups[pad + a - base:pad + b - base], 32, out=run[-1])
+        run[-1] |= head[-1]
 
 
 def _validate_forced(forced: Sequence[int], dist: ServiceTimeDist) -> np.ndarray:

@@ -344,6 +344,29 @@ class TestCli:
             "infofresh: error: [trace] needs either forced_services or seed\n")
         assert not out.exists()
 
+    def test_trace_forced_and_seed_exclude_each_other(self, tmp_path, capsys):
+        cfg = write(tmp_path, "t.ini", TRACE_INI + "seed = 3\n")
+        out = tmp_path / "o.csv"
+        assert main(["trace", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "infofresh: error: [trace] forced_services and seed exclude each other; set one\n")
+        assert not out.exists()
+
+    # the seeded-uniform-queueing golden config at a shorter horizon, and a seeded threshold
+    @pytest.mark.parametrize("ini", [
+        "[source]\nkind = binary\nq = 0.1\n\n[service]\ndist = 1:0.5, 5:0.5\n\n"
+        "[sweep]\nuniform_period = 2\n\n[trace]\npolicy = uniform\nseed = 7\nhorizon = 4000\n",
+        SOLVE_INI + "\n[trace]\npolicy = threshold\nseed = 1\nhorizon = 4000\n",
+    ], ids=["seeded-uniform-queueing", "seeded-threshold"])
+    def test_trace_stdout_equals_out(self, tmp_path, capsysbinary, ini):
+        cfg = write(tmp_path, "t.ini", ini)
+        out = tmp_path / "o.csv"
+        assert main(["trace", "--config", cfg]) == 0
+        stdout = capsysbinary.readouterr().out
+        assert main(["trace", "--config", cfg, "--out", str(out)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert stdout.count(b"\n") == 4002 and stdout == out.read_bytes()
+
     def test_trace_seeded(self, tmp_path, capsys):
         cfg = write(
             tmp_path,

@@ -87,9 +87,9 @@ class TestReplay:
 
     def test_sawtooth_csv_golden(self):
         trace, _ = replay(ZeroWait(), Affine(1.0), D4, [4, 4], 7)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         trace.write_csv(buf)
-        assert buf.getvalue() == SAWTOOTH_CSV
+        assert buf.getvalue() == SAWTOOTH_CSV.encode()
 
     def test_structured_golden_events(self):
         trace, summary = structured_replay()
@@ -590,9 +590,9 @@ def reference_csv(trace):
 
 
 def column_csv(trace):
-    buf = io.StringIO()
+    buf = io.BytesIO()
     trace.write_csv(buf)
-    return buf.getvalue().splitlines(keepends=True)
+    return buf.getvalue().decode("ascii").splitlines(keepends=True)
 
 
 def random_runs(seed):
@@ -710,15 +710,32 @@ class TestWriterDigitWidths:
         # between nonzero ones
         values = {0, 2**63 - 1, 10**8 + 1, 10**12 + 10**4, 12_345_678_901_234_567}
         values |= {10**k + e for k in range(19) for e in (-1, 0)}
-        for words in (1, 2, 3):
-            fit = sorted(v for v in values if v < 10 ** (8 * words))
+        # one word of values below 10**4 alone takes the single-lookup path
+        for words, top in ((1, 10**4), (1, 10**8), (2, 10**16), (3, 10**24)):
+            fit = sorted(v for v in values if v < top)
             out = np.empty((words, len(fit)), dtype="<u8")
             simulator._decimal(np.array(fit, dtype=np.int64), out)
-            width = 8 * words
-            rows = out.T.tobytes()
-            for k, v in enumerate(fit):
-                digits = str(v).encode() if v else b""  # 0 has no digits
-                assert rows[width * k: width * (k + 1)] == digits.rjust(width, b"\0"), (v, words)
+            assert_words_match_str(out, fit)
+
+    # runs from 0 and from mid-run, across 9,999/10,000, into a second word at 10**8
+    # and a third at 10**16
+    @pytest.mark.parametrize("words, lo, hi", [
+        (1, 0, 10), (1, 0, 25_000), (1, 7_321, 7_322), (1, 9_990, 10_010),
+        (1, 3_456, 41_234), (2, 10**8 - 12_345, 10**8 + 23_456),
+        (3, 10**16 - 10_007, 10**16 + 10_003), (3, 2**62, 2**62 + 3)])
+    def test_decimal_range_matches_str(self, words, lo, hi):
+        out = np.empty((words, hi - lo), dtype="<u8")
+        simulator._decimal_range(lo, hi, out)
+        assert_words_match_str(out, range(lo, hi))
+
+
+def assert_words_match_str(out, values):
+    """Each column of ``out`` is its value's digits right-aligned in NULs, 0 all NUL."""
+    width = 8 * len(out)
+    rows = out.T.tobytes()
+    for k, v in enumerate(values):
+        digits = str(v).encode() if v else b""  # 0 has no digits
+        assert rows[width * k: width * (k + 1)] == digits.rjust(width, b"\0"), (v, len(out))
 
 
 @st.composite
