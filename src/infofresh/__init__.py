@@ -11,7 +11,6 @@ from .analytic import (
     OracleResult,
     brute_force_optimum,
     random_instances,
-    zero_wait_average,
 )
 from .config import ConfigError, ExperimentConfig
 from .service import ServiceTimeDist
@@ -35,7 +34,6 @@ from .solver import (
     WaitingFunction,
     cycle_stats,
     solve_beta,
-    solve_mi,
     zero_waiting,
 )
 from .sources import (
@@ -90,7 +88,5 @@ __all__ = [
     "replay",
     "simulate",
     "solve_beta",
-    "solve_mi",
-    "zero_wait_average",
     "zero_waiting",
 ]

@@ -1,11 +1,11 @@
-"""Exact renewal-reward evaluation and the exhaustive ground-truth oracle.
+"""The exhaustive ground-truth oracle and its random instances.
 
 For any fixed waiting function the age process regenerates at deliveries,
 so the long-run time average of the penalty equals the expected cycle
-reward over the expected cycle length.  That makes small instances exactly
-solvable by enumeration, which is what the solver is tested against:
-deterministic waits suffice for optimality, so trying every wait vector up
-to a cap finds the true optimum.
+reward over the expected cycle length (``solver.cycle_stats``).  That makes
+small instances exactly solvable by enumeration, which is what the solver
+is tested against: deterministic waits suffice for optimality, so trying
+every wait vector up to a cap finds the true optimum.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .service import ServiceTimeDist
-from .solver import WaitingFunction, cycle_stats, zero_waiting
+from .solver import WaitingFunction
 from .sources import (
     Affine,
     AgePenalty,
@@ -38,11 +38,6 @@ class OracleResult:
     best_ratio: float
     best_waiting: WaitingFunction
     enumerated: int
-
-
-def zero_wait_average(penalty: AgePenalty, dist: ServiceTimeDist) -> float:
-    """Exact long-run average when every sample is taken at the delivery."""
-    return cycle_stats(penalty, dist, zero_waiting(dist)).ratio
 
 
 def brute_force_optimum(

@@ -15,12 +15,7 @@ import sys
 from dataclasses import fields
 from typing import Sequence
 
-from .analytic import (
-    BudgetExceeded,
-    brute_force_optimum,
-    random_instances,
-    zero_wait_average,
-)
+from .analytic import BudgetExceeded, brute_force_optimum, random_instances
 from .config import ConfigError, ExperimentConfig
 from .simulator import (
     SequenceExhausted,
@@ -33,7 +28,7 @@ from .simulator import (
     replay,
     simulate,
 )
-from .solver import ThresholdUnreachable, cycle_stats, solve_beta, solve_mi
+from .solver import ThresholdUnreachable, cycle_stats, solve_beta, zero_waiting
 from .sources import NegatedMI, mutual_information
 
 ORACLE_MATCH_TOL = 1e-8
@@ -154,8 +149,9 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
     rows = [f"{cfg.sweep_variable},i_opt,i_zero_wait,i_uniform_mean,i_uniform_stderr\n"]
     for g, model in zip(cfg.sweep_grid, models):
-        i_opt = _fmt(solve_mi(model, dist, cfg.tol, cfg.z_max).beta) if do_opt else ""
-        i_zw = _fmt(-zero_wait_average(NegatedMI(model), dist)) if do_zw else ""
+        info = NegatedMI(model)  # the information columns solve the penalty problem on -I
+        i_opt = _fmt(-solve_beta(info, dist, cfg.tol, cfg.z_max).beta) if do_opt else ""
+        i_zw = _fmt(-cycle_stats(info, dist, zero_waiting(dist)).ratio) if do_zw else ""
         i_uni, i_se = (map(_fmt, average_over_seeds(hists, model, cfg.horizon))
                        if do_uni else ("", ""))
         rows.append(f"{_fmt(g)},{i_opt},{i_zw},{i_uni},{i_se}\n")

@@ -198,9 +198,8 @@ class SimulationTrace:
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Aggregates of one run; the time average is over steps 1..horizon."""
+    """Sample counts of one run up to its horizon, its mean queue wait and its seed."""
 
-    time_average: float
     samples_generated: int
     samples_delivered: int
     mean_queue_wait: float
@@ -309,6 +308,9 @@ def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if delta0 < 1:
         raise ValueError(f"delta0 must be >= 1, got {delta0}")
+    # a seed of None would draw OS entropy: every run must replay from its seed
+    if forced is None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     sup = np.asarray(dist.support, dtype=np.int64)
     if isinstance(policy, Uniform):
         gaps = min(policy.period, horizon + 1)  # past the horizon, only time 0 generates
@@ -463,10 +465,8 @@ def _run(policy, metric, dist, horizon, delta0, seed=None, forced=None):
         start=start,
         d=d,
     )
-    # the bincount of the ages is the histogram age_histogram folds, bit for bit
-    avg = average_over_seeds([np.bincount(delta)], metric, horizon)[0]
     mean_wait = float(np.mean(start[:k] - s[:k])) if k else 0.0
-    return trace, RunSummary(time_average=avg, samples_generated=m, samples_delivered=k,
+    return trace, RunSummary(samples_generated=m, samples_delivered=k,
                              mean_queue_wait=mean_wait, seed=seed)
 
 
@@ -482,7 +482,7 @@ def simulate(
 
     The first sample is generated at time 0; each sample draws its service
     time at generation.  The age before the first delivery is delta0 + n.
-    Fully deterministic given the seed.  For the time average alone, score
+    Fully deterministic given the seed.  For the time average, score
     ``age_histogram`` with ``average_over_seeds``: it skips the trace.
     """
     return _run(policy, metric, dist, horizon, delta0, seed=seed)
@@ -521,9 +521,8 @@ def age_histogram(
     bounded by the block and the oldest age, not by the horizon.
     The age process does not depend on the metric, so one histogram per
     seed serves every metric.  ``average_over_seeds`` scores it as
-    ``hist @ table[:len(hist)] / horizon``.  ``simulate``'s ``time_average``
-    scores the bincount of its trace's ages, the same histogram, the same
-    way, so the two agree bit for bit.
+    ``hist @ table[:len(hist)] / horizon``.  It equals the bincount of
+    ``simulate``'s trace ages, entry for entry.
     """
     return _histogram(_schedule(policy, dist, horizon, delta0, seed=seed), horizon, delta0)
 

@@ -6,7 +6,8 @@ sample.  The long-run time average of a non-decreasing age penalty p is a
 ratio of expected cycle reward to expected cycle length, and the optimal
 policy is a threshold rule: wait until the expected penalty at the next
 delivery reaches a threshold beta, which equals the optimal average
-itself.
+itself.  Maximizing the time-average information is this problem for
+p = -I (``NegatedMI``); its beta is minus the optimal information.
 
 The penalty at the next delivery depends on y and the wait only through
 t = y + Z(y), so one table g(t) = E[p(t + Y')] serves every support
@@ -36,7 +37,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .service import ServiceTimeDist
-from .sources import AgePenalty, MarkovSourceModel, NegatedMI, metric_table, penalty_value
+from .sources import AgePenalty, metric_table, penalty_value
 
 DEFAULT_Z_MAX = 10_000
 
@@ -237,25 +238,4 @@ def solve_beta(
         waiting=WaitingFunction(dict(zip(dist.support, z.tolist()))),
         h_residual=reward - c * length,
         iterations=iterations,
-    )
-
-
-def solve_mi(
-    model: MarkovSourceModel,
-    dist: ServiceTimeDist,
-    tol: float = 1e-10,
-    z_max: int = DEFAULT_Z_MAX,
-) -> SolverResult:
-    """Maximize the time-average information; beta is the optimum itself.
-
-    Runs the penalty solver on the negated information curve and flips the
-    sign of beta.  The waiting rule is unchanged: wait until the expected
-    information at the next delivery has decayed to beta.
-    """
-    res = solve_beta(NegatedMI(model), dist, tol=tol, z_max=z_max)
-    return SolverResult(
-        beta=-res.beta,
-        waiting=res.waiting,
-        h_residual=res.h_residual,
-        iterations=res.iterations,
     )

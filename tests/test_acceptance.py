@@ -9,11 +9,7 @@ computed once per session.
 import numpy as np
 import pytest
 
-from infofresh.analytic import (
-    brute_force_optimum,
-    random_instances,
-    zero_wait_average,
-)
+from infofresh.analytic import brute_force_optimum, random_instances
 from infofresh.service import ServiceTimeDist
 from infofresh.simulator import (
     Threshold,
@@ -23,7 +19,7 @@ from infofresh.simulator import (
     average_over_seeds,
     replay,
 )
-from infofresh.solver import cycle_stats, solve_beta, solve_mi, zero_waiting
+from infofresh.solver import cycle_stats, solve_beta, zero_waiting
 from infofresh.sources import (
     Affine,
     BinarySymmetric,
@@ -47,7 +43,7 @@ ORACLE_Z_CAP = 40
 
 def _uniform_estimate(hists, model):
     """Across-seed mean and standard error of the time averages of ``model``
-    over the seeds' age histograms, with the arithmetic ``simulate`` uses."""
+    over the seeds' age histograms, with the arithmetic ``average_over_seeds`` uses."""
     table = metric_table(model, max(len(h) for h in hists))
     table[0] = 0.0  # age 0 never occurs
     vals = np.array([float(h @ table[: len(h)]) / HORIZON for h in hists])
@@ -66,8 +62,9 @@ def sweep_data():
     i_opt, i_zw, uni = [], [], []
     for q in SWEEP_QS:
         model = BinarySymmetric(q=q)
-        i_opt.append(solve_mi(model, SWEEP_DIST, tol=SOLVER_TOL).beta)
-        i_zw.append(-zero_wait_average(NegatedMI(model), SWEEP_DIST))
+        info = NegatedMI(model)
+        i_opt.append(-solve_beta(info, SWEEP_DIST, tol=SOLVER_TOL).beta)
+        i_zw.append(-cycle_stats(info, SWEEP_DIST, zero_waiting(SWEEP_DIST)).ratio)
         uni.append(_uniform_estimate(hists, model))
     # the shortcut is the simulator's own arithmetic, bit for bit
     model = BinarySymmetric(q=SWEEP_QS[4])
@@ -183,7 +180,7 @@ def test_criterion_7_simulator_matches_analytic():
     for penalty, dist in _sim_check_instances(10, seed=7):
         res = solve_beta(penalty, dist, tol=SOLVER_TOL)
         runs = [
-            (ZeroWait(), zero_wait_average(penalty, dist)),
+            (ZeroWait(), cycle_stats(penalty, dist, zero_waiting(dist)).ratio),
             (Threshold(res.waiting), cycle_stats(penalty, dist, res.waiting).ratio),
         ]
         for policy, exact in runs:

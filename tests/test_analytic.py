@@ -4,12 +4,7 @@ import itertools
 
 import pytest
 
-from infofresh.analytic import (
-    BudgetExceeded,
-    brute_force_optimum,
-    random_instances,
-    zero_wait_average,
-)
+from infofresh.analytic import BudgetExceeded, brute_force_optimum, random_instances
 from infofresh.service import ServiceTimeDist
 from infofresh.solver import WaitingFunction, cycle_stats, solve_beta, zero_waiting
 from infofresh.sources import (
@@ -54,13 +49,14 @@ class TestRenewalAverage:
 
 class TestZeroWaitAverage:
     def test_iid_source(self):
-        assert zero_wait_average(NegatedMI(BinarySymmetric(q=0.5)), D111) == 0.0
+        penalty = NegatedMI(BinarySymmetric(q=0.5))
+        assert cycle_stats(penalty, D111, zero_waiting(D111)).ratio == 0.0
 
     def test_plain_age_deterministic(self):
-        assert zero_wait_average(Affine(1.0), D4) == pytest.approx(5.5, abs=1e-12)
+        assert cycle_stats(Affine(1.0), D4, zero_waiting(D4)).ratio == pytest.approx(5.5, abs=1e-12)
 
     def test_golden_negated_mi(self):
-        got = zero_wait_average(NegatedMI(BinarySymmetric(q=0.1)), D111)
+        got = cycle_stats(NegatedMI(BinarySymmetric(q=0.1)), D111, zero_waiting(D111)).ratio
         assert -1.0 < got < 0.0
         assert got == pytest.approx(ZW_NEGMI_Q01, abs=1e-13)
 
@@ -111,7 +107,7 @@ class TestBruteForceOptimum:
     def test_best_ratio_below_zero_wait(self):
         for penalty, dist in random_instances(6, seed=77):
             res = brute_force_optimum(penalty, dist, z_cap=40)
-            assert res.best_ratio <= zero_wait_average(penalty, dist) + 1e-12
+            assert res.best_ratio <= cycle_stats(penalty, dist, zero_waiting(dist)).ratio + 1e-12
 
     def test_best_ratio_consistent_with_renewal_average(self):
         penalty = NegatedMI(GaussianAR1(a=0.8))

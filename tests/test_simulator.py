@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import infofresh.simulator as simulator
-from infofresh.analytic import zero_wait_average
 from infofresh.service import ServiceTimeDist
 from infofresh.simulator import (
     SequenceExhausted,
@@ -25,7 +24,7 @@ from infofresh.simulator import (
     replay,
     simulate,
 )
-from infofresh.solver import cycle_stats, solve_beta
+from infofresh.solver import cycle_stats, solve_beta, zero_waiting
 from infofresh.sources import Affine, BinarySymmetric, NegatedMI, PenaltyTable, metric_table
 from reference import reference_events
 
@@ -226,21 +225,27 @@ class TestFIFO:
             simulate(Uniform(period=1), Affine(1.0), ServiceTimeDist({4: 1.0}), 200, seed=0)
 
 
+def trace_average(trace, metric):
+    """The time average of ``metric`` over a trace's steps 1..horizon, its
+    ages scored as ``average_over_seeds`` scores an age histogram."""
+    return average_over_seeds([np.bincount(trace.delta)], metric, trace.horizon)[0]
+
+
 class TestAverages:
     def test_zero_wait_deterministic_converges(self):
-        _, summary = simulate(ZeroWait(), Affine(1.0), D4, 100_000, seed=0)
-        assert summary.time_average == pytest.approx(5.5, abs=1e-3)
+        trace, _ = simulate(ZeroWait(), Affine(1.0), D4, 100_000, seed=0)
+        assert trace_average(trace, Affine(1.0)) == pytest.approx(5.5, abs=1e-3)
 
     def test_iid_source_metric_identically_zero(self):
-        _, summary = simulate(Uniform(period=6), BinarySymmetric(q=0.5), D111, 10_000, seed=1)
-        assert summary.time_average == 0.0
+        trace, _ = simulate(Uniform(period=6), BinarySymmetric(q=0.5), D111, 10_000, seed=1)
+        assert trace_average(trace, BinarySymmetric(q=0.5)) == 0.0
         hists = [age_histogram(Uniform(period=6), D111, 10_000, seed) for seed in range(3)]
         mean, se = average_over_seeds(hists, BinarySymmetric(q=0.5), 10_000)
         assert mean == 0.0 and se == 0.0
 
     def test_zero_wait_matches_analytic_three_sigma(self):
         model = BinarySymmetric(q=0.1)
-        exact = -zero_wait_average(NegatedMI(model), D111)
+        exact = -cycle_stats(NegatedMI(model), D111, zero_waiting(D111)).ratio
         hists = [age_histogram(ZeroWait(), D111, 200_000, seed) for seed in range(6)]
         mean, se = average_over_seeds(hists, model, 200_000)
         assert abs(mean - exact) <= 3 * se
@@ -261,14 +266,15 @@ class TestAverages:
         table = metric_table(model, len(hist))
         table[0] = 0.0
         via_hist = float(hist @ table) / 50_000
-        _, summary = simulate(Uniform(period=6), model, D111, 50_000, seed=3)
-        assert via_hist == summary.time_average
+        trace, _ = simulate(Uniform(period=6), model, D111, 50_000, seed=3)
+        assert via_hist == trace_average(trace, model)
+        assert np.array_equal(hist, np.bincount(trace.delta))
 
     def test_average_over_seeds_one_seed(self):
         model = BinarySymmetric(q=0.1)
         hist = age_histogram(Uniform(period=6), D111, 50_000, seed=3)
-        _, summary = simulate(Uniform(period=6), model, D111, 50_000, seed=3)
-        assert average_over_seeds([hist], model, 50_000) == (summary.time_average, 0.0)
+        trace, _ = simulate(Uniform(period=6), model, D111, 50_000, seed=3)
+        assert average_over_seeds([hist], model, 50_000) == (trace_average(trace, model), 0.0)
         with pytest.raises(ValueError, match="at least 1 seed"):
             average_over_seeds([], model, 50_000)
 
@@ -294,9 +300,10 @@ class TestDeterminism:
         assert sa == sb
 
     def test_different_seeds_differ(self):
-        _, sa = simulate(ZeroWait(), BinarySymmetric(q=0.2), D111, 5000, seed=1)
-        _, sb = simulate(ZeroWait(), BinarySymmetric(q=0.2), D111, 5000, seed=2)
-        assert sa.time_average != sb.time_average
+        model = BinarySymmetric(q=0.2)
+        a, _ = simulate(ZeroWait(), model, D111, 5000, seed=1)
+        b, _ = simulate(ZeroWait(), model, D111, 5000, seed=2)
+        assert trace_average(a, model) != trace_average(b, model)
 
 
 class TestValidation:
@@ -325,8 +332,21 @@ class TestValidation:
     def test_gaussian_metric_never_hits_age_zero(self):
         from infofresh.sources import GaussianAR1
 
-        _, summary = simulate(ZeroWait(), GaussianAR1(a=0.9), D15, 5000, seed=1)
-        assert math.isfinite(summary.time_average)
+        trace, _ = simulate(ZeroWait(), GaussianAR1(a=0.9), D15, 5000, seed=1)
+        assert np.isfinite(trace.metric).all()
+        assert math.isfinite(trace_average(trace, GaussianAR1(a=0.9)))
+
+    @pytest.mark.parametrize("seed", [None, 1.5, -1], ids=["none", "float", "negative"])
+    def test_seed_is_a_non_negative_integer(self, seed):
+        # None would draw OS entropy: a different histogram on every call
+        with pytest.raises(ValueError, match="seed must be an integer >= 0, got"):
+            age_histogram(Uniform(3), D13, 1000, seed)
+        with pytest.raises(ValueError, match="seed must be an integer >= 0, got"):
+            simulate(ZeroWait(), Affine(1.0), D13, 100, seed)
+
+    def test_numpy_integer_seed(self):
+        assert np.array_equal(age_histogram(Uniform(3), D13, 1000, np.int64(7)),
+                              age_histogram(Uniform(3), D13, 1000, 7))
 
 
 def reference_simulate(policy, dist, services, horizon, delta0):

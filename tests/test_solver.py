@@ -16,7 +16,6 @@ from infofresh.solver import (
     WaitingFunction,
     cycle_stats,
     solve_beta,
-    solve_mi,
     zero_waiting,
 )
 from infofresh.sources import (
@@ -180,31 +179,24 @@ class TestSolveBeta:
 
 
 class TestSolveMI:
+    """The information problem, solved as the penalty problem on -I."""
+
     def test_iid_source_zero_optimum(self):
-        res = solve_mi(BinarySymmetric(q=0.5), D15, tol=1e-10)
+        res = solve_beta(NegatedMI(BinarySymmetric(q=0.5)), D15, tol=1e-10)
         assert abs(res.beta) <= 1e-12
         assert dict(res.waiting) == {1: 0, 5: 0}
 
-    def test_exact_negation_of_penalty_solve(self):
-        model = BinarySymmetric(q=0.2)
-        mi = solve_mi(model, D15, tol=1e-10)
-        pen = solve_beta(NegatedMI(model), D15, tol=1e-10)
-        assert mi.beta == -pen.beta
-        assert dict(mi.waiting) == dict(pen.waiting)
-
     def test_dominates_zero_wait(self):
-        from infofresh.analytic import zero_wait_average
-
         for q in (0.05, 0.1, 0.3):
-            model = BinarySymmetric(q=q)
-            res = solve_mi(model, D15, tol=1e-10)
-            assert res.beta >= -zero_wait_average(NegatedMI(model), D15) - 1e-9
+            info = NegatedMI(BinarySymmetric(q=q))
+            res = solve_beta(info, D15, tol=1e-10)
+            assert -res.beta >= -cycle_stats(info, D15, zero_waiting(D15)).ratio - 1e-9
 
     def test_matches_oracle_maximum(self):
-        model = BinarySymmetric(q=0.2)
-        res = solve_mi(model, D15, tol=1e-10)
-        oracle = brute_force_optimum(NegatedMI(model), D15, z_cap=40)
-        assert res.beta == pytest.approx(-oracle.best_ratio, abs=1e-8)
+        info = NegatedMI(BinarySymmetric(q=0.2))
+        res = solve_beta(info, D15, tol=1e-10)
+        oracle = brute_force_optimum(info, D15, z_cap=40)
+        assert -res.beta == pytest.approx(-oracle.best_ratio, abs=1e-8)
 
 
 class TestCap:
