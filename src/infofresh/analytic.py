@@ -23,7 +23,7 @@ from .sources import (
     BinarySymmetric,
     GaussianAR1,
     NegatedMI,
-    penalty_value,
+    scalar_penalty,
 )
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
@@ -71,9 +71,9 @@ def brute_force_optimum(
 
     top = int(ys.max()) * 2 + z_cap  # exclusive bound on summed ages
     cum = np.zeros(top + 1)
-    # scalar on purpose: the oracle must not share the solver's metric table
-    vals = [penalty_value(penalty, n) for n in range(1, top)]
-    if not all(math.isfinite(v) for v in vals):
+    # scalar, from the penalty's own closed form: the oracle shares no table with the solver
+    vals = list(map(scalar_penalty(penalty), range(1, top)))
+    if not all(map(math.isfinite, vals)):
         raise ValueError("penalty must be finite at every age >= 1")
     cum[2:] = np.cumsum(vals)  # cum[k] = sum of p(n) for 1 <= n < k
 

@@ -30,6 +30,7 @@ finite (y, z, y') grid; nothing is sampled.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping
@@ -37,7 +38,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .service import ServiceTimeDist
-from .sources import AgePenalty, metric_table, penalty_value
+from .sources import AgePenalty, metric_table, scalar_penalty
 
 DEFAULT_Z_MAX = 10_000
 
@@ -167,15 +168,12 @@ def cycle_stats(
             raise ValueError(f"waiting function is missing support point {y}")
         zs.append(waiting[y])
     top = max(y + z for y, z in zip(ys, zs)) + max(ys)  # largest exclusive age bound
-    cum = [0.0] * (top + 1)
-    acc = 0.0
-    # scalar on purpose: the reference the solver's tables are checked against
-    for n in range(1, top):
-        v = penalty_value(penalty, n)
-        if not math.isfinite(v):
-            raise ValueError(f"penalty is not finite at age {n}; cycle sums require finite values")
-        acc += v
-        cum[n + 1] = acc
+    # scalar, from the penalty's own closed form, so that it checks the solver's tables
+    vals = list(map(scalar_penalty(penalty), range(1, top)))
+    if not all(map(math.isfinite, vals)):
+        n = next(n for n, v in enumerate(vals, 1) if not math.isfinite(v))
+        raise ValueError(f"penalty is not finite at age {n}; cycle sums require finite values")
+    cum = [0.0, *itertools.accumulate(vals, initial=0.0)]  # cum[k] = p(1) + ... + p(k - 1)
     reward = math.fsum(
         py * py2 * (cum[y + z + y2] - cum[y])
         for y, py, z in zip(ys, ps, zs)

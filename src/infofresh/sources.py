@@ -5,13 +5,21 @@ carries about the current source state, as a curve r(delta) in bits.  The
 curve is non-negative and non-increasing for every model here.  Age
 penalties are the non-decreasing scoring functions the solver minimizes;
 negating an information curve yields one.
+
+Each closed form is written twice: once as a scalar callable from age to
+value, built by ``scalar_information`` and ``scalar_penalty``, which
+resolve the model's type and its fixed constants once so that a loop over
+ages pays one call per age; and once over a whole age range in numpy, by
+``metric_table``.  The scalar callables are the reference the tables are
+tested against, and the exact cycle sums of ``solver.cycle_stats``, the
+oracle and ``mi-curve`` use them, so they share no table with the solver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -76,7 +84,44 @@ class Tabulated:
 MarkovSourceModel = Union[GaussianAR1, BinarySymmetric, Tabulated]
 
 
-# Scalar on purpose: the reference that metric_table is tested against.
+def scalar_information(model: MarkovSourceModel) -> Callable[[int], float]:
+    """The information curve of ``model`` as a callable from age (>= 0) to bits.
+
+    The type and the curve's base are resolved here, once; the callable
+    does not check its age.
+    """
+    if isinstance(model, GaussianAR1):
+        base = model.a * model.a
+
+        def gaussian(delta: int) -> float:
+            if delta == 0:
+                return math.inf
+            t = base ** delta
+            return -0.5 * math.log1p(-t) / _LN2 + 0.0  # +0.0 folds -0.0 (a = 0 case)
+
+        return gaussian
+    if isinstance(model, BinarySymmetric):
+        base = 1.0 - 2.0 * model.q
+
+        def binary(delta: int) -> float:
+            # 1 - h((1-t)/2) rewritten to avoid cancellation near h = 1:
+            #   ((1-t)*log2(1-t) + (1+t)*log2(1+t)) / 2,  t = (1-2q)^delta
+            t = base ** delta
+            if t >= 1.0:
+                return 1.0
+            if t < 1e-8:
+                # quadratic asymptote; exact to double precision here and, unlike
+                # the sum above, monotone through the underflow regime
+                return t * t / (2.0 * _LN2)
+            return ((1.0 - t) * math.log1p(-t) + (1.0 + t) * math.log1p(t)) / (2.0 * _LN2)
+
+        return binary
+    if isinstance(model, Tabulated):
+        values, n = model.values, len(model.values)
+        return lambda delta: values[delta] if delta < n else 0.0
+    raise TypeError(f"unknown source model {model!r}")
+
+
 def mutual_information(model: MarkovSourceModel, delta: int) -> float:
     """Information (bits) a sample of age ``delta`` retains about the state.
 
@@ -85,27 +130,7 @@ def mutual_information(model: MarkovSourceModel, delta: int) -> float:
     """
     if delta < 0:
         raise ValueError(f"age must be non-negative, got {delta}")
-    if isinstance(model, GaussianAR1):
-        if delta == 0:
-            return math.inf
-        t = (model.a * model.a) ** delta
-        return -0.5 * math.log1p(-t) / _LN2 + 0.0  # +0.0 folds -0.0 (a = 0 case)
-    if isinstance(model, BinarySymmetric):
-        # 1 - h((1-t)/2) rewritten to avoid cancellation near h = 1:
-        #   ((1-t)*log2(1-t) + (1+t)*log2(1+t)) / 2,  t = (1-2q)^delta
-        t = (1.0 - 2.0 * model.q) ** delta
-        if t >= 1.0:
-            return 1.0
-        if t < 1e-8:
-            # quadratic asymptote; exact to double precision here and, unlike
-            # the sum above, monotone through the underflow regime
-            return t * t / (2.0 * _LN2)
-        return ((1.0 - t) * math.log1p(-t) + (1.0 + t) * math.log1p(t)) / (2.0 * _LN2)
-    if isinstance(model, Tabulated):
-        if delta < len(model.values):
-            return model.values[delta]
-        return 0.0
-    raise TypeError(f"unknown source model {model!r}")
+    return scalar_information(model)(delta)
 
 
 @dataclass(frozen=True)
@@ -155,20 +180,28 @@ class Affine:
 AgePenalty = Union[NegatedMI, PenaltyTable, Affine]
 
 
-# Scalar on purpose: the reference that metric_table is tested against.
+def scalar_penalty(penalty: AgePenalty) -> Callable[[int], float]:
+    """The penalty as a callable from age (>= 0) to value.
+
+    The type is resolved here, once; the callable does not check its age.
+    """
+    if isinstance(penalty, NegatedMI):
+        info = scalar_information(penalty.model)
+        return lambda delta: -info(delta)
+    if isinstance(penalty, PenaltyTable):
+        values, n, last = penalty.values, len(penalty.values), penalty.values[-1]
+        return lambda delta: values[delta] if delta < n else last
+    if isinstance(penalty, Affine):
+        slope, intercept = penalty.slope, penalty.intercept
+        return lambda delta: slope * delta + intercept
+    raise TypeError(f"unknown penalty {penalty!r}")
+
+
 def penalty_value(penalty: AgePenalty, delta: int) -> float:
     """Evaluate a penalty at age ``delta`` (non-decreasing in delta)."""
     if delta < 0:
         raise ValueError(f"age must be non-negative, got {delta}")
-    if isinstance(penalty, NegatedMI):
-        return -mutual_information(penalty.model, delta)
-    if isinstance(penalty, PenaltyTable):
-        if delta < len(penalty.values):
-            return penalty.values[delta]
-        return penalty.values[-1]
-    if isinstance(penalty, Affine):
-        return penalty.slope * delta + penalty.intercept
-    raise TypeError(f"unknown penalty {penalty!r}")
+    return scalar_penalty(penalty)(delta)
 
 
 def _information_table(model: MarkovSourceModel, n: int) -> np.ndarray:

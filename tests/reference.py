@@ -1,16 +1,18 @@
 """Reference computations that the tests check the package against.
 
 Each one is written from its definition and shares no code with the route
-it checks: ``slack`` imports nothing from ``infofresh.solver``, and
-``reference_events`` reads only a trace's schedule arrays.
+it checks: ``slack`` and ``cycle_sums`` import nothing from
+``infofresh.solver``, and ``reference_events`` reads only a trace's
+schedule arrays.
 """
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
-from infofresh.sources import penalty_value
+from infofresh.sources import penalty_value, scalar_penalty
 
 # The solver's default wait cap, repeated here so that nothing comes from the solver.
 Z_MAX = 10_000
@@ -20,9 +22,37 @@ Z_MAX = 10_000
 def _prefix_sums(penalty, top):
     """cum[k] = p(1) + ... + p(k - 1) for 0 <= k < top, from scalar penalty values."""
     cum = np.zeros(top)
-    cum[2:] = list(itertools.accumulate(penalty_value(penalty, n) for n in range(1, top - 1)))
+    cum[2:] = list(itertools.accumulate(map(scalar_penalty(penalty), range(1, top - 1))))
     cum.flags.writeable = False  # shared by every call on the same penalty and length
     return cum
+
+
+def cycle_sums(penalty, dist, waiting):
+    """(expected cycle reward, expected length, ratio) under ``waiting``, as
+    ``solver.cycle_stats`` defines them, from a per-age loop.
+
+    Each penalty value comes from ``penalty_value`` and is added to the
+    running sum in age order, so prefix sums that make the same additions
+    in the same order must equal these bit for bit.
+    """
+    ys, ps = dist.support, dist.probs
+    zs = [waiting[y] for y in ys]
+    top = max(y + z for y, z in zip(ys, zs)) + max(ys)  # largest exclusive age bound
+    cum = [0.0] * (top + 1)
+    acc = 0.0
+    for n in range(1, top):
+        v = penalty_value(penalty, n)
+        if not math.isfinite(v):
+            raise ValueError(f"penalty is not finite at age {n}; cycle sums require finite values")
+        acc += v
+        cum[n + 1] = acc
+    reward = math.fsum(
+        py * py2 * (cum[y + z + y2] - cum[y])
+        for y, py, z in zip(ys, ps, zs)
+        for y2, py2 in zip(ys, ps)
+    )
+    length = dist.mean() + math.fsum(py * z for py, z in zip(ps, zs))
+    return reward, length, reward / length
 
 
 def slack(penalty, dist, c, z_max=Z_MAX):

@@ -1,6 +1,7 @@
 """Renewal-reward averages and the exhaustive oracle."""
 
 import itertools
+import math
 
 import pytest
 
@@ -29,7 +30,13 @@ class TestRenewalAverage:
 
     def test_iid_source_is_zero(self):
         penalty = NegatedMI(BinarySymmetric(q=0.5))
-        assert cycle_stats(penalty, D111, WaitingFunction({1: 2, 11: 0})).ratio == 0.0
+        for waits in (WaitingFunction({1: 2, 11: 0}), zero_waiting(D111)):
+            assert cycle_stats(penalty, D111, waits).ratio == 0.0
+
+    def test_golden_negated_mi(self):
+        got = cycle_stats(NegatedMI(BinarySymmetric(q=0.1)), D111, zero_waiting(D111)).ratio
+        assert -1.0 < got < 0.0
+        assert got == pytest.approx(ZW_NEGMI_Q01, abs=1e-13)
 
     def test_monotone_under_dominated_penalties(self):
         # p1 <= p2 pointwise implies average1 <= average2 for the same waits
@@ -47,21 +54,11 @@ class TestRenewalAverage:
                 assert r1 <= r2 + 1e-12
 
 
-class TestZeroWaitAverage:
-    def test_iid_source(self):
-        penalty = NegatedMI(BinarySymmetric(q=0.5))
-        assert cycle_stats(penalty, D111, zero_waiting(D111)).ratio == 0.0
-
-    def test_plain_age_deterministic(self):
-        assert cycle_stats(Affine(1.0), D4, zero_waiting(D4)).ratio == pytest.approx(5.5, abs=1e-12)
-
-    def test_golden_negated_mi(self):
-        got = cycle_stats(NegatedMI(BinarySymmetric(q=0.1)), D111, zero_waiting(D111)).ratio
-        assert -1.0 < got < 0.0
-        assert got == pytest.approx(ZW_NEGMI_Q01, abs=1e-13)
-
-
 class TestBruteForceOptimum:
+    def test_infinite_penalty_rejected(self):
+        with pytest.raises(ValueError, match="penalty must be finite at every age >= 1"):
+            brute_force_optimum(PenaltyTable((0.0, 1.0, math.inf)), D4, z_cap=2)
+
     def test_constant_penalty_tie_break(self):
         res = brute_force_optimum(PenaltyTable(values=(2.0,)), D111, z_cap=3)
         assert res.best_ratio == pytest.approx(2.0, abs=1e-12)

@@ -257,8 +257,8 @@ class TestCli:
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(["sweep", "--config", cfg, "--out", out1]) == 0
         assert main(["sweep", "--config", cfg, "--out", out2]) == 0
-        text = open(out1).read()
-        assert open(out2).read() == text
+        text = Path(out1).read_text()
+        assert Path(out2).read_text() == text
         lines = text.splitlines()
         assert lines[0] == "q,i_opt,i_zero_wait,i_uniform_mean,i_uniform_stderr"
         assert len(lines) == 1 + 3  # grid 0.1, 0.3, 0.5
@@ -270,7 +270,7 @@ class TestCli:
         cfg = write(tmp_path, "sw.ini", SWEEP_INI)
         out = str(tmp_path / "o.csv")
         assert main(["sweep", "--config", cfg, "--out", out, "--seeds", "2", "--horizon", "5000"]) == 0
-        assert len(open(out).read().splitlines()) == 4
+        assert len(Path(out).read_text().splitlines()) == 4
 
     def test_seeds_flag_decodes_like_its_key(self, tmp_path):
         cfg = write(tmp_path, "sw.ini", SWEEP_INI)
@@ -285,7 +285,7 @@ class TestCli:
             "grid = 0.1:0.5:0.2", "grid = 0.5:0.9:0.25")
         cfg, out = write(tmp_path, "sw.ini", ini), tmp_path / "o.csv"
         assert main(["sweep", "--config", cfg, "--out", str(out), "--horizon", "2000"]) == 0
-        assert [row[0] for row in csv.reader(out.open())] == ["a", "0.5", "0.75"]
+        assert [row[0] for row in csv.reader(out.read_text().splitlines())] == ["a", "0.5", "0.75"]
 
     def test_sweep_grid_outside_variable_domain_exit_1(self, tmp_path, capsys):
         ini = SWEEP_INI.replace("grid = 0.1:0.5:0.2", "grid = 0.3, 0.7")
@@ -301,7 +301,7 @@ class TestCli:
         cfg = write(tmp_path, "t.ini", TRACE_INI)
         out = str(tmp_path / "trace.csv")
         assert main(["trace", "--config", cfg, "--out", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "n,delta,metric,queue_len,event"
         joined = "\n".join(lines)
         # immediate sampling after the slow deliveries, a wait after fast ones
@@ -321,7 +321,7 @@ class TestCli:
         cfg = write(tmp_path, "t.ini", ini)
         out = str(tmp_path / "trace.csv")
         assert main(["trace", "--config", cfg, "--out", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert len(lines) == 1 + 14001
         assert lines[13946].endswith(",gen:2|start:2")  # delivered at 1, waited 13944
 
@@ -609,7 +609,7 @@ class TestCli:
         assert main(["mi-curve", "--config", cfg, "--out", out, "--plot-script"]) == 0
         script = out + ".plot.py"
         assert os.path.exists(script)
-        compile(open(script).read(), script, "exec")  # syntactically valid
+        compile(Path(script).read_text(), script, "exec")  # syntactically valid
 
     @pytest.mark.parametrize(
         "command, ini, x, series, xlabel, ylabel",

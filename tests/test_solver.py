@@ -2,6 +2,8 @@
 
 import math
 import time
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 import infofresh.solver as solver
 from infofresh.analytic import brute_force_optimum, random_instances
+from infofresh.config import ExperimentConfig
 from infofresh.service import ServiceTimeDist
 from infofresh.solver import (
     ThresholdUnreachable,
@@ -24,14 +27,34 @@ from infofresh.sources import (
     GaussianAR1,
     NegatedMI,
     PenaltyTable,
+    Tabulated,
     penalty_value,
 )
-from reference import slack
+from reference import cycle_sums, slack
 
 D15 = ServiceTimeDist({1: 0.5, 5: 0.5})
 D4 = ServiceTimeDist({4: 1.0})
 # A rare 3000-step service: the optimal wait after a 1-step service is 91.
 HEAVY = ServiceTimeDist({1: 0.999, 3000: 0.001})
+
+
+def _stress_problems():
+    """{name: [(penalty, service)]} for each named stress instance of the benchmark."""
+    configs = sorted((Path(__file__).parents[1] / "perfbench" / "configs").glob("stress_*.ini"))
+    assert len(configs) == 4
+    problems = {}
+    for path in configs:
+        cfg = ExperimentConfig.from_file(str(path))
+        problems[path.stem] = [(cfg.build_penalty(), cfg.build_service())]
+    return problems
+
+
+CYCLE_PROBLEMS = {
+    "random": random_instances(200, 5),
+    **_stress_problems(),
+    "tabulated": [(NegatedMI(Tabulated((2.0, 1.5, 0.5, 0.25))), D15)],
+    "penalty-table": [(PenaltyTable((-1.0, 0.5, 2.0)), D15)],
+}
 
 
 class TestCycleStats:
@@ -59,8 +82,21 @@ class TestCycleStats:
     def test_infinite_penalty_in_cycle_rejected(self):
         # a table penalty with -inf at age >= 1 would poison the sums
         bad = PenaltyTable(values=(-math.inf, -math.inf, 1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not finite at age 1;"):
             cycle_stats(bad, D4, zero_waiting(D4))
+
+    def test_first_infinite_age_named(self):
+        with pytest.raises(ValueError, match="not finite at age 2;"):
+            cycle_stats(PenaltyTable((0.0, 1.0, math.inf)), D4, zero_waiting(D4))
+
+    @pytest.mark.parametrize("name", CYCLE_PROBLEMS)
+    def test_equals_per_age_loop(self, name):
+        for penalty, dist in CYCLE_PROBLEMS[name]:
+            # zero waits, the solved waits, and waits that differ per support point
+            solved = solve_beta(penalty, dist).waiting
+            for waits in (zero_waiting(dist), solved, {y: y % 4 for y in dist.support}):
+                got = astuple(cycle_stats(penalty, dist, waits))
+                assert got == cycle_sums(penalty, dist, waits), (penalty, dist, waits)
 
 
 class TestWaitingFunction:
