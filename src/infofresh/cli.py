@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import os
 import sys
 from dataclasses import fields
@@ -22,11 +23,11 @@ from .simulator import (
     Threshold,
     Uniform,
     ZeroWait,
+    _chunks,
     _fmt,
+    _write_csv,
     age_histogram,
     average_over_seeds,
-    replay,
-    simulate,
 )
 from .solver import ThresholdUnreachable, cycle_stats, solve_beta, zero_waiting
 from .sources import NegatedMI, scalar_information
@@ -178,16 +179,20 @@ def cmd_trace(cfg: ExperimentConfig) -> int:
     else:
         policy = Uniform(period=cfg.sweep_period(dist))
     metric = cfg.build_source() if cfg.source_kind else cfg.build_penalty()
-    if cfg.forced_services is not None:
-        trace, _ = replay(policy, metric, dist, cfg.forced_services, cfg.trace_horizon, cfg.delta0)
-    else:
-        trace, _ = simulate(policy, metric, dist, cfg.trace_horizon, cfg.trace_seed, cfg.delta0)
+    chunks = _chunks(policy, metric, dist, cfg.trace_horizon, cfg.delta0, cfg.trace_seed,
+                     cfg.forced_services)
+    # the first chunk checks the run and draws its first block before any output
+    chunks = itertools.chain([next(chunks)], chunks)
     if cfg.out_path:
-        with open(cfg.out_path, "wb") as f:
-            trace.write_csv(f)
+        try:
+            with open(cfg.out_path, "wb") as f:
+                _write_csv(f, chunks)
+        except RuntimeError:  # a later block's backlog guard: leave no partial --out
+            os.remove(cfg.out_path)
+            raise
     else:
         sys.stdout.flush()  # text written before goes first: the bytes bypass the text layer
-        trace.write_csv(sys.stdout.buffer)
+        _write_csv(sys.stdout.buffer, chunks)
     return 0
 
 

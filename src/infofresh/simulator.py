@@ -1,28 +1,23 @@
 """Discrete-time FIFO single-server queue simulation of sampling policies.
 
-Samples are generated by a policy, queue FIFO at a single server, and are
+A policy generates samples, which queue FIFO at one server and are
 delivered after their service time.  The age at step n is the time since
-the generation of the freshest delivered sample; a metric (an information
+the freshest delivered sample was generated; a metric (an information
 curve or an age penalty) is scored at the age every step.
 
-The engine is vectorized over samples rather than stepped per tick.  Each
-policy is a generation gap, the steps from one generation to the next: the
-period (uniform), or y + Z(y) after a sample served in y steps (zero-wait
-and threshold, which wait Z(y) after its delivery).  One producer yields
-the schedule in blocks of ``_CHUNK`` samples, each sample's queue wait by
-Lindley's recursion W' = max(0, W + y - gap), which stays 0 where no gap is
-shorter than its service, and its sojourn (generation to delivery); a block
-carries the next generation time and wait to the next.  The age histogram
-folds the blocks one at a time, a constant gap with one tally of its
-sojourns, so a sweep never holds an array sized by the horizon; a trace
-derives each block's times, concatenates them and recovers its per-step
-quantities (age, metric, queue length) from the delivery intervals as
-arrays too, down to the CSV, laid out in 8-byte words a chunk of rows at a
-time and written as bytes to a binary stream: the step numbers by runs of
-10**4, and the event words only at the steps where their events happen,
-found by a binary search of the sample times.  This is exact and
-bit-reproducible given the seed:
-PCG64 draws in blocks replay the stream of one large draw.
+The engine is vectorized over samples, not stepped per tick.  A policy is
+a generation gap: the period (uniform), or y + Z(y) after a sample served
+in y steps (zero-wait and threshold).  One producer yields the schedule in
+blocks of ``_CHUNK`` samples, each sample's wait by Lindley's recursion
+W' = max(0, W + y - gap) and its sojourn.  The age histogram folds the
+blocks one at a time, so a sweep holds nothing sized by the horizon.  A
+trace is built from the same blocks ``_CSV_CHUNK_ROWS`` steps at a time,
+from the samples that reach into a chunk and the owner and backlog carried
+in: ``trace`` writes each chunk as it is built, so its memory does not grow
+with the horizon, and ``simulate`` concatenates the chunks.  One writer
+lays each chunk out in 8-byte words and writes it as bytes.  A run is exact
+and bit-reproducible given the seed: PCG64 draws in blocks replay the
+stream of one large draw.
 """
 
 from __future__ import annotations
@@ -39,17 +34,15 @@ from .sources import AgePenalty, MarkovSourceModel, metric_table
 
 QUEUE_GUARD = 1_000_000
 
-# Samples per schedule block.  Alternating benchmark runs of sweep-q (2-core Xeon
-# VM, 2 MiB L2 per core) put 1 << 15 7% ahead of 1 << 13 and 2% ahead of 1 << 14;
-# at 1 << 16 (512 KiB arrays, likely past what L2 holds of a block) the sweep is
-# 45% slower.  A block's 256 KiB arrays lie past glibc's initial 128 KiB mmap
-# threshold.  A process that has freed a larger array, as the benchmark has, gets
-# them from the heap with no faults; a fresh `infofresh sweep` faults about twice
-# as many pages as at 1 << 13 (10k vs 5k) and takes the same CPU time.
+# Samples per schedule block.  On sweep-q (2-core Xeon VM, 2 MiB L2 per core) 1 << 15
+# runs 7% ahead of 1 << 13 and 2% ahead of 1 << 14; 1 << 16 is 45% slower.  Its 256 KiB
+# arrays pass glibc's initial mmap threshold, so a fresh `infofresh sweep` faults twice
+# as many pages as at 1 << 13 (10k vs 5k), in the same CPU time.
 _CHUNK = 1 << 15
-# Rows per trace CSV write: on trace-long 6% and 10% faster than 1 << 13 and 1 << 12,
-# at 4.5 MB more peak memory than 1 << 13.
-_CSV_CHUNK_ROWS = 1 << 14
+# Steps per trace chunk, which bounds a whole trace's working set.  On trace-long
+# (same VM) 1 << 14 runs 6% faster but peaks 1.9 MB higher (51.0 vs 49.1 MB), and
+# 1 << 12 peaks 2.2 MB lower but runs 9% slower.
+_CSV_CHUNK_ROWS = 1 << 13
 # Trace CSV words, little-endian: separators, event tokens, newline, a last digit 0.
 _COMMA, _DELIVER, _GEN, _START, _BAR, _COLON, _NEWLINE, _ZERO = (
     np.uint64(int.from_bytes(t.encode(), "little"))
@@ -79,11 +72,10 @@ class ZeroWait:
 
 @dataclass(frozen=True)
 class Threshold:
-    """Wait ``waiting[y]`` steps after delivering a sample whose service
-    time was y, then generate.  The waits are the solved threshold rule
-    (``SolverResult.waiting``), so they honor the cap they were solved with.
-    They are kept as a ``WaitingFunction``, which rejects a negative or
-    fractional wait."""
+    """Wait ``waiting[y]`` steps after delivering a sample served in y
+    steps, then generate.  The waits are the solved rule
+    (``SolverResult.waiting``), under the cap they were solved with, kept
+    as a ``WaitingFunction``, which rejects a negative or fractional wait."""
 
     waiting: Mapping[int, int]
 
@@ -115,85 +107,18 @@ class SimulationTrace:
     start: np.ndarray
     d: np.ndarray
 
-    def _age_prefixes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each distinct age's ``,delta,metric,`` in NUL-padded words, a
-        column per age, and each step's column.  Ages up to the horizon key
-        their value; older ones, all before the first delivery and distinct,
-        key a slot of their own past it, so nothing is sized by delta0."""
-        rows = self.horizon + 1
-        ages = np.concatenate(([self.delta0], self.delta))
-        key = np.where(ages < rows, ages, rows + np.arange(rows))
-        used = np.zeros(int(key.max()) + 1, dtype=bool)
-        used[key] = True
-        step = np.zeros(len(used), dtype=np.int64)
-        step[key] = np.arange(rows)
-        step = step[used]  # a step with each key; the metric is a function of the age
-        values = np.where(step > 0, self.metric[step - 1], self.metric0)
-        text = np.array([f",{a},{_fmt(v)},".encode("ascii")
-                         for a, v in zip(ages[step].tolist(), values.tolist())])
-        table = text.astype(f"S{-(-text.itemsize // 8) * 8}").view("<u8")
-        return table.reshape(len(step), -1).T.copy(), (np.cumsum(used) - 1)[key]
-
     def write_csv(self, f: IO[bytes]) -> None:
         """Emit rows ``n,delta,metric,queue_len,event`` for n = 0..horizon
-        as ASCII bytes to the binary stream ``f``.
-
-        The n = 0 row carries the initial age and the time-0 events (the
-        first sample is always generated at time 0).
-
-        Each chunk of ``_CSV_CHUNK_ROWS`` rows is a grid of little-endian
-        ``uint64`` words stored slot by slot, so a field fills each of its
-        words for the chunk with one array write.  A field takes the whole
-        words its widest value needs; unused bytes stay NUL.  A row is the
-        newline and ``n``, written a run of 10**4 steps at a time,
-        ``,delta,metric,`` from a table of each age's prefix, ``queue_len``,
-        and per event kind a token word (``,deliver`` ends ``queue_len``;
-        ``|`` follows an earlier token) and ``:`` with the sample index.
-        The event slots start NUL and are written only at their kind's
-        steps, found by a binary search of the kind's times: service times
-        are >= 1, so generation, start and delivery times each strictly
-        increase with the sample index, and a step holds at most one event
-        of each kind.  No CSV byte is NUL, so dropping the grid's NULs, read
-        row by row, leaves the text.
-        """
-        prefix, which = self._age_prefixes()
-        queue = np.concatenate(([0], self.queue_len))
-        samples = len(self.s)
-        index = np.empty((len(str(samples)) // 8 + 1, samples), dtype="<u8")
-        _decimal_range(1, samples + 1, index)
-        index[0] |= _COLON
-        w, p = len(index), len(prefix)
-        # each kind's steps up to the horizon, in the order the kinds happen within
-        # one step, its token, and whether an earlier kind fired at each of its steps
-        fired = np.zeros(self.horizon + 1, dtype=bool)
-        events = []
-        for times, token in zip((self.d, self.s, self.start), (_DELIVER, _GEN, _START)):
-            steps = times[:np.searchsorted(times, self.horizon, side="right")]
-            events.append((steps, token, fired[steps]))
-            fired[steps] = True
-        f.write(b"n,delta,metric,queue_len,event")
-        for lo in range(0, self.horizon + 1, _CSV_CHUNK_ROWS):
+        as ASCII bytes to the binary stream ``f``, through ``_write_csv``.
+        The n = 0 row carries the initial age and the time-0 events."""
+        def chunk(lo):
             hi = min(lo + _CSV_CHUNK_ROWS, self.horizon + 1)
-            q = queue[lo:hi]
-            n = len(str(hi - 1)) // 8 + 1
-            c = n + p + -(-len(str(q.max())) // 8)  # the first event word
-            grid = np.empty((c + 3 * (1 + w), hi - lo), dtype="<u8")
-            _decimal_range(lo, hi, grid[:n])
-            grid[0] |= _NEWLINE
-            grid[n - 1, 0] |= _ZERO  # n = 0 prints its digit
-            np.take(prefix, which[lo:hi], axis=1, out=grid[n:n + p])
-            _decimal(q, grid[n + p:c])
-            grid[c - 1] |= _ZERO
-            grid[c:] = 0
-            for k, (steps, token, bar) in enumerate(events):
-                a, b = np.searchsorted(steps, (lo, hi)).tolist()
-                at, row = steps[a:b] - lo, c + k * (1 + w)
-                grid[row][at] = token | bar[a:b] * _BAR
-                for j, digits in enumerate(index[:, a:b], row + 1):
-                    grid[j][at] = digits
-            grid[c] |= _COMMA
-            f.write(grid.T.tobytes().translate(None, b"\0"))
-        f.write(b"\n")
+            steps = [np.concatenate(([x0], x[:hi - 1])) if lo == 0 else x[lo - 1:hi - 1]
+                     for x0, x in ((self.delta0, self.delta), (self.metric0, self.metric),
+                                   (0, self.queue_len))]
+            return lo, *steps, 0, self.s, self.start, self.d
+
+        _write_csv(f, map(chunk, range(0, self.horizon + 1, _CSV_CHUNK_ROWS)))
 
 
 @dataclass(frozen=True)
@@ -249,15 +174,104 @@ def _decimal_range(lo: int, hi: int, out: np.ndarray) -> None:
     a run every digit group above the lowest is constant, and the lowest
     groups are a slice of ``_digit_groups``."""
     groups = _digit_groups()
-    head = np.empty((len(out), 1), dtype="<u8")
     for base in range(lo - lo % 10_000, hi, 10_000):
         a, b = max(lo, base), min(hi, base + 10_000)
-        _decimal(np.array([base]), head)  # its lowest group, 0000 or NUL, ORs into any digits as is
+        # base's digits in words; its lowest group, 0000 or NUL, ORs into any digits as is
+        head = np.frombuffer(f"{base or ''}".encode().rjust(8 * len(out), b"\0"), dtype="<u8")
         run = out[:, a - lo:b - lo]
-        run[:-1] = head[:-1]
+        run[:-1] = head[:-1, None]
         pad = 10_000 if base else 0  # past the first run the lowest group is zero-padded
         np.left_shift(groups[pad + a - base:pad + b - base], 32, out=run[-1])
         run[-1] |= head[-1]
+
+
+def _words(ages: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each age's ``,delta,metric,`` in NUL-padded little-endian words, a column each."""
+    text = np.array([f",{a},{_fmt(v)},".encode("ascii")
+                     for a, v in zip(ages.tolist(), values.tolist())])
+    return text.astype(f"S{-(-text.itemsize // 8) * 8}").view("<u8").reshape(len(text), -1).T
+
+
+class _Prefixes:
+    """Each age's ``_words`` in a column, filled in (from 0) as chunks reach
+    it.  Ages before the first delivery, delta0 + n at step n, exceed their
+    step and occur once: each takes a column for its chunk only."""
+
+    def __init__(self) -> None:
+        self.table = np.zeros((1, 0), dtype="<u8")
+
+    def columns(self, lo: int, delta: np.ndarray, metric: np.ndarray):
+        """A table for the chunk of steps from ``lo`` and each step's column in it."""
+        j = int(np.count_nonzero(delta > np.arange(lo, lo + len(delta)))) if delta[0] > lo else 0
+        ages, table, size = delta[j:], self.table, self.table.shape[1]
+        top = int(ages.max(initial=-1)) + 1
+        if top > size:  # doubling, so ages that keep growing cost linear time
+            table = np.pad(table, ((0, 0), (0, max(top, 2 * size) - size)))
+        new = np.flatnonzero(table[0].take(ages) == 0)
+        if len(new):
+            fresh, at = np.unique(ages[new], return_index=True)
+            words = _words(fresh, metric[j:][new[at]])  # the metric is a function of the age
+            table = np.pad(table, ((0, max(0, len(words) - len(table))), (0, 0)))
+            table[:len(words), fresh] = words
+        self.table = table
+        if not j:
+            return table, delta
+        words = _words(delta[:j], metric[:j])
+        p = max(len(words), len(table))
+        table = np.concatenate([np.pad(t, ((0, p - len(t)), (0, 0))) for t in (table, words)], 1)
+        return table, np.concatenate((self.table.shape[1] + np.arange(j), ages))
+
+
+def _write_csv(f: IO[bytes], chunks) -> None:
+    """Write a trace's ``_chunks`` as rows ``n,delta,metric,queue_len,event``
+    in ASCII to the binary stream ``f``, each chunk as it comes.
+
+    A chunk is a grid of little-endian words stored slot by slot, so a field
+    fills each of its words with one array write.  A row is the newline and
+    ``n`` (by runs of 10**4), ``,delta,metric,``, ``queue_len``, and per
+    event kind a token (``,deliver`` ends ``queue_len``; ``|`` follows an
+    earlier one) and ``:`` with the sample index, written only at the kind's
+    steps, which strictly increase.  Dropping the grid's NULs, row by row,
+    leaves the text.  One write allocates the buffers once.
+    """
+    prefixes = _Prefixes()
+    grids = np.empty(0, dtype="<u8")
+    index = np.empty((3, _CSV_CHUNK_ROWS), dtype="<u8")  # an int64 has at most 3 words of digits
+    fired = np.empty(_CSV_CHUNK_ROWS, dtype=bool)  # an earlier kind fired at the step
+    f.write(b"n,delta,metric,queue_len,event")
+    for lo, delta, metric, queue, first, s, start, d in chunks:
+        rows = len(delta)
+        table, keys = prefixes.columns(lo, delta, metric)
+        n, p = len(str(lo + rows - 1)) // 8 + 1, len(table)
+        w = len(str(first + len(s))) // 8 + 1  # sample-index words, with a byte for the colon
+        c = n + p + -(-len(str(queue.max())) // 8)  # the first event word
+        size = c + 3 * (1 + w)
+        if len(grids) < size * rows:
+            grids = np.empty(size * _CSV_CHUNK_ROWS, dtype="<u8")
+        grid = grids[:size * rows].reshape(size, rows)
+        _decimal_range(lo, lo + rows, grid[:n])
+        grid[0] |= _NEWLINE
+        grid[n - 1, 0] |= _ZERO  # n = 0 prints its digit
+        np.take(table, keys, axis=1, out=grid[n:n + p], mode="clip")  # clip: not buffered
+        _decimal(queue, grid[n + p:c])
+        grid[c - 1] |= _ZERO
+        grid[c:] = 0
+        fired[:rows], last = False, None
+        # the kinds in the order they happen within one step
+        for row, times, token in zip(range(c, size, 1 + w), (d, s, start), (_DELIVER, _GEN, _START)):
+            a, b = np.searchsorted(times, (lo, lo + rows)).tolist()
+            at = times[a:b] - lo
+            grid[row][at] = token | fired[at] * _BAR
+            fired[at] = True
+            if (a, b) != last:  # generation and start share their samples where none waits
+                digits, last = index[:w, :b - a], (a, b)
+                _decimal_range(first + a + 1, first + b + 1, digits)
+                digits[0] |= _COLON
+            for j, word in enumerate(digits, row + 1):
+                grid[j][at] = word
+        grid[c] |= _COMMA
+        f.write(grid.T.tobytes().translate(None, b"\0"))
+    f.write(b"\n")
 
 
 def _validate_forced(forced: Sequence[int], dist: ServiceTimeDist) -> np.ndarray:
@@ -331,9 +345,7 @@ def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
     guarded = isinstance(gaps, np.ndarray)  # a gap of y + Z(y) never leaves a sample waiting
     while t <= horizon:
         # Unless forced, draw 1% and 16 more than the rest of the horizon takes on
-        # average, but no more than it can take (a constant gap's exact count), nor
-        # more than a block.  PCG64 draws in blocks replay the stream of one large
-        # draw, so blocking moves no sample.
+        # average, at most what it can take and a block; blocking moves no sample.
         n = min(int((horizon - t) / mean * 1.01) + 16, (horizon - t) // least + 1, _CHUNK)
         if isinstance(gaps, np.ndarray):  # each sample's own gap, by its support index
             idx = dist._sample_indices(rng, n) if forced is None else np.searchsorted(sup, forced)
@@ -378,8 +390,7 @@ def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
                     )
         block = _Block(t, last, gap, w[:n], a)
         t, wait = nxt, int(w[n])
-        # Free the draws now: held until the next draw, they leave enough free heap
-        # top, once the block is dropped, for glibc to trim and the next to fault back.
+        # Free the draws now: held to the next draw, they let glibc trim the heap.
         del y
         yield block
 
@@ -436,37 +447,60 @@ def _histogram(blocks, horizon, delta0):
     return np.cumsum(diff[: np.flatnonzero(diff)[-1]])
 
 
-def _run(policy, metric, dist, horizon, delta0, seed=None, forced=None):
-    """One run's per-step trace and its summary, from its blocks' times
-    concatenated and cut to the samples generated by the horizon."""
+def _chunks(policy, metric, dist, horizon, delta0, seed=None, forced=None):
+    """Yield one run's trace in chunks of ``_CSV_CHUNK_ROWS`` steps from
+    ``lo``, drawing ``_schedule``'s blocks as they reach them: ``(lo, delta,
+    metric, queue, first, s, start, d)``, each step's age, metric value and
+    queue length, and the times of samples ``first`` + 1 on, which hold
+    every sample with an event in the chunk.
+
+    The sample generated at s_i owns the steps from its delivery to the
+    next, at age n - s_i, and one generated at -delta0 opens the run.  Steps
+    [lo, hi) need the samples generated before hi and not delivered before
+    lo, the owner and the queue length at lo - 1.  The metric table doubles
+    when an age passes it; no entry depends on its length.
+    """
     blocks = _schedule(policy, dist, horizon, delta0, seed, forced)
-    s, start, d = map(np.concatenate, zip(*map(_times, blocks)))
-    m = int(np.searchsorted(s, horizon, side="right"))
-    s, start, d = s[:m], start[:m], d[:m]
+    s = start = d = np.zeros(0, dtype=np.int64)
+    first, owner, queued, table = 0, -delta0, 0, np.zeros(0)
+    for lo in range(0, horizon + 1, _CSV_CHUNK_ROWS):
+        hi = min(lo + _CSV_CHUNK_ROWS, horizon + 1)
+        while not (len(s) and s[-1] >= hi):
+            block = next(blocks, None)
+            if block is None:
+                break
+            s, start, d = map(np.concatenate, zip((s, start, d), _times(block)))
+        k = int(np.searchsorted(d, hi))  # the samples delivered in the chunk
+        owners = np.concatenate(([owner], s[:k]))
+        ends = np.concatenate(([lo], d[:k], [hi]))
+        delta = np.arange(lo, hi) - owners.repeat(ends[1:] - ends[:-1])
+        top = int(delta.max())
+        if top >= len(table):
+            table = metric_table(metric, max(top + 1, 2 * len(table)))
+        queue = np.zeros(hi - lo, dtype=np.int64)
+        for times, step in ((s, 1), (start, -1)):
+            a, b = np.searchsorted(times, (lo, hi))
+            queue[times[a:b] - lo] += step
+        np.cumsum(queue, out=queue)
+        queue += queued
+        yield lo, delta, table[delta], queue, first, s, start, d
+        owner, queued = int(owners[-1]), int(queue[-1])
+        s, start, d, first = s[k:], start[k:], d[k:], first + k
+
+
+def _run(policy, metric, dist, horizon, delta0, seed=None, forced=None):
+    """One run's trace, its chunks concatenated, and its summary."""
+    parts = []
+    for lo, delta, values, queue, _, s, start, d in _chunks(
+            policy, metric, dist, horizon, delta0, seed, forced):
+        a, b = np.searchsorted(s, (lo, lo + len(delta)))
+        parts.append((delta, values, queue, s[a:b], start[a:b], d[a:b]))
+    delta, values, queue, s, start, d = map(np.concatenate, zip(*parts))
     k = int(np.searchsorted(d, horizon, side="right"))  # samples delivered by the horizon
-    # age = n - owner: the sample generated at s[i] owns the steps from its delivery to
-    # the next, and the run opens at step 1 owned by one generated at -delta0
-    owner = np.concatenate(([-delta0], s[:k]))
-    steps = np.diff(np.concatenate(([1], d[:k], [horizon + 1])))
-    delta = np.arange(1, horizon + 1, dtype=np.int64) - np.repeat(owner, steps)
-    table = metric_table(metric, max(int(delta.max()), delta0) + 1)
-    started = start[start <= horizon]
-    qdiff = np.bincount(s, minlength=horizon + 1)[: horizon + 1] - np.bincount(
-        started, minlength=horizon + 1
-    )[: horizon + 1]
-    trace = SimulationTrace(
-        horizon=horizon,
-        delta0=delta0,
-        metric0=float(table[delta0]),
-        delta=delta,
-        metric=table[delta],
-        queue_len=np.cumsum(qdiff)[1:],
-        s=s,
-        start=start,
-        d=d,
-    )
+    trace = SimulationTrace(horizon, delta0, float(values[0]), delta[1:], values[1:], queue[1:],
+                            s, start, d)
     mean_wait = float(np.mean(start[:k] - s[:k])) if k else 0.0
-    return trace, RunSummary(samples_generated=m, samples_delivered=k,
+    return trace, RunSummary(samples_generated=len(s), samples_delivered=k,
                              mean_queue_wait=mean_wait, seed=seed)
 
 
@@ -513,16 +547,11 @@ def age_histogram(
 ) -> np.ndarray:
     """Counts of each age over steps 1..horizon for one seeded run.
 
-    Built from the sample schedule without the per-step trace: the ages
-    between two deliveries run from d_k - s_k up to d_{k+1} - s_k - 1.
-    The schedule's blocks are folded one at a time and dropped, a block of
-    one gap (uniform) with one tally of its sojourns d_k - s_k, and the
-    fold stops at the first delivery past the horizon, so memory stays
-    bounded by the block and the oldest age, not by the horizon.
-    The age process does not depend on the metric, so one histogram per
-    seed serves every metric.  ``average_over_seeds`` scores it as
-    ``hist @ table[:len(hist)] / horizon``.  It equals the bincount of
-    ``simulate``'s trace ages, entry for entry.
+    ``_histogram`` folds the schedule's blocks one at a time without the
+    per-step trace, so memory is bounded by a block and the oldest age.
+    One histogram per seed serves every metric: ``average_over_seeds``
+    scores it as ``hist @ table[:len(hist)] / horizon``.  It equals the
+    bincount of ``simulate``'s trace ages, entry for entry.
     """
     return _histogram(_schedule(policy, dist, horizon, delta0, seed=seed), horizon, delta0)
 

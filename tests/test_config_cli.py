@@ -9,6 +9,7 @@ import runpy
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import types
 from dataclasses import fields
 from pathlib import Path
@@ -19,9 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import infofresh
+import infofresh.simulator as simulator
 from infofresh.cli import main
 from infofresh.config import ConfigError, ExperimentConfig, round_half_up
-from infofresh.simulator import Uniform, _fmt, age_histogram
+from infofresh.simulator import Threshold, Uniform, ZeroWait, _fmt, age_histogram, replay, simulate
+from infofresh.solver import solve_beta
 from infofresh.sources import BinarySymmetric, mutual_information, penalty_value
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -879,6 +882,96 @@ class TestTraceGoldenDigests:
         out = tmp_path / "trace.csv"
         assert main(["trace", "--config", write(tmp_path, "t.ini", text), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestStreamedTrace:
+    """``trace`` builds its CSV a chunk of ``_CSV_CHUNK_ROWS`` steps at a time
+    and writes each chunk at once.  Its bytes must be those of ``simulate``
+    or ``replay`` followed by ``write_csv`` at the default sizes, whatever
+    the chunk size and the schedule block size ``_CHUNK``."""
+
+    TRACES = {
+        # period 2 against a mean service of 3: the backlog reaches 72 samples,
+        # and a sample is delivered up to 145 steps after its generation
+        "seeded-uniform-queueing": (
+            "[source]\nkind = binary\nq = 0.1\n\n"
+            "[service]\ndist = 1:0.5, 5:0.5\n\n"
+            "[sweep]\nuniform_period = 2\n\n"
+            "[trace]\npolicy = uniform\nseed = 7\nhorizon = 400\n"
+        ),
+        "seeded-gaussian-zero-wait": (
+            "[source]\nkind = gaussian\na = 0.9\n\n"
+            "[service]\ndist = 1:0.3, 4:0.7\n\n"
+            "[trace]\npolicy = zero-wait\nseed = 3\nhorizon = 200\n"
+        ),
+        # the ages before the first delivery, 40 to 44, lie past the widest chunk
+        "replay-delta0-past-a-chunk": (
+            "[penalty]\nkind = affine\nslope = 1.0\n\n"
+            "[service]\ndist = 1:0.5, 5:0.5\n\n"
+            "[sim]\ndelta0 = 40\n\n"
+            "[trace]\npolicy = zero-wait\nhorizon = 60\n"
+            "forced_services = 5, 5, 5, 1, 5, 1, 1, 5, 5, 1, 5, 5, 1, 1, 1, 5, 5, 5, 1, 1, 5, 5, 1, 5\n"
+        ),
+    }
+
+    @staticmethod
+    def write_csv_bytes(cfg):
+        dist = cfg.build_service()
+        if cfg.trace_policy == "uniform":
+            policy = Uniform(cfg.sweep_period(dist))
+        elif cfg.trace_policy == "zero-wait":
+            policy = ZeroWait()
+        else:
+            policy = Threshold(solve_beta(cfg.build_penalty(), dist, cfg.tol, cfg.z_max).waiting)
+        metric = cfg.build_source() if cfg.source_kind else cfg.build_penalty()
+        if cfg.forced_services is not None:
+            trace, _ = replay(policy, metric, dist, cfg.forced_services, cfg.trace_horizon,
+                              cfg.delta0)
+        else:
+            trace, _ = simulate(policy, metric, dist, cfg.trace_horizon, cfg.trace_seed, cfg.delta0)
+        buf = io.BytesIO()
+        trace.write_csv(buf)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("name", TRACES)
+    @pytest.mark.parametrize("rows", [1, 7, 16])
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_streamed_bytes_equal_write_csv(self, tmp_path, monkeypatch, name, rows, block):
+        path = write(tmp_path, "t.ini", self.TRACES[name])
+        want = self.write_csv_bytes(ExperimentConfig.from_file(path))
+        monkeypatch.setattr(simulator, "_CSV_CHUNK_ROWS", rows)
+        monkeypatch.setattr(simulator, "_CHUNK", block)
+        out = tmp_path / "t.csv"
+        assert main(["trace", "--config", path, "--out", str(out)]) == 0
+        assert out.read_bytes() == want
+
+    def test_backlog_guard_past_the_first_chunk_leaves_no_out_file(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        # 7-sample blocks: the guard trips in the first block whose deliveries pass
+        # the horizon, generated from step 252, after 15 chunks of 16 rows are written
+        monkeypatch.setattr(simulator, "_CHUNK", 7)
+        monkeypatch.setattr(simulator, "_CSV_CHUNK_ROWS", 16)
+        monkeypatch.setattr(simulator, "QUEUE_GUARD", 10)
+        path = write(tmp_path, "t.ini", self.TRACES["seeded-uniform-queueing"])
+        out = tmp_path / "t.csv"
+        assert main(["trace", "--config", path, "--out", str(out)]) == 2
+        assert "backlog reached" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_memory_flat_in_the_horizon(self, tmp_path):
+        # A trace held whole costs about 50 bytes a step, so 8 times the steps
+        # multiplies its peak about sixfold; streamed, the peak may not grow by half.
+        peaks = []
+        for horizon in (100_000, 800_000):
+            path = write(tmp_path, "t.ini", SOLVE_INI + "\n[trace]\npolicy = threshold\n"
+                         f"seed = 1\nhorizon = {horizon}\n")
+            tracemalloc.start()
+            try:
+                assert main(["trace", "--config", path, "--out", str(tmp_path / "t.csv")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 class TestSolveSweepGoldenDigests:
