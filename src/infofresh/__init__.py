@@ -26,6 +26,8 @@ from .simulator import (
     average_over_seeds,
     replay,
     simulate,
+    trace_chunks,
+    write_trace,
 )
 from .solver import (
     CycleStats,
@@ -88,5 +90,7 @@ __all__ = [
     "replay",
     "simulate",
     "solve_beta",
+    "trace_chunks",
+    "write_trace",
     "zero_waiting",
 ]

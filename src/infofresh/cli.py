@@ -23,11 +23,11 @@ from .simulator import (
     Threshold,
     Uniform,
     ZeroWait,
-    _chunks,
     _fmt,
-    _write_csv,
     age_histogram,
     average_over_seeds,
+    trace_chunks,
+    write_trace,
 )
 from .solver import ThresholdUnreachable, cycle_stats, solve_beta, zero_waiting
 from .sources import NegatedMI, scalar_information
@@ -179,20 +179,21 @@ def cmd_trace(cfg: ExperimentConfig) -> int:
     else:
         policy = Uniform(period=cfg.sweep_period(dist))
     metric = cfg.build_source() if cfg.source_kind else cfg.build_penalty()
-    chunks = _chunks(policy, metric, dist, cfg.trace_horizon, cfg.delta0, cfg.trace_seed,
-                     cfg.forced_services)
+    if isinstance(policy, Uniform) and cfg.forced_services is None:
+        # its backlog guard is checked where the deliveries pass the horizon, in the
+        # last blocks: fold the same schedule once first, so a run that trips it
+        # fails before any output, as a forced run's single block does below
+        age_histogram(policy, dist, cfg.trace_horizon, cfg.trace_seed, cfg.delta0)
+    chunks = trace_chunks(policy, metric, dist, cfg.trace_horizon, cfg.delta0, cfg.trace_seed,
+                          cfg.forced_services)
     # the first chunk checks the run and draws its first block before any output
     chunks = itertools.chain([next(chunks)], chunks)
     if cfg.out_path:
-        try:
-            with open(cfg.out_path, "wb") as f:
-                _write_csv(f, chunks)
-        except RuntimeError:  # a later block's backlog guard: leave no partial --out
-            os.remove(cfg.out_path)
-            raise
+        with open(cfg.out_path, "wb") as f:
+            write_trace(f, chunks)
     else:
         sys.stdout.flush()  # text written before goes first: the bytes bypass the text layer
-        _write_csv(sys.stdout.buffer, chunks)
+        write_trace(sys.stdout.buffer, chunks)
     return 0
 
 

@@ -1,23 +1,31 @@
 """Discrete-time FIFO single-server queue simulation of sampling policies.
 
-A policy generates samples, which queue FIFO at one server and are
+Samples are generated by a policy, queue FIFO at a single server, and are
 delivered after their service time.  The age at step n is the time since
-the freshest delivered sample was generated; a metric (an information
+the generation of the freshest delivered sample; a metric (an information
 curve or an age penalty) is scored at the age every step.
 
-The engine is vectorized over samples, not stepped per tick.  A policy is
-a generation gap: the period (uniform), or y + Z(y) after a sample served
-in y steps (zero-wait and threshold).  One producer yields the schedule in
-blocks of ``_CHUNK`` samples, each sample's wait by Lindley's recursion
-W' = max(0, W + y - gap) and its sojourn.  The age histogram folds the
-blocks one at a time, so a sweep holds nothing sized by the horizon.  A
-trace is built from the same blocks ``_CSV_CHUNK_ROWS`` steps at a time,
-from the samples that reach into a chunk and the owner and backlog carried
-in: ``trace`` writes each chunk as it is built, so its memory does not grow
-with the horizon, and ``simulate`` concatenates the chunks.  One writer
-lays each chunk out in 8-byte words and writes it as bytes.  A run is exact
-and bit-reproducible given the seed: PCG64 draws in blocks replay the
-stream of one large draw.
+The engine is vectorized over samples rather than stepped per tick.  Each
+policy is a generation gap, the steps from one generation to the next: the
+period (uniform), or y + Z(y) after a sample served in y steps (zero-wait
+and threshold, which wait Z(y) after its delivery).  One producer yields
+the schedule in blocks of ``_CHUNK`` samples, each sample's queue wait by
+Lindley's recursion W' = max(0, W + y - gap), which stays 0 where no gap is
+shorter than its service, and its sojourn (generation to delivery); a block
+carries the next generation time and wait to the next.  The age histogram
+folds the blocks one at a time, a constant gap with one tally of its
+sojourns, so a sweep never holds an array sized by the horizon.  A trace is
+built from the same blocks ``_CSV_CHUNK_ROWS`` steps at a time, from the
+samples that reach into a chunk and the owner and queue length carried in,
+and recovers its per-step quantities (age, metric, queue length) from the
+delivery intervals as arrays too, down to the CSV, laid out in 8-byte words
+a chunk at a time and written as bytes to a binary stream: the step numbers
+by runs of 10**4, and the event words only at the steps where their events
+happen, found by a binary search of the sample times.  ``trace`` writes
+each chunk as it is built, so its memory does not grow with the horizon
+(a 44 MB peak at 2e7 steps), and ``simulate`` concatenates the chunks.
+This is exact and bit-reproducible given the seed: PCG64 draws in blocks
+replay the stream of one large draw.
 """
 
 from __future__ import annotations
@@ -34,14 +42,17 @@ from .sources import AgePenalty, MarkovSourceModel, metric_table
 
 QUEUE_GUARD = 1_000_000
 
-# Samples per schedule block.  On sweep-q (2-core Xeon VM, 2 MiB L2 per core) 1 << 15
-# runs 7% ahead of 1 << 13 and 2% ahead of 1 << 14; 1 << 16 is 45% slower.  Its 256 KiB
-# arrays pass glibc's initial mmap threshold, so a fresh `infofresh sweep` faults twice
-# as many pages as at 1 << 13 (10k vs 5k), in the same CPU time.
+# Samples per schedule block.  Alternating benchmark runs of sweep-q (2-core Xeon
+# VM, 2 MiB L2 per core) put 1 << 15 7% ahead of 1 << 13 and 2% ahead of 1 << 14;
+# at 1 << 16 (512 KiB arrays, likely past what L2 holds of a block) the sweep is
+# 45% slower.  A block's 256 KiB arrays lie past glibc's initial 128 KiB mmap
+# threshold.  A process that has freed a larger array, as the benchmark has, gets
+# them from the heap with no faults; a fresh `infofresh sweep` faults about twice
+# as many pages as at 1 << 13 (10k vs 5k) and takes the same CPU time.
 _CHUNK = 1 << 15
 # Steps per trace chunk, which bounds a whole trace's working set.  On trace-long
-# (same VM) 1 << 14 runs 6% faster but peaks 1.9 MB higher (51.0 vs 49.1 MB), and
-# 1 << 12 peaks 2.2 MB lower but runs 9% slower.
+# (same VM, 6 alternating pairs each) 1 << 14 runs 8% faster but peaks 1.2 MB higher
+# (50.1 vs 48.9 MB), and 1 << 12 peaks 1.5 MB lower but runs 16% slower.
 _CSV_CHUNK_ROWS = 1 << 13
 # Trace CSV words, little-endian: separators, event tokens, newline, a last digit 0.
 _COMMA, _DELIVER, _GEN, _START, _BAR, _COLON, _NEWLINE, _ZERO = (
@@ -72,10 +83,11 @@ class ZeroWait:
 
 @dataclass(frozen=True)
 class Threshold:
-    """Wait ``waiting[y]`` steps after delivering a sample served in y
-    steps, then generate.  The waits are the solved rule
-    (``SolverResult.waiting``), under the cap they were solved with, kept
-    as a ``WaitingFunction``, which rejects a negative or fractional wait."""
+    """Wait ``waiting[y]`` steps after delivering a sample whose service
+    time was y, then generate.  The waits are the solved threshold rule
+    (``SolverResult.waiting``), so they honor the cap they were solved with.
+    They are kept as a ``WaitingFunction``, which rejects a negative or
+    fractional wait."""
 
     waiting: Mapping[int, int]
 
@@ -109,7 +121,7 @@ class SimulationTrace:
 
     def write_csv(self, f: IO[bytes]) -> None:
         """Emit rows ``n,delta,metric,queue_len,event`` for n = 0..horizon
-        as ASCII bytes to the binary stream ``f``, through ``_write_csv``.
+        as ASCII bytes to the binary stream ``f``, through ``write_trace``.
         The n = 0 row carries the initial age and the time-0 events."""
         def chunk(lo):
             hi = min(lo + _CSV_CHUNK_ROWS, self.horizon + 1)
@@ -118,7 +130,7 @@ class SimulationTrace:
                                    (0, self.queue_len))]
             return lo, *steps, 0, self.s, self.start, self.d
 
-        _write_csv(f, map(chunk, range(0, self.horizon + 1, _CSV_CHUNK_ROWS)))
+        write_trace(f, map(chunk, range(0, self.horizon + 1, _CSV_CHUNK_ROWS)))
 
 
 @dataclass(frozen=True)
@@ -174,12 +186,12 @@ def _decimal_range(lo: int, hi: int, out: np.ndarray) -> None:
     a run every digit group above the lowest is constant, and the lowest
     groups are a slice of ``_digit_groups``."""
     groups = _digit_groups()
+    head = np.empty((len(out), 1), dtype="<u8")
     for base in range(lo - lo % 10_000, hi, 10_000):
         a, b = max(lo, base), min(hi, base + 10_000)
-        # base's digits in words; its lowest group, 0000 or NUL, ORs into any digits as is
-        head = np.frombuffer(f"{base or ''}".encode().rjust(8 * len(out), b"\0"), dtype="<u8")
+        _decimal(np.array([base]), head)  # its lowest group, 0000 or NUL, ORs into any digits as is
         run = out[:, a - lo:b - lo]
-        run[:-1] = head[:-1, None]
+        run[:-1] = head[:-1]
         pad = 10_000 if base else 0  # past the first run the lowest group is zero-padded
         np.left_shift(groups[pad + a - base:pad + b - base], 32, out=run[-1])
         run[-1] |= head[-1]
@@ -222,17 +234,24 @@ class _Prefixes:
         return table, np.concatenate((self.table.shape[1] + np.arange(j), ages))
 
 
-def _write_csv(f: IO[bytes], chunks) -> None:
-    """Write a trace's ``_chunks`` as rows ``n,delta,metric,queue_len,event``
+def write_trace(f: IO[bytes], chunks) -> None:
+    """Write a trace's ``trace_chunks`` as rows ``n,delta,metric,queue_len,event``
     in ASCII to the binary stream ``f``, each chunk as it comes.
 
-    A chunk is a grid of little-endian words stored slot by slot, so a field
-    fills each of its words with one array write.  A row is the newline and
-    ``n`` (by runs of 10**4), ``,delta,metric,``, ``queue_len``, and per
-    event kind a token (``,deliver`` ends ``queue_len``; ``|`` follows an
-    earlier one) and ``:`` with the sample index, written only at the kind's
-    steps, which strictly increase.  Dropping the grid's NULs, row by row,
-    leaves the text.  One write allocates the buffers once.
+    Each chunk is a grid of little-endian ``uint64`` words stored slot by
+    slot, so a field fills each of its words for the chunk with one array
+    write.  A field takes the whole words its widest value needs; unused
+    bytes stay NUL.  A row is the newline and ``n``, written a run of 10**4
+    steps at a time, ``,delta,metric,`` from a table of each age's prefix,
+    ``queue_len``, and per event kind a token word (``,deliver`` ends
+    ``queue_len``; ``|`` follows an earlier token) and ``:`` with the sample
+    index.  The event slots start NUL and are written only at their kind's
+    steps, found by a binary search of the kind's times: service times are
+    >= 1, so generation, start and delivery times each strictly increase
+    with the sample index, and a step holds at most one event of each kind.
+    No CSV byte is NUL, so dropping the grid's NULs, read row by row, leaves
+    the text.  The grid and index buffers are allocated once per write, for
+    the widest chunk, and viewed per chunk.
     """
     prefixes = _Prefixes()
     grids = np.empty(0, dtype="<u8")
@@ -252,21 +271,20 @@ def _write_csv(f: IO[bytes], chunks) -> None:
         _decimal_range(lo, lo + rows, grid[:n])
         grid[0] |= _NEWLINE
         grid[n - 1, 0] |= _ZERO  # n = 0 prints its digit
-        np.take(table, keys, axis=1, out=grid[n:n + p], mode="clip")  # clip: not buffered
+        np.take(table, keys, axis=1, out=grid[n:n + p])
         _decimal(queue, grid[n + p:c])
         grid[c - 1] |= _ZERO
         grid[c:] = 0
-        fired[:rows], last = False, None
+        fired[:rows] = False
         # the kinds in the order they happen within one step
         for row, times, token in zip(range(c, size, 1 + w), (d, s, start), (_DELIVER, _GEN, _START)):
             a, b = np.searchsorted(times, (lo, lo + rows)).tolist()
             at = times[a:b] - lo
             grid[row][at] = token | fired[at] * _BAR
             fired[at] = True
-            if (a, b) != last:  # generation and start share their samples where none waits
-                digits, last = index[:w, :b - a], (a, b)
-                _decimal_range(first + a + 1, first + b + 1, digits)
-                digits[0] |= _COLON
+            digits = index[:w, :b - a]
+            _decimal_range(first + a + 1, first + b + 1, digits)
+            digits[0] |= _COLON
             for j, word in enumerate(digits, row + 1):
                 grid[j][at] = word
         grid[c] |= _COMMA
@@ -345,7 +363,9 @@ def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
     guarded = isinstance(gaps, np.ndarray)  # a gap of y + Z(y) never leaves a sample waiting
     while t <= horizon:
         # Unless forced, draw 1% and 16 more than the rest of the horizon takes on
-        # average, at most what it can take and a block; blocking moves no sample.
+        # average, but no more than it can take (a constant gap's exact count), nor
+        # more than a block.  PCG64 draws in blocks replay the stream of one large
+        # draw, so blocking moves no sample.
         n = min(int((horizon - t) / mean * 1.01) + 16, (horizon - t) // least + 1, _CHUNK)
         if isinstance(gaps, np.ndarray):  # each sample's own gap, by its support index
             idx = dist._sample_indices(rng, n) if forced is None else np.searchsorted(sup, forced)
@@ -390,7 +410,8 @@ def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
                     )
         block = _Block(t, last, gap, w[:n], a)
         t, wait = nxt, int(w[n])
-        # Free the draws now: held to the next draw, they let glibc trim the heap.
+        # Free the draws now: held until the next draw, they leave enough free heap
+        # top, once the block is dropped, for glibc to trim and the next to fault back.
         del y
         yield block
 
@@ -447,7 +468,7 @@ def _histogram(blocks, horizon, delta0):
     return np.cumsum(diff[: np.flatnonzero(diff)[-1]])
 
 
-def _chunks(policy, metric, dist, horizon, delta0, seed=None, forced=None):
+def trace_chunks(policy, metric, dist, horizon, delta0, seed=None, forced=None):
     """Yield one run's trace in chunks of ``_CSV_CHUNK_ROWS`` steps from
     ``lo``, drawing ``_schedule``'s blocks as they reach them: ``(lo, delta,
     metric, queue, first, s, start, d)``, each step's age, metric value and
@@ -491,7 +512,7 @@ def _chunks(policy, metric, dist, horizon, delta0, seed=None, forced=None):
 def _run(policy, metric, dist, horizon, delta0, seed=None, forced=None):
     """One run's trace, its chunks concatenated, and its summary."""
     parts = []
-    for lo, delta, values, queue, _, s, start, d in _chunks(
+    for lo, delta, values, queue, _, s, start, d in trace_chunks(
             policy, metric, dist, horizon, delta0, seed, forced):
         a, b = np.searchsorted(s, (lo, lo + len(delta)))
         parts.append((delta, values, queue, s[a:b], start[a:b], d[a:b]))
@@ -547,11 +568,16 @@ def age_histogram(
 ) -> np.ndarray:
     """Counts of each age over steps 1..horizon for one seeded run.
 
-    ``_histogram`` folds the schedule's blocks one at a time without the
-    per-step trace, so memory is bounded by a block and the oldest age.
-    One histogram per seed serves every metric: ``average_over_seeds``
-    scores it as ``hist @ table[:len(hist)] / horizon``.  It equals the
-    bincount of ``simulate``'s trace ages, entry for entry.
+    Built from the sample schedule without the per-step trace: the ages
+    between two deliveries run from d_k - s_k up to d_{k+1} - s_k - 1.
+    The schedule's blocks are folded one at a time and dropped, a block of
+    one gap (uniform) with one tally of its sojourns d_k - s_k, and the
+    fold stops at the first delivery past the horizon, so memory stays
+    bounded by the block and the oldest age, not by the horizon.
+    The age process does not depend on the metric, so one histogram per
+    seed serves every metric.  ``average_over_seeds`` scores it as
+    ``hist @ table[:len(hist)] / horizon``.  It equals the bincount of
+    ``simulate``'s trace ages, entry for entry.
     """
     return _histogram(_schedule(policy, dist, horizon, delta0, seed=seed), horizon, delta0)
 

@@ -6,6 +6,7 @@ import hashlib
 import io
 import os
 import runpy
+import stat
 import subprocess
 import sys
 import tempfile
@@ -945,18 +946,43 @@ class TestStreamedTrace:
         assert main(["trace", "--config", path, "--out", str(out)]) == 0
         assert out.read_bytes() == want
 
-    def test_backlog_guard_past_the_first_chunk_leaves_no_out_file(self, tmp_path, monkeypatch,
-                                                                   capsys):
-        # 7-sample blocks: the guard trips in the first block whose deliveries pass
-        # the horizon, generated from step 252, after 15 chunks of 16 rows are written
+    @pytest.fixture
+    def tripping_guard(self, tmp_path, monkeypatch):
+        """A uniform run whose backlog guard trips in the first block whose
+        deliveries pass the horizon: in 7-sample blocks it is generated from
+        step 252, after 15 chunks of 16 rows could have been written."""
         monkeypatch.setattr(simulator, "_CHUNK", 7)
         monkeypatch.setattr(simulator, "_CSV_CHUNK_ROWS", 16)
         monkeypatch.setattr(simulator, "QUEUE_GUARD", 10)
-        path = write(tmp_path, "t.ini", self.TRACES["seeded-uniform-queueing"])
+        return write(tmp_path, "t.ini", self.TRACES["seeded-uniform-queueing"])
+
+    def test_backlog_guard_past_the_first_chunk_writes_nothing(self, tripping_guard, tmp_path,
+                                                               capsys):
         out = tmp_path / "t.csv"
-        assert main(["trace", "--config", path, "--out", str(out)]) == 2
-        assert "backlog reached" in capsys.readouterr().err
+        assert main(["trace", "--config", tripping_guard, "--out", str(out)]) == 2
         assert not out.exists()
+        assert main(["trace", "--config", tripping_guard]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("infofresh: error: queue backlog reached") == 2
+
+    def test_backlog_guard_leaves_an_existing_out_file(self, tripping_guard, tmp_path):
+        out = tmp_path / "t.csv"
+        out.write_bytes(b"kept\n")
+        assert main(["trace", "--config", tripping_guard, "--out", str(out)]) == 2
+        assert out.read_bytes() == b"kept\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_backlog_guard_leaves_a_fifo_out(self, tripping_guard, tmp_path):
+        fifo = tmp_path / "t.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # opening it to write cannot block
+        try:
+            assert main(["trace", "--config", tripping_guard, "--out", str(fifo)]) == 2
+            assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+            assert os.read(reader, 1 << 16) == b""
+        finally:
+            os.close(reader)
 
     def test_memory_flat_in_the_horizon(self, tmp_path):
         # A trace held whole costs about 50 bytes a step, so 8 times the steps
