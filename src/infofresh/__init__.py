@@ -16,16 +16,12 @@ from .config import ConfigError, ExperimentConfig
 from .service import ServiceTimeDist
 from .simulator import (
     PolicySpec,
-    RunSummary,
     SequenceExhausted,
-    SimulationTrace,
     Threshold,
     Uniform,
     ZeroWait,
     age_histogram,
     average_over_seeds,
-    replay,
-    simulate,
     trace_chunks,
     write_trace,
 )
@@ -49,7 +45,6 @@ from .sources import (
     Tabulated,
     metric_table,
     mutual_information,
-    penalty_value,
 )
 
 __version__ = "0.1.0"
@@ -68,10 +63,8 @@ __all__ = [
     "OracleResult",
     "PenaltyTable",
     "PolicySpec",
-    "RunSummary",
     "SequenceExhausted",
     "ServiceTimeDist",
-    "SimulationTrace",
     "SolverResult",
     "Tabulated",
     "Threshold",
@@ -85,10 +78,7 @@ __all__ = [
     "cycle_stats",
     "metric_table",
     "mutual_information",
-    "penalty_value",
     "random_instances",
-    "replay",
-    "simulate",
     "solve_beta",
     "trace_chunks",
     "write_trace",

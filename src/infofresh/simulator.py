@@ -23,7 +23,8 @@ a chunk at a time and written as bytes to a binary stream: the step numbers
 by runs of 10**4, and the event words only at the steps where their events
 happen, found by a binary search of the sample times.  ``trace`` writes
 each chunk as it is built, so its memory does not grow with the horizon
-(a 44 MB peak at 2e7 steps), and ``simulate`` concatenates the chunks.
+(a 44 MB peak at 2e7 steps); a caller that wants whole-run arrays
+concatenates the chunks.
 This is exact and bit-reproducible given the seed: PCG64 draws in blocks
 replay the stream of one large draw.
 """
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import IO, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import IO, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -61,7 +62,7 @@ _COMMA, _DELIVER, _GEN, _START, _BAR, _COLON, _NEWLINE, _ZERO = (
 
 
 class SequenceExhausted(Exception):
-    """A replay ran out of forced service times before the horizon."""
+    """A run ran out of forced service times before the horizon."""
 
 
 @dataclass(frozen=True)
@@ -96,51 +97,6 @@ class Threshold:
 
 
 PolicySpec = Union[Uniform, ZeroWait, Threshold]
-
-
-@dataclass(eq=False)
-class SimulationTrace:
-    """Per-step record for n = 1..horizon plus the sample schedule.
-
-    ``delta[n-1]`` is the age at step n, ``metric[n-1]`` the metric at that
-    age, and ``queue_len[n-1]`` the number of samples waiting (excluding the
-    one in service); ``delta0`` and ``metric0`` belong to step 0.  Sample i
-    (1-based) is generated at ``s[i-1]``, enters service at ``start[i-1]``
-    and is delivered at ``d[i-1]``; the last two may lie past the horizon.
-    """
-
-    horizon: int
-    delta0: int
-    metric0: float
-    delta: np.ndarray
-    metric: np.ndarray
-    queue_len: np.ndarray
-    s: np.ndarray
-    start: np.ndarray
-    d: np.ndarray
-
-    def write_csv(self, f: IO[bytes]) -> None:
-        """Emit rows ``n,delta,metric,queue_len,event`` for n = 0..horizon
-        as ASCII bytes to the binary stream ``f``, through ``write_trace``.
-        The n = 0 row carries the initial age and the time-0 events."""
-        def chunk(lo):
-            hi = min(lo + _CSV_CHUNK_ROWS, self.horizon + 1)
-            steps = [np.concatenate(([x0], x[:hi - 1])) if lo == 0 else x[lo - 1:hi - 1]
-                     for x0, x in ((self.delta0, self.delta), (self.metric0, self.metric),
-                                   (0, self.queue_len))]
-            return lo, *steps, 0, self.s, self.start, self.d
-
-        write_trace(f, map(chunk, range(0, self.horizon + 1, _CSV_CHUNK_ROWS)))
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    """Sample counts of one run up to its horizon, its mean queue wait and its seed."""
-
-    samples_generated: int
-    samples_delivered: int
-    mean_queue_wait: float
-    seed: Optional[int]
 
 
 def _fmt(x: float) -> str:
@@ -473,7 +429,9 @@ def trace_chunks(policy, metric, dist, horizon, delta0, seed=None, forced=None):
     ``lo``, drawing ``_schedule``'s blocks as they reach them: ``(lo, delta,
     metric, queue, first, s, start, d)``, each step's age, metric value and
     queue length, and the times of samples ``first`` + 1 on, which hold
-    every sample with an event in the chunk.
+    every sample with an event in the chunk.  The chunks' ``delta``,
+    ``metric`` and ``queue``, concatenated, are the run's per-step arrays for
+    steps 0..horizon.
 
     The sample generated at s_i owns the steps from its delivery to the
     next, at age n - s_i, and one generated at -delta0 opens the run.  Steps
@@ -509,56 +467,6 @@ def trace_chunks(policy, metric, dist, horizon, delta0, seed=None, forced=None):
         s, start, d, first = s[k:], start[k:], d[k:], first + k
 
 
-def _run(policy, metric, dist, horizon, delta0, seed=None, forced=None):
-    """One run's trace, its chunks concatenated, and its summary."""
-    parts = []
-    for lo, delta, values, queue, _, s, start, d in trace_chunks(
-            policy, metric, dist, horizon, delta0, seed, forced):
-        a, b = np.searchsorted(s, (lo, lo + len(delta)))
-        parts.append((delta, values, queue, s[a:b], start[a:b], d[a:b]))
-    delta, values, queue, s, start, d = map(np.concatenate, zip(*parts))
-    k = int(np.searchsorted(d, horizon, side="right"))  # samples delivered by the horizon
-    trace = SimulationTrace(horizon, delta0, float(values[0]), delta[1:], values[1:], queue[1:],
-                            s, start, d)
-    mean_wait = float(np.mean(start[:k] - s[:k])) if k else 0.0
-    return trace, RunSummary(samples_generated=len(s), samples_delivered=k,
-                             mean_queue_wait=mean_wait, seed=seed)
-
-
-def simulate(
-    policy: PolicySpec,
-    metric: "MarkovSourceModel | AgePenalty",
-    dist: ServiceTimeDist,
-    horizon: int,
-    seed: int,
-    delta0: int = 1,
-) -> tuple[SimulationTrace, RunSummary]:
-    """Run one seeded simulation; return its per-step trace and its summary.
-
-    The first sample is generated at time 0; each sample draws its service
-    time at generation.  The age before the first delivery is delta0 + n.
-    Fully deterministic given the seed.  For the time average, score
-    ``age_histogram`` with ``average_over_seeds``: it skips the trace.
-    """
-    return _run(policy, metric, dist, horizon, delta0, seed=seed)
-
-
-def replay(
-    policy: PolicySpec,
-    metric: "MarkovSourceModel | AgePenalty",
-    dist: ServiceTimeDist,
-    forced_services: Sequence[int],
-    horizon: int,
-    delta0: int = 1,
-) -> tuple[SimulationTrace, RunSummary]:
-    """Like ``simulate`` but service times come from ``forced_services``.
-
-    Raises SequenceExhausted if more samples are generated by the horizon
-    than forced service times were provided.
-    """
-    return _run(policy, metric, dist, horizon, delta0, forced=forced_services)
-
-
 def age_histogram(
     policy: PolicySpec,
     dist: ServiceTimeDist,
@@ -577,7 +485,7 @@ def age_histogram(
     The age process does not depend on the metric, so one histogram per
     seed serves every metric.  ``average_over_seeds`` scores it as
     ``hist @ table[:len(hist)] / horizon``.  It equals the bincount of
-    ``simulate``'s trace ages, entry for entry.
+    the ages ``trace_chunks`` yields for steps 1..horizon, entry for entry.
     """
     return _histogram(_schedule(policy, dist, horizon, delta0, seed=seed), horizon, delta0)
 

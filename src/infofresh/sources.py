@@ -197,13 +197,6 @@ def scalar_penalty(penalty: AgePenalty) -> Callable[[int], float]:
     raise TypeError(f"unknown penalty {penalty!r}")
 
 
-def penalty_value(penalty: AgePenalty, delta: int) -> float:
-    """Evaluate a penalty at age ``delta`` (non-decreasing in delta)."""
-    if delta < 0:
-        raise ValueError(f"age must be non-negative, got {delta}")
-    return scalar_penalty(penalty)(delta)
-
-
 def _information_table(model: MarkovSourceModel, n: int) -> np.ndarray:
     """``mutual_information(model, d)`` for d = 0..n-1, elementwise in numpy.
 
@@ -256,7 +249,7 @@ def _powers_end(base: float, n: int) -> int:
 def metric_table(metric: "MarkovSourceModel | AgePenalty", n: int) -> np.ndarray:
     """Values at ages 0..n-1 of a source model's information curve or of a penalty.
 
-    The closed forms of ``mutual_information`` and ``penalty_value``,
+    The closed forms of ``scalar_information`` and ``scalar_penalty``,
     evaluated over the whole age range at once.  numpy's vectorized
     ``log1p`` may differ from ``math.log1p`` in the last bit, so entries
     agree with the scalar path to rounding, not bitwise.

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from infofresh.sources import penalty_value, scalar_penalty
+from infofresh.sources import scalar_penalty
 
 # The solver's default wait cap, repeated here so that nothing comes from the solver.
 Z_MAX = 10_000
@@ -31,7 +31,7 @@ def cycle_sums(penalty, dist, waiting):
     """(expected cycle reward, expected length, ratio) under ``waiting``, as
     ``solver.cycle_stats`` defines them, from a per-age loop.
 
-    Each penalty value comes from ``penalty_value`` and is added to the
+    Each penalty value comes from ``scalar_penalty`` and is added to the
     running sum in age order, so prefix sums that make the same additions
     in the same order must equal these bit for bit.
     """
@@ -39,9 +39,9 @@ def cycle_sums(penalty, dist, waiting):
     zs = [waiting[y] for y in ys]
     top = max(y + z for y, z in zip(ys, zs)) + max(ys)  # largest exclusive age bound
     cum = [0.0] * (top + 1)
-    acc = 0.0
+    acc, value = 0.0, scalar_penalty(penalty)
     for n in range(1, top):
-        v = penalty_value(penalty, n)
+        v = value(n)
         if not math.isfinite(v):
             raise ValueError(f"penalty is not finite at age {n}; cycle sums require finite values")
         acc += v

@@ -17,7 +17,6 @@ from infofresh.simulator import (
     ZeroWait,
     age_histogram,
     average_over_seeds,
-    replay,
 )
 from infofresh.solver import cycle_stats, solve_beta, zero_waiting
 from infofresh.sources import (
@@ -28,9 +27,10 @@ from infofresh.sources import (
     Tabulated,
     metric_table,
     mutual_information,
-    penalty_value,
+    scalar_penalty,
 )
 from reference import reference_events, slack
+from runs import run
 
 SWEEP_DIST = ServiceTimeDist({1: 0.5, 11: 0.5})
 SWEEP_QS = tuple(round(0.02 * k, 12) for k in range(1, 26))
@@ -142,7 +142,7 @@ def test_criterion_6_sign_property(solved_instances):
         # above the penalty's supremum the waits sit on the cap; the slack
         # is still finite and negative there
         assert slack(penalty, dist, res.beta + 1e-4) <= 1e-7
-        lo = penalty_value(penalty, dist.y_min)
+        lo = scalar_penalty(penalty)(dist.y_min)
         hi = cycle_stats(penalty, dist, zero_waiting(dist)).ratio
         grid = np.linspace(lo, hi, 11)
         vals = [slack(penalty, dist, float(c)) for c in grid]
@@ -205,12 +205,12 @@ def test_criterion_8_structured_replay(solved_instances):
     penalty = NegatedMI(BinarySymmetric(q=0.05))
     res = solve_beta(penalty, dist, tol=SOLVER_TOL)
     forced = [1, 1, 5, 5, 1, 1, 5]
-    trace, _ = replay(
+    trace = run(
         Threshold(res.waiting),
         BinarySymmetric(q=0.05),
         dist,
-        forced,
         horizon=22,
+        forced=forced,
     )
     events = reference_events(trace)
     gens = {i: t for kind, i, t in events if kind == "generated"}

@@ -24,9 +24,8 @@ import infofresh
 import infofresh.simulator as simulator
 from infofresh.cli import main
 from infofresh.config import ConfigError, ExperimentConfig, round_half_up
-from infofresh.simulator import Threshold, Uniform, ZeroWait, _fmt, age_histogram, replay, simulate
-from infofresh.solver import solve_beta
-from infofresh.sources import BinarySymmetric, mutual_information, penalty_value
+from infofresh.simulator import Uniform, _fmt, age_histogram
+from infofresh.sources import BinarySymmetric, mutual_information, scalar_penalty
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -807,8 +806,7 @@ class TestTablePathPrintsScalarValues:
             model = cfg.build_source()
             scalar = lambda d: mutual_information(model, d)
         else:
-            penalty = cfg.build_penalty()
-            scalar = lambda d: penalty_value(penalty, d)
+            scalar = scalar_penalty(cfg.build_penalty())
         assert len(rows) == cfg.trace_horizon + 1
         for row in rows:
             _, delta, metric, _, _ = row.split(",")
@@ -887,9 +885,8 @@ class TestTraceGoldenDigests:
 
 class TestStreamedTrace:
     """``trace`` builds its CSV a chunk of ``_CSV_CHUNK_ROWS`` steps at a time
-    and writes each chunk at once.  Its bytes must be those of ``simulate``
-    or ``replay`` followed by ``write_csv`` at the default sizes, whatever
-    the chunk size and the schedule block size ``_CHUNK``."""
+    and writes each chunk at once.  Its bytes must be those it writes at the
+    default sizes, whatever the chunk size and the schedule block size ``_CHUNK``."""
 
     TRACES = {
         # period 2 against a mean service of 3: the backlog reaches 72 samples,
@@ -915,34 +912,15 @@ class TestStreamedTrace:
         ),
     }
 
-    @staticmethod
-    def write_csv_bytes(cfg):
-        dist = cfg.build_service()
-        if cfg.trace_policy == "uniform":
-            policy = Uniform(cfg.sweep_period(dist))
-        elif cfg.trace_policy == "zero-wait":
-            policy = ZeroWait()
-        else:
-            policy = Threshold(solve_beta(cfg.build_penalty(), dist, cfg.tol, cfg.z_max).waiting)
-        metric = cfg.build_source() if cfg.source_kind else cfg.build_penalty()
-        if cfg.forced_services is not None:
-            trace, _ = replay(policy, metric, dist, cfg.forced_services, cfg.trace_horizon,
-                              cfg.delta0)
-        else:
-            trace, _ = simulate(policy, metric, dist, cfg.trace_horizon, cfg.trace_seed, cfg.delta0)
-        buf = io.BytesIO()
-        trace.write_csv(buf)
-        return buf.getvalue()
-
     @pytest.mark.parametrize("name", TRACES)
     @pytest.mark.parametrize("rows", [1, 7, 16])
     @pytest.mark.parametrize("block", [1, 7])
     def test_streamed_bytes_equal_write_csv(self, tmp_path, monkeypatch, name, rows, block):
-        path = write(tmp_path, "t.ini", self.TRACES[name])
-        want = self.write_csv_bytes(ExperimentConfig.from_file(path))
+        path, out = write(tmp_path, "t.ini", self.TRACES[name]), tmp_path / "t.csv"
+        assert main(["trace", "--config", path, "--out", str(out)]) == 0
+        want = out.read_bytes()
         monkeypatch.setattr(simulator, "_CSV_CHUNK_ROWS", rows)
         monkeypatch.setattr(simulator, "_CHUNK", block)
-        out = tmp_path / "t.csv"
         assert main(["trace", "--config", path, "--out", str(out)]) == 0
         assert out.read_bytes() == want
 

@@ -1,10 +1,10 @@
 """Queue simulation: age bookkeeping, FIFO behavior, and replay goldens."""
 
 import csv
-import dataclasses
 import io
 import math
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -21,12 +21,12 @@ from infofresh.simulator import (
     ZeroWait,
     age_histogram,
     average_over_seeds,
-    replay,
-    simulate,
+    write_trace,
 )
 from infofresh.solver import cycle_stats, solve_beta, zero_waiting
 from infofresh.sources import Affine, BinarySymmetric, NegatedMI, PenaltyTable, metric_table
 from reference import reference_events
+from runs import as_chunks, run
 
 D4 = ServiceTimeDist({4: 1.0})
 D13 = ServiceTimeDist({1: 0.5, 3: 0.5})
@@ -75,30 +75,29 @@ n,delta,metric,queue_len,event
 def structured_replay(horizon=22):
     penalty = NegatedMI(BinarySymmetric(q=0.05))
     policy = Threshold(solve_beta(penalty, D15, tol=1e-12).waiting)
-    return replay(policy, BinarySymmetric(q=0.05), D15, [1, 1, 5, 5, 1, 1, 5], horizon)
+    return run(policy, BinarySymmetric(q=0.05), D15, horizon, forced=[1, 1, 5, 5, 1, 1, 5])
 
 
 class TestReplay:
     def test_sawtooth_ages(self):
-        trace, _ = replay(ZeroWait(), Affine(1.0), D4, [4, 4, 4], 10)
+        trace = run(ZeroWait(), Affine(1.0), D4, 10, forced=[4, 4, 4])
         assert trace.delta.tolist() == [2, 3, 4, 4, 5, 6, 7, 4, 5, 6]
         assert trace.queue_len.tolist() == [0] * 10
 
     def test_sawtooth_csv_golden(self):
-        trace, _ = replay(ZeroWait(), Affine(1.0), D4, [4, 4], 7)
-        buf = io.BytesIO()
-        trace.write_csv(buf)
-        assert buf.getvalue() == SAWTOOTH_CSV.encode()
+        trace = run(ZeroWait(), Affine(1.0), D4, 7, forced=[4, 4])
+        assert "".join(column_csv(trace)) == SAWTOOTH_CSV
 
     def test_structured_golden_events(self):
-        trace, summary = structured_replay()
+        trace = structured_replay()
         assert reference_events(trace) == STRUCTURED_REPLAY_EVENTS
-        assert summary.samples_generated == 7
-        assert summary.samples_delivered == 6
-        assert summary.mean_queue_wait == 0.0
+        delivered = trace.d <= trace.horizon
+        assert len(trace.s) == 7
+        assert np.count_nonzero(delivered) == 6
+        assert np.mean((trace.start - trace.s)[delivered]) == 0.0
 
     def test_structured_waits_by_service_time(self):
-        trace, _ = structured_replay()
+        trace = structured_replay()
         events = reference_events(trace)
         gens = {i: t for kind, i, t in events if kind == "generated"}
         delivs = {i: t for kind, i, t in events if kind == "delivered"}
@@ -117,30 +116,30 @@ class TestReplay:
 
     def test_empty_forced_list(self):
         with pytest.raises(SequenceExhausted):
-            replay(ZeroWait(), Affine(1.0), D4, [], 1)
+            run(ZeroWait(), Affine(1.0), D4, 1, forced=[])
 
     def test_forced_list_too_short(self):
         with pytest.raises(SequenceExhausted):
-            replay(ZeroWait(), Affine(1.0), D4, [4, 4], 12)
+            run(ZeroWait(), Affine(1.0), D4, 12, forced=[4, 4])
 
     def test_forced_values_must_be_in_support(self):
         with pytest.raises(ValueError):
-            replay(ZeroWait(), Affine(1.0), D4, [3], 5)
+            run(ZeroWait(), Affine(1.0), D4, 5, forced=[3])
 
     def test_uniform_forced_needs_one_per_period(self):
         with pytest.raises(SequenceExhausted, match="sample 3 is generated at time 4 <= horizon "
                                                     "10 but only 2 forced service times were given"):
-            replay(Uniform(period=2), Affine(1.0), D4, [4, 4], 10)
+            run(Uniform(period=2), Affine(1.0), D4, 10, forced=[4, 4])
 
 
 class TestAgeBookkeeping:
     def test_pre_delivery_age_uses_delta0(self):
-        trace, _ = replay(ZeroWait(), Affine(1.0), D4, [4], 3, delta0=7)
+        trace = run(ZeroWait(), Affine(1.0), D4, 3, forced=[4], delta0=7)
         assert trace.delta.tolist() == [8, 9, 10]
         assert np.array_equal(trace.delta, trace.delta0 + np.arange(1, 4))
 
     def test_age_recurrence_and_reset(self):
-        trace, _ = simulate(Uniform(period=3), Affine(1.0), D15, 400, seed=11)
+        trace = run(Uniform(period=3), Affine(1.0), D15, 400, seed=11)
         events = reference_events(trace)
         delivs = {t: i for kind, i, t in events if kind == "delivered"}
         gens = {i: t for kind, i, t in events if kind == "generated"}
@@ -152,13 +151,13 @@ class TestAgeBookkeeping:
                 assert trace.delta[n] == trace.delta[n - 1] + 1
 
     def test_age_never_below_min_service_after_first_delivery(self):
-        trace, _ = simulate(Uniform(period=6), Affine(1.0), D111, 5000, seed=2)
+        trace = run(Uniform(period=6), Affine(1.0), D111, 5000, seed=2)
         first = min(t for kind, _, t in reference_events(trace) if kind == "delivered")
         assert int(trace.delta[first - 1 :].min()) >= D111.y_min
 
     def test_freshest_is_n_minus_delta(self):
         # the freshest delivered sample's generation time, read off the event log
-        trace, _ = simulate(Uniform(period=4), Affine(1.0), D15, 200, seed=5)
+        trace = run(Uniform(period=4), Affine(1.0), D15, 200, seed=5)
         events = reference_events(trace)
         gens = {i: t for kind, i, t in events if kind == "generated"}
         delivs = {t: i for kind, i, t in events if kind == "delivered"}
@@ -176,33 +175,33 @@ class TestThresholdPolicy:
         dist = ServiceTimeDist({1: 0.9998, 1_000_000: 0.0002})
         res = solve_beta(Affine(1.0), dist, z_max=100_000)
         assert res.waiting[1] == 13_944
-        trace, summary = replay(Threshold(res.waiting), Affine(1.0), dist, [1, 1, 1], 30_000)
+        trace = run(Threshold(res.waiting), Affine(1.0), dist, 30_000, forced=[1, 1, 1])
         gens = [t for kind, _, t in reference_events(trace) if kind == "generated"]
         assert gens == [0, 13_945, 27_890]
-        assert summary.samples_delivered == 3
+        assert np.count_nonzero(trace.d <= trace.horizon) == 3
 
     def test_waits_must_cover_support(self):
         with pytest.raises(ValueError, match="missing support point 5"):
-            replay(Threshold({1: 0}), Affine(1.0), D15, [1, 5], 3)
+            run(Threshold({1: 0}), Affine(1.0), D15, 3, forced=[1, 5])
 
 
 class TestFIFO:
     def test_pi1_policies_never_queue(self):
         waits = {1: 3, 5: 0}
         for policy in (ZeroWait(), Threshold(waits)):
-            trace, summary = simulate(policy, Affine(1.0), D15, 3000, seed=4)
+            trace = run(policy, Affine(1.0), D15, 3000, seed=4)
             assert trace.queue_len.max() == 0
-            assert summary.mean_queue_wait == 0.0
+            assert np.mean((trace.start - trace.s)[trace.d <= trace.horizon]) == 0.0
 
     def test_pi1_delivery_is_generation_plus_service(self):
-        trace, _ = simulate(ZeroWait(), Affine(1.0), D15, 2000, seed=8)
+        trace = run(ZeroWait(), Affine(1.0), D15, 2000, seed=8)
         events = reference_events(trace)
         gens = {i: t for kind, i, t in events if kind == "generated"}
         starts = {i: t for kind, i, t in events if kind == "service_start"}
         assert all(starts[i] == gens[i] for i in starts)
 
     def test_delivery_order_is_generation_order(self):
-        trace, _ = simulate(Uniform(period=2), Affine(1.0), D15, 2000, seed=13)
+        trace = run(Uniform(period=2), Affine(1.0), D15, 2000, seed=13)
         deliveries = [(i, t) for kind, i, t in reference_events(trace) if kind == "delivered"]
         indices = [i for i, _ in deliveries]
         times = [t for _, t in deliveries]
@@ -210,19 +209,19 @@ class TestFIFO:
         assert times == sorted(times)
 
     def test_uniform_generates_on_the_period_grid(self):
-        trace, _ = simulate(Uniform(period=5), Affine(1.0), D15, 101, seed=1)
+        trace = run(Uniform(period=5), Affine(1.0), D15, 101, seed=1)
         gen_times = [t for kind, _, t in reference_events(trace) if kind == "generated"]
         assert gen_times == list(range(0, 101, 5))
 
     def test_each_sample_delivered_at_most_once(self):
-        trace, _ = simulate(Uniform(period=2), Affine(1.0), D15, 1000, seed=3)
+        trace = run(Uniform(period=2), Affine(1.0), D15, 1000, seed=3)
         delivered = [i for kind, i, _ in reference_events(trace) if kind == "delivered"]
         assert len(delivered) == len(set(delivered))
 
     def test_queue_guard_aborts(self, monkeypatch):
         monkeypatch.setattr(simulator, "QUEUE_GUARD", 5)
         with pytest.raises(RuntimeError, match="backlog"):
-            simulate(Uniform(period=1), Affine(1.0), ServiceTimeDist({4: 1.0}), 200, seed=0)
+            run(Uniform(period=1), Affine(1.0), ServiceTimeDist({4: 1.0}), 200, seed=0)
 
 
 def trace_average(trace, metric):
@@ -233,11 +232,11 @@ def trace_average(trace, metric):
 
 class TestAverages:
     def test_zero_wait_deterministic_converges(self):
-        trace, _ = simulate(ZeroWait(), Affine(1.0), D4, 100_000, seed=0)
+        trace = run(ZeroWait(), Affine(1.0), D4, 100_000, seed=0)
         assert trace_average(trace, Affine(1.0)) == pytest.approx(5.5, abs=1e-3)
 
     def test_iid_source_metric_identically_zero(self):
-        trace, _ = simulate(Uniform(period=6), BinarySymmetric(q=0.5), D111, 10_000, seed=1)
+        trace = run(Uniform(period=6), BinarySymmetric(q=0.5), D111, 10_000, seed=1)
         assert trace_average(trace, BinarySymmetric(q=0.5)) == 0.0
         hists = [age_histogram(Uniform(period=6), D111, 10_000, seed) for seed in range(3)]
         mean, se = average_over_seeds(hists, BinarySymmetric(q=0.5), 10_000)
@@ -266,54 +265,52 @@ class TestAverages:
         table = metric_table(model, len(hist))
         table[0] = 0.0
         via_hist = float(hist @ table) / 50_000
-        trace, _ = simulate(Uniform(period=6), model, D111, 50_000, seed=3)
+        trace = run(Uniform(period=6), model, D111, 50_000, seed=3)
         assert via_hist == trace_average(trace, model)
         assert np.array_equal(hist, np.bincount(trace.delta))
 
     def test_average_over_seeds_one_seed(self):
         model = BinarySymmetric(q=0.1)
         hist = age_histogram(Uniform(period=6), D111, 50_000, seed=3)
-        trace, _ = simulate(Uniform(period=6), model, D111, 50_000, seed=3)
+        trace = run(Uniform(period=6), model, D111, 50_000, seed=3)
         assert average_over_seeds([hist], model, 50_000) == (trace_average(trace, model), 0.0)
         with pytest.raises(ValueError, match="at least 1 seed"):
             average_over_seeds([], model, 50_000)
 
     def test_summary_fields(self):
-        _, summary = simulate(ZeroWait(), Affine(1.0), D4, 100, seed=3)
+        trace = run(ZeroWait(), Affine(1.0), D4, 100, seed=3)
         # deterministic 4-step services: a sample at 0, 4, ..., 100, delivered at 4, ..., 100
-        assert summary.samples_generated == 26
-        assert summary.samples_delivered == 25
-        assert summary.mean_queue_wait == 0.0
-        assert summary.seed == 3
-        _, forced_summary = replay(ZeroWait(), Affine(1.0), D4, [4, 4], 7)
-        assert forced_summary.seed is None  # replays carry no seed
+        delivered = trace.d <= trace.horizon
+        assert len(trace.s) == 26
+        assert np.count_nonzero(delivered) == 25
+        assert np.mean((trace.start - trace.s)[delivered]) == 0.0
 
 
 class TestDeterminism:
     def test_bit_identical_traces(self):
-        a, sa = simulate(Uniform(period=6), BinarySymmetric(q=0.2), D111, 5000, seed=9)
-        b, sb = simulate(Uniform(period=6), BinarySymmetric(q=0.2), D111, 5000, seed=9)
+        a = run(Uniform(period=6), BinarySymmetric(q=0.2), D111, 5000, seed=9)
+        b = run(Uniform(period=6), BinarySymmetric(q=0.2), D111, 5000, seed=9)
         assert np.array_equal(a.delta, b.delta)
         assert np.array_equal(a.metric, b.metric)
         assert np.array_equal(a.queue_len, b.queue_len)
         assert reference_events(a) == reference_events(b)
-        assert sa == sb
+        assert all(np.array_equal(x, y) for x, y in ((a.s, b.s), (a.start, b.start), (a.d, b.d)))
 
     def test_different_seeds_differ(self):
         model = BinarySymmetric(q=0.2)
-        a, _ = simulate(ZeroWait(), model, D111, 5000, seed=1)
-        b, _ = simulate(ZeroWait(), model, D111, 5000, seed=2)
+        a = run(ZeroWait(), model, D111, 5000, seed=1)
+        b = run(ZeroWait(), model, D111, 5000, seed=2)
         assert trace_average(a, model) != trace_average(b, model)
 
 
 class TestValidation:
     def test_horizon_positive(self):
         with pytest.raises(ValueError):
-            simulate(ZeroWait(), Affine(1.0), D4, 0, seed=0)
+            run(ZeroWait(), Affine(1.0), D4, 0, seed=0)
 
     def test_delta0_positive(self):
         with pytest.raises(ValueError):
-            simulate(ZeroWait(), Affine(1.0), D4, 10, seed=0, delta0=0)
+            run(ZeroWait(), Affine(1.0), D4, 10, seed=0, delta0=0)
 
     def test_uniform_period_positive(self):
         with pytest.raises(ValueError):
@@ -332,7 +329,7 @@ class TestValidation:
     def test_gaussian_metric_never_hits_age_zero(self):
         from infofresh.sources import GaussianAR1
 
-        trace, _ = simulate(ZeroWait(), GaussianAR1(a=0.9), D15, 5000, seed=1)
+        trace = run(ZeroWait(), GaussianAR1(a=0.9), D15, 5000, seed=1)
         assert np.isfinite(trace.metric).all()
         assert math.isfinite(trace_average(trace, GaussianAR1(a=0.9)))
 
@@ -342,7 +339,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="seed must be an integer >= 0, got"):
             age_histogram(Uniform(3), D13, 1000, seed)
         with pytest.raises(ValueError, match="seed must be an integer >= 0, got"):
-            simulate(ZeroWait(), Affine(1.0), D13, 100, seed)
+            run(ZeroWait(), Affine(1.0), D13, 100, seed)
 
     def test_numpy_integer_seed(self):
         assert np.array_equal(age_histogram(Uniform(3), D13, 1000, np.int64(7)),
@@ -418,14 +415,14 @@ class TestAgainstReferenceEngine:
         for policy in policies:
             # at most horizon + 1 samples can be generated, so never exhausted
             services = rng.choice(dist.support, size=2 * horizon + 4).tolist()
-            trace, summary = replay(policy, Affine(1.0), dist, services, horizon)
+            trace = run(policy, Affine(1.0), dist, horizon, forced=services)
             deltas, qlens, events, delivered = reference_simulate(
                 policy, dist, services, horizon, delta0=1
             )
             assert trace.delta.tolist() == deltas, f"{policy} ages diverge"
             assert trace.queue_len.tolist() == qlens, f"{policy} queues diverge"
             assert sorted(reference_events(trace)) == sorted(events), f"{policy} events diverge"
-            assert summary.samples_delivered == delivered
+            assert np.count_nonzero(trace.d <= horizon) == delivered
 
 
 HEAVY = ServiceTimeDist({1: 0.999, 300: 0.001})
@@ -492,14 +489,14 @@ class TestSeededHistograms:
         deltas = reference_simulate(policy, D15, one_shot_services(D15, horizon, 0), horizon,
                                     1)[0]
         assert np.array_equal(hist, np.bincount(deltas))
-        trace, _ = simulate(policy, Affine(1.0), D15, horizon, 0)
+        trace = run(policy, Affine(1.0), D15, horizon, 0)
         assert trace.delta.tolist() == deltas
 
     @pytest.mark.parametrize("policy, dist, horizon, seeds",
                              [p for p in seeded_cases() if isinstance(p.values[0], Uniform)])
     def test_backlog_guard_peak(self, monkeypatch, policy, dist, horizon, seeds):
         def peak_at(steps, seed):
-            trace, _ = simulate(policy, Affine(1.0), dist, steps, seed)
+            trace = run(policy, Affine(1.0), dist, steps, seed)
             generated = np.arange(1, len(trace.s) + 1)
             peak = int((generated - np.searchsorted(trace.start, trace.s, side="right")).max())
             qlens = reference_simulate(policy, dist, one_shot_services(dist, steps, seed),
@@ -611,7 +608,7 @@ def reference_csv(trace):
 
 def column_csv(trace):
     buf = io.BytesIO()
-    trace.write_csv(buf)
+    write_trace(buf, trace.chunks)
     return buf.getvalue().decode("ascii").splitlines(keepends=True)
 
 
@@ -637,7 +634,7 @@ class TestColumnWriter:
     def test_random_replays_match_reference_writer(self, seed):
         queued = 0
         for policy, dist, services, horizon in random_runs(seed):
-            trace, _ = replay(policy, BinarySymmetric(q=0.08), dist, services, horizon)
+            trace = run(policy, BinarySymmetric(q=0.08), dist, horizon, forced=services)
             assert column_csv(trace) == reference_csv(trace), policy
             queued += int(trace.queue_len.max())
         assert queued > 0
@@ -645,16 +642,16 @@ class TestColumnWriter:
     @pytest.mark.parametrize("seed", range(8))
     def test_events_on_and_just_past_the_horizon(self, seed):
         for policy, dist, services, horizon in random_runs(seed):
-            full, _ = replay(policy, Affine(1.0), dist, services, horizon)
+            full = run(policy, Affine(1.0), dist, horizon, forced=services)
             k = int(np.searchsorted(full.d, horizon, side="right"))
             for kind, times in (("service_start", full.start), ("delivered", full.d)):
                 for j in (k // 2, k - 1):
                     t = int(times[j])
-                    at, _ = replay(policy, Affine(1.0), dist, services, t)
+                    at = run(policy, Affine(1.0), dist, t, forced=services)
                     assert (kind, j + 1, t) in reference_events(at)
                     assert column_csv(at) == reference_csv(at), (policy, kind, t)
                     if t > 1:
-                        past, _ = replay(policy, Affine(1.0), dist, services, t - 1)
+                        past = run(policy, Affine(1.0), dist, t - 1, forced=services)
                         assert (kind, j + 1, t) not in reference_events(past)
                         assert column_csv(past) == reference_csv(past), (policy, kind, t - 1)
 
@@ -664,64 +661,66 @@ class TestColumnWriter:
         monkeypatch.setattr(simulator, "_CSV_CHUNK_ROWS", chunk)
         # rows = horizon + 1, so these put the last row on either side of a boundary
         for horizon in (chunk + offset, 3 * chunk + offset):
-            trace, _ = simulate(Uniform(period=2), BinarySymmetric(q=0.1), D15, horizon, seed=6)
+            trace = run(Uniform(period=2), BinarySymmetric(q=0.1), D15, horizon, seed=6)
             assert column_csv(trace) == reference_csv(trace), horizon
 
     def test_default_chunk_size(self):
         horizon = simulator._CSV_CHUNK_ROWS  # one full chunk and a one-row chunk
-        trace, _ = simulate(Uniform(period=2), BinarySymmetric(q=0.1), D15, horizon, seed=6)
+        trace = run(Uniform(period=2), BinarySymmetric(q=0.1), D15, horizon, seed=6)
         assert column_csv(trace) == reference_csv(trace)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_at_most_one_event_of_each_kind_per_step(self, seed):
         for policy, dist, services, horizon in random_runs(seed):
-            trace, _ = replay(policy, Affine(1.0), dist, services, horizon)
+            trace = run(policy, Affine(1.0), dist, horizon, forced=services)
             pairs = [(kind, t) for kind, _, t in reference_events(trace)]
             assert len(pairs) == len(set(pairs)), policy
 
 
 class TestWriterDigitWidths:
-    """``write_csv`` against ``reference_csv`` wherever a field gains a digit."""
+    """``write_trace`` against ``reference_csv`` wherever a field gains a digit."""
 
     @pytest.mark.parametrize("horizon", [9, 10, 99, 100, 999, 1000])
     def test_step_number_widths(self, horizon):
         for policy in (ZeroWait(), Uniform(period=3)):
-            trace, _ = replay(policy, Affine(1.0, -2.0), D15, [1, 5, 5, 1] * 400, horizon)
+            trace = run(policy, Affine(1.0, -2.0), D15, horizon, forced=[1, 5, 5, 1] * 400)
             assert column_csv(trace) == reference_csv(trace), (policy, horizon)
 
     def test_queue_length_widths(self):
         # period 2 against a 4-step service: the backlog grows by one every 4 steps
-        trace, _ = replay(Uniform(period=2), Affine(1.0), D4, [4] * 600, 1000)
+        trace = run(Uniform(period=2), Affine(1.0), D4, 1000, forced=[4] * 600)
         assert {9, 10, 99, 100} <= set(trace.queue_len.tolist())
         assert column_csv(trace) == reference_csv(trace)
 
     def test_sample_index_widths(self):
         for policy in (ZeroWait(), Uniform(period=2), Uniform(period=5)):
-            trace, _ = replay(policy, NegatedMI(BinarySymmetric(q=0.1)), D4, [4] * 600, 1000)
+            trace = run(policy, NegatedMI(BinarySymmetric(q=0.1)), D4, 1000, forced=[4] * 600)
             for kind in ("generated", "service_start", "delivered"):
                 indices = {i for k, i, _ in reference_events(trace) if k == kind}
                 assert {9, 10, 99, 100} <= indices, (policy, kind)
             assert column_csv(trace) == reference_csv(trace), policy
 
     def test_thirteen_digit_ages(self):
-        # replay sizes its tables by delta0, so move a delta0 = 1 trace's
+        # a run sizes its metric table by delta0, so move a delta0 = 1 trace's
         # pre-delivery ages to delta0 = 10**12 by hand; the writer must not
         # size anything by delta0
         delta0 = 10**12
-        trace, _ = replay(ZeroWait(), Affine(1.0), D4, [4] * 40, 100)
+        trace = run(ZeroWait(), Affine(1.0), D4, 100, forced=[4] * 40)
         pre = np.arange(1, trace.horizon + 1) < trace.d[0]
         delta = np.where(pre, trace.delta + delta0 - 1, trace.delta)
-        big = dataclasses.replace(trace, delta0=delta0, metric0=-delta0 / 8, delta=delta,
-                                  metric=-delta / 8)
+        big = SimpleNamespace(**vars(trace) | dict(delta0=delta0, metric0=-delta0 / 8,
+                                                   delta=delta, metric=-delta / 8))
+        big.chunks = as_chunks(big)
         assert len(str(int(big.delta.max()))) == 13
         assert column_csv(big) == reference_csv(big)
 
     def test_long_queue_lengths(self):
         # queue lengths past 7 and 8 digits, set by hand as the ages above
-        trace, _ = replay(Uniform(period=2), Affine(1.0), D4, [4] * 60, 100)
+        trace = run(Uniform(period=2), Affine(1.0), D4, 100, forced=[4] * 60)
         queue_len = trace.queue_len.copy()
         queue_len[[10, 20, 30, 40]] = [10**7 - 1, 10**7, 10**8, 10**15]
-        big = dataclasses.replace(trace, queue_len=queue_len)
+        big = SimpleNamespace(**vars(trace) | dict(queue_len=queue_len))
+        big.chunks = as_chunks(big)
         assert column_csv(big) == reference_csv(big)
 
     def test_decimal_words_match_str(self):
@@ -780,11 +779,13 @@ def writer_replays(draw):
     pattern = draw(st.lists(st.sampled_from(support), min_size=1, max_size=6))
     services = (pattern * (horizon + 2))[: horizon + 2]
     delta0 = draw(st.sampled_from([1, 9, 10, 99, 100]) | st.integers(1, 5000))
-    return replay(policy, metric, dist, services, horizon, delta0)[0]
+    return dict(policy=policy, metric=metric, dist=dist, horizon=horizon, forced=services,
+                delta0=delta0)
 
 
 @given(writer_replays(), st.sampled_from([1, 7, 16, simulator._CSV_CHUNK_ROWS]))
 @settings(max_examples=200, deadline=None, derandomize=True)
-def test_column_writer_matches_reference_property(trace, chunk):
+def test_column_writer_matches_reference_property(replay, chunk):
     with mock.patch.object(simulator, "_CSV_CHUNK_ROWS", chunk):
-        assert column_csv(trace) == reference_csv(trace)
+        trace = run(**replay)
+    assert column_csv(trace) == reference_csv(trace)

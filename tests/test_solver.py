@@ -28,7 +28,7 @@ from infofresh.sources import (
     NegatedMI,
     PenaltyTable,
     Tabulated,
-    penalty_value,
+    scalar_penalty,
 )
 from reference import cycle_sums, slack
 
@@ -124,7 +124,7 @@ class TestHOfC:
 
     def test_nonnegative_at_penalty_floor(self):
         penalty = NegatedMI(BinarySymmetric(q=0.1))
-        assert slack(penalty, D15, penalty_value(penalty, 1)) >= -1e-12
+        assert slack(penalty, D15, scalar_penalty(penalty)(1)) >= -1e-12
 
     def test_sign_tracks_oracle_beta(self):
         penalty = NegatedMI(BinarySymmetric(q=0.15))
@@ -272,7 +272,8 @@ class TestCap:
 
 def expected_next_penalty(penalty, dist, t):
     """E[p(t + Y')] by a scalar scan that shares nothing with the solver's tables."""
-    return math.fsum(py * penalty_value(penalty, t + y) for y, py in zip(dist.support, dist.probs))
+    value = scalar_penalty(penalty)
+    return math.fsum(py * value(t + y) for y, py in zip(dist.support, dist.probs))
 
 
 class TestThresholdRule:

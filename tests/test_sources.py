@@ -16,7 +16,7 @@ from infofresh.sources import (
     Tabulated,
     metric_table,
     mutual_information,
-    penalty_value,
+    scalar_penalty,
 )
 
 # Frozen by high-precision (40-digit) evaluation of the closed forms.
@@ -163,22 +163,22 @@ class TestModelValidation:
 class TestPenalties:
     def test_negated_mi_binary_half(self):
         p = NegatedMI(BinarySymmetric(q=0.5))
-        assert penalty_value(p, 3) == 0.0
+        assert scalar_penalty(p)(3) == 0.0
 
     def test_affine_identity_is_plain_age(self):
-        assert penalty_value(Affine(slope=1.0, intercept=0.0), 7) == 7.0
+        assert scalar_penalty(Affine(slope=1.0, intercept=0.0))(7) == 7.0
 
     def test_negated_mi_value(self):
         p = NegatedMI(BinarySymmetric(q=0.25))
-        assert penalty_value(p, 1) == pytest.approx(-MI_BIN_Q25_D1, abs=1e-15)
+        assert scalar_penalty(p)(1) == pytest.approx(-MI_BIN_Q25_D1, abs=1e-15)
 
     def test_negated_gaussian_at_zero_is_minus_inf(self):
-        assert penalty_value(NegatedMI(GaussianAR1(a=0.9)), 0) == -math.inf
+        assert scalar_penalty(NegatedMI(GaussianAR1(a=0.9)))(0) == -math.inf
 
     def test_table_extends_by_last_value(self):
         p = PenaltyTable(values=(-1.0, 0.0, 2.0))
-        assert penalty_value(p, 1) == 0.0
-        assert penalty_value(p, 10) == 2.0
+        assert scalar_penalty(p)(1) == 0.0
+        assert scalar_penalty(p)(10) == 2.0
 
     def test_table_must_be_nondecreasing(self):
         with pytest.raises(ValueError):
@@ -190,7 +190,7 @@ class TestPenalties:
                 PenaltyTable(values=values)
 
     def test_table_allows_leading_minus_inf(self):
-        assert penalty_value(PenaltyTable(values=(-math.inf, 0.0)), 0) == -math.inf
+        assert scalar_penalty(PenaltyTable(values=(-math.inf, 0.0)))(0) == -math.inf
 
     def test_affine_slope_nonnegative(self):
         with pytest.raises(ValueError):
@@ -219,7 +219,7 @@ class TestPenalties:
         ],
     )
     def test_nondecreasing_on_grid(self, penalty):
-        vals = [penalty_value(penalty, d) for d in range(1, 120)]
+        vals = [scalar_penalty(penalty)(d) for d in range(1, 120)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -250,8 +250,8 @@ class TestMetricTable:
         n = 3000
         table = metric_table(metric, n)
         is_penalty = isinstance(metric, (NegatedMI, PenaltyTable, Affine))
-        scalar_fn = penalty_value if is_penalty else mutual_information
-        scalar = np.array([scalar_fn(metric, d) for d in range(n)])
+        value = scalar_penalty(metric) if is_penalty else lambda d: mutual_information(metric, d)
+        scalar = np.array([value(d) for d in range(n)])
         assert table.shape == (n,)
         finite = np.isfinite(scalar)
         assert np.array_equal(np.isfinite(table), finite)
