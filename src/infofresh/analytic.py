@@ -10,7 +10,6 @@ every wait vector up to a cap finds the true optimum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from .sources import (
     BinarySymmetric,
     GaussianAR1,
     NegatedMI,
-    scalar_penalty,
+    penalty_prefix_sums,
 )
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
@@ -48,7 +47,8 @@ def brute_force_optimum(
     """Minimize the renewal average over all waits Z: support -> {0..z_cap}.
 
     Evaluates every candidate with the same exact cycle arithmetic as
-    ``cycle_stats``, from penalty prefix sums.  Each reward term
+    ``cycle_stats``, from the same prefix sums of the scalar penalty
+    (``sources.penalty_prefix_sums``).  Each reward term
     ``P(y_j) P(y_k) (cum[y_j + z_j + y_k] - cum[y_j])`` and each length term
     ``P(y_j) z_j`` depends on one wait only, so it is tabulated over
     0..z_cap and added along axis j of a ``(z_cap+1,)*|support|`` array,
@@ -70,12 +70,7 @@ def brute_force_optimum(
         )
 
     top = int(ys.max()) * 2 + z_cap  # exclusive bound on summed ages
-    cum = np.zeros(top + 1)
-    # scalar, from the penalty's own closed form: the oracle shares no table with the solver
-    vals = list(map(scalar_penalty(penalty), range(1, top)))
-    if not all(map(math.isfinite, vals)):
-        raise ValueError("penalty must be finite at every age >= 1")
-    cum[2:] = np.cumsum(vals)  # cum[k] = sum of p(n) for 1 <= n < k
+    cum = np.array(penalty_prefix_sums(penalty, top))  # an array, for the fancy indexing below
 
     # Axis j joins with the first term in y_j, so the terms of every
     # candidate are summed in (j, k) order from 0, as a flat loop would.

@@ -19,12 +19,11 @@ built from the same blocks ``_CSV_CHUNK_ROWS`` steps at a time, from the
 samples that reach into a chunk and the owner and queue length carried in,
 and recovers its per-step quantities (age, metric, queue length) from the
 delivery intervals as arrays too, down to the CSV, laid out in 8-byte words
-a chunk at a time and written as bytes to a binary stream: the step numbers
-by runs of 10**4, and the event words only at the steps where their events
-happen, found by a binary search of the sample times.  ``trace`` writes
-each chunk as it is built, so its memory does not grow with the horizon
-(a 44 MB peak at 2e7 steps); a caller that wants whole-run arrays
-concatenates the chunks.
+a chunk at a time and written as bytes to a binary stream, the event words
+only at the steps where their events happen, found by a binary search of the
+sample times.  ``trace`` writes each chunk as it is built, so its memory
+does not grow with the horizon (a 44 MB peak at 2e7 steps); a caller that
+wants whole-run arrays concatenates the chunks.
 This is exact and bit-reproducible given the seed: PCG64 draws in blocks
 replay the stream of one large draw.
 """
@@ -137,22 +136,6 @@ def _decimal(values: np.ndarray, out: np.ndarray) -> None:
         np.bitwise_or(groups[above], tail, out=out[j])
 
 
-def _decimal_range(lo: int, hi: int, out: np.ndarray) -> None:
-    """``_decimal(np.arange(lo, hi), out)``, a run of 10**4 at a time: within
-    a run every digit group above the lowest is constant, and the lowest
-    groups are a slice of ``_digit_groups``."""
-    groups = _digit_groups()
-    head = np.empty((len(out), 1), dtype="<u8")
-    for base in range(lo - lo % 10_000, hi, 10_000):
-        a, b = max(lo, base), min(hi, base + 10_000)
-        _decimal(np.array([base]), head)  # its lowest group, 0000 or NUL, ORs into any digits as is
-        run = out[:, a - lo:b - lo]
-        run[:-1] = head[:-1]
-        pad = 10_000 if base else 0  # past the first run the lowest group is zero-padded
-        np.left_shift(groups[pad + a - base:pad + b - base], 32, out=run[-1])
-        run[-1] |= head[-1]
-
-
 def _words(ages: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Each age's ``,delta,metric,`` in NUL-padded little-endian words, a column each."""
     text = np.array([f",{a},{_fmt(v)},".encode("ascii")
@@ -197,17 +180,16 @@ def write_trace(f: IO[bytes], chunks) -> None:
     Each chunk is a grid of little-endian ``uint64`` words stored slot by
     slot, so a field fills each of its words for the chunk with one array
     write.  A field takes the whole words its widest value needs; unused
-    bytes stay NUL.  A row is the newline and ``n``, written a run of 10**4
-    steps at a time, ``,delta,metric,`` from a table of each age's prefix,
-    ``queue_len``, and per event kind a token word (``,deliver`` ends
-    ``queue_len``; ``|`` follows an earlier token) and ``:`` with the sample
-    index.  The event slots start NUL and are written only at their kind's
-    steps, found by a binary search of the kind's times: service times are
-    >= 1, so generation, start and delivery times each strictly increase
-    with the sample index, and a step holds at most one event of each kind.
-    No CSV byte is NUL, so dropping the grid's NULs, read row by row, leaves
-    the text.  The grid and index buffers are allocated once per write, for
-    the widest chunk, and viewed per chunk.
+    bytes stay NUL.  A row is the newline and ``n``, ``,delta,metric,`` from
+    a table of each age's prefix, ``queue_len``, and per event kind a token
+    word (``,deliver`` ends ``queue_len``; ``|`` follows an earlier token)
+    and ``:`` with the sample index.  The event slots start NUL and are
+    written only at their kind's steps, found by a binary search of the
+    kind's times: service times are >= 1, so generation, start and delivery
+    times each strictly increase with the sample index, and a step holds at
+    most one event of each kind.  No CSV byte is NUL, so dropping the grid's
+    NULs, read row by row, leaves the text.  The grid and index buffers are
+    allocated once per write, for the widest chunk, and viewed per chunk.
     """
     prefixes = _Prefixes()
     grids = np.empty(0, dtype="<u8")
@@ -224,7 +206,7 @@ def write_trace(f: IO[bytes], chunks) -> None:
         if len(grids) < size * rows:
             grids = np.empty(size * _CSV_CHUNK_ROWS, dtype="<u8")
         grid = grids[:size * rows].reshape(size, rows)
-        _decimal_range(lo, lo + rows, grid[:n])
+        _decimal(np.arange(lo, lo + rows), grid[:n])
         grid[0] |= _NEWLINE
         grid[n - 1, 0] |= _ZERO  # n = 0 prints its digit
         np.take(table, keys, axis=1, out=grid[n:n + p])
@@ -239,7 +221,7 @@ def write_trace(f: IO[bytes], chunks) -> None:
             grid[row][at] = token | fired[at] * _BAR
             fired[at] = True
             digits = index[:w, :b - a]
-            _decimal_range(first + a + 1, first + b + 1, digits)
+            _decimal(np.arange(first + a + 1, first + b + 1), digits)
             digits[0] |= _COLON
             for j, word in enumerate(digits, row + 1):
                 grid[j][at] = word
@@ -492,7 +474,7 @@ def age_histogram(
 
 def average_over_seeds(
     hists: Sequence[np.ndarray],
-    metric: "MarkovSourceModel | AgePenalty",
+    metric: MarkovSourceModel | AgePenalty,
     horizon: int,
 ) -> tuple[float, float]:
     """Across-seed mean and standard error of the metric's time average.

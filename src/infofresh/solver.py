@@ -30,7 +30,6 @@ finite (y, z, y') grid; nothing is sampled.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping
@@ -38,7 +37,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .service import ServiceTimeDist
-from .sources import AgePenalty, metric_table, scalar_penalty
+from .sources import AgePenalty, metric_table, penalty_prefix_sums
 
 DEFAULT_Z_MAX = 10_000
 
@@ -60,7 +59,7 @@ class WaitingFunction(Mapping[int, int]):
     def __init__(self, waits: Mapping[int, int]):
         items = sorted(waits.items())
         for y, z in items:
-            if z < 0 or int(z) != z:
+            if not 0 <= z < math.inf or int(z) != z:  # NaN fails the range, so int() sees finite z
                 raise ValueError(f"waits must be non-negative integers, got Z({y}) = {z!r}")
         self._waits = {int(y): int(z) for y, z in items}
 
@@ -168,12 +167,7 @@ def cycle_stats(
             raise ValueError(f"waiting function is missing support point {y}")
         zs.append(waiting[y])
     top = max(y + z for y, z in zip(ys, zs)) + max(ys)  # largest exclusive age bound
-    # scalar, from the penalty's own closed form, so that it checks the solver's tables
-    vals = list(map(scalar_penalty(penalty), range(1, top)))
-    if not all(map(math.isfinite, vals)):
-        n = next(n for n, v in enumerate(vals, 1) if not math.isfinite(v))
-        raise ValueError(f"penalty is not finite at age {n}; cycle sums require finite values")
-    cum = [0.0, *itertools.accumulate(vals, initial=0.0)]  # cum[k] = p(1) + ... + p(k - 1)
+    cum = penalty_prefix_sums(penalty, top)
     reward = math.fsum(
         py * py2 * (cum[y + z + y2] - cum[y])
         for y, py, z in zip(ys, ps, zs)

@@ -11,12 +11,15 @@ value, built by ``scalar_information`` and ``scalar_penalty``, which
 resolve the model's type and its fixed constants once so that a loop over
 ages pays one call per age; and once over a whole age range in numpy, by
 ``metric_table``.  The scalar callables are the reference the tables are
-tested against, and the exact cycle sums of ``solver.cycle_stats``, the
-oracle and ``mi-curve`` use them, so they share no table with the solver.
+tested against, and ``mi-curve`` uses them.  The exact cycle sums of
+``solver.cycle_stats`` and the oracle start from one routine,
+``penalty_prefix_sums``, which adds the scalar penalty up over the ages, so
+neither shares a table with the solver.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -195,6 +198,18 @@ def scalar_penalty(penalty: AgePenalty) -> Callable[[int], float]:
         slope, intercept = penalty.slope, penalty.intercept
         return lambda delta: slope * delta + intercept
     raise TypeError(f"unknown penalty {penalty!r}")
+
+
+def penalty_prefix_sums(penalty: AgePenalty, top: int) -> list[float]:
+    """cum[k] = p(1) + ... + p(k - 1) for k = 0..top, added left to right
+    from ``scalar_penalty``.  A cycle's ages start at its service time >= 1,
+    so p(0) never enters; p must be finite at every age 1..top-1.
+    """
+    vals = list(map(scalar_penalty(penalty), range(1, top)))
+    if not all(map(math.isfinite, vals)):
+        n = next(n for n, v in enumerate(vals, 1) if not math.isfinite(v))
+        raise ValueError(f"penalty is not finite at age {n}; cycle sums require finite values")
+    return [0.0, *itertools.accumulate(vals, initial=0.0)]
 
 
 def _information_table(model: MarkovSourceModel, n: int) -> np.ndarray:

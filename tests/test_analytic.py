@@ -61,7 +61,7 @@ class TestZeroWaitAverage:
 
 class TestBruteForceOptimum:
     def test_infinite_penalty_rejected(self):
-        with pytest.raises(ValueError, match="penalty must be finite at every age >= 1"):
+        with pytest.raises(ValueError, match="not finite at age 2;"):
             brute_force_optimum(PenaltyTable((0.0, 1.0, math.inf)), D4, z_cap=2)
 
     def test_constant_penalty_tie_break(self):

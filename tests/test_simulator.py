@@ -736,15 +736,15 @@ class TestWriterDigitWidths:
             simulator._decimal(np.array(fit, dtype=np.int64), out)
             assert_words_match_str(out, fit)
 
-    # runs from 0 and from mid-run, across 9,999/10,000, into a second word at 10**8
-    # and a third at 10**16
+    # consecutive values (the trace's step numbers and sample indices) from 0 and from
+    # mid-run, across 9,999/10,000, into a second word at 10**8 and a third at 10**16
     @pytest.mark.parametrize("words, lo, hi", [
         (1, 0, 10), (1, 0, 25_000), (1, 7_321, 7_322), (1, 9_990, 10_010),
         (1, 3_456, 41_234), (2, 10**8 - 12_345, 10**8 + 23_456),
         (3, 10**16 - 10_007, 10**16 + 10_003), (3, 2**62, 2**62 + 3)])
     def test_decimal_range_matches_str(self, words, lo, hi):
         out = np.empty((words, hi - lo), dtype="<u8")
-        simulator._decimal_range(lo, hi, out)
+        simulator._decimal(np.arange(lo, hi), out)
         assert_words_match_str(out, range(lo, hi))
 
 

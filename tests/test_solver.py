@@ -113,6 +113,11 @@ class TestWaitingFunction:
         with pytest.raises(ValueError):
             WaitingFunction({1: 0.5})
 
+    @pytest.mark.parametrize("z", [math.inf, math.nan, -math.inf], ids=["inf", "nan", "minus-inf"])
+    def test_rejects_non_finite_naming_the_wait(self, z):
+        with pytest.raises(ValueError, match=r"waits must be non-negative integers, got Z\(1\) = "):
+            WaitingFunction({1: z})
+
 
 class TestHOfC:
     """Dinkelbach's slack h(c), from the brute-force reference ``slack``."""
