@@ -17,9 +17,7 @@ from .service import ServiceTimeDist
 from .simulator import (
     PolicySpec,
     SequenceExhausted,
-    Threshold,
     Uniform,
-    ZeroWait,
     age_histogram,
     average_over_seeds,
     trace_chunks,
@@ -67,11 +65,9 @@ __all__ = [
     "ServiceTimeDist",
     "SolverResult",
     "Tabulated",
-    "Threshold",
     "ThresholdUnreachable",
     "Uniform",
     "WaitingFunction",
-    "ZeroWait",
     "age_histogram",
     "average_over_seeds",
     "brute_force_optimum",

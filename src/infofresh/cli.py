@@ -20,9 +20,7 @@ from .analytic import BudgetExceeded, brute_force_optimum, random_instances
 from .config import ConfigError, ExperimentConfig
 from .simulator import (
     SequenceExhausted,
-    Threshold,
     Uniform,
-    ZeroWait,
     _fmt,
     age_histogram,
     average_over_seeds,
@@ -173,9 +171,9 @@ def cmd_trace(cfg: ExperimentConfig) -> int:
         raise ConfigError("[trace] forced_services and seed exclude each other; set one")
     dist = cfg.build_service()
     if cfg.trace_policy == "threshold":
-        policy = Threshold(solve_beta(cfg.build_penalty(), dist, cfg.tol, cfg.z_max).waiting)
+        policy = solve_beta(cfg.build_penalty(), dist, cfg.tol, cfg.z_max).waiting
     elif cfg.trace_policy == "zero-wait":
-        policy = ZeroWait()
+        policy = zero_waiting(dist)
     else:
         policy = Uniform(period=cfg.sweep_period(dist))
     metric = cfg.build_source() if cfg.source_kind else cfg.build_penalty()

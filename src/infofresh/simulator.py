@@ -5,14 +5,16 @@ delivered after their service time.  The age at step n is the time since
 the generation of the freshest delivered sample; a metric (an information
 curve or an age penalty) is scored at the age every step.
 
-The engine is vectorized over samples rather than stepped per tick.  Each
-policy is a generation gap, the steps from one generation to the next: the
-period (uniform), or y + Z(y) after a sample served in y steps (zero-wait
-and threshold, which wait Z(y) after its delivery).  One producer yields
-the schedule in blocks of ``_CHUNK`` samples, each sample's queue wait by
-Lindley's recursion W' = max(0, W + y - gap), which stays 0 where no gap is
-shorter than its service, and its sojourn (generation to delivery); a block
-carries the next generation time and wait to the next.  The age histogram
+The engine is vectorized over samples rather than stepped per tick.  A
+policy is ``Uniform(period)`` or a waiting function Z, which waits Z(y)
+after delivering a sample served in y steps: zero-wait is Z identically 0
+(``zero_waiting``), and the threshold rule is the solver's waits.  Each is
+a generation gap, the steps from one generation to the next: the period,
+or y + Z(y).  One producer yields the schedule in blocks of ``_CHUNK``
+samples, each sample's queue wait by Lindley's recursion
+W' = max(0, W + y - gap), which stays 0 where no gap is shorter than its
+service, and its sojourn (generation to delivery); a block carries the
+next generation time and wait to the next.  The age histogram
 folds the blocks one at a time, a constant gap with one tally of its
 sojourns, so a sweep never holds an array sized by the horizon.  A trace is
 built from the same blocks ``_CSV_CHUNK_ROWS`` steps at a time, from the
@@ -76,26 +78,10 @@ class Uniform:
             raise ValueError(f"period must be an integer >= 1, got {self.period!r}")
 
 
-@dataclass(frozen=True)
-class ZeroWait:
-    """Generate each sample the instant the previous one is delivered."""
-
-
-@dataclass(frozen=True)
-class Threshold:
-    """Wait ``waiting[y]`` steps after delivering a sample whose service
-    time was y, then generate.  The waits are the solved threshold rule
-    (``SolverResult.waiting``), so they honor the cap they were solved with.
-    They are kept as a ``WaitingFunction``, which rejects a negative or
-    fractional wait."""
-
-    waiting: Mapping[int, int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "waiting", WaitingFunction(self.waiting))
-
-
-PolicySpec = Union[Uniform, ZeroWait, Threshold]
+# A policy is ``Uniform`` or a waiting function Z, a mapping from service time y
+# to the wait after its delivery: zero-wait is ``solver.zero_waiting(dist)``, and
+# the paper's threshold rule is ``solve_beta(...).waiting``.
+PolicySpec = Union[Uniform, Mapping[int, int]]
 
 
 def _fmt(x: float) -> str:
@@ -264,15 +250,17 @@ def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
     """Check the arguments, then yield one run's schedule as ``_Block``s.
 
     Service times are drawn from PCG64(``seed``) unless ``forced`` gives them,
-    as one block.  A policy is its gap by support index: the period, or
-    y + Z(y), Z identically 0 for zero-wait.  The queue's only state from one
-    sample to the next is the wait, by Lindley's recursion W' = max(0, W + y -
-    gap), so a block carries the next generation time and its wait, until a
-    generation passes the horizon; the last block may hold samples generated
-    past it.  With F the running sum of y - gap before each sample and c the
-    wait carried in, W = c + F - min(0, c + min F), min F over the block so
-    far: one prefix sum of 0, c and the block's y - gap, and its running
-    minimum, both exact in integers; the last W is the next block's wait.
+    as one block.  A policy is its gap by support index: a ``Uniform``'s
+    period, or y + Z(y) for a mapping Z of waits, which is checked as a
+    ``WaitingFunction``; any other policy is a TypeError.  The queue's only
+    state from one sample to the next is the wait, by Lindley's recursion
+    W' = max(0, W + y - gap), so a block carries the next generation time and
+    its wait, until a generation passes the horizon; the last block may hold
+    samples generated past it.  With F the running sum of y - gap before each
+    sample and c the wait carried in, W = c + F - min(0, c + min F), min F
+    over the block so far: one prefix sum of 0, c and the block's y - gap, and
+    its running minimum, both exact in integers; the last W is the next
+    block's wait.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -284,13 +272,10 @@ def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
     sup = np.asarray(dist.support, dtype=np.int64)
     if isinstance(policy, Uniform):
         gaps = min(policy.period, horizon + 1)  # past the horizon, only time 0 generates
-    elif isinstance(policy, Threshold):
-        missing = [y for y in dist.support if y not in policy.waiting]
-        if missing:
-            raise ValueError(f"threshold waits are missing support point {missing[0]}")
-        gaps = sup + [policy.waiting[y] for y in dist.support]
+    elif isinstance(policy, Mapping):
+        gaps = sup + WaitingFunction(policy).aligned(dist.support)
     else:
-        gaps = sup
+        raise TypeError(f"policy must be Uniform or a waiting function, got {policy!r}")
     table = sup * 0 + gaps  # each support index's gap
     mean, least = float(np.dot(dist.probs, table)), int(table.min())
     if forced is None:

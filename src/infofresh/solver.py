@@ -76,6 +76,13 @@ class WaitingFunction(Mapping[int, int]):
         body = ", ".join(f"{y}: {z}" for y, z in self._waits.items())
         return f"WaitingFunction({{{body}}})"
 
+    def aligned(self, support: tuple[int, ...]) -> list[int]:
+        """The waits at the points of ``support``, in its order."""
+        missing = [y for y in support if y not in self._waits]
+        if missing:
+            raise ValueError(f"waiting function is missing support point {missing[0]}")
+        return [self._waits[y] for y in support]
+
 
 def zero_waiting(dist: ServiceTimeDist) -> WaitingFunction:
     """The sample-immediately-on-delivery policy: Z identically 0."""
@@ -161,11 +168,7 @@ def cycle_stats(
     independent scalar evaluator: it shares no tables with the solver.
     """
     ys, ps = dist.support, dist.probs
-    zs = []
-    for y in ys:
-        if y not in waiting:
-            raise ValueError(f"waiting function is missing support point {y}")
-        zs.append(waiting[y])
+    zs = WaitingFunction(waiting).aligned(ys)
     top = max(y + z for y, z in zip(ys, zs)) + max(ys)  # largest exclusive age bound
     cum = penalty_prefix_sums(penalty, top)
     reward = math.fsum(

@@ -11,13 +11,7 @@ import pytest
 
 from infofresh.analytic import brute_force_optimum, random_instances
 from infofresh.service import ServiceTimeDist
-from infofresh.simulator import (
-    Threshold,
-    Uniform,
-    ZeroWait,
-    age_histogram,
-    average_over_seeds,
-)
+from infofresh.simulator import Uniform, age_histogram, average_over_seeds
 from infofresh.solver import cycle_stats, solve_beta, zero_waiting
 from infofresh.sources import (
     Affine,
@@ -180,8 +174,8 @@ def test_criterion_7_simulator_matches_analytic():
     for penalty, dist in _sim_check_instances(10, seed=7):
         res = solve_beta(penalty, dist, tol=SOLVER_TOL)
         runs = [
-            (ZeroWait(), cycle_stats(penalty, dist, zero_waiting(dist)).ratio),
-            (Threshold(res.waiting), cycle_stats(penalty, dist, res.waiting).ratio),
+            (zero_waiting(dist), cycle_stats(penalty, dist, zero_waiting(dist)).ratio),
+            (res.waiting, cycle_stats(penalty, dist, res.waiting).ratio),
         ]
         for policy, exact in runs:
             hists = [age_histogram(policy, dist, HORIZON, seed) for seed in SEEDS]
@@ -206,7 +200,7 @@ def test_criterion_8_structured_replay(solved_instances):
     res = solve_beta(penalty, dist, tol=SOLVER_TOL)
     forced = [1, 1, 5, 5, 1, 1, 5]
     trace = run(
-        Threshold(res.waiting),
+        res.waiting,
         BinarySymmetric(q=0.05),
         dist,
         horizon=22,

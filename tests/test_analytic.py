@@ -64,6 +64,10 @@ class TestBruteForceOptimum:
         with pytest.raises(ValueError, match="not finite at age 2;"):
             brute_force_optimum(PenaltyTable((0.0, 1.0, math.inf)), D4, z_cap=2)
 
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match="^z_cap must be >= 0, got -1$"):
+            brute_force_optimum(Affine(1.0), D4, z_cap=-1)
+
     def test_constant_penalty_tie_break(self):
         res = brute_force_optimum(PenaltyTable(values=(2.0,)), D111, z_cap=3)
         assert res.best_ratio == pytest.approx(2.0, abs=1e-12)

@@ -106,6 +106,16 @@ class TestConfig:
         spots = [f.metadata["ini"][:2] for f in fields(ExperimentConfig)]
         assert len(set(spots)) == len(spots)
 
+    def test_empty_service_list(self):
+        with pytest.raises(ConfigError, match=r"^\[service\] dist: service distribution must "
+                                              r"list at least one y:prob pair$"):
+            ExperimentConfig.from_ini("[service]\ndist = ,\n")
+
+    @pytest.mark.parametrize("step", ["0", "-0.1"])
+    def test_grid_step_must_be_positive(self, step):
+        with pytest.raises(ConfigError, match=r"^\[sweep\] grid: grid step must be positive, got "):
+            ExperimentConfig.from_ini(f"[sweep]\ngrid = 0.1:0.5:{step}\n")
+
     def test_bad_service_pair(self):
         with pytest.raises(ConfigError, match=r"\[service\] dist"):
             ExperimentConfig.from_ini("[service]\ndist = 1;0.5\n")
@@ -383,6 +393,14 @@ class TestCli:
         cfg = write(tmp_path, "bad.ini", "[service]\ndist = 1:0.7, 2:0.7\n\n[source]\nkind = binary\nq = 0.2\n")
         assert main(["solve", "--config", cfg]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_solve_infinite_table_penalty_exit_1(self, tmp_path, capsys):
+        ini = "[penalty]\nkind = table\nvalues = 0, 1, inf\n\n[service]\ndist = 1:0.5, 5:0.5\n"
+        assert main(["solve", "--config", write(tmp_path, "inf.ini", ini)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("infofresh: error: penalty is not finite at age 2; "
+                                "cycle sums require finite values\n")
 
     def test_missing_config_file_exit_1(self, capsys):
         assert main(["solve", "--config", "/nonexistent/x.ini"]) == 1

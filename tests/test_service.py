@@ -22,6 +22,10 @@ class TestConstruction:
         assert d.support == (1, 5)
         assert math.fsum(d.probs) == pytest.approx(1.0, abs=1e-15)
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="^service distribution needs at least one"):
+            ServiceTimeDist({})
+
     def test_rejects_zero_service(self):
         with pytest.raises(ValueError):
             ServiceTimeDist({0: 0.5, 1: 0.5})
@@ -57,6 +61,10 @@ class TestConstruction:
     def test_equality_and_hash(self):
         assert ServiceTimeDist({1: 0.5, 5: 0.5}) == ServiceTimeDist({5: 0.5, 1: 0.5})
         assert hash(ServiceTimeDist({2: 1.0})) == hash(ServiceTimeDist({2: 1.0}))
+
+    def test_never_equal_to_another_type(self):
+        assert ServiceTimeDist({2: 1.0}).__eq__({2: 1.0}) is NotImplemented
+        assert ServiceTimeDist({2: 1.0}) != {2: 1.0}
 
 
 class TestMean:

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -16,9 +17,7 @@ import infofresh.simulator as simulator
 from infofresh.service import ServiceTimeDist
 from infofresh.simulator import (
     SequenceExhausted,
-    Threshold,
     Uniform,
-    ZeroWait,
     age_histogram,
     average_over_seeds,
     write_trace,
@@ -32,6 +31,7 @@ D4 = ServiceTimeDist({4: 1.0})
 D13 = ServiceTimeDist({1: 0.5, 3: 0.5})
 D15 = ServiceTimeDist({1: 0.5, 5: 0.5})
 D111 = ServiceTimeDist({1: 0.5, 11: 0.5})
+D12 = ServiceTimeDist({12: 1.0})
 
 # Event log of the threshold-policy replay with services [1,1,5,5,1,1,5],
 # produced by the first verified run and checked by hand against the
@@ -74,18 +74,18 @@ n,delta,metric,queue_len,event
 
 def structured_replay(horizon=22):
     penalty = NegatedMI(BinarySymmetric(q=0.05))
-    policy = Threshold(solve_beta(penalty, D15, tol=1e-12).waiting)
+    policy = solve_beta(penalty, D15, tol=1e-12).waiting
     return run(policy, BinarySymmetric(q=0.05), D15, horizon, forced=[1, 1, 5, 5, 1, 1, 5])
 
 
 class TestReplay:
     def test_sawtooth_ages(self):
-        trace = run(ZeroWait(), Affine(1.0), D4, 10, forced=[4, 4, 4])
+        trace = run(zero_waiting(D4), Affine(1.0), D4, 10, forced=[4, 4, 4])
         assert trace.delta.tolist() == [2, 3, 4, 4, 5, 6, 7, 4, 5, 6]
         assert trace.queue_len.tolist() == [0] * 10
 
     def test_sawtooth_csv_golden(self):
-        trace = run(ZeroWait(), Affine(1.0), D4, 7, forced=[4, 4])
+        trace = run(zero_waiting(D4), Affine(1.0), D4, 7, forced=[4, 4])
         assert "".join(column_csv(trace)) == SAWTOOTH_CSV
 
     def test_structured_golden_events(self):
@@ -116,15 +116,15 @@ class TestReplay:
 
     def test_empty_forced_list(self):
         with pytest.raises(SequenceExhausted):
-            run(ZeroWait(), Affine(1.0), D4, 1, forced=[])
+            run(zero_waiting(D4), Affine(1.0), D4, 1, forced=[])
 
     def test_forced_list_too_short(self):
         with pytest.raises(SequenceExhausted):
-            run(ZeroWait(), Affine(1.0), D4, 12, forced=[4, 4])
+            run(zero_waiting(D4), Affine(1.0), D4, 12, forced=[4, 4])
 
     def test_forced_values_must_be_in_support(self):
         with pytest.raises(ValueError):
-            run(ZeroWait(), Affine(1.0), D4, 5, forced=[3])
+            run(zero_waiting(D4), Affine(1.0), D4, 5, forced=[3])
 
     def test_uniform_forced_needs_one_per_period(self):
         with pytest.raises(SequenceExhausted, match="sample 3 is generated at time 4 <= horizon "
@@ -134,7 +134,7 @@ class TestReplay:
 
 class TestAgeBookkeeping:
     def test_pre_delivery_age_uses_delta0(self):
-        trace = run(ZeroWait(), Affine(1.0), D4, 3, forced=[4], delta0=7)
+        trace = run(zero_waiting(D4), Affine(1.0), D4, 3, forced=[4], delta0=7)
         assert trace.delta.tolist() == [8, 9, 10]
         assert np.array_equal(trace.delta, trace.delta0 + np.arange(1, 4))
 
@@ -175,26 +175,44 @@ class TestThresholdPolicy:
         dist = ServiceTimeDist({1: 0.9998, 1_000_000: 0.0002})
         res = solve_beta(Affine(1.0), dist, z_max=100_000)
         assert res.waiting[1] == 13_944
-        trace = run(Threshold(res.waiting), Affine(1.0), dist, 30_000, forced=[1, 1, 1])
+        trace = run(res.waiting, Affine(1.0), dist, 30_000, forced=[1, 1, 1])
         gens = [t for kind, _, t in reference_events(trace) if kind == "generated"]
         assert gens == [0, 13_945, 27_890]
         assert np.count_nonzero(trace.d <= trace.horizon) == 3
 
     def test_waits_must_cover_support(self):
         with pytest.raises(ValueError, match="missing support point 5"):
-            run(Threshold({1: 0}), Affine(1.0), D15, 3, forced=[1, 5])
+            run({1: 0}, Affine(1.0), D15, 3, forced=[1, 5])
+
+    def test_solved_waits_are_not_zero_wait(self):
+        # the waits {1: 1, 5: 0} wait after a 1-step service, so their ages differ
+        # from zero-wait's on the same draws
+        waits = solve_beta(NegatedMI(BinarySymmetric(q=0.05)), D15).waiting
+        hist = age_histogram(waits, D15, 60, 3)
+        assert hist.tolist() == [0, 10, 10, 5, 5, 13, 8, 3, 3, 3]
+        assert hist.tolist() != age_histogram(zero_waiting(D15), D15, 60, 3).tolist()
+        deltas = reference_simulate(waits, D15, one_shot_services(D15, 60, 3), 60, 1)[0]
+        assert hist.tolist() == np.bincount(deltas).tolist()
+
+    @pytest.mark.parametrize("policy", ["not a policy", None], ids=["str", "none"])
+    def test_rejects_what_is_not_a_policy(self, policy):
+        message = re.escape(f"policy must be Uniform or a waiting function, got {policy!r}")
+        with pytest.raises(TypeError, match=message):
+            age_histogram(policy, D15, 60, 3)
+        with pytest.raises(TypeError, match=message):
+            next(simulator.trace_chunks(policy, Affine(1.0), D15, 60, 1, 3))
 
 
 class TestFIFO:
     def test_pi1_policies_never_queue(self):
         waits = {1: 3, 5: 0}
-        for policy in (ZeroWait(), Threshold(waits)):
+        for policy in (zero_waiting(D15), waits):
             trace = run(policy, Affine(1.0), D15, 3000, seed=4)
             assert trace.queue_len.max() == 0
             assert np.mean((trace.start - trace.s)[trace.d <= trace.horizon]) == 0.0
 
     def test_pi1_delivery_is_generation_plus_service(self):
-        trace = run(ZeroWait(), Affine(1.0), D15, 2000, seed=8)
+        trace = run(zero_waiting(D15), Affine(1.0), D15, 2000, seed=8)
         events = reference_events(trace)
         gens = {i: t for kind, i, t in events if kind == "generated"}
         starts = {i: t for kind, i, t in events if kind == "service_start"}
@@ -232,7 +250,7 @@ def trace_average(trace, metric):
 
 class TestAverages:
     def test_zero_wait_deterministic_converges(self):
-        trace = run(ZeroWait(), Affine(1.0), D4, 100_000, seed=0)
+        trace = run(zero_waiting(D4), Affine(1.0), D4, 100_000, seed=0)
         assert trace_average(trace, Affine(1.0)) == pytest.approx(5.5, abs=1e-3)
 
     def test_iid_source_metric_identically_zero(self):
@@ -245,14 +263,14 @@ class TestAverages:
     def test_zero_wait_matches_analytic_three_sigma(self):
         model = BinarySymmetric(q=0.1)
         exact = -cycle_stats(NegatedMI(model), D111, zero_waiting(D111)).ratio
-        hists = [age_histogram(ZeroWait(), D111, 200_000, seed) for seed in range(6)]
+        hists = [age_histogram(zero_waiting(D111), D111, 200_000, seed) for seed in range(6)]
         mean, se = average_over_seeds(hists, model, 200_000)
         assert abs(mean - exact) <= 3 * se
 
     def test_threshold_matches_analytic_three_sigma(self):
         penalty = NegatedMI(BinarySymmetric(q=0.1))
         res = solve_beta(penalty, D111, tol=1e-10)
-        policy = Threshold(res.waiting)
+        policy = res.waiting
         exact = cycle_stats(penalty, D111, res.waiting).ratio
         hists = [age_histogram(policy, D111, 200_000, seed) for seed in range(6)]
         mean, se = average_over_seeds(hists, penalty, 200_000)
@@ -278,7 +296,7 @@ class TestAverages:
             average_over_seeds([], model, 50_000)
 
     def test_summary_fields(self):
-        trace = run(ZeroWait(), Affine(1.0), D4, 100, seed=3)
+        trace = run(zero_waiting(D4), Affine(1.0), D4, 100, seed=3)
         # deterministic 4-step services: a sample at 0, 4, ..., 100, delivered at 4, ..., 100
         delivered = trace.d <= trace.horizon
         assert len(trace.s) == 26
@@ -298,19 +316,19 @@ class TestDeterminism:
 
     def test_different_seeds_differ(self):
         model = BinarySymmetric(q=0.2)
-        a = run(ZeroWait(), model, D111, 5000, seed=1)
-        b = run(ZeroWait(), model, D111, 5000, seed=2)
+        a = run(zero_waiting(D111), model, D111, 5000, seed=1)
+        b = run(zero_waiting(D111), model, D111, 5000, seed=2)
         assert trace_average(a, model) != trace_average(b, model)
 
 
 class TestValidation:
     def test_horizon_positive(self):
         with pytest.raises(ValueError):
-            run(ZeroWait(), Affine(1.0), D4, 0, seed=0)
+            run(zero_waiting(D4), Affine(1.0), D4, 0, seed=0)
 
     def test_delta0_positive(self):
         with pytest.raises(ValueError):
-            run(ZeroWait(), Affine(1.0), D4, 10, seed=0, delta0=0)
+            run(zero_waiting(D4), Affine(1.0), D4, 10, seed=0, delta0=0)
 
     def test_uniform_period_positive(self):
         with pytest.raises(ValueError):
@@ -324,12 +342,12 @@ class TestValidation:
                              ids=["minus-one", "minus-two", "fraction"])
     def test_threshold_waits_non_negative_integers(self, waits):
         with pytest.raises(ValueError, match=r"waits must be non-negative integers, got Z\(1\)"):
-            age_histogram(Threshold(waits), D13, 50, 0)
+            age_histogram(waits, D13, 50, 0)
 
     def test_gaussian_metric_never_hits_age_zero(self):
         from infofresh.sources import GaussianAR1
 
-        trace = run(ZeroWait(), GaussianAR1(a=0.9), D15, 5000, seed=1)
+        trace = run(zero_waiting(D15), GaussianAR1(a=0.9), D15, 5000, seed=1)
         assert np.isfinite(trace.metric).all()
         assert math.isfinite(trace_average(trace, GaussianAR1(a=0.9)))
 
@@ -339,7 +357,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="seed must be an integer >= 0, got"):
             age_histogram(Uniform(3), D13, 1000, seed)
         with pytest.raises(ValueError, match="seed must be an integer >= 0, got"):
-            run(ZeroWait(), Affine(1.0), D13, 100, seed)
+            run(zero_waiting(D13), Affine(1.0), D13, 100, seed)
 
     def test_numpy_integer_seed(self):
         assert np.array_equal(age_histogram(Uniform(3), D13, 1000, np.int64(7)),
@@ -375,8 +393,7 @@ def reference_simulate(policy, dist, services, horizon, delta0):
             )
             delivered += 1
             if not isinstance(policy, Uniform):
-                z = 0 if isinstance(policy, ZeroWait) else policy.waiting[svc[in_service]]
-                next_gen = n + z
+                next_gen = n + policy[svc[in_service]]
             busy_until = in_service = None
         due = (n % policy.period == 0) if isinstance(policy, Uniform) else (
             next_gen == n and (in_service is None or isinstance(policy, Uniform))
@@ -409,8 +426,8 @@ class TestAgainstReferenceEngine:
         penalty = NegatedMI(BinarySymmetric(q=0.08))
         policies = [
             Uniform(period=int(rng.integers(1, 9))),
-            ZeroWait(),
-            Threshold(solve_beta(penalty, dist, tol=1e-10).waiting),
+            zero_waiting(dist),
+            solve_beta(penalty, dist, tol=1e-10).waiting,
         ]
         for policy in policies:
             # at most horizon + 1 samples can be generated, so never exhausted
@@ -447,11 +464,11 @@ def seeded_cases():
         ("uniform-above-y-max", Uniform(period=7), D15, 1500, (4,)),
         # the paper config's load 1: three full default blocks and one more sample
         ("uniform-load-1", Uniform(period=6), D111, 3 * simulator._CHUNK * 6, (9,)),
-        ("zero-wait", ZeroWait(), D111, 1500, (5, 6)),
-        ("threshold", Threshold(solve_beta(q08, D15, tol=1e-10).waiting), D15, 1500, (7, 8)),
-        ("threshold-heavy", Threshold(solve_beta(Affine(1.0), HEAVY).waiting), HEAVY, 2000, (1,)),
+        ("zero-wait", zero_waiting(D111), D111, 1500, (5, 6)),
+        ("threshold", solve_beta(q08, D15, tol=1e-10).waiting, D15, 1500, (7, 8)),
+        ("threshold-heavy", solve_beta(Affine(1.0), HEAVY).waiting, HEAVY, 2000, (1,)),
         # these seeds draw no 300 early enough, so the first chunk falls short
-        ("zero-wait-heavy", ZeroWait(), HEAVY, 2000, (0, 6)),
+        ("zero-wait-heavy", zero_waiting(HEAVY), HEAVY, 2000, (0, 6)),
     ]
     return [pytest.param(*case[1:], id=case[0]) for case in cases]
 
@@ -472,7 +489,7 @@ class TestSeededHistograms:
                                         horizon, delta0)[0]
             assert hist.dtype == np.int64
             assert np.array_equal(hist, np.bincount(deltas)), (policy, seed)
-            if dist is HEAVY and isinstance(policy, ZeroWait):
+            if dist is HEAVY and policy == zero_waiting(dist):
                 assert len(chunks) > 1, "expected the draws to be extended past one chunk"
 
     def test_period_past_the_horizon_sizes_nothing_by_it(self):
@@ -532,8 +549,8 @@ def seeded_runs(draw):
     dist = ServiceTimeDist({y: 1.0 / len(support) for y in support})
     policy = draw(st.one_of(
         st.builds(Uniform, period=st.integers(1, 8)),
-        st.just(ZeroWait()),
-        st.builds(Threshold, st.fixed_dictionaries({y: st.integers(0, 6) for y in support})),
+        st.just(zero_waiting(dist)),
+        st.fixed_dictionaries({y: st.integers(0, 6) for y in support}),
     ))
     # short horizons end before the first delivery, so only the pre-delivery segment counts
     horizon = draw(st.integers(1, 200))
@@ -551,7 +568,7 @@ def assert_histogram_matches_reference(policy, dist, horizon, seed, delta0, chun
 
 
 @given(seeded_runs(), st.sampled_from(BLOCK_SIZES))
-@example((ZeroWait(), ServiceTimeDist({12: 1.0}), 5, 0, 3), 2)  # no delivery by the horizon
+@example((zero_waiting(D12), D12, 5, 0, 3), 2)  # no delivery by the horizon
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_histogram_across_block_boundaries_property(run, chunk):
     assert_histogram_matches_reference(*run, chunk)
@@ -563,7 +580,7 @@ def block_times(policy, horizon, delta0, seed, chunk):
         return list(map(simulator._times, simulator._schedule(policy, D15, horizon, delta0, seed)))
 
 
-@pytest.mark.parametrize("policy", [Uniform(period=2), ZeroWait(), Threshold({1: 3, 5: 0})],
+@pytest.mark.parametrize("policy", [Uniform(period=2), zero_waiting(D15), {1: 3, 5: 0}],
                          ids=["uniform", "zero-wait", "threshold"])
 @pytest.mark.parametrize("chunk", BLOCK_SIZES[1:4])
 def test_histogram_horizon_on_a_blocks_last_delivery(policy, chunk):
@@ -622,8 +639,8 @@ def random_runs(seed):
     policies = [
         Uniform(period=int(rng.integers(1, 9))),
         Uniform(period=2),  # shorter than either mean service time
-        ZeroWait(),
-        Threshold(solve_beta(penalty, dist, tol=1e-10).waiting),
+        zero_waiting(dist),
+        solve_beta(penalty, dist, tol=1e-10).waiting,
     ]
     for policy in policies:
         yield policy, dist, rng.choice(dist.support, size=2 * horizon + 4).tolist(), horizon
@@ -682,7 +699,7 @@ class TestWriterDigitWidths:
 
     @pytest.mark.parametrize("horizon", [9, 10, 99, 100, 999, 1000])
     def test_step_number_widths(self, horizon):
-        for policy in (ZeroWait(), Uniform(period=3)):
+        for policy in (zero_waiting(D15), Uniform(period=3)):
             trace = run(policy, Affine(1.0, -2.0), D15, horizon, forced=[1, 5, 5, 1] * 400)
             assert column_csv(trace) == reference_csv(trace), (policy, horizon)
 
@@ -693,7 +710,7 @@ class TestWriterDigitWidths:
         assert column_csv(trace) == reference_csv(trace)
 
     def test_sample_index_widths(self):
-        for policy in (ZeroWait(), Uniform(period=2), Uniform(period=5)):
+        for policy in (zero_waiting(D4), Uniform(period=2), Uniform(period=5)):
             trace = run(policy, NegatedMI(BinarySymmetric(q=0.1)), D4, 1000, forced=[4] * 600)
             for kind in ("generated", "service_start", "delivered"):
                 indices = {i for k, i, _ in reference_events(trace) if k == kind}
@@ -705,7 +722,7 @@ class TestWriterDigitWidths:
         # pre-delivery ages to delta0 = 10**12 by hand; the writer must not
         # size anything by delta0
         delta0 = 10**12
-        trace = run(ZeroWait(), Affine(1.0), D4, 100, forced=[4] * 40)
+        trace = run(zero_waiting(D4), Affine(1.0), D4, 100, forced=[4] * 40)
         pre = np.arange(1, trace.horizon + 1) < trace.d[0]
         delta = np.where(pre, trace.delta + delta0 - 1, trace.delta)
         big = SimpleNamespace(**vars(trace) | dict(delta0=delta0, metric0=-delta0 / 8,
@@ -765,8 +782,8 @@ def writer_replays(draw):
     dist = ServiceTimeDist({y: 1.0 / len(support) for y in support})
     policy = draw(st.one_of(
         st.builds(Uniform, period=st.integers(1, 8)),
-        st.just(ZeroWait()),
-        st.builds(Threshold, st.fixed_dictionaries({y: st.integers(0, 6) for y in support})),
+        st.just(zero_waiting(dist)),
+        st.fixed_dictionaries({y: st.integers(0, 6) for y in support}),
     ))
     metric = draw(st.one_of(
         st.builds(Affine, slope=st.sampled_from([0.0, 0.5, 1.0]),

@@ -107,6 +107,16 @@ class TestWaitingFunction:
         assert len(w) == 2
         assert dict(w) == {1: 2, 5: 0}
 
+    def test_repr(self):
+        assert repr(WaitingFunction({5: 0, 1: 2})) == "WaitingFunction({1: 2, 5: 0})"
+
+    def test_aligned_follows_the_support(self):
+        w = WaitingFunction({5: 0, 1: 2, 9: 4})
+        assert w.aligned((1, 5)) == [2, 0]
+        assert w.aligned((9, 1)) == [4, 2]
+        with pytest.raises(ValueError, match="^waiting function is missing support point 3$"):
+            w.aligned((1, 3, 4))
+
     def test_rejects_negative_or_fractional(self):
         with pytest.raises(ValueError):
             WaitingFunction({1: -1})
@@ -217,6 +227,10 @@ class TestSolveBeta:
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError):
             solve_beta(Affine(1.0), D4, tol=0.0)
+
+    def test_z_max_must_be_at_least_one(self):
+        with pytest.raises(ValueError, match="^z_max must be >= 1, got 0$"):
+            solve_beta(Affine(1.0), D4, z_max=0)
 
 
 class TestSolveMI:

@@ -16,6 +16,7 @@ from infofresh.sources import (
     Tabulated,
     metric_table,
     mutual_information,
+    scalar_information,
     scalar_penalty,
 )
 
@@ -180,6 +181,10 @@ class TestPenalties:
         assert scalar_penalty(p)(1) == 0.0
         assert scalar_penalty(p)(10) == 2.0
 
+    def test_table_needs_a_value(self):
+        with pytest.raises(ValueError, match="^penalty table needs at least one value$"):
+            PenaltyTable(values=())
+
     def test_table_must_be_nondecreasing(self):
         with pytest.raises(ValueError):
             PenaltyTable(values=(1.0, 0.0))
@@ -298,3 +303,11 @@ class TestMetricTable:
         with pytest.raises(TypeError):
             metric_table("not a metric", 3)
 
+    def test_unknown_types_named(self):
+        # each closed form's dispatch, scalar and tabulated, names what it cannot evaluate
+        with pytest.raises(TypeError, match="^unknown source model 'x'$"):
+            scalar_information("x")
+        with pytest.raises(TypeError, match="^unknown penalty 'x'$"):
+            scalar_penalty("x")
+        with pytest.raises(TypeError, match="^unknown source model 'x'$"):
+            metric_table(NegatedMI("x"), 3)
