@@ -186,12 +186,9 @@ def cmd_trace(cfg: ExperimentConfig) -> int:
                           cfg.forced_services)
     # the first chunk checks the run and draws its first block before any output
     chunks = itertools.chain([next(chunks)], chunks)
-    if cfg.out_path:
-        with open(cfg.out_path, "wb") as f:
-            write_trace(f, chunks)
-    else:
-        sys.stdout.flush()  # text written before goes first: the bytes bypass the text layer
-        write_trace(sys.stdout.buffer, chunks)
+    with _open_out(cfg) as f:
+        f.flush()  # text written before goes first: the bytes bypass the text layer
+        write_trace(f.buffer, chunks)
     return 0
 
 

@@ -216,12 +216,14 @@ def write_trace(f: IO[bytes], chunks) -> None:
     f.write(b"\n")
 
 
-def _validate_forced(forced: Sequence[int], dist: ServiceTimeDist) -> np.ndarray:
-    arr = np.asarray(list(forced), dtype=np.int64)
-    if arr.size and not np.isin(arr, dist.support).all():
-        bad = arr[~np.isin(arr, dist.support)][0]
-        raise ValueError(f"forced service time {bad} is not in the support {dist.support}")
-    return arr
+def _support_indices(forced: Sequence[int], dist: ServiceTimeDist) -> np.ndarray:
+    """Each forced service time's index in ``dist``'s support, which must hold it exactly."""
+    sup, arr = np.asarray(dist.support), np.asarray(list(forced))
+    idx = np.minimum(np.searchsorted(sup, arr), len(sup) - 1)
+    bad = arr[sup[idx] != arr]
+    if len(bad):
+        raise ValueError(f"forced service time {bad[0]} is not in the support {dist.support}")
+    return idx
 
 
 class _Block(NamedTuple):
@@ -249,23 +251,26 @@ def _times(block):
 def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
     """Check the arguments, then yield one run's schedule as ``_Block``s.
 
-    Service times are drawn from PCG64(``seed``) unless ``forced`` gives them,
-    as one block.  A policy is its gap by support index: a ``Uniform``'s
-    period, or y + Z(y) for a mapping Z of waits, which is checked as a
-    ``WaitingFunction``; any other policy is a TypeError.  The queue's only
-    state from one sample to the next is the wait, by Lindley's recursion
-    W' = max(0, W + y - gap), so a block carries the next generation time and
-    its wait, until a generation passes the horizon; the last block may hold
-    samples generated past it.  With F the running sum of y - gap before each
-    sample and c the wait carried in, W = c + F - min(0, c + min F), min F
-    over the block so far: one prefix sum of 0, c and the block's y - gap, and
-    its running minimum, both exact in integers; the last W is the next
-    block's wait.
+    Service times are given by ``forced``, as one block of support indices,
+    or else drawn from PCG64(``seed``): as many as the rest of the horizon
+    can generate, one per least gap, (horizon - t) // least + 1, but at most
+    ``_CHUNK``, so every block but the last is full.  A policy is its gap by
+    support index: a ``Uniform``'s period, or y + Z(y) for a mapping Z of
+    waits, checked as a ``WaitingFunction``; any other is a TypeError.  The
+    queue's only state from one sample to the next is the wait, by Lindley's
+    recursion W' = max(0, W + y - gap), so a block carries the next
+    generation time and its wait, until a generation passes the horizon; the
+    last block may hold samples generated past it.  With F the running sum of
+    y - gap before each sample and c the wait carried in,
+    W = c + F - min(0, c + min F), min F over the block so far: one prefix
+    sum of 0, c and the block's y - gap, and its running minimum, both exact
+    in integers; the last W is the next block's wait.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if delta0 < 1:
-        raise ValueError(f"delta0 must be >= 1, got {delta0}")
+    for name, value in (("horizon", horizon), ("delta0", delta0)):
+        if not (isinstance(value, (int, np.integer)) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if forced is not None and seed is not None:
+        raise ValueError("seed and forced exclude each other: pass one")
     # a seed of None would draw OS entropy: every run must replay from its seed
     if forced is None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
@@ -276,26 +281,21 @@ def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
         gaps = sup + WaitingFunction(policy).aligned(dist.support)
     else:
         raise TypeError(f"policy must be Uniform or a waiting function, got {policy!r}")
-    table = sup * 0 + gaps  # each support index's gap
-    mean, least = float(np.dot(dist.probs, table)), int(table.min())
+    least = int(np.min(gaps))
     if forced is None:
         rng = np.random.Generator(np.random.PCG64(seed))
     else:
-        forced = _validate_forced(forced, dist)
+        forced = _support_indices(forced, dist)
     t = wait = peak = 0  # the next generation time, its sample's wait, the backlog peak
     guarded = isinstance(gaps, np.ndarray)  # a gap of y + Z(y) never leaves a sample waiting
     while t <= horizon:
-        # Unless forced, draw 1% and 16 more than the rest of the horizon takes on
-        # average, but no more than it can take (a constant gap's exact count), nor
-        # more than a block.  PCG64 draws in blocks replay the stream of one large
-        # draw, so blocking moves no sample.
-        n = min(int((horizon - t) / mean * 1.01) + 16, (horizon - t) // least + 1, _CHUNK)
+        n = min((horizon - t) // least + 1, _CHUNK)
         if isinstance(gaps, np.ndarray):  # each sample's own gap, by its support index
-            idx = dist._sample_indices(rng, n) if forced is None else np.searchsorted(sup, forced)
+            idx = dist._sample_indices(rng, n) if forced is None else forced
             y, gap = sup[idx], gaps[idx]
             last, nxt = t + int(gap[:-1].sum()), t + int(gap.sum())
         else:
-            y = dist.sample_many(rng, n) if forced is None else forced
+            y = dist.sample_many(rng, n) if forced is None else sup[forced]
             gap, last, nxt = gaps, t + (len(y) - 1) * gaps, t + len(y) * gaps
         n = len(y)
         if forced is not None and nxt <= horizon:
@@ -407,7 +407,7 @@ def trace_chunks(policy, metric, dist, horizon, delta0, seed=None, forced=None):
     when an age passes it; no entry depends on its length.
     """
     blocks = _schedule(policy, dist, horizon, delta0, seed, forced)
-    s = start = d = np.zeros(0, dtype=np.int64)
+    s, start, d = _times(next(blocks))  # the first block checks the arguments
     first, owner, queued, table = 0, -delta0, 0, np.zeros(0)
     for lo in range(0, horizon + 1, _CSV_CHUNK_ROWS):
         hi = min(lo + _CSV_CHUNK_ROWS, horizon + 1)

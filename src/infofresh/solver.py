@@ -59,6 +59,8 @@ class WaitingFunction(Mapping[int, int]):
     def __init__(self, waits: Mapping[int, int]):
         items = sorted(waits.items())
         for y, z in items:
+            if not (isinstance(y, (int, np.integer)) and y >= 1):
+                raise ValueError(f"service times must be integers >= 1, got {y!r}")
             if not 0 <= z < math.inf or int(z) != z:  # NaN fails the range, so int() sees finite z
                 raise ValueError(f"waits must be non-negative integers, got Z({y}) = {z!r}")
         self._waits = {int(y): int(z) for y, z in items}

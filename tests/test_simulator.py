@@ -126,6 +126,17 @@ class TestReplay:
         with pytest.raises(ValueError):
             run(zero_waiting(D4), Affine(1.0), D4, 5, forced=[3])
 
+    @pytest.mark.parametrize("policy", [zero_waiting(D15), Uniform(period=2)],
+                             ids=["waiting", "uniform"])
+    def test_fractional_forced_time_is_not_truncated(self, policy):
+        with pytest.raises(ValueError, match=r"^forced service time 1\.7 is not in the support "
+                                             r"\(1, 5\)$"):
+            run(policy, Affine(1.0), D15, 8, forced=[1.7, 5.2, 1, 5])
+
+    def test_seed_and_forced_exclude_each_other(self):
+        with pytest.raises(ValueError, match="seed and forced"):
+            run(zero_waiting(D15), Affine(1.0), D15, 4, seed=3, forced=[1, 5, 1, 5])
+
     def test_uniform_forced_needs_one_per_period(self):
         with pytest.raises(SequenceExhausted, match="sample 3 is generated at time 4 <= horizon "
                                                     "10 but only 2 forced service times were given"):
@@ -330,6 +341,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             run(zero_waiting(D4), Affine(1.0), D4, 10, seed=0, delta0=0)
 
+    @pytest.mark.parametrize("name, horizon, delta0", [("horizon", 20.5, 1), ("delta0", 20, 1.5)])
+    def test_horizon_and_delta0_are_integers(self, name, horizon, delta0):
+        bad = horizon if name == "horizon" else delta0
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got {bad}$"):
+            age_histogram(Uniform(3), D13, horizon, 1, delta0)
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got {bad}$"):
+            run(zero_waiting(D13), Affine(1.0), D13, horizon, 1, delta0=delta0)
+
     def test_uniform_period_positive(self):
         with pytest.raises(ValueError):
             Uniform(period=0)
@@ -467,7 +486,7 @@ def seeded_cases():
         ("zero-wait", zero_waiting(D111), D111, 1500, (5, 6)),
         ("threshold", solve_beta(q08, D15, tol=1e-10).waiting, D15, 1500, (7, 8)),
         ("threshold-heavy", solve_beta(Affine(1.0), HEAVY).waiting, HEAVY, 2000, (1,)),
-        # these seeds draw no 300 early enough, so the first chunk falls short
+        # its 2,001 draws fit one block, so it runs in blocks of 512 to span several
         ("zero-wait-heavy", zero_waiting(HEAVY), HEAVY, 2000, (0, 6)),
     ]
     return [pytest.param(*case[1:], id=case[0]) for case in cases]
@@ -481,6 +500,8 @@ class TestSeededHistograms:
         draw = ServiceTimeDist._sample_indices
         monkeypatch.setattr(ServiceTimeDist, "_sample_indices",
                             lambda self, rng, n: chunks.append(n) or draw(self, rng, n))
+        if dist is HEAVY and policy == zero_waiting(dist):
+            monkeypatch.setattr(simulator, "_CHUNK", 512)
         for seed in seeds:
             delta0 = 1 + seed % 3
             chunks.clear()
@@ -490,7 +511,17 @@ class TestSeededHistograms:
             assert hist.dtype == np.int64
             assert np.array_equal(hist, np.bincount(deltas)), (policy, seed)
             if dist is HEAVY and policy == zero_waiting(dist):
-                assert len(chunks) > 1, "expected the draws to be extended past one chunk"
+                assert len(chunks) > 1, "expected the draws to span more than one block"
+
+    @pytest.mark.parametrize("chunk", [512, simulator._CHUNK])
+    @pytest.mark.parametrize("seed", [0, 6])
+    def test_every_block_but_the_last_is_full(self, monkeypatch, chunk, seed):
+        # a rare long service time: a draw sized by the mean gap would fall short
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        sizes = [len(b.wait) for b in simulator._schedule(zero_waiting(HEAVY), HEAVY, 2000, 1,
+                                                          seed)]
+        assert sizes[:-1] == [chunk] * (len(sizes) - 1), sizes
+        assert sum(sizes) <= 2001  # no more than one sample a step can generate
 
     def test_period_past_the_horizon_sizes_nothing_by_it(self):
         # only the time-0 sample is generated by the horizon, whatever the period past it

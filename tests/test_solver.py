@@ -123,6 +123,13 @@ class TestWaitingFunction:
         with pytest.raises(ValueError):
             WaitingFunction({1: 0.5})
 
+    @pytest.mark.parametrize("waits, key", [({1: 0, 1.5: 7, 5: 0}, "1.5"), ({0: 3}, "0")],
+                             ids=["fraction", "zero"])
+    def test_rejects_keys_that_are_not_service_times(self, waits, key):
+        # a fractional key would merge into an integer one, overwriting its wait
+        with pytest.raises(ValueError, match=f"^service times must be integers >= 1, got {key}$"):
+            WaitingFunction(waits)
+
     @pytest.mark.parametrize("z", [math.inf, math.nan, -math.inf], ids=["inf", "nan", "minus-inf"])
     def test_rejects_non_finite_naming_the_wait(self, z):
         with pytest.raises(ValueError, match=r"waits must be non-negative integers, got Z\(1\) = "):
