@@ -46,9 +46,10 @@ def brute_force_optimum(
 ) -> OracleResult:
     """Minimize the renewal average over all waits Z: support -> {0..z_cap}.
 
-    Evaluates every candidate with the same exact cycle arithmetic as
-    ``cycle_stats``, from the same prefix sums of the scalar penalty
-    (``sources.penalty_prefix_sums``).  Each reward term
+    Evaluates every candidate from the same terms as ``cycle_stats``, built
+    from the same prefix sums of the scalar penalty
+    (``sources.penalty_prefix_sums``), but adds them in (j, k) order where
+    ``cycle_stats`` uses ``math.fsum``.  Each reward term
     ``P(y_j) P(y_k) (cum[y_j + z_j + y_k] - cum[y_j])`` and each length term
     ``P(y_j) z_j`` depends on one wait only, so it is tabulated over
     0..z_cap and added along axis j of a ``(z_cap+1,)*|support|`` array,

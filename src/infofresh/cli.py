@@ -82,16 +82,23 @@ def _run(cmd, name: str, args: argparse.Namespace) -> int:
         raise ConfigError("--plot-script needs an output path (--out or [output] path)")
     code = cmd(cfg)
     if plot:
-        with open(cfg.out_path + ".plot.py", "w", encoding="utf-8") as f:
+        with _create(cfg.out_path + ".plot.py") as f:
             f.write(_PLOT_TEMPLATE.format(name=name, csv=os.path.basename(cfg.out_path),
                                           **_PLOTS[name]))
     return code
 
 
+def _create(path: str):
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc.strerror or exc}") from exc
+
+
 @contextlib.contextmanager
 def _open_out(cfg: ExperimentConfig):
     if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8", newline="") as f:
+        with _create(cfg.out_path) as f:
             yield f
     else:
         yield sys.stdout

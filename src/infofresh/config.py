@@ -127,7 +127,8 @@ class ExperimentConfig:
     horizon: int = _ini("sim", "horizon", int, 1_000_000, (lambda v: v >= 1, "must be >= 1"))
     seeds: tuple[int, ...] = _ini("sim", "seeds", _seeds, tuple(range(10)),
                                   (bool, "must name at least one seed"),
-                                  (lambda v: min(v) >= 0, "must all be >= 0"))
+                                  (lambda v: min(v) >= 0, "must all be >= 0"),
+                                  (lambda v: len(set(v)) == len(v), "must not repeat a seed"))
     delta0: int = _ini("sim", "delta0", int, 1, (lambda v: v >= 1, "must be >= 1"),
                        (lambda v: v <= DELTA0_MAX, f"must be <= {DELTA0_MAX}"))
     sweep_variable: str | None = _ini("sweep", "variable", str, None, _one_of(SWEEP_MODELS))

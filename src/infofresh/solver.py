@@ -110,53 +110,26 @@ class SolverResult:
     iterations: int
 
 
-class _Tables:
-    """g(t) = E[p(t + Y')] and G(t) = E[cum(t + Y')] for 0 <= t < n.
+def _tables(penalty: AgePenalty, dist: ServiceTimeDist) -> tuple[np.ndarray, ...]:
+    """g(t) = E[p(t + Y')] and G(t) = E[cum(t + Y')] for 0 <= t <= 2*y_max, and cum.
 
     cum(k) is the sum of p(a) over 1 <= a < k, so a cycle after service y
     with wait z has expected reward G(y + z) - cum(y).
     """
-
-    def __init__(self, penalty: AgePenalty, dist: ServiceTimeDist):
-        self.penalty = penalty
-        self.ys = np.asarray(dist.support, dtype=np.int64)
-        self.ps = np.asarray(dist.probs)
-        self.y_max = dist.y_max
-        self.mean = dist.mean()
-        self.build(dist.y_max + 1)
-
-    def build(self, n: int) -> None:
-        p = metric_table(self.penalty, n + self.y_max)
-        bad = np.flatnonzero(~np.isfinite(p[1:]))
-        if bad.size:
-            raise ValueError(
-                f"penalty is not finite at age {bad[0] + 1}; cycle sums require finite values"
-            )
-        cum = np.zeros(len(p))
-        cum[2:] = np.cumsum(p[1:-1])
-        g, G = np.zeros(n), np.zeros(n)
-        for y, py in zip(self.ys, self.ps):
-            g += py * p[y : y + n]
-            G += py * cum[y : y + n]
-        self.cum, self.g, self.G = cum, g, G
-
-    def crossing(self, c: float) -> int:
-        """First t with g(t) >= c, or n if g stays below c."""
-        return int(np.searchsorted(self.g, c, side="left"))
-
-    def waits(self, c: float, z_max: int) -> np.ndarray:
-        """Minimizers of reward - c*length over z in 0..z_max, per support point.
-
-        Waiting one more step after y + z adds g(y + z) - c, which only
-        grows with z, so the first z where g(y + z) >= c is the minimizer;
-        where that lies past z_max, the capped wait z_max is.
-        """
-        return np.clip(self.crossing(c) - self.ys, 0, z_max)
-
-    def cycle(self, z: np.ndarray) -> tuple[float, float]:
-        """Expected cycle reward and length under waits z, aligned with the support."""
-        reward = float(self.ps @ (self.G[self.ys + z] - self.cum[self.ys]))
-        return reward, self.mean + float(self.ps @ z)
+    n = 2 * dist.y_max + 1
+    p = metric_table(penalty, n + dist.y_max)
+    bad = np.flatnonzero(~np.isfinite(p[1:]))
+    if bad.size:
+        raise ValueError(
+            f"penalty is not finite at age {bad[0] + 1}; cycle sums require finite values"
+        )
+    cum = np.zeros(len(p))
+    cum[2:] = np.cumsum(p[1:-1])
+    g, G = np.zeros(n), np.zeros(n)
+    for y, py in zip(dist.support, dist.probs):
+        g += py * p[y : y + n]
+        G += py * cum[y : y + n]
+    return g, G, cum
 
 
 def cycle_stats(
@@ -201,35 +174,44 @@ def solve_beta(
         raise ValueError(f"tol must be positive, got {tol}")
     if z_max < 1:
         raise ValueError(f"z_max must be >= 1, got {z_max}")
-    tables = _Tables(penalty, dist)
-    z = np.zeros(len(dist.support), dtype=np.int64)
-    reward, length = tables.cycle(z)
-    c = reward / length
-    # Zero-wait cycles see no age past 2*y_max - 1, so g(2*y_max) >= c and
-    # tables to t = 2*y_max bound every crossing, since the levels only
-    # decrease.  The min absorbs a ratio rounded a hair above the table.
-    if tables.g[-1] < c:
-        tables.build(2 * dist.y_max + 1)
-    c = min(c, float(tables.g[-1]))
+    g, G, cum = _tables(penalty, dist)
+    ys, ps = np.asarray(dist.support, dtype=np.int64), np.asarray(dist.probs)
+    mean = dist.mean()
+
+    def waits(c: float) -> np.ndarray:
+        # Waiting one more step after y + z adds g(y + z) - c, which only grows
+        # with z, so the first z where g(y + z) >= c minimizes reward - c*length;
+        # where that lies past z_max, the capped wait z_max does.
+        return np.clip(int(np.searchsorted(g, c, side="left")) - ys, 0, z_max)
+
+    def cycle(z: np.ndarray) -> tuple[float, float]:
+        return float(ps @ (G[ys + z] - cum[ys])), mean + float(ps @ z)
+
+    z = np.zeros(len(ys), dtype=np.int64)
+    reward, length = cycle(z)
+    # Zero-wait cycles see no age past 2*y_max - 1, so g(2*y_max) >= c and the
+    # table bounds every crossing, since the levels only decrease.  The min
+    # absorbs a ratio rounded a hair above the table.
+    c = min(reward / length, float(g[-1]))
     iterations = 0
     while True:
-        z_next = tables.waits(c, z_max)
+        z_next = waits(c)
         if np.array_equal(z_next, z):
             break
         iterations += 1
         z = z_next
-        reward, length = tables.cycle(z)
+        reward, length = cycle(z)
         drop = c - reward / length
         c = min(c, reward / length)
         if drop <= tol:
             break
     for y, zy in zip(dist.support, z):
-        if zy == z_max and tables.g[y + z_max] < c:
+        if zy == z_max and g[y + z_max] < c:
             raise ThresholdUnreachable(
                 f"the optimal wait after service time {y} exceeds z_max = {z_max}: "
-                f"E[p({y} + {z_max} + Y')] = {tables.g[y + z_max]} is still below beta = {c}"
+                f"E[p({y} + {z_max} + Y')] = {g[y + z_max]} is still below beta = {c}"
             )
-    reward, length = tables.cycle(tables.waits(c, z_max))
+    reward, length = cycle(waits(c))
     return SolverResult(
         beta=c,
         waiting=WaitingFunction(dict(zip(dist.support, z.tolist()))),

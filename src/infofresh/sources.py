@@ -131,6 +131,8 @@ def mutual_information(model: MarkovSourceModel, delta: int) -> float:
     Non-negative and non-increasing in ``delta``; may be +inf (Gaussian at
     age 0).  Total on valid models.
     """
+    if not isinstance(delta, (int, np.integer)):
+        raise ValueError(f"age must be an integer, got {delta!r}")
     if delta < 0:
         raise ValueError(f"age must be non-negative, got {delta}")
     return scalar_information(model)(delta)

@@ -499,6 +499,10 @@ class TestCli:
             ("sweep", SWEEP_INI.replace("seeds = 4", "seeds = -1, 2"), [],
              "[sim] seeds must all be >= 0, got (-1, 2)"),
             ("sweep", SWEEP_INI, ["--seeds=-1,2"], "[sim] seeds must all be >= 0"),
+            # a repeated seed counted one run twice, as two independent seeds
+            ("sweep", SWEEP_INI.replace("seeds = 4", "seeds = 5, 9, 5"), [],
+             "[sim] seeds must not repeat a seed, got (5, 9, 5)"),
+            ("sweep", SWEEP_INI, ["--seeds", "3,3"], "[sim] seeds must not repeat a seed"),
             ("trace", SOLVE_INI + "\n[trace]\nseed = -3\n", [],
              "[trace] seed must be >= 0, got -3"),
             ("oracle-check", "[oracle]\ninstances = 2\nseed = -2\n", [],
@@ -506,7 +510,7 @@ class TestCli:
         ],
         ids=["solve-tol", "solve-zmax-flag", "trace-tol-flag", "oracle-tol-flag",
              "sweep-delta0", "trace-horizon", "oracle-z-cap", "sim-seeds", "sim-seeds-flag",
-             "trace-seed", "oracle-seed"],
+             "sim-seeds-repeated", "sim-seeds-repeated-flag", "trace-seed", "oracle-seed"],
     )
     def test_range_error_names_key_before_output(self, tmp_path, capsys, command, ini, flags,
                                                  key):
@@ -526,6 +530,34 @@ class TestCli:
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
         assert "exceeds z_max = 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, ini", [("solve", SOLVE_INI), ("trace", TRACE_INI)],
+                             ids=["solve", "trace"])
+    @pytest.mark.parametrize("where, reason", [("missing-dir", "No such file or directory"),
+                                               ("directory", "Is a directory")],
+                             ids=["missing-dir", "directory"])
+    def test_unwritable_out_exit_1(self, tmp_path, capsys, command, ini, where, reason):
+        # an --out that cannot be opened once ended in a Python traceback
+        cfg = write(tmp_path, "c.ini", ini)
+        out = tmp_path / "missing" / "o.csv" if where == "missing-dir" else tmp_path
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"infofresh: error: cannot write output {out}: {reason}\n"
+        assert captured.out == ""
+
+    def test_unwritable_plot_script_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        (tmp_path / "o.csv.plot.py").mkdir()
+        assert main(["sweep", "--config", write(tmp_path, "sw.ini", SWEEP_INI), "--out", str(out),
+                     "--seeds", "2", "--horizon", "2000", "--plot-script"]) == 1
+        assert capsys.readouterr().err.endswith(
+            f"infofresh: error: cannot write output {out}.plot.py: Is a directory\n")
+
+    def test_trace_checks_its_run_before_opening_out(self, tmp_path, capsys):
+        # the first chunk runs out of forced service times before the bad path is opened
+        cfg = write(tmp_path, "t.ini", TRACE_INI.replace("horizon = 22", "horizon = 400"))
+        assert main(["trace", "--config", cfg, "--out", str(tmp_path / "missing" / "o.csv")]) == 2
+        assert "forced service times" in capsys.readouterr().err
 
     @pytest.mark.parametrize("period, note", [
         (6, "infofresh: note: the uniform queue is unstable at load E[Y] / [sweep] "
@@ -713,7 +745,7 @@ class TestCliFuzz:
         ("solver", "tol", ("5e-324", "1e-10"), ("0", "-1", "nan")),
         ("solver", "z_max", ("1", "40"), ("0", "-3")),
         ("sim", "horizon", ("1", "200"), ("0", "-1")),
-        ("sim", "seeds", ("1", "2, 7"), ("0", "-2", "-1, 2")),
+        ("sim", "seeds", ("1", "2, 7"), ("0", "-2", "-1, 2", "3, 3")),
         ("sim", "delta0", ("1", "5"), ("0", "-1", "10000001", "1000000000000")),
         ("sweep", "grid", ("0.5", "0.1, 0.3", "0:0.5:0.25"), ("", "0.3, 0.1", "0.2, 0.2")),
         ("sweep", "uniform_period", ("1", "4"), ("0", "-1", "10000001")),

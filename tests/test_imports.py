@@ -6,7 +6,7 @@ import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "infofresh"
-TABLE_NAMES = {"metric_table", "_Tables"}
+TABLE_NAMES = {"metric_table", "_tables"}
 
 
 def parse(module):
@@ -72,8 +72,8 @@ def test_independence_check_catches_a_reach():
                    "from . import sources\nsources.metric_table\n"):
         assert independence_faults(ast.parse(source), solver), source
     table_cycle = ast.parse("def cycle_stats(penalty, dist, waiting):\n"
-                            "    return _Tables(penalty, dist)\n")
-    assert independence_faults(ast.parse(""), table_cycle) == ["cycle_stats names _Tables"]
+                            "    return _tables(penalty, dist)\n")
+    assert independence_faults(ast.parse(""), table_cycle) == ["cycle_stats names _tables"]
 
 
 def test_no_module_imports_a_name_it_never_reads():

@@ -22,7 +22,7 @@ from infofresh.simulator import (
     average_over_seeds,
     write_trace,
 )
-from infofresh.solver import cycle_stats, solve_beta, zero_waiting
+from infofresh.solver import WaitingFunction, cycle_stats, solve_beta, zero_waiting
 from infofresh.sources import Affine, BinarySymmetric, NegatedMI, PenaltyTable, metric_table
 from reference import reference_events
 from runs import as_chunks, run
@@ -512,6 +512,18 @@ class TestSeededHistograms:
             assert np.array_equal(hist, np.bincount(deltas)), (policy, seed)
             if dist is HEAVY and policy == zero_waiting(dist):
                 assert len(chunks) > 1, "expected the draws to span more than one block"
+
+    @pytest.mark.parametrize("dist", [D13, D15, D111], ids=["D13", "D15", "D111"])
+    def test_uniform_at_a_period_past_y_max_is_a_waiting_function(self, dist):
+        # no sample queues at P >= y_max: each generates P - y steps after the
+        # last delivery, so the seeded runs agree bit for bit
+        for period in (dist.y_max, dist.y_max + 1, dist.y_max + 5):
+            waits = WaitingFunction({y: period - y for y in dist.support})
+            for seed in range(3):
+                for horizon in (1_000, 200_000):
+                    assert np.array_equal(age_histogram(Uniform(period), dist, horizon, seed),
+                                          age_histogram(waits, dist, horizon, seed)), (
+                        period, seed, horizon)
 
     @pytest.mark.parametrize("chunk", [512, simulator._CHUNK])
     @pytest.mark.parametrize("seed", [0, 6])

@@ -231,6 +231,15 @@ class TestSolveBeta:
                 ratio = cycle_stats(penalty, D15, WaitingFunction({1: z1, 5: z5})).ratio
                 assert res.beta <= ratio + 1e-8
 
+    def test_zero_wait_ratio_rounded_above_the_table(self):
+        # the ratio rounds to 0.10000000000000002, a hair above g(t) = 0.1 at
+        # every t; the level is clamped to the table, so beta is exactly 0.1
+        res = solve_beta(PenaltyTable((0.1,)), ServiceTimeDist({1: 0.5, 2: 0.5}))
+        assert res.beta.hex() == "0x1.999999999999ap-4"
+        assert res.h_residual == 0.0
+        assert res.iterations == 0
+        assert dict(res.waiting) == {1: 0, 2: 0}
+
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError):
             solve_beta(Affine(1.0), D4, tol=0.0)

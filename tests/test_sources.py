@@ -105,6 +105,21 @@ class TestMutualInformation:
         with pytest.raises(ValueError):
             mutual_information(BinarySymmetric(q=0.1), -1)
 
+    @pytest.mark.parametrize("model", [BinarySymmetric(q=0.1), GaussianAR1(a=0.5),
+                                       Tabulated(values=(2.0, 1.0, 0.25))],
+                             ids=["binary", "gaussian", "tabulated"])
+    @pytest.mark.parametrize("age", [1.5, 2.5, 2.0, math.nan, math.inf, np.float64(1.5)],
+                             ids=["1.5", "2.5", "2.0", "nan", "inf", "numpy-1.5"])
+    def test_non_integer_age_rejected(self, model, age):
+        # a fractional age once returned a value off the curve, and nan or inf passed through
+        with pytest.raises(ValueError, match=r"^age must be an integer, got "):
+            mutual_information(model, age)
+
+    def test_integer_types_accepted(self):
+        m = BinarySymmetric(q=0.1)
+        assert mutual_information(m, np.int64(3)) == mutual_information(m, 3)
+        assert mutual_information(m, np.int32(3)) == mutual_information(m, 3)
+
     def test_binary_vanishes_in_the_tail(self):
         for q in (0.05, 0.1, 0.25, 0.5):
             assert mutual_information(BinarySymmetric(q=q), 500) < 1e-6
