@@ -11,10 +11,11 @@ after delivering a sample served in y steps: zero-wait is Z identically 0
 (``zero_waiting``), and the threshold rule is the solver's waits.  Each is
 a generation gap, the steps from one generation to the next: the period,
 or y + Z(y).  One producer yields the schedule in blocks of ``_CHUNK``
-samples, each sample's queue wait by Lindley's recursion
-W' = max(0, W + y - gap), which stays 0 where no gap is shorter than its
-service, and its sojourn (generation to delivery); a block carries the
-next generation time and wait to the next.  The age histogram
+samples, each sample's queue wait and its sojourn (generation to delivery).
+A waiting function's gap y + Z(y) is never shorter than its service, so its
+samples never wait and their sojourns are their service times.  A uniform
+block takes its waits from Lindley's recursion W' = max(0, W + y - gap) and
+carries the next generation time and wait to the next.  The age histogram
 folds the blocks one at a time, a constant gap with one tally of its
 sojourns, so a sweep never holds an array sized by the horizon.  A trace is
 built from the same blocks ``_CSV_CHUNK_ROWS`` steps at a time, from the
@@ -23,9 +24,11 @@ and recovers its per-step quantities (age, metric, queue length) from the
 delivery intervals as arrays too, down to the CSV, laid out in 8-byte words
 a chunk at a time and written as bytes to a binary stream, the event words
 only at the steps where their events happen, found by a binary search of the
-sample times.  ``trace`` writes each chunk as it is built, so its memory
-does not grow with the horizon (a 44 MB peak at 2e7 steps); a caller that
-wants whole-run arrays concatenates the chunks.
+sample times.  A waiting function's trace skips the queue: its queue column
+is zero, and each start is written with its generation, unsearched.
+``trace`` writes each chunk as it is built, so its memory does not grow
+with the horizon (a 43 MB peak at 2e7 steps); a caller that wants whole-run
+arrays concatenates the chunks.
 This is exact and bit-reproducible given the seed: PCG64 draws in blocks
 replay the stream of one large draw.
 """
@@ -173,7 +176,10 @@ def write_trace(f: IO[bytes], chunks) -> None:
     written only at their kind's steps, found by a binary search of the
     kind's times: service times are >= 1, so generation, start and delivery
     times each strictly increase with the sample index, and a step holds at
-    most one event of each kind.  No CSV byte is NUL, so dropping the grid's
+    most one event of each kind.  A chunk whose ``start`` is its ``s`` (a
+    run in which no sample waits) writes each start at its generation step,
+    after the gen token and with its index words, with no search of its
+    own.  No CSV byte is NUL, so dropping the grid's
     NULs, read row by row, leaves the text.  The grid and index buffers are
     allocated once per write, for the widest chunk, and viewed per chunk.
     """
@@ -202,13 +208,16 @@ def write_trace(f: IO[bytes], chunks) -> None:
         fired[:rows] = False
         # the kinds in the order they happen within one step
         for row, times, token in zip(range(c, size, 1 + w), (d, s, start), (_DELIVER, _GEN, _START)):
-            a, b = np.searchsorted(times, (lo, lo + rows)).tolist()
-            at = times[a:b] - lo
-            grid[row][at] = token | fired[at] * _BAR
-            fired[at] = True
-            digits = index[:w, :b - a]
-            _decimal(np.arange(first + a + 1, first + b + 1), digits)
-            digits[0] |= _COLON
+            if token is _START and start is s:  # each sample starts as it is generated
+                grid[row][at] = _START | _BAR
+            else:
+                a, b = np.searchsorted(times, (lo, lo + rows)).tolist()
+                at = times[a:b] - lo
+                grid[row][at] = token | fired[at] * _BAR
+                fired[at] = True
+                digits = index[:w, :b - a]
+                _decimal(np.arange(first + a + 1, first + b + 1), digits)
+                digits[0] |= _COLON
             for j, word in enumerate(digits, row + 1):
                 grid[j][at] = word
         grid[c] |= _COMMA
@@ -240,12 +249,15 @@ class _Block(NamedTuple):
 
 
 def _times(block):
-    """A block's generation, service-start and delivery times ``(s, start, d)``."""
+    """A block's generation, service-start and delivery times ``(s, start, d)``.
+    A waiting function's samples never wait (a per-sample ``gap``), so its
+    ``start`` is ``s`` itself."""
     s = np.zeros(len(block.wait), dtype=np.int64)
     s += block.gap
     np.cumsum(s, out=s)
     s += block.t - block.gap  # t plus the gaps before each sample
-    return s, s + block.wait, s + block.sojourn
+    start = s if isinstance(block.gap, np.ndarray) else s + block.wait
+    return s, start, s + block.sojourn
 
 
 def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
@@ -256,12 +268,15 @@ def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
     can generate, one per least gap, (horizon - t) // least + 1, but at most
     ``_CHUNK``, so every block but the last is full.  A policy is its gap by
     support index: a ``Uniform``'s period, or y + Z(y) for a mapping Z of
-    waits, checked as a ``WaitingFunction``; any other is a TypeError.  The
-    queue's only state from one sample to the next is the wait, by Lindley's
-    recursion W' = max(0, W + y - gap), so a block carries the next
-    generation time and its wait, until a generation passes the horizon; the
-    last block may hold samples generated past it.  With F the running sum of
-    y - gap before each sample and c the wait carried in,
+    waits, checked as a ``WaitingFunction``; any other is a TypeError.  A
+    block carries the next generation time, until a generation passes the
+    horizon; the last block may hold samples generated past it.  A gap
+    y + Z(y) >= y delivers each sample by the next generation, so a waiting
+    function's block holds all-zero waits and its service times as its
+    sojourns, with no scan.  For a uniform period the queue's only state
+    from one sample to the next is the wait, by Lindley's recursion
+    W' = max(0, W + y - gap), which the block carries too.  With F the
+    running sum of y - gap before each sample and c the wait carried in,
     W = c + F - min(0, c + min F), min F over the block so far: one prefix
     sum of 0, c and the block's y - gap, and its running minimum, both exact
     in integers; the last W is the next block's wait.
@@ -303,13 +318,18 @@ def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
                 f"sample {n + 1} is generated at time {nxt} <= horizon {horizon} "
                 f"but only {n} forced service times were given"
             )
-        g = np.empty(n + 2, dtype=np.int64)
-        g[:2] = 0, wait
-        np.subtract(y, gap, out=g[2:])
-        np.cumsum(g, out=g)  # 0, then c + F
-        low = np.minimum.accumulate(g)  # 0, then min(0, c + min F)
-        w = np.subtract(g[1:], low[1:], out=g[1:])  # W = c + F - min(0, c + min F)
-        a = np.add(w[:n], y, out=low[1:-1])
+        if isinstance(gaps, np.ndarray):
+            # a gap y + Z(y) >= y delivers each sample by the next generation, so
+            # none waits and each sojourn is its service time
+            w, a = np.zeros(n + 1, dtype=np.int64), y
+        else:
+            g = np.empty(n + 2, dtype=np.int64)
+            g[:2] = 0, wait
+            np.subtract(y, gap, out=g[2:])
+            np.cumsum(g, out=g)  # 0, then c + F
+            low = np.minimum.accumulate(g)  # 0, then min(0, c + min F)
+            w = np.subtract(g[1:], low[1:], out=g[1:])  # W = c + F - min(0, c + min F)
+            a = np.add(w[:n], y, out=low[1:-1])
         if not guarded:
             # Sample k (0-based) starts at k * period + W_k.  By the generation at
             # (c - 1) * period, c = k + min(ceil(W_k / period), m - k), c samples are
@@ -398,7 +418,9 @@ def trace_chunks(policy, metric, dist, horizon, delta0, seed=None, forced=None):
     queue length, and the times of samples ``first`` + 1 on, which hold
     every sample with an event in the chunk.  The chunks' ``delta``,
     ``metric`` and ``queue``, concatenated, are the run's per-step arrays for
-    steps 0..horizon.
+    steps 0..horizon.  In a run that never queues (a waiting function) every
+    sample starts as it is generated: its ``start`` is ``s`` itself, and its
+    queue column is zero, with no search.
 
     The sample generated at s_i owns the steps from its delivery to the
     next, at age n - s_i, and one generated at -delta0 opens the run.  Steps
@@ -408,6 +430,7 @@ def trace_chunks(policy, metric, dist, horizon, delta0, seed=None, forced=None):
     """
     blocks = _schedule(policy, dist, horizon, delta0, seed, forced)
     s, start, d = _times(next(blocks))  # the first block checks the arguments
+    queues = start is not s  # a waiting function's samples never wait
     first, owner, queued, table = 0, -delta0, 0, np.zeros(0)
     for lo in range(0, horizon + 1, _CSV_CHUNK_ROWS):
         hi = min(lo + _CSV_CHUNK_ROWS, horizon + 1)
@@ -415,7 +438,9 @@ def trace_chunks(policy, metric, dist, horizon, delta0, seed=None, forced=None):
             block = next(blocks, None)
             if block is None:
                 break
-            s, start, d = map(np.concatenate, zip((s, start, d), _times(block)))
+            s2, start2, d2 = _times(block)
+            s, d = np.concatenate((s, s2)), np.concatenate((d, d2))
+            start = np.concatenate((start, start2)) if queues else s
         k = int(np.searchsorted(d, hi))  # the samples delivered in the chunk
         owners = np.concatenate(([owner], s[:k]))
         ends = np.concatenate(([lo], d[:k], [hi]))
@@ -424,14 +449,16 @@ def trace_chunks(policy, metric, dist, horizon, delta0, seed=None, forced=None):
         if top >= len(table):
             table = metric_table(metric, max(top + 1, 2 * len(table)))
         queue = np.zeros(hi - lo, dtype=np.int64)
-        for times, step in ((s, 1), (start, -1)):
-            a, b = np.searchsorted(times, (lo, hi))
-            queue[times[a:b] - lo] += step
-        np.cumsum(queue, out=queue)
-        queue += queued
+        if queues:
+            for times, step in ((s, 1), (start, -1)):
+                a, b = np.searchsorted(times, (lo, hi))
+                queue[times[a:b] - lo] += step
+            np.cumsum(queue, out=queue)
+            queue += queued
         yield lo, delta, table[delta], queue, first, s, start, d
         owner, queued = int(owners[-1]), int(queue[-1])
-        s, start, d, first = s[k:], start[k:], d[k:], first + k
+        s, d, first = s[k:], d[k:], first + k
+        start = start[k:] if queues else s
 
 
 def age_histogram(

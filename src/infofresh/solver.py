@@ -172,6 +172,8 @@ def solve_beta(
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if not isinstance(z_max, (int, np.integer)):  # a float cap would index the tables
+        raise ValueError(f"z_max must be an integer, got {z_max!r}")
     if z_max < 1:
         raise ValueError(f"z_max must be >= 1, got {z_max}")
     g, G, cum = _tables(penalty, dist)

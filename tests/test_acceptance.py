@@ -192,6 +192,33 @@ def test_criterion_7_simulator_matches_analytic():
     )
 
 
+# the supports of the simulator's uniform-as-waiting-function histogram test, each
+# with a penalty whose average is bounded away from zero, as criterion 7 picks them
+PAST_Y_MAX_CASES = (
+    (ServiceTimeDist({1: 0.5, 3: 0.5}), NegatedMI(BinarySymmetric(q=0.1))),
+    (ServiceTimeDist({1: 0.5, 5: 0.5}), NegatedMI(GaussianAR1(a=0.8))),
+    (ServiceTimeDist({1: 0.5, 11: 0.5}), Affine(slope=1.0, intercept=0.5)),
+)
+
+
+def test_uniform_past_y_max_matches_its_waiting_function():
+    # at P >= y_max no sample queues, so Uniform(P) is the waiting function
+    # P - y, and its exact value is that function's cycle ratio
+    worst_sigma = worst_rel = 0.0
+    for dist, penalty in PAST_Y_MAX_CASES:
+        for period in (dist.y_max, dist.y_max + 1, dist.y_max + 5):
+            hists = [age_histogram(Uniform(period), dist, HORIZON, seed) for seed in SEEDS]
+            mean, se = average_over_seeds(hists, penalty, HORIZON)
+            exact = cycle_stats(penalty, dist, {y: period - y for y in dist.support}).ratio
+            err = abs(mean - exact)
+            assert err <= 3 * se, f"P={period}: |{mean} - {exact}| > 3*{se} on {penalty}, {dist}"
+            rel = err / abs(exact)
+            assert rel <= 0.01, f"P={period}: relative error {rel} on {penalty}, {dist}"
+            worst_sigma, worst_rel = max(worst_sigma, err / se), max(worst_rel, rel)
+    print(f"PASS uniform past y_max: 3 supports x 3 periods within 3 sigma "
+          f"(worst {worst_sigma:.2f} sigma, worst relative error {worst_rel:.2e})")
+
+
 def test_criterion_8_structured_replay(solved_instances):
     dist = ServiceTimeDist({1: 0.5, 5: 0.5})
     # q chosen so the solved policy genuinely distinguishes the two service

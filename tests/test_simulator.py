@@ -535,6 +535,22 @@ class TestSeededHistograms:
         assert sizes[:-1] == [chunk] * (len(sizes) - 1), sizes
         assert sum(sizes) <= 2001  # no more than one sample a step can generate
 
+    @pytest.mark.parametrize("policy, dist, horizon, seeds",
+                             [p for p in seeded_cases() if not isinstance(p.values[0], Uniform)])
+    def test_waiting_function_blocks_never_wait(self, monkeypatch, policy, dist, horizon, seeds):
+        # blocks of 64 samples, so every run spans several
+        monkeypatch.setattr(simulator, "_CHUNK", 64)
+        for seed in seeds:
+            blocks = list(simulator._schedule(policy, dist, horizon, 1, seed))
+            assert len(blocks) > 1
+            for block in blocks:
+                assert block.wait.shape == block.sojourn.shape == block.gap.shape
+                assert not block.wait.any()
+                s, start, d = simulator._times(block)
+                assert start is s
+            sojourn = np.concatenate([block.sojourn for block in blocks])
+            assert sojourn.tolist() == one_shot_services(dist, horizon, seed, count=len(sojourn))
+
     def test_period_past_the_horizon_sizes_nothing_by_it(self):
         # only the time-0 sample is generated by the horizon, whatever the period past it
         policy, horizon = Uniform(period=10**7), 100
@@ -715,6 +731,20 @@ class TestColumnWriter:
                         assert (kind, j + 1, t) not in reference_events(past)
                         assert column_csv(past) == reference_csv(past), (policy, kind, t - 1)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_start_written_at_generation_matches_copied_start(self, seed):
+        for policy, dist, services, horizon in random_runs(seed):
+            if not isinstance(policy, Uniform):
+                assert_start_routes_agree(simulator.trace_chunks(
+                    policy, BinarySymmetric(q=0.08), dist, horizon, 1, forced=services))
+
+    def test_start_routes_agree_on_a_seeded_threshold_trace(self):
+        # the seeded-threshold-two-blocks golden's config: perfbench's trace-long at seed 1
+        penalty = NegatedMI(BinarySymmetric(q=0.05))
+        policy = solve_beta(penalty, D15).waiting
+        assert_start_routes_agree(simulator.trace_chunks(policy, BinarySymmetric(q=0.05), D15,
+                                                         200_000, 1, seed=1))
+
     @pytest.mark.parametrize("offset", [-2, -1, 0, 1])
     def test_chunk_boundaries(self, monkeypatch, offset):
         chunk = 16
@@ -735,6 +765,19 @@ class TestColumnWriter:
             trace = run(policy, Affine(1.0), dist, horizon, forced=services)
             pairs = [(kind, t) for kind, _, t in reference_events(trace)]
             assert len(pairs) == len(set(pairs)), policy
+
+
+def assert_start_routes_agree(chunks):
+    """A run that never queues yields ``start`` as ``s`` itself, and ``write_trace``
+    then writes each start from its generation; with ``start`` a copy it searches
+    the start times as for a queue.  Both must write the same bytes."""
+    chunks = list(chunks)
+    assert all(start is s for *_, s, start, _ in chunks)
+    copied = [(*head, s, s.copy(), d) for *head, s, _, d in chunks]
+    same, searched = io.BytesIO(), io.BytesIO()
+    write_trace(same, chunks)
+    write_trace(searched, copied)
+    assert same.getvalue() == searched.getvalue()
 
 
 class TestWriterDigitWidths:

@@ -248,6 +248,12 @@ class TestSolveBeta:
         with pytest.raises(ValueError, match="^z_max must be >= 1, got 0$"):
             solve_beta(Affine(1.0), D4, z_max=0)
 
+    @pytest.mark.parametrize("z_max", [300.0, 91.5, math.inf, math.nan])
+    def test_z_max_must_be_an_integer(self, z_max):
+        # a float cap must be refused before it can index the solver's tables
+        with pytest.raises(ValueError, match=f"^z_max must be an integer, got {z_max!r}$"):
+            solve_beta(Affine(1.0), HEAVY, z_max=z_max)
+
 
 class TestSolveMI:
     """The information problem, solved as the penalty problem on -I."""
