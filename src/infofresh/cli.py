@@ -184,14 +184,9 @@ def cmd_trace(cfg: ExperimentConfig) -> int:
     else:
         policy = Uniform(period=cfg.sweep_period(dist))
     metric = cfg.build_source() if cfg.source_kind else cfg.build_penalty()
-    if isinstance(policy, Uniform) and cfg.forced_services is None:
-        # its backlog guard is checked where the deliveries pass the horizon, in the
-        # last blocks: fold the same schedule once first, so a run that trips it
-        # fails before any output, as a forced run's single block does below
-        age_histogram(policy, dist, cfg.trace_horizon, cfg.trace_seed, cfg.delta0)
     chunks = trace_chunks(policy, metric, dist, cfg.trace_horizon, cfg.delta0, cfg.trace_seed,
                           cfg.forced_services)
-    # the first chunk checks the run and draws its first block before any output
+    # the first chunk checks the run, and trips any backlog guard, before any output
     chunks = itertools.chain([next(chunks)], chunks)
     with _open_out(cfg) as f:
         f.flush()  # text written before goes first: the bytes bypass the text layer

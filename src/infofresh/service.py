@@ -78,12 +78,8 @@ class ServiceTimeDist:
         """Exact expected service time."""
         return math.fsum(y * p for y, p in zip(self.support, self.probs))
 
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """``n`` draws via inverse CDF on ``n`` uniforms, in draw order."""
-        return np.asarray(self.support, dtype=np.int64)[self._sample_indices(rng, n)]
-
-    def _sample_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Support indices of the ``n`` draws ``sample_many`` would make.
+    def sample_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Support indices of ``n`` draws via inverse CDF on ``n`` uniforms, in draw order.
 
         The index of uniform u is ``min(searchsorted(cdf, u, "right"), |S| - 1)``:
         the count of ``u >= cdf[j]`` over the first |S| - 1 entries, which is

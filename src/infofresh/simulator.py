@@ -12,10 +12,10 @@ after delivering a sample served in y steps: zero-wait is Z identically 0
 a generation gap, the steps from one generation to the next: the period,
 or y + Z(y).  One producer yields the schedule in blocks of ``_CHUNK``
 samples, each sample's queue wait and its sojourn (generation to delivery).
-A waiting function's gap y + Z(y) is never shorter than its service, so its
-samples never wait and their sojourns are their service times.  A uniform
-block takes its waits from Lindley's recursion W' = max(0, W + y - gap) and
-carries the next generation time and wait to the next.  The age histogram
+A gap of y + Z(y), or a period >= y_max, delivers each sample by the next
+generation, so none waits and the sojourns are the service times.  A shorter
+period takes its waits from Lindley's recursion W' = max(0, W + y - gap) and
+carries the next generation time and wait to the next block.  The age histogram
 folds the blocks one at a time, a constant gap with one tally of its
 sojourns, so a sweep never holds an array sized by the horizon.  A trace is
 built from the same blocks ``_CSV_CHUNK_ROWS`` steps at a time, from the
@@ -24,7 +24,7 @@ and recovers its per-step quantities (age, metric, queue length) from the
 delivery intervals as arrays too, down to the CSV, laid out in 8-byte words
 a chunk at a time and written as bytes to a binary stream, the event words
 only at the steps where their events happen, found by a binary search of the
-sample times.  A waiting function's trace skips the queue: its queue column
+sample times.  A run where no sample waits skips the queue: its queue column
 is zero, and each start is written with its generation, unsearched.
 ``trace`` writes each chunk as it is built, so its memory does not grow
 with the horizon (a 43 MB peak at 2e7 steps); a caller that wants whole-run
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import IO, Mapping, NamedTuple, Sequence, Union
+from typing import IO, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -180,13 +180,13 @@ def write_trace(f: IO[bytes], chunks) -> None:
     run in which no sample waits) writes each start at its generation step,
     after the gen token and with its index words, with no search of its
     own.  No CSV byte is NUL, so dropping the grid's
-    NULs, read row by row, leaves the text.  The grid and index buffers are
-    allocated once per write, for the widest chunk, and viewed per chunk.
+    NULs, read row by row, leaves the text.  The grid, index and ``fired``
+    buffers grow to the widest chunk given and are viewed per chunk.
     """
     prefixes = _Prefixes()
     grids = np.empty(0, dtype="<u8")
-    index = np.empty((3, _CSV_CHUNK_ROWS), dtype="<u8")  # an int64 has at most 3 words of digits
-    fired = np.empty(_CSV_CHUNK_ROWS, dtype=bool)  # an earlier kind fired at the step
+    index = np.empty((3, 0), dtype="<u8")  # an int64 has at most 3 words of digits
+    fired = np.empty(0, dtype=bool)  # an earlier kind fired at the step
     f.write(b"n,delta,metric,queue_len,event")
     for lo, delta, metric, queue, first, s, start, d in chunks:
         rows = len(delta)
@@ -196,7 +196,9 @@ def write_trace(f: IO[bytes], chunks) -> None:
         c = n + p + -(-len(str(queue.max())) // 8)  # the first event word
         size = c + 3 * (1 + w)
         if len(grids) < size * rows:
-            grids = np.empty(size * _CSV_CHUNK_ROWS, dtype="<u8")
+            grids = np.empty(size * rows, dtype="<u8")
+        if len(fired) < rows:
+            index, fired = np.empty((3, rows), dtype="<u8"), np.empty(rows, dtype=bool)
         grid = grids[:size * rows].reshape(size, rows)
         _decimal(np.arange(lo, lo + rows), grid[:n])
         grid[0] |= _NEWLINE
@@ -238,25 +240,25 @@ def _support_indices(forced: Sequence[int], dist: ServiceTimeDist) -> np.ndarray
 class _Block(NamedTuple):
     """Samples generated from time ``t`` to ``last``, each ``gap`` steps before
     the next (one gap for all, or an array of each one's), with each one's
-    queue ``wait`` and its ``sojourn``, the wait plus the service time
-    (generation to delivery)."""
+    queue ``wait``, None in a run where no sample can wait, and its
+    ``sojourn``, the wait plus the service time (generation to delivery)."""
 
     t: int
     last: int
     gap: Union[int, np.ndarray]
-    wait: np.ndarray
+    wait: Optional[np.ndarray]
     sojourn: np.ndarray
 
 
 def _times(block):
     """A block's generation, service-start and delivery times ``(s, start, d)``.
-    A waiting function's samples never wait (a per-sample ``gap``), so its
+    A block without waits starts each sample as it is generated: its
     ``start`` is ``s`` itself."""
-    s = np.zeros(len(block.wait), dtype=np.int64)
+    s = np.zeros(len(block.sojourn), dtype=np.int64)
     s += block.gap
     np.cumsum(s, out=s)
     s += block.t - block.gap  # t plus the gaps before each sample
-    start = s if isinstance(block.gap, np.ndarray) else s + block.wait
+    start = s if block.wait is None else s + block.wait
     return s, start, s + block.sojourn
 
 
@@ -270,12 +272,12 @@ def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
     support index: a ``Uniform``'s period, or y + Z(y) for a mapping Z of
     waits, checked as a ``WaitingFunction``; any other is a TypeError.  A
     block carries the next generation time, until a generation passes the
-    horizon; the last block may hold samples generated past it.  A gap
-    y + Z(y) >= y delivers each sample by the next generation, so a waiting
-    function's block holds all-zero waits and its service times as its
-    sojourns, with no scan.  For a uniform period the queue's only state
-    from one sample to the next is the wait, by Lindley's recursion
-    W' = max(0, W + y - gap), which the block carries too.  With F the
+    horizon; the last block may hold samples generated past it.  If every
+    sample's gap is at least its service (y + Z(y) >= y, or a period >= y_max),
+    each is delivered by the next generation: the blocks carry no waits and
+    their service times as sojourns, with no scan and no backlog guard.
+    Otherwise the queue's only state from one sample to the next is the wait,
+    by Lindley's recursion W' = max(0, W + y - gap), carried too.  With F the
     running sum of y - gap before each sample and c the wait carried in,
     W = c + F - min(0, c + min F), min F over the block so far: one prefix
     sum of 0, c and the block's y - gap, and its running minimum, both exact
@@ -296,32 +298,31 @@ def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
         gaps = sup + WaitingFunction(policy).aligned(dist.support)
     else:
         raise TypeError(f"policy must be Uniform or a waiting function, got {policy!r}")
-    least = int(np.min(gaps))
+    least, queues = int(np.min(gaps)), bool(np.any(gaps < sup))
     if forced is None:
         rng = np.random.Generator(np.random.PCG64(seed))
     else:
         forced = _support_indices(forced, dist)
     t = wait = peak = 0  # the next generation time, its sample's wait, the backlog peak
-    guarded = isinstance(gaps, np.ndarray)  # a gap of y + Z(y) never leaves a sample waiting
+    guarded = False
     while t <= horizon:
         n = min((horizon - t) // least + 1, _CHUNK)
+        idx = dist.sample_indices(rng, n) if forced is None else forced
+        y = sup[idx]
         if isinstance(gaps, np.ndarray):  # each sample's own gap, by its support index
-            idx = dist._sample_indices(rng, n) if forced is None else forced
-            y, gap = sup[idx], gaps[idx]
+            gap = gaps[idx]
             last, nxt = t + int(gap[:-1].sum()), t + int(gap.sum())
         else:
-            y = dist.sample_many(rng, n) if forced is None else sup[forced]
             gap, last, nxt = gaps, t + (len(y) - 1) * gaps, t + len(y) * gaps
+        del idx  # freed before the scan, whose arrays can then reuse its pages
         n = len(y)
         if forced is not None and nxt <= horizon:
             raise SequenceExhausted(
                 f"sample {n + 1} is generated at time {nxt} <= horizon {horizon} "
                 f"but only {n} forced service times were given"
             )
-        if isinstance(gaps, np.ndarray):
-            # a gap y + Z(y) >= y delivers each sample by the next generation, so
-            # none waits and each sojourn is its service time
-            w, a = np.zeros(n + 1, dtype=np.int64), y
+        if not queues:
+            block = _Block(t, last, gap, None, y)
         else:
             g = np.empty(n + 2, dtype=np.int64)
             g[:2] = 0, wait
@@ -330,29 +331,30 @@ def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
             low = np.minimum.accumulate(g)  # 0, then min(0, c + min F)
             w = np.subtract(g[1:], low[1:], out=g[1:])  # W = c + F - min(0, c + min F)
             a = np.add(w[:n], y, out=low[1:-1])
-        if not guarded:
-            # Sample k (0-based) starts at k * period + W_k.  By the generation at
-            # (c - 1) * period, c = k + min(ceil(W_k / period), m - k), c samples are
-            # generated and at most k started, as sample k had not; the first sample
-            # not yet started makes that exact, so the backlog peaks at max_k c - k.
-            # No cap m - k binds in a block whose largest ceil(W / period) is at most
-            # its last cap.  Once a delivery passes the horizon, every later sample
-            # starts past it at c = m, so the next sample holds the peak of them all.
-            m, o = horizon // gap + 1, t // gap
-            top = -(-int(w[:n].max()) // gap)
-            if top > m - (o + n - 1):
-                top = int(np.minimum(-(-w[:n] // gap), m - np.arange(o, o + n)).max())
-            peak = max(peak, top)
-            if last + int(a[-1]) > horizon or nxt > horizon:
-                peak, guarded = max(peak, m - o - n), True
-                if peak > QUEUE_GUARD:
-                    raise RuntimeError(
-                        f"queue backlog reached {peak} samples (guard {QUEUE_GUARD}); "
-                        f"the uniform period {gap} is too short for this service "
-                        f"distribution"
-                    )
-        block = _Block(t, last, gap, w[:n], a)
-        t, wait = nxt, int(w[n])
+            if not guarded:
+                # Sample k (0-based) starts at k * period + W_k.  By the generation at
+                # (c - 1) * period, c = k + min(ceil(W_k / period), m - k), c samples are
+                # generated and at most k started, as sample k had not; the first sample
+                # not yet started makes that exact, so the backlog peaks at max_k c - k.
+                # No cap m - k binds in a block whose largest ceil(W / period) is at most
+                # its last cap.  Once a delivery passes the horizon, every later sample
+                # starts past it at c = m, so the next sample holds the peak of them all.
+                m, o = horizon // gap + 1, t // gap
+                top = -(-int(w[:n].max()) // gap)
+                if top > m - (o + n - 1):
+                    top = int(np.minimum(-(-w[:n] // gap), m - np.arange(o, o + n)).max())
+                peak = max(peak, top)
+                if last + int(a[-1]) > horizon or nxt > horizon:
+                    peak, guarded = max(peak, m - o - n), True
+                    if peak > QUEUE_GUARD:
+                        raise RuntimeError(
+                            f"queue backlog reached {peak} samples (guard {QUEUE_GUARD}); "
+                            f"the uniform period {gap} is too short for this service "
+                            f"distribution"
+                        )
+            block = _Block(t, last, gap, w[:n], a)
+            wait = int(w[n])
+        t = nxt
         # Free the draws now: held until the next draw, they leave enough free heap
         # top, once the block is dropped, for glibc to trim and the next to fault back.
         del y
@@ -418,9 +420,11 @@ def trace_chunks(policy, metric, dist, horizon, delta0, seed=None, forced=None):
     queue length, and the times of samples ``first`` + 1 on, which hold
     every sample with an event in the chunk.  The chunks' ``delta``,
     ``metric`` and ``queue``, concatenated, are the run's per-step arrays for
-    steps 0..horizon.  In a run that never queues (a waiting function) every
-    sample starts as it is generated: its ``start`` is ``s`` itself, and its
-    queue column is zero, with no search.
+    steps 0..horizon.  In a run where no sample can wait every sample starts
+    as it is generated: its ``start`` is ``s`` itself, and its queue column is
+    zero, with no search.  A seeded run that can queue first folds its
+    schedule once: its backlog guard, checked where the deliveries pass the
+    horizon, in the last blocks, trips before the first chunk.
 
     The sample generated at s_i owns the steps from its delivery to the
     next, at age n - s_i, and one generated at -delta0 opens the run.  Steps
@@ -430,7 +434,9 @@ def trace_chunks(policy, metric, dist, horizon, delta0, seed=None, forced=None):
     """
     blocks = _schedule(policy, dist, horizon, delta0, seed, forced)
     s, start, d = _times(next(blocks))  # the first block checks the arguments
-    queues = start is not s  # a waiting function's samples never wait
+    queues = start is not s  # a sample of the run can wait
+    if queues and forced is None:  # a forced run's single block has checked its guard
+        _histogram(_schedule(policy, dist, horizon, delta0, seed), horizon, delta0)
     first, owner, queued, table = 0, -delta0, 0, np.zeros(0)
     for lo in range(0, horizon + 1, _CSV_CHUNK_ROWS):
         hi = min(lo + _CSV_CHUNK_ROWS, horizon + 1)

@@ -23,9 +23,10 @@ def run(policy, metric, dist, horizon, seed=None, forced=None, delta0=1):
                                  s=s, start=start, d=d, chunks=chunks)
 
 
-def as_chunks(trace):
-    """A run's arrays, set by hand, as ``write_trace``'s chunks of ``_CSV_CHUNK_ROWS`` steps."""
-    rows = simulator._CSV_CHUNK_ROWS
+def as_chunks(trace, rows=None):
+    """A run's arrays, set by hand, as ``write_trace``'s chunks of ``rows`` steps,
+    by default ``_CSV_CHUNK_ROWS``."""
+    rows = rows or simulator._CSV_CHUNK_ROWS
     steps = [np.concatenate(([x0], x)) for x0, x in ((trace.delta0, trace.delta),
                                                      (trace.metric0, trace.metric),
                                                      (0, trace.queue_len))]

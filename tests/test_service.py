@@ -16,6 +16,11 @@ def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def sample(d, r, n):
+    """``n`` service times drawn from ``d`` on generator ``r``, in draw order."""
+    return np.asarray(d.support)[d.sample_indices(r, n)]
+
+
 class TestConstruction:
     def test_sorted_and_normalized(self):
         d = ServiceTimeDist({5: 0.5, 1: 0.5})
@@ -87,18 +92,18 @@ class TestExpect:
 class TestSampling:
     def test_point_mass_always_same(self):
         d = ServiceTimeDist({7: 1.0})
-        assert np.all(d.sample_many(rng(1), 100) == 7)
+        assert np.all(sample(d, rng(1), 100) == 7)
 
     def test_empirical_pmf_three_sigma(self):
         # binomial 3-sigma bound at 1e6 draws: |freq - 0.5| <= 0.0015 < 0.002
         d = ServiceTimeDist({1: 0.5, 5: 0.5})
-        draws = d.sample_many(rng(42), 1_000_000)
+        draws = sample(d, rng(42), 1_000_000)
         freq1 = float(np.mean(draws == 1))
         assert abs(freq1 - 0.5) <= 0.002
 
     def test_empirical_pmf_uneven(self):
         d = ServiceTimeDist({1: 0.1, 3: 0.6, 9: 0.3})
-        draws = d.sample_many(rng(7), 1_000_000)
+        draws = sample(d, rng(7), 1_000_000)
         for y, p in zip(d.support, d.probs):
             freq = float(np.mean(draws == y))
             sigma = math.sqrt(p * (1 - p) / 1_000_000)
@@ -106,16 +111,16 @@ class TestSampling:
 
     def test_seed_replay(self):
         d = ServiceTimeDist({1: 0.25, 2: 0.25, 3: 0.5})
-        a = d.sample_many(rng(5), 1000)
-        b = d.sample_many(rng(5), 1000)
+        a = sample(d, rng(5), 1000)
+        b = sample(d, rng(5), 1000)
         assert np.array_equal(a, b)
 
     def test_single_draw_consistent_with_bulk(self):
         # one uniform per draw: drawing one at a time replays a bulk draw
         d = ServiceTimeDist({1: 0.3, 4: 0.7})
         r = rng(11)
-        singles = [int(d.sample_many(r, 1)[0]) for _ in range(50)]
-        assert singles == d.sample_many(rng(11), 50).tolist()
+        singles = [int(sample(d, r, 1)[0]) for _ in range(50)]
+        assert singles == sample(d, rng(11), 50).tolist()
 
 
 class _Uniforms:
@@ -147,7 +152,7 @@ class TestSampleIndices:
         # every cdf entry exactly, and its neighbours on either side
         u = np.concatenate((r.random(10_000), cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 2),
                             [0.0, np.nextafter(1.0, 0)]))
-        assert np.array_equal(dist._sample_indices(_Uniforms(u), len(u)),
+        assert np.array_equal(dist.sample_indices(_Uniforms(u), len(u)),
                               searched_indices(dist, u))
 
     @pytest.mark.parametrize("size", [7, 10, 44])
@@ -157,6 +162,6 @@ class TestSampleIndices:
         last = dist._cdf[-1]
         assert last < 1.0
         u = np.array([np.nextafter(last, 0), last, np.nextafter(last, 1), np.nextafter(1.0, 0)])
-        idx = dist._sample_indices(_Uniforms(u), len(u))
+        idx = dist.sample_indices(_Uniforms(u), len(u))
         assert np.array_equal(idx, searched_indices(dist, u))
         assert idx.tolist() == [size - 1] * 4

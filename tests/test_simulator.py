@@ -252,6 +252,14 @@ class TestFIFO:
         with pytest.raises(RuntimeError, match="backlog"):
             run(Uniform(period=1), Affine(1.0), ServiceTimeDist({4: 1.0}), 200, seed=0)
 
+    def test_queue_guard_trips_before_the_first_chunk(self, monkeypatch):
+        # the backlog passes 10 early, but the guard is checked in the last blocks,
+        # where the deliveries pass the horizon: a caller gets no chunk first
+        monkeypatch.setattr(simulator, "QUEUE_GUARD", 10)
+        chunks = simulator.trace_chunks(Uniform(2), Affine(1.0), D15, 100_000, 1, seed=7)
+        with pytest.raises(RuntimeError, match="backlog reached"):
+            next(chunks)
+
 
 def trace_average(trace, metric):
     """The time average of ``metric`` over a trace's steps 1..horizon, its
@@ -481,6 +489,7 @@ def seeded_cases():
         ("uniform-period-1", Uniform(period=1), D15, 1500, (0, 1)),
         ("uniform-period-3", Uniform(period=3), D15, 1500, (2, 3)),
         ("uniform-above-y-max", Uniform(period=7), D15, 1500, (4,)),
+        ("uniform-at-y-max", Uniform(period=5), D15, 1500, (3,)),
         # the paper config's load 1: three full default blocks and one more sample
         ("uniform-load-1", Uniform(period=6), D111, 3 * simulator._CHUNK * 6, (9,)),
         ("zero-wait", zero_waiting(D111), D111, 1500, (5, 6)),
@@ -492,13 +501,18 @@ def seeded_cases():
     return [pytest.param(*case[1:], id=case[0]) for case in cases]
 
 
+def can_queue(policy, dist):
+    """Whether a sample can wait: only under a uniform period shorter than y_max."""
+    return isinstance(policy, Uniform) and policy.period < dist.y_max
+
+
 class TestSeededHistograms:
     @pytest.mark.parametrize("policy, dist, horizon, seeds", seeded_cases())
     def test_histogram_matches_reference_bit_for_bit(self, monkeypatch, policy, dist, horizon,
                                                      seeds):
         chunks = []
-        draw = ServiceTimeDist._sample_indices
-        monkeypatch.setattr(ServiceTimeDist, "_sample_indices",
+        draw = ServiceTimeDist.sample_indices
+        monkeypatch.setattr(ServiceTimeDist, "sample_indices",
                             lambda self, rng, n: chunks.append(n) or draw(self, rng, n))
         if dist is HEAVY and policy == zero_waiting(dist):
             monkeypatch.setattr(simulator, "_CHUNK", 512)
@@ -530,22 +544,23 @@ class TestSeededHistograms:
     def test_every_block_but_the_last_is_full(self, monkeypatch, chunk, seed):
         # a rare long service time: a draw sized by the mean gap would fall short
         monkeypatch.setattr(simulator, "_CHUNK", chunk)
-        sizes = [len(b.wait) for b in simulator._schedule(zero_waiting(HEAVY), HEAVY, 2000, 1,
-                                                          seed)]
+        blocks = simulator._schedule(zero_waiting(HEAVY), HEAVY, 2000, 1, seed)
+        sizes = [len(b.sojourn) for b in blocks]
         assert sizes[:-1] == [chunk] * (len(sizes) - 1), sizes
         assert sum(sizes) <= 2001  # no more than one sample a step can generate
 
     @pytest.mark.parametrize("policy, dist, horizon, seeds",
-                             [p for p in seeded_cases() if not isinstance(p.values[0], Uniform)])
+                             [p for p in seeded_cases() if not can_queue(*p.values[:2])])
     def test_waiting_function_blocks_never_wait(self, monkeypatch, policy, dist, horizon, seeds):
-        # blocks of 64 samples, so every run spans several
+        # a uniform period >= y_max is the waiting function P - y: no sample waits either
+        # (blocks of 64 samples, so every run spans several)
         monkeypatch.setattr(simulator, "_CHUNK", 64)
         for seed in seeds:
             blocks = list(simulator._schedule(policy, dist, horizon, 1, seed))
             assert len(blocks) > 1
             for block in blocks:
-                assert block.wait.shape == block.sojourn.shape == block.gap.shape
-                assert not block.wait.any()
+                assert block.wait is None
+                assert np.shape(block.gap) in {(), block.sojourn.shape}
                 s, start, d = simulator._times(block)
                 assert start is s
             sojourn = np.concatenate([block.sojourn for block in blocks])
@@ -568,6 +583,17 @@ class TestSeededHistograms:
         trace = run(policy, Affine(1.0), D15, horizon, 0)
         assert trace.delta.tolist() == deltas
 
+    @pytest.mark.parametrize("policy, dist, horizon, seeds", seeded_cases())
+    def test_trace_matches_reference(self, policy, dist, horizon, seeds):
+        horizon = min(horizon, 3000)  # the reference writer builds a row at a time
+        for seed in seeds:
+            trace = run(policy, BinarySymmetric(q=0.08), dist, horizon, seed)
+            deltas, qlens = reference_simulate(
+                policy, dist, one_shot_services(dist, horizon, seed), horizon, 1)[:2]
+            assert trace.delta.tolist() == deltas, seed
+            assert trace.queue_len.tolist() == qlens, seed
+            assert column_csv(trace) == reference_csv(trace), seed
+
     @pytest.mark.parametrize("policy, dist, horizon, seeds",
                              [p for p in seeded_cases() if isinstance(p.values[0], Uniform)])
     def test_backlog_guard_peak(self, monkeypatch, policy, dist, horizon, seeds):
@@ -589,8 +615,14 @@ class TestSeededHistograms:
         for chunk, steps in horizons.items():
             monkeypatch.setattr(simulator, "_CHUNK", chunk)
             for seed in seeds:
-                # the guard reports the peak it computes: it trips one below it and passes at it
                 peak = peaks[steps, seed]
+                if not can_queue(policy, dist):
+                    # no sample can wait, so no guard is consulted, not even one below 0
+                    assert peak == 0
+                    monkeypatch.setattr(simulator, "QUEUE_GUARD", -1)
+                    age_histogram(policy, dist, steps, seed)
+                    continue
+                # the guard reports the peak it computes: it trips one below it and passes at it
                 monkeypatch.setattr(simulator, "QUEUE_GUARD", peak - 1)
                 with pytest.raises(RuntimeError, match=f"backlog reached {peak} samples"):
                     age_histogram(policy, dist, steps, seed)
@@ -753,6 +785,17 @@ class TestColumnWriter:
         for horizon in (chunk + offset, 3 * chunk + offset):
             trace = run(Uniform(period=2), BinarySymmetric(q=0.1), D15, horizon, seed=6)
             assert column_csv(trace) == reference_csv(trace), horizon
+
+    @pytest.mark.parametrize("policy", [zero_waiting(D15), Uniform(period=2)],
+                             ids=["zero-wait", "uniform"])
+    def test_one_chunk_past_the_chunk_size(self, policy):
+        # a caller's chunks may be longer than the trace's own: size nothing by them
+        horizon = 20_000
+        trace = run(policy, BinarySymmetric(q=0.1), D15, horizon, seed=1)
+        assert len(trace.chunks) > 1
+        one = io.BytesIO()
+        write_trace(one, as_chunks(trace, rows=horizon + 1))
+        assert one.getvalue().decode("ascii").splitlines(keepends=True) == column_csv(trace)
 
     def test_default_chunk_size(self):
         horizon = simulator._CSV_CHUNK_ROWS  # one full chunk and a one-row chunk
