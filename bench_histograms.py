@@ -1,17 +1,20 @@
-"""Time zero-wait and threshold ``age_histogram`` in two checkouts, in alternating pairs.
+"""Time zero-wait, threshold and uniform ``age_histogram`` in two checkouts, in alternating pairs.
 
     python3 bench_histograms.py BASE_CHECKOUT NEW_CHECKOUT [--pairs 10]
 
 Each run is a fresh interpreter that imports ``infofresh`` from one
 checkout's ``src/`` and builds 1e6-step age histograms on service times
-{1, 3, 5}, each equally likely, for two policies: zero-wait, and the
+{1, 3, 5}, each equally likely, for three policies: zero-wait, the
 threshold waits that ``solve_beta`` gives for negated binary information at
-q = 0.05 ({1: 1, 3: 0, 5: 0}).  After one untimed call per policy it times
+q = 0.05 ({1: 1, 3: 0, 5: 0}), and ``Uniform(4)``, a FIFO queue at load
+0.75 whose samples can wait (its period is below y_max = 5), so its run
+also takes the backlog guard.  After one untimed call per policy it times
 ``REPEATS`` calls per policy, interleaved, on seeds 0.., and reports each
 policy's median call.  A pair runs both checkouts, the base first in odd
 pairs.  The script prints each policy's median and quartiles over the pairs
 for both checkouts, and the number of pairs in which the new checkout was
 faster.  It exits 1 if the two checkouts' histograms differ in any bit.
+``--pairs`` must be at least 2, the fewest that have quartiles.
 """
 
 from __future__ import annotations
@@ -30,14 +33,15 @@ _RUN = """
 import hashlib, json, statistics, sys, time
 sys.path.insert(0, sys.argv[1])
 from infofresh.service import ServiceTimeDist
-from infofresh.simulator import age_histogram
+from infofresh.simulator import Uniform, age_histogram
 from infofresh.solver import solve_beta, zero_waiting
 from infofresh.sources import BinarySymmetric, NegatedMI
 
 horizon, repeats = int(sys.argv[2]), int(sys.argv[3])
 dist = ServiceTimeDist({1: 1 / 3, 3: 1 / 3, 5: 1 / 3})
 policies = {"zero-wait": zero_waiting(dist),
-            "threshold": solve_beta(NegatedMI(BinarySymmetric(q=0.05)), dist).waiting}
+            "threshold": solve_beta(NegatedMI(BinarySymmetric(q=0.05)), dist).waiting,
+            "uniform": Uniform(4)}
 times = {name: [] for name in policies}
 digest = hashlib.sha256()
 for name, policy in policies.items():
@@ -70,6 +74,8 @@ def main() -> int:
     parser.add_argument("new", type=Path)
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args()
+    if args.pairs < 2:
+        parser.error(f"--pairs must be at least 2 to have quartiles, got {args.pairs}")
     pairs = []
     for k in range(args.pairs):
         order = ("base", "new") if k % 2 == 0 else ("new", "base")

@@ -143,7 +143,8 @@ class ExperimentConfig:
         (lambda v: set(v) <= set(POLICIES),
          f"must not name an unknown policy (known: {', '.join(POLICIES)})"))
     trace_policy: str = _ini("trace", "policy", str, "threshold", _one_of(TRACE_POLICIES))
-    forced_services: tuple[int, ...] | None = _ini("trace", "forced_services", _list(int))
+    forced_services: tuple[int, ...] | None = _ini(
+        "trace", "forced_services", _list(int), None, (bool, "must list at least one service time"))
     trace_seed: int | None = _ini("trace", "seed", int, None, _NON_NEGATIVE)
     trace_horizon: int = _ini("trace", "horizon", int, 50, (lambda v: v >= 1, "must be >= 1"))
     delta_max: int = _ini("curve", "delta_max", int, 50, _NON_NEGATIVE)

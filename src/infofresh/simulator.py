@@ -272,10 +272,11 @@ def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
     support index: a ``Uniform``'s period, or y + Z(y) for a mapping Z of
     waits, checked as a ``WaitingFunction``; any other is a TypeError.  A
     block carries the next generation time, until a generation passes the
-    horizon; the last block may hold samples generated past it.  If every
-    sample's gap is at least its service (y + Z(y) >= y, or a period >= y_max),
-    each is delivered by the next generation: the blocks carry no waits and
-    their service times as sojourns, with no scan and no backlog guard.
+    horizon; the last block may hold samples generated past it.  Only the
+    first block can raise; the fold that reads the blocks decides where the
+    run ends.  If every sample's gap is at least its service (y + Z(y) >= y,
+    or a period >= y_max), each is delivered by the next generation: the
+    blocks carry no waits and their service times as sojourns, with no scan.
     Otherwise the queue's only state from one sample to the next is the wait,
     by Lindley's recursion W' = max(0, W + y - gap), carried too.  With F the
     running sum of y - gap before each sample and c the wait carried in,
@@ -303,8 +304,7 @@ def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
         rng = np.random.Generator(np.random.PCG64(seed))
     else:
         forced = _support_indices(forced, dist)
-    t = wait = peak = 0  # the next generation time, its sample's wait, the backlog peak
-    guarded = False
+    t = wait = 0  # the next generation time and its sample's wait
     while t <= horizon:
         n = min((horizon - t) // least + 1, _CHUNK)
         idx = dist.sample_indices(rng, n) if forced is None else forced
@@ -331,27 +331,6 @@ def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
             low = np.minimum.accumulate(g)  # 0, then min(0, c + min F)
             w = np.subtract(g[1:], low[1:], out=g[1:])  # W = c + F - min(0, c + min F)
             a = np.add(w[:n], y, out=low[1:-1])
-            if not guarded:
-                # Sample k (0-based) starts at k * period + W_k.  By the generation at
-                # (c - 1) * period, c = k + min(ceil(W_k / period), m - k), c samples are
-                # generated and at most k started, as sample k had not; the first sample
-                # not yet started makes that exact, so the backlog peaks at max_k c - k.
-                # No cap m - k binds in a block whose largest ceil(W / period) is at most
-                # its last cap.  Once a delivery passes the horizon, every later sample
-                # starts past it at c = m, so the next sample holds the peak of them all.
-                m, o = horizon // gap + 1, t // gap
-                top = -(-int(w[:n].max()) // gap)
-                if top > m - (o + n - 1):
-                    top = int(np.minimum(-(-w[:n] // gap), m - np.arange(o, o + n)).max())
-                peak = max(peak, top)
-                if last + int(a[-1]) > horizon or nxt > horizon:
-                    peak, guarded = max(peak, m - o - n), True
-                    if peak > QUEUE_GUARD:
-                        raise RuntimeError(
-                            f"queue backlog reached {peak} samples (guard {QUEUE_GUARD}); "
-                            f"the uniform period {gap} is too short for this service "
-                            f"distribution"
-                        )
             block = _Block(t, last, gap, w[:n], a)
             wait = int(w[n])
         t = nxt
@@ -380,17 +359,36 @@ def _histogram(blocks, horizon, delta0):
     constant gap tallies the sojourns once: its one-past-last counts are
     those counts shifted by the gap.  That counts A_0 + gap too, where no
     segment of the block ends (the one before it ends at its first
-    delivery), so it is added back as a single first age.
+    delivery), so it is added back as a single first age.  A run that can
+    queue checks its backlog peak against ``QUEUE_GUARD`` where it ends,
+    before folding the block where the fold stops or that generates last.
     """
     diff = np.zeros(0, dtype=np.int64)
     owner = -delta0  # generation time of the latest sample delivered
     firsts, ends = [1 + delta0], []  # single ages, counted at the end
+    peak = 0  # the backlog peak so far
     for block in blocks:
-        t, last, gap, _, a = block
+        t, last, gap, w, a = block
         n = k = len(a)
         if last + int(a[-1]) > horizon:
             s, _, d = _times(block)
             k = int(np.searchsorted(d, horizon, side="right"))
+        if w is not None:
+            # Sample j (0-based) starts at j * period + W_j.  By the generation at
+            # (c - 1) * period, c = j + min(ceil(W_j / period), m - j), c samples are
+            # generated and at most j started, as sample j had not; the first sample
+            # not yet started makes that exact, so the backlog peaks at max_j c - j.
+            # A cap binds only for a start past the horizon, where the fold stops; after it, c = m.
+            m, o = horizon // gap + 1, t // gap
+            if k < n:
+                caps = m - np.arange(o, o + n)
+                peak = max(peak, m - o - n, int(np.minimum(-(-w // gap), caps).max()))
+            else:
+                peak = max(peak, -(-int(w.max()) // gap))
+            if (k < n or o + n >= m) and peak > QUEUE_GUARD:
+                raise RuntimeError(f"queue backlog reached {peak} samples (guard {QUEUE_GUARD}); "
+                                   f"the uniform period {gap} is too short for this service "
+                                   f"distribution")
         if k:
             counts = np.bincount(a[:k])
             if isinstance(gap, np.ndarray):
@@ -422,9 +420,9 @@ def trace_chunks(policy, metric, dist, horizon, delta0, seed=None, forced=None):
     ``metric`` and ``queue``, concatenated, are the run's per-step arrays for
     steps 0..horizon.  In a run where no sample can wait every sample starts
     as it is generated: its ``start`` is ``s`` itself, and its queue column is
-    zero, with no search.  A seeded run that can queue first folds its
-    schedule once: its backlog guard, checked where the deliveries pass the
-    horizon, in the last blocks, trips before the first chunk.
+    zero, with no search.  A run that can queue, seeded or forced, first
+    folds its schedule once with ``_histogram``, whose backlog guard, checked
+    where the fold stops, trips before the first chunk.
 
     The sample generated at s_i owns the steps from its delivery to the
     next, at age n - s_i, and one generated at -delta0 opens the run.  Steps
@@ -432,11 +430,12 @@ def trace_chunks(policy, metric, dist, horizon, delta0, seed=None, forced=None):
     lo, the owner and the queue length at lo - 1.  The metric table doubles
     when an age passes it; no entry depends on its length.
     """
+    forced = None if forced is None else list(forced)  # a run that can queue reads it twice
     blocks = _schedule(policy, dist, horizon, delta0, seed, forced)
     s, start, d = _times(next(blocks))  # the first block checks the arguments
     queues = start is not s  # a sample of the run can wait
-    if queues and forced is None:  # a forced run's single block has checked its guard
-        _histogram(_schedule(policy, dist, horizon, delta0, seed), horizon, delta0)
+    if queues:
+        _histogram(_schedule(policy, dist, horizon, delta0, seed, forced), horizon, delta0)
     first, owner, queued, table = 0, -delta0, 0, np.zeros(0)
     for lo in range(0, horizon + 1, _CSV_CHUNK_ROWS):
         hi = min(lo + _CSV_CHUNK_ROWS, horizon + 1)

@@ -507,10 +507,14 @@ class TestCli:
              "[trace] seed must be >= 0, got -3"),
             ("oracle-check", "[oracle]\ninstances = 2\nseed = -2\n", [],
              "[oracle] seed must be >= 0, got -2"),
+            # an empty list once read as a forced run with no service times and exited 2
+            ("trace", TRACE_INI.replace("forced_services = 1,1,5,5,1,1,5", "forced_services ="),
+             [], "[trace] forced_services must list at least one service time, got ()"),
         ],
         ids=["solve-tol", "solve-zmax-flag", "trace-tol-flag", "oracle-tol-flag",
              "sweep-delta0", "trace-horizon", "oracle-z-cap", "sim-seeds", "sim-seeds-flag",
-             "sim-seeds-repeated", "sim-seeds-repeated-flag", "trace-seed", "oracle-seed"],
+             "sim-seeds-repeated", "sim-seeds-repeated-flag", "trace-seed", "oracle-seed",
+             "trace-forced-empty"],
     )
     def test_range_error_names_key_before_output(self, tmp_path, capsys, command, ini, flags,
                                                  key):

@@ -142,6 +142,12 @@ class TestReplay:
                                                     "10 but only 2 forced service times were given"):
             run(Uniform(period=2), Affine(1.0), D4, 10, forced=[4, 4])
 
+    def test_forced_iterator_serves_a_run_that_can_queue(self):
+        # such a run reads its forced times twice: once to fold for its guard, once to trace
+        args = (Uniform(period=2), Affine(1.0), D15, 40)
+        services = [5, 1] * 11
+        assert run(*args, forced=iter(services)).d.tolist() == run(*args, forced=services).d.tolist()
+
 
 class TestAgeBookkeeping:
     def test_pre_delivery_age_uses_delta0(self):
@@ -253,12 +259,28 @@ class TestFIFO:
             run(Uniform(period=1), Affine(1.0), ServiceTimeDist({4: 1.0}), 200, seed=0)
 
     def test_queue_guard_trips_before_the_first_chunk(self, monkeypatch):
-        # the backlog passes 10 early, but the guard is checked in the last blocks,
-        # where the deliveries pass the horizon: a caller gets no chunk first
+        # the backlog passes 10 early, but the guard is checked where the histogram fold
+        # stops, at the first delivery past the horizon; trace_chunks folds the run once
+        # before its first chunk, so a caller gets no chunk first
         monkeypatch.setattr(simulator, "QUEUE_GUARD", 10)
         chunks = simulator.trace_chunks(Uniform(2), Affine(1.0), D15, 100_000, 1, seed=7)
         with pytest.raises(RuntimeError, match="backlog reached"):
             next(chunks)
+
+    def test_forced_queue_guard_trips_before_the_first_chunk(self, monkeypatch):
+        # a forced run that can queue takes the same fold before its first chunk
+        monkeypatch.setattr(simulator, "QUEUE_GUARD", 5)
+        chunks = simulator.trace_chunks(Uniform(1), Affine(1.0), D4, 50, 1, forced=[4] * 51)
+        with pytest.raises(RuntimeError, match=r"^queue backlog reached 38 samples \(guard 5\)"):
+            next(chunks)
+
+    def test_schedule_yields_every_block_past_the_guard(self, monkeypatch):
+        # the schedule only produces; the fold that reads it decides where the run ends
+        monkeypatch.setattr(simulator, "QUEUE_GUARD", 0)
+        blocks = list(simulator._schedule(Uniform(1), D4, 200, 1, seed=0))
+        assert sum(len(block.sojourn) for block in blocks) == 201
+        with pytest.raises(RuntimeError, match=r"^queue backlog reached 150 samples \(guard 0\)"):
+            age_histogram(Uniform(1), D4, 200, 0)
 
 
 def trace_average(trace, metric):
