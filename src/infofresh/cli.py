@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import itertools
 import os
+import stat
 import sys
 from dataclasses import fields
 from typing import Sequence
@@ -40,7 +42,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one command-line parser, built on the first call and returned by every later
+    one.
+
+    ``main`` may run many commands in one process, and building argparse's parser and
+    its five subparsers costs about 1 ms, a third or more of a small ``solve``.  Reuse
+    is safe: ``parse_args`` does not change the parser, and usage and errors go to the
+    ``sys.stderr`` of the moment.  Each subcommand's ``cmd_*`` function is bound at that
+    first build.  Importing this module builds nothing, so an import that runs no
+    command pays nothing.  ``perfbench/workloads.py`` calls this function by this name
+    with no arguments, once per command.
+    """
     parser = _Parser(prog="infofresh", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     # (flag, the config field it sets as that field's INI key would, help)
@@ -80,6 +94,8 @@ def _run(cmd, name: str, args: argparse.Namespace) -> int:
     plot = getattr(args, "plot_script", False)
     if plot and not cfg.out_path:
         raise ConfigError("--plot-script needs an output path (--out or [output] path)")
+    if cfg.out_path:
+        _check_out(cfg.out_path)
     code = cmd(cfg)
     if plot:
         with _create(cfg.out_path + ".plot.py") as f:
@@ -88,11 +104,29 @@ def _run(cmd, name: str, args: argparse.Namespace) -> int:
     return code
 
 
+def _check_out(path: str) -> None:
+    """Fail before the run on an output path that can never be opened: one whose
+    directory is missing or is not a directory, or one naming a directory.  Nothing is
+    created; other open failures, such as permissions, come when ``_create`` opens it."""
+    try:
+        in_a_directory = stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode)
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise _cannot_write(path, exc.strerror) from exc
+    if not in_a_directory:
+        raise _cannot_write(path, os.strerror(errno.ENOTDIR))
+    if os.path.isdir(path):
+        raise _cannot_write(path, os.strerror(errno.EISDIR))
+
+
 def _create(path: str):
     try:
         return open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
-        raise ConfigError(f"cannot write output {path}: {exc.strerror or exc}") from exc
+        raise _cannot_write(path, exc.strerror or exc) from exc
+
+
+def _cannot_write(path: str, reason) -> ConfigError:
+    return ConfigError(f"cannot write output {path}: {reason}")
 
 
 @contextlib.contextmanager

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import infofresh
+import infofresh.cli as cli
 import infofresh.simulator as simulator
 from infofresh.cli import main
 from infofresh.config import ConfigError, ExperimentConfig, round_half_up
@@ -535,19 +536,29 @@ class TestCli:
         assert "exceeds z_max = 1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, ini", [("solve", SOLVE_INI), ("trace", TRACE_INI)],
-                             ids=["solve", "trace"])
+    @pytest.mark.parametrize("command, ini", [("solve", SOLVE_INI), ("trace", TRACE_INI),
+                                              ("sweep", SWEEP_INI), ("oracle-check", SOLVE_INI)],
+                             ids=["solve", "trace", "sweep", "oracle-check"])
     @pytest.mark.parametrize("where, reason", [("missing-dir", "No such file or directory"),
-                                               ("directory", "Is a directory")],
-                             ids=["missing-dir", "directory"])
-    def test_unwritable_out_exit_1(self, tmp_path, capsys, command, ini, where, reason):
-        # an --out that cannot be opened once ended in a Python traceback
+                                               ("directory", "Is a directory"),
+                                               ("under-a-file", "Not a directory")],
+                             ids=["missing-dir", "directory", "under-a-file"])
+    def test_unwritable_out_exit_1(self, tmp_path, capsys, monkeypatch, command, ini, where,
+                                   reason):
+        # an --out that cannot be opened once ended in a Python traceback; one that can
+        # never be opened is reported before any solving or simulation
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started")
+        for name in ("solve_beta", "age_histogram", "trace_chunks", "random_instances"):
+            monkeypatch.setattr(cli, name, no_work)
         cfg = write(tmp_path, "c.ini", ini)
-        out = tmp_path / "missing" / "o.csv" if where == "missing-dir" else tmp_path
+        out = {"missing-dir": tmp_path / "missing" / "o.csv", "directory": tmp_path,
+               "under-a-file": tmp_path / "c.ini" / "o.csv"}[where]
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"infofresh: error: cannot write output {out}: {reason}\n"
         assert captured.out == ""
+        assert os.listdir(tmp_path) == ["c.ini"]
 
     def test_unwritable_plot_script_exit_1(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
@@ -558,9 +569,10 @@ class TestCli:
             f"infofresh: error: cannot write output {out}.plot.py: Is a directory\n")
 
     def test_trace_checks_its_run_before_opening_out(self, tmp_path, capsys):
-        # the first chunk runs out of forced service times before the bad path is opened
+        # the first chunk runs out of forced service times before the bad path is opened;
+        # a name too long to open fails only at open time, past the early path check
         cfg = write(tmp_path, "t.ini", TRACE_INI.replace("horizon = 22", "horizon = 400"))
-        assert main(["trace", "--config", cfg, "--out", str(tmp_path / "missing" / "o.csv")]) == 2
+        assert main(["trace", "--config", cfg, "--out", str(tmp_path / ("o" * 300))]) == 2
         assert "forced service times" in capsys.readouterr().err
 
     @pytest.mark.parametrize("period, note", [
@@ -736,6 +748,37 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 1
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_one_parser_serves_commands_in_any_order(self, tmp_path, capsys):
+        # exit code, stdout, stderr and --out bytes of each command, run in one order and
+        # then in the other through the one parser
+        trace_ini, out = str(CONFIGS / "threshold_trace.ini"), tmp_path / "o.csv"
+        commands = [["solve", "--config", trace_ini, "--out", str(out)],
+                    ["mi-curve", "--config", trace_ini],
+                    ["oracle-check", "--out", str(out)],
+                    [], ["solve", "--help"], ["bogus"],
+                    ["solve", "--config", trace_ini, "--zmax", "0"]]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            return code, captured.out, captured.err, written
+
+        forward = [run(argv) for argv in commands]
+        backward = [run(argv) for argv in reversed(commands)]
+        assert forward == backward[::-1]
+        assert [r[0] for r in forward] == [0, 0, 0, 1, 0, 1, 1]
+        assert forward[0][3].startswith(b"problem,max-info\n")
+        assert forward[2][3].endswith(b"instances (tolerance 1e-08)\n")
+        assert "infofresh: error: [solver] z_max" in forward[6][2]
 
 
 class TestCliFuzz:
