@@ -26,7 +26,6 @@ from .simulator import (
 from .solver import (
     CycleStats,
     SolverResult,
-    ThresholdUnreachable,
     WaitingFunction,
     cycle_stats,
     solve_beta,
@@ -65,7 +64,6 @@ __all__ = [
     "ServiceTimeDist",
     "SolverResult",
     "Tabulated",
-    "ThresholdUnreachable",
     "Uniform",
     "WaitingFunction",
     "age_histogram",

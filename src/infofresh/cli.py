@@ -29,7 +29,7 @@ from .simulator import (
     trace_chunks,
     write_trace,
 )
-from .solver import ThresholdUnreachable, cycle_stats, solve_beta, zero_waiting
+from .solver import cycle_stats, solve_beta, zero_waiting
 from .sources import NegatedMI, scalar_information
 
 ORACLE_MATCH_TOL = 1e-8
@@ -138,6 +138,12 @@ def _open_out(cfg: ExperimentConfig):
         yield sys.stdout
 
 
+def _note_cap(z_max: int, ys: Sequence[int], where: str = "") -> None:
+    if ys:  # the service times whose wait the cap cut
+        print(f"infofresh: note: the wait cap [solver] z_max = {z_max} binds after service time "
+              f"{', '.join(map(str, ys))}{where}: results are the capped optimum", file=sys.stderr)
+
+
 # ----------------------------------------------------------------------
 # subcommands
 
@@ -172,6 +178,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
           f"{res.iterations} Dinkelbach steps)", file=sys.stderr)
     print("waits: " + ", ".join(f"Z({y}) = {res.waiting[y]}" for y in dist.support),
           file=sys.stderr)
+    _note_cap(cfg.z_max, res.capped)
     return 0
 
 
@@ -189,15 +196,19 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
                  for seed in cfg.seeds]
 
     rows = [f"{cfg.sweep_variable},i_opt,i_zero_wait,i_uniform_mean,i_uniform_stderr\n"]
+    cut = {}  # grid value -> the service times whose wait the cap cut there
     for g, model in zip(cfg.sweep_grid, models):
         info = NegatedMI(model)  # the information columns solve the penalty problem on -I
-        i_opt = _fmt(-solve_beta(info, dist, cfg.tol, cfg.z_max).beta) if do_opt else ""
+        res = solve_beta(info, dist, cfg.tol, cfg.z_max) if do_opt else None
+        i_opt, cut[g] = (_fmt(-res.beta), res.capped) if res else ("", ())
         i_zw = _fmt(-cycle_stats(info, dist, zero_waiting(dist)).ratio) if do_zw else ""
         i_uni, i_se = (map(_fmt, average_over_seeds(hists, model, cfg.horizon))
                        if do_uni else ("", ""))
         rows.append(f"{_fmt(g)},{i_opt},{i_zw},{i_uni},{i_se}\n")
     with _open_out(cfg) as f:
         f.writelines(rows)
+    _note_cap(cfg.z_max, sorted(set().union(*cut.values())),
+              f" at {cfg.sweep_variable} = {', '.join(_fmt(g) for g in cut if cut[g])}")
     if do_uni and dist.mean() >= period:
         print(f"infofresh: note: the uniform queue is unstable at load E[Y] / [sweep] "
               f"uniform_period = {_fmt(dist.mean())} / {period} >= 1: its wait has no steady "
@@ -212,7 +223,9 @@ def cmd_trace(cfg: ExperimentConfig) -> int:
         raise ConfigError("[trace] forced_services and seed exclude each other; set one")
     dist = cfg.build_service()
     if cfg.trace_policy == "threshold":
-        policy = solve_beta(cfg.build_penalty(), dist, cfg.tol, cfg.z_max).waiting
+        res = solve_beta(cfg.build_penalty(), dist, cfg.tol, cfg.z_max)
+        _note_cap(cfg.z_max, res.capped)
+        policy = res.waiting
     elif cfg.trace_policy == "zero-wait":
         policy = zero_waiting(dist)
     else:
@@ -292,17 +305,17 @@ plt.savefig(os.path.join(here, "{csv}.png"), dpi=150)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits on a usage error (1) and after --help (0)
+        return exc.code
     try:
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"infofresh: error: {exc}", file=sys.stderr)
         return 1
-    except (ThresholdUnreachable, SequenceExhausted, BudgetExceeded, RuntimeError) as exc:
+    except (SequenceExhausted, BudgetExceeded, RuntimeError) as exc:
         print(f"infofresh: error: {exc}", file=sys.stderr)
-        if isinstance(exc, ThresholdUnreachable):
-            print("hint: the optimal waits do not fit under z_max; raise z_max (--zmax or "
-                  "[solver] z_max) until they do", file=sys.stderr)
         return 2
 
 

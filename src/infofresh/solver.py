@@ -11,13 +11,13 @@ p = -I (``NegatedMI``); its beta is minus the optimal information.
 
 The penalty at the next delivery depends on y and the wait only through
 t = y + Z(y), so one table g(t) = E[p(t + Y')] serves every support
-point: the best waits at a level c are Z_c(y) = max(0, t*(c) - y), with
-t*(c) the first t where g reaches c.  This single-crossing rule
-generalizes the water-filling rule Z = max(beta - Y, 0) that Sun et al.
-("Update or Wait", IEEE Trans. IT 2017) derive for the linear age.  The
-signed slack
+point: the best waits at a level c are Z_c(y) = min(max(0, t*(c) - y), z_max),
+with t*(c) the first t where g reaches c and z_max the cap on each wait.
+This single-crossing rule generalizes the water-filling rule
+Z = max(beta - Y, 0) that Sun et al. ("Update or Wait", IEEE Trans. IT
+2017) derive for the linear age, to a capped wait.  The signed slack
 
-    h(c) = min over waits of E[cycle reward] - c * E[cycle length]
+    h(c) = min over waits in 0..z_max of E[cycle reward] - c * E[cycle length]
 
 is non-increasing in c and vanishes exactly at the optimal ratio.
 Dinkelbach's iteration (Management Science 1967) finds that root: from
@@ -40,15 +40,6 @@ from .service import ServiceTimeDist
 from .sources import AgePenalty, metric_table, penalty_prefix_sums
 
 DEFAULT_Z_MAX = 10_000
-
-
-class ThresholdUnreachable(Exception):
-    """A wait hit z_max while the expected penalty at the next delivery
-    was still below the threshold.
-
-    The optimal waits do not fit under the cap; raising z_max helps only if
-    the penalty actually grows past the threshold.
-    """
 
 
 class WaitingFunction(Mapping[int, int]):
@@ -102,12 +93,14 @@ class CycleStats:
 
 @dataclass(frozen=True)
 class SolverResult:
-    """Solved threshold; beta equals the optimal time average itself."""
+    """Solved threshold; beta is the optimal time average over waits 0..z_max.  ``capped``
+    lists the support points whose wait z_max cut, with E[p(y + z_max + Y')] still below beta."""
 
     beta: float
     waiting: WaitingFunction
     h_residual: float
     iterations: int
+    capped: tuple[int, ...]
 
 
 def _tables(penalty: AgePenalty, dist: ServiceTimeDist) -> tuple[np.ndarray, ...]:
@@ -161,14 +154,13 @@ def solve_beta(
     tol: float = 1e-10,
     z_max: int = DEFAULT_Z_MAX,
 ) -> SolverResult:
-    """Minimize the time-average penalty over waiting policies.
+    """Minimize the time-average penalty over waiting policies with waits in 0..z_max.
 
     Dinkelbach's iteration from the zero-wait ratio; ``iterations`` counts
     its steps.  It stops when the waits repeat, which is an exact fixed
     point, or, as a guard, when a step lowers the level by no more than
     ``tol``; beta is then within tol times a ratio of cycle lengths of the
-    optimum.  A level whose waits exceed z_max takes the capped waits.
-    Raises ThresholdUnreachable only if a final wait is cut by the cap.
+    optimum.  A binding cap is a constraint, not an error: see ``capped``.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -207,16 +199,12 @@ def solve_beta(
         c = min(c, reward / length)
         if drop <= tol:
             break
-    for y, zy in zip(dist.support, z):
-        if zy == z_max and g[y + z_max] < c:
-            raise ThresholdUnreachable(
-                f"the optimal wait after service time {y} exceeds z_max = {z_max}: "
-                f"E[p({y} + {z_max} + Y')] = {g[y + z_max]} is still below beta = {c}"
-            )
     reward, length = cycle(waits(c))
     return SolverResult(
         beta=c,
         waiting=WaitingFunction(dict(zip(dist.support, z.tolist()))),
         h_residual=reward - c * length,
         iterations=iterations,
+        # a wait that ends before g reaches beta breaks the threshold rule: the cap cut it
+        capped=tuple(ys[ys + z < np.searchsorted(g, c, side="left")].tolist()),
     )

@@ -25,8 +25,9 @@ import infofresh.cli as cli
 import infofresh.simulator as simulator
 from infofresh.cli import main
 from infofresh.config import ConfigError, ExperimentConfig, round_half_up
+from infofresh.analytic import brute_force_optimum
 from infofresh.simulator import Uniform, _fmt, age_histogram
-from infofresh.sources import BinarySymmetric, mutual_information, scalar_penalty
+from infofresh.sources import BinarySymmetric, NegatedMI, mutual_information, scalar_penalty
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -259,12 +260,17 @@ class TestCli:
         assert float(fields["beta"]) == pytest.approx(95.4592983942, abs=1e-9)
         assert fields["z[1]"] == "91"
 
-    def test_solve_binding_cap_exit_2(self, tmp_path, capsys):
+    def test_solve_binding_cap_notes_it_and_exits_0(self, tmp_path, capsys):
+        # the optimal wait after a 1-step service, 91, does not fit under 50
         cfg = write(tmp_path, "h.ini", HEAVY_INI)
-        assert main(["solve", "--config", cfg, "--zmax", "50"]) == 2
-        err = capsys.readouterr().err
-        assert "service time 1 exceeds z_max = 50" in err
-        assert "hint: " in err and "--zmax" in err
+        assert main(["solve", "--config", cfg, "--zmax", "50"]) == 0
+        captured = capsys.readouterr()
+        fields = dict(line.split(",", 1) for line in captured.out.splitlines())
+        assert float(fields["beta"]) == pytest.approx(110.993105544125, abs=1e-8)
+        assert (fields["z[1]"], fields["z[3000]"]) == ("50", "0")
+        assert captured.err.splitlines()[-1] == (
+            "infofresh: note: the wait cap [solver] z_max = 50 binds after service time 1: "
+            "results are the capped optimum")
 
     def test_sweep_schema_and_rerun_identical(self, tmp_path):
         cfg = write(tmp_path, "sw.ini", SWEEP_INI)
@@ -349,11 +355,13 @@ class TestCli:
         cfg = write(tmp_path, "t.ini", SOLVE_INI + "\n[trace]\npolicy = zero-wait\n")
         assert main(["trace", "--config", cfg]) == 1
 
-    def test_trace_needs_forced_or_seed_before_solving(self, tmp_path, capsys):
-        # the cap binds, so solving first would exit 2 with ThresholdUnreachable
-        cfg = write(tmp_path, "t.ini", HEAVY_INI + "\n[solver]\nz_max = 50\n")
+    def test_trace_needs_forced_or_seed_before_solving(self, tmp_path, capsys, monkeypatch):
+        solves = []
+        monkeypatch.setattr(cli, "solve_beta", lambda *args: solves.append(args))
+        cfg = write(tmp_path, "t.ini", HEAVY_INI)
         out = tmp_path / "o.csv"
         assert main(["trace", "--config", cfg, "--out", str(out)]) == 1
+        assert solves == []
         assert capsys.readouterr().err == (
             "infofresh: error: [trace] needs either forced_services or seed\n")
         assert not out.exists()
@@ -527,13 +535,13 @@ class TestCli:
         assert captured.out == ""
         assert not out.exists()
 
-    def test_sweep_runtime_error_leaves_no_file(self, tmp_path, capsys):
-        # the optimal wait after a 1-step service passes z_max = 1 at some grid point
-        ini = SWEEP_INI.replace("grid = 0.1:0.5:0.2", "grid = 0.01:0.49:0.02")
-        cfg = write(tmp_path, "sw.ini", ini + "\n[solver]\nz_max = 1\n")
+    def test_sweep_runtime_error_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # the uniform queue at load 1 passes a backlog guard of 10 samples
+        monkeypatch.setattr(simulator, "QUEUE_GUARD", 10)
+        cfg = write(tmp_path, "sw.ini", SWEEP_INI)
         out = tmp_path / "o.csv"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
-        assert "exceeds z_max = 1" in capsys.readouterr().err
+        assert "infofresh: error: queue backlog reached" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, ini", [("solve", SOLVE_INI), ("trace", TRACE_INI),
@@ -591,13 +599,38 @@ class TestCli:
         assert captured.out == ""
         assert len(out.read_text().splitlines()) == 4
 
-    def test_sweep_error_exit_prints_no_note(self, tmp_path, capsys):
-        # at load 1, as the note's case above, but the solver fails at some grid point
-        ini = SWEEP_INI.replace("grid = 0.1:0.5:0.2", "grid = 0.01:0.49:0.02")
-        cfg = write(tmp_path, "sw.ini", ini + "\n[solver]\nz_max = 1\n")
+    def test_sweep_error_exit_prints_no_note(self, tmp_path, capsys, monkeypatch):
+        # at load 1, as the note's case above, but the backlog guard trips
+        monkeypatch.setattr(simulator, "QUEUE_GUARD", 10)
+        cfg = write(tmp_path, "sw.ini", SWEEP_INI)
         assert main(["sweep", "--config", cfg, "--seeds", "2", "--horizon", "2000"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("infofresh: error: ") and "note" not in err
+
+    def test_sweep_notes_a_binding_cap(self, tmp_path, capsys):
+        # the optimal wait after a 1-step service is above 1 for q up to 0.11
+        ini = SWEEP_INI.replace("grid = 0.1:0.5:0.2", "grid = 0.01:0.19:0.02").replace(
+            "uniform_period = 6", "uniform_period = 7")
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", write(tmp_path, "sw.ini", ini + "[solver]\nz_max = 1\n"),
+                     "--out", str(out), "--seeds", "2", "--horizon", "2000"]) == 0
+        assert capsys.readouterr().err == (
+            "infofresh: note: the wait cap [solver] z_max = 1 binds after service time 1 at "
+            "q = 0.01, 0.03, 0.05, 0.07, 0.09, 0.11: results are the capped optimum\n")
+        dist = ExperimentConfig.from_ini(ini).build_service()
+        for row in out.read_text().splitlines()[1:]:
+            q, i_opt = map(float, row.split(",")[:2])
+            oracle = brute_force_optimum(NegatedMI(BinarySymmetric(q=q)), dist, z_cap=1)
+            assert i_opt == pytest.approx(-oracle.best_ratio, abs=1e-8), row
+
+    def test_trace_notes_a_binding_cap(self, tmp_path, capsys):
+        ini = HEAVY_INI + "\n[solver]\nz_max = 50\n\n[trace]\nforced_services = 1, 1\nhorizon = 60\n"
+        out = tmp_path / "t.csv"
+        assert main(["trace", "--config", write(tmp_path, "t.ini", ini), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "infofresh: note: the wait cap [solver] z_max = 50 binds after service time 1: "
+            "results are the capped optimum\n")
+        assert out.read_text().splitlines()[52].endswith(",gen:2|start:2")  # delivered at 1
 
     def test_mi_curve_negative_delta_max_exit_1(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.ini", "[source]\nkind = binary\nq = 0.2\n\n[curve]\ndelta_max = -3\n")
@@ -738,16 +771,16 @@ class TestCli:
     def test_plot_script_without_template_is_usage_error(self, tmp_path, capsys, command):
         cfg = write(tmp_path, "s.ini", SOLVE_INI + "\n[oracle]\ninstances = 1\n")
         out = tmp_path / "o.csv"
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--config", cfg, "--out", str(out), "--plot-script"])
-        assert exc.value.code == 1
+        assert main([command, "--config", cfg, "--out", str(out), "--plot-script"]) == 1
         assert "unrecognized arguments: --plot-script" in capsys.readouterr().err
         assert not out.exists()
 
     def test_usage_error_exit_1(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["no-such-command"])
-        assert exc.value.code == 1
+        assert main(["no-such-command"]) == 1
+        assert main([]) == 1
+        assert "infofresh: error: " in capsys.readouterr().err
+        assert main(["solve", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: infofresh solve")
 
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()
@@ -763,10 +796,7 @@ class TestCli:
                     ["solve", "--config", trace_ini, "--zmax", "0"]]
 
         def run(argv):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+            code = main(argv)
             captured = capsys.readouterr()
             written = out.read_bytes() if out.exists() else None
             out.unlink(missing_ok=True)

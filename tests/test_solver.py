@@ -15,7 +15,6 @@ from infofresh.analytic import brute_force_optimum, random_instances
 from infofresh.config import ExperimentConfig
 from infofresh.service import ServiceTimeDist
 from infofresh.solver import (
-    ThresholdUnreachable,
     WaitingFunction,
     cycle_stats,
     solve_beta,
@@ -34,8 +33,11 @@ from reference import cycle_sums, slack
 
 D15 = ServiceTimeDist({1: 0.5, 5: 0.5})
 D4 = ServiceTimeDist({4: 1.0})
+D111 = ServiceTimeDist({1: 0.5, 11: 0.5})
 # A rare 3000-step service: the optimal wait after a 1-step service is 91.
 HEAVY = ServiceTimeDist({1: 0.999, 3000: 0.001})
+# 40 equally likely service times: under Affine(1.0) the optimal waits reach 12.
+D40 = ServiceTimeDist({y: 1 / 40 for y in range(1, 41)})
 
 
 def _stress_problems():
@@ -283,6 +285,7 @@ class TestCap:
         res = solve_beta(Affine(1.0), HEAVY, z_max=300)
         assert res.beta == pytest.approx(95.4592983942, abs=1e-9)
         assert dict(res.waiting) == {1: 91, 3000: 0}
+        assert res.capped == ()
         achieved = cycle_stats(Affine(1.0), HEAVY, res.waiting).ratio
         assert achieved == pytest.approx(res.beta, abs=1e-9)
 
@@ -290,9 +293,15 @@ class TestCap:
         capped = solve_beta(Affine(1.0), HEAVY, z_max=300)
         assert capped.beta == solve_beta(Affine(1.0), HEAVY, z_max=100_000).beta
 
-    def test_binding_cap_raises_naming_the_wait(self):
-        with pytest.raises(ThresholdUnreachable, match=r"service time 1 exceeds z_max = 50"):
-            solve_beta(Affine(1.0), HEAVY, z_max=50)
+    def test_binding_cap_returns_the_capped_optimum(self):
+        # the optimal wait after a 1-step service, 91, does not fit under 50
+        res = solve_beta(Affine(1.0), HEAVY, z_max=50)
+        oracle = brute_force_optimum(Affine(1.0), HEAVY, z_cap=50)
+        assert res.beta == pytest.approx(oracle.best_ratio, abs=1e-8)
+        achieved = cycle_stats(Affine(1.0), HEAVY, res.waiting).ratio
+        assert achieved == pytest.approx(oracle.best_ratio, abs=1e-8)
+        assert dict(res.waiting) == dict(oracle.best_waiting) == {1: 50, 3000: 0}
+        assert res.capped == (1,)
 
     def test_huge_cap_costs_nothing(self, monkeypatch):
         lengths = []
@@ -331,14 +340,19 @@ class TestThresholdRule:
     }
 
     @staticmethod
-    def check(penalty, dist):
-        res = solve_beta(penalty, dist)
+    def check(penalty, dist, z_max=solver.DEFAULT_Z_MAX):
+        # where the cap cuts the rule, the wait is z_max and E[p] is still below beta there
+        res = solve_beta(penalty, dist, z_max=z_max)
         for y, z in res.waiting.items():
             scan = [expected_next_penalty(penalty, dist, y + n) for n in range(z + 1)]
-            assert scan[-1] >= res.beta - 1e-12, (y, z, scan[-1], res.beta)
+            if y in res.capped:
+                assert z == z_max and scan[-1] < res.beta + 1e-12, (y, z, scan[-1], res.beta)
+            else:
+                assert scan[-1] >= res.beta - 1e-12, (y, z, scan[-1], res.beta)
             assert all(e < res.beta + 1e-12 for e in scan[:-1]), (y, z, res.beta)
         waits = [res.waiting[y] for y in dist.support]
         assert all(b <= a for a, b in zip(waits, waits[1:])), waits
+        return res
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_random_instances(self, seed):
@@ -348,6 +362,20 @@ class TestThresholdRule:
     @pytest.mark.parametrize("name", NAMED)
     def test_named_instances(self, name):
         self.check(*self.NAMED[name])
+
+    # (penalty, service, a cap that cuts the rule, the service times it cuts)
+    CAPPED = {
+        "binary-q0.02": (NegatedMI(BinarySymmetric(q=0.02)), D111, 2, (1,)),
+        "gaussian-a0.9": (NegatedMI(GaussianAR1(a=0.9)), D111, 1, (1,)),
+        "heavy-tail": (Affine(1.0), HEAVY, 50, (1,)),
+        # the wait after 8 is also 5, but it ends where E[p] reaches beta: not cut
+        "affine-40-points": (Affine(1.0), D40, 5, tuple(range(1, 8))),
+    }
+
+    @pytest.mark.parametrize("name", CAPPED)
+    def test_capped_instances(self, name):
+        penalty, dist, z_max, capped = self.CAPPED[name]
+        assert self.check(penalty, dist, z_max).capped == capped
 
 
 # Oracle caps: a two-point support enumerates (cap+1)^2 candidates, a
@@ -410,9 +438,11 @@ def wide_instances(draw):
 
 
 def assert_beta_is_the_root(penalty, dist, z_max):
-    """The theorem: beta is the root of the slack over every wait up to z_max."""
-    beta = solve_beta(penalty, dist).beta
-    assert abs(slack(penalty, dist, beta, z_max)) <= 1e-9 * max(1.0, abs(beta))
+    """The theorem: beta, solved under the cap z_max, is the root of the slack
+    over every wait up to z_max."""
+    res = solve_beta(penalty, dist, z_max=z_max)
+    assert abs(slack(penalty, dist, res.beta, z_max)) <= 1e-9 * max(1.0, abs(res.beta))
+    return res
 
 
 @given(wide_instances())
@@ -426,3 +456,38 @@ def test_beta_is_the_root_of_the_slack_property(instance):
 def test_beta_is_the_root_of_the_slack_heavy_tail():
     # the slack tries every wait up to 100000, far past the optimal 91
     assert_beta_is_the_root(Affine(1.0), HEAVY, 100_000)
+
+
+@given(wide_instances(), st.integers(1, 8))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_capped_beta_is_the_root_of_the_capped_slack_property(instance, z_max):
+    # supports of up to 50 points, whose wait vectors are too many for the oracle
+    assert_beta_is_the_root(*instance, z_max)
+
+
+def test_capped_beta_is_the_root_of_the_capped_slack_wide_support():
+    # a cap of 5 cuts the waits after the 7 shortest of 40 service times
+    assert assert_beta_is_the_root(Affine(1.0), D40, 5).capped == tuple(range(1, 8))
+
+
+@given(solver_instances(), st.integers(1, 8))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_capped_optimum_matches_oracle_property(instance, z_max):
+    # the oracle enumerates every wait in 0..z_max, so it finds the capped optimum
+    penalty, dist = instance
+    res = solve_beta(penalty, dist, tol=1e-10, z_max=z_max)
+    oracle = brute_force_optimum(penalty, dist, z_cap=z_max)
+    assert res.beta == pytest.approx(oracle.best_ratio, abs=1e-8)
+    achieved = cycle_stats(penalty, dist, res.waiting).ratio
+    assert achieved == pytest.approx(oracle.best_ratio, abs=1e-8)
+
+
+@given(solver_instances())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_cap_at_the_table_bound_never_binds_property(instance):
+    # every level's crossing lies within the table, at t <= 2*y_max, so no wait
+    # exceeds 2*y_max - y_min: that cap clips nothing
+    penalty, dist = instance
+    res = solve_beta(penalty, dist, z_max=2 * dist.y_max - dist.y_min)
+    assert res.capped == ()
+    assert res == solve_beta(penalty, dist, z_max=10**9)
