@@ -22,13 +22,13 @@ built from the same blocks ``_CSV_CHUNK_ROWS`` steps at a time, from the
 samples that reach into a chunk and the owner and queue length carried in,
 and recovers its per-step quantities (age, metric, queue length) from the
 delivery intervals as arrays too, down to the CSV, laid out in 8-byte words
-a chunk at a time and written as bytes to a binary stream, the event words
-only at the steps where their events happen, found by a binary search of the
-sample times.  A run where no sample waits skips the queue: its queue column
-is zero, and each start is written with its generation, unsearched.
-``trace`` writes each chunk as it is built, so its memory does not grow
-with the horizon (a 43 MB peak at 2e7 steps); a caller that wants whole-run
-arrays concatenates the chunks.
+a chunk at a time and written as bytes to a binary stream, the event words only
+at the steps where their events happen, found by a binary search of the sample
+times.  A run where no sample waits skips the queue: its queue column is zero,
+the 0 that ends each age's ``,delta,metric,0`` words, and each start is written
+with its generation, unsearched.  ``trace`` writes each chunk as it is built,
+so its memory does not grow with the horizon (a 43 MB peak at 2e7 steps); a
+caller that wants whole-run arrays concatenates the chunks.
 This is exact and bit-reproducible given the seed: PCG64 draws in blocks
 replay the stream of one large draw.
 """
@@ -125,20 +125,20 @@ def _decimal(values: np.ndarray, out: np.ndarray) -> None:
         np.bitwise_or(groups[above], tail, out=out[j])
 
 
-def _words(ages: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Each age's ``,delta,metric,`` in NUL-padded little-endian words, a column each."""
-    text = np.array([f",{a},{_fmt(v)},".encode("ascii")
+def _words(ages: np.ndarray, values: np.ndarray, tail: str) -> np.ndarray:
+    """Each age's ``,delta,metric,{tail}`` in NUL-padded little-endian words, a column each."""
+    text = np.array([f",{a},{_fmt(v)},{tail}".encode("ascii")
                      for a, v in zip(ages.tolist(), values.tolist())])
     return text.astype(f"S{-(-text.itemsize // 8) * 8}").view("<u8").reshape(len(text), -1).T
 
 
 class _Prefixes:
-    """Each age's ``_words`` in a column, filled in (from 0) as chunks reach
-    it.  Ages before the first delivery, delta0 + n at step n, exceed their
-    step and occur once: each takes a column for its chunk only."""
+    """Each age's ``_words``, ending in ``tail``, in a column, filled in (from 0)
+    as chunks reach it.  Ages before the first delivery, delta0 + n at step n,
+    exceed their step and occur once: each takes a column for its chunk only."""
 
-    def __init__(self) -> None:
-        self.table = np.zeros((1, 0), dtype="<u8")
+    def __init__(self, tail: str) -> None:
+        self.table, self.tail = np.zeros((1, 0), dtype="<u8"), tail
 
     def columns(self, lo: int, delta: np.ndarray, metric: np.ndarray):
         """A table for the chunk of steps from ``lo`` and each step's column in it."""
@@ -150,13 +150,13 @@ class _Prefixes:
         new = np.flatnonzero(table[0].take(ages) == 0)
         if len(new):
             fresh, at = np.unique(ages[new], return_index=True)
-            words = _words(fresh, metric[j:][new[at]])  # the metric is a function of the age
+            words = _words(fresh, metric[j:][new[at]], self.tail)  # metric is a function of age
             table = np.pad(table, ((0, max(0, len(words) - len(table))), (0, 0)))
             table[:len(words), fresh] = words
         self.table = table
         if not j:
             return table, delta
-        words = _words(delta[:j], metric[:j])
+        words = _words(delta[:j], metric[:j], self.tail)
         p = max(len(words), len(table))
         table = np.concatenate([np.pad(t, ((0, p - len(t)), (0, 0))) for t in (table, words)], 1)
         return table, np.concatenate((self.table.shape[1] + np.arange(j), ages))
@@ -176,24 +176,33 @@ def write_trace(f: IO[bytes], chunks) -> None:
     written only at their kind's steps, found by a binary search of the
     kind's times: service times are >= 1, so generation, start and delivery
     times each strictly increase with the sample index, and a step holds at
-    most one event of each kind.  A chunk whose ``start`` is its ``s`` (a
-    run in which no sample waits) writes each start at its generation step,
-    after the gen token and with its index words, with no search of its
-    own.  No CSV byte is NUL, so dropping the grid's
-    NULs, read row by row, leaves the text.  The grid, index and ``fired``
-    buffers grow to the widest chunk given and are viewed per chunk.
+    most one event of each kind.  A run whose first chunk's ``start`` is its
+    ``s`` starts each sample as it is generated, so it never queues: each
+    start is written at its generation step, after the gen token and with
+    its index words, unsearched, and ``queue_len`` 0 ends each age's prefix,
+    ``,delta,metric,0``, with no queue words.  A chunk that queues in such a
+    run, or whose ``start`` switches between ``s`` and its own array within
+    the call, is a ValueError naming its first step.  No CSV byte is NUL, so
+    dropping the grid's NULs, read row by row, leaves the text.  The grid,
+    index and ``fired`` buffers grow to the widest chunk given.
     """
-    prefixes = _Prefixes()
+    prefixes = None
     grids = np.empty(0, dtype="<u8")
     index = np.empty((3, 0), dtype="<u8")  # an int64 has at most 3 words of digits
     fired = np.empty(0, dtype=bool)  # an earlier kind fired at the step
     f.write(b"n,delta,metric,queue_len,event")
     for lo, delta, metric, queue, first, s, start, d in chunks:
         rows = len(delta)
+        if prefixes is None:  # once a call: a run whose samples start as generated never queues
+            folded, prefixes = start is s, _Prefixes("0" if start is s else "")
+        if (start is s) is not folded:
+            raise ValueError(f"the chunk from step {lo} switches start between s and its own array")
+        if folded and queue.any():
+            raise ValueError(f"the chunk from step {lo} starts each sample as generated but queues")
         table, keys = prefixes.columns(lo, delta, metric)
         n, p = len(str(lo + rows - 1)) // 8 + 1, len(table)
         w = len(str(first + len(s))) // 8 + 1  # sample-index words, with a byte for the colon
-        c = n + p + -(-len(str(queue.max())) // 8)  # the first event word
+        c = n + p + (0 if folded else -(-len(str(queue.max())) // 8))  # the first event word
         size = c + 3 * (1 + w)
         if len(grids) < size * rows:
             grids = np.empty(size * rows, dtype="<u8")
@@ -204,13 +213,14 @@ def write_trace(f: IO[bytes], chunks) -> None:
         grid[0] |= _NEWLINE
         grid[n - 1, 0] |= _ZERO  # n = 0 prints its digit
         np.take(table, keys, axis=1, out=grid[n:n + p])
-        _decimal(queue, grid[n + p:c])
-        grid[c - 1] |= _ZERO
+        if not folded:
+            _decimal(queue, grid[n + p:c])
+            grid[c - 1] |= _ZERO
         grid[c:] = 0
         fired[:rows] = False
         # the kinds in the order they happen within one step
         for row, times, token in zip(range(c, size, 1 + w), (d, s, start), (_DELIVER, _GEN, _START)):
-            if token is _START and start is s:  # each sample starts as it is generated
+            if token is _START and folded:  # each sample starts as it is generated
                 grid[row][at] = _START | _BAR
             else:
                 a, b = np.searchsorted(times, (lo, lo + rows)).tolist()

@@ -986,6 +986,14 @@ class TestTraceGoldenDigests:
             "[trace]\npolicy = uniform\nseed = 7\nhorizon = 40000\n",
             "0376429acb6c329f76f3ac6f79b2a07e0ecdd08afad9ad45c536405eff0213e0",
         ),
+        # period 5 = y_max: no sample waits, so the queue column is the prefixes' 0
+        "seeded-uniform-past-y-max": (
+            "[source]\nkind = binary\nq = 0.1\n\n"
+            "[service]\ndist = 1:0.5, 5:0.5\n\n"
+            "[sweep]\nuniform_period = 5\n\n"
+            "[trace]\npolicy = uniform\nseed = 7\nhorizon = 40000\n",
+            "b3ed9d80ea09d71f300ace42e1a0821da9390ebda34563780196ce93ef8b0ab9",
+        ),
         "seeded-gaussian-zero-wait": (
             "[source]\nkind = gaussian\na = 0.9\n\n"
             "[service]\ndist = 1:0.3, 4:0.7\n\n"

@@ -787,10 +787,55 @@ class TestColumnWriter:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_start_written_at_generation_matches_copied_start(self, seed):
+        # a forced uniform period >= y_max never queues either
         for policy, dist, services, horizon in random_runs(seed):
-            if not isinstance(policy, Uniform):
+            if not can_queue(policy, dist):
                 assert_start_routes_agree(simulator.trace_chunks(
                     policy, BinarySymmetric(q=0.08), dist, horizon, 1, forced=services))
+
+    @pytest.mark.parametrize("forced", [None, [1, 5, 5, 1, 5] * 2000], ids=["seeded", "forced"])
+    def test_start_routes_agree_on_a_uniform_period_at_y_max(self, forced):
+        # Uniform(5) on {1, 5} takes the no-queue route, over more than one chunk
+        chunks = simulator.trace_chunks(Uniform(period=5), BinarySymmetric(q=0.1), D15, 40_000, 1,
+                                        seed=None if forced else 7, forced=forced)
+        assert_start_routes_agree(chunks)
+
+    @pytest.mark.parametrize("policy", [zero_waiting(D15), {1: 1, 5: 0}],
+                             ids=["zero-wait", "threshold"])
+    def test_a_run_that_never_queues_spells_no_queue(self, monkeypatch, policy):
+        # its queue_len 0 ends each age's prefix: no chunk's queue goes through _decimal
+        chunks = list(simulator.trace_chunks(policy, Affine(1.0), D15, 20_000, 1, seed=3))
+        assert len(chunks) > 1
+        spelled = []
+        decimal = simulator._decimal
+        monkeypatch.setattr(simulator, "_decimal",
+                            lambda values, out: spelled.append(values) or decimal(values, out))
+        write_trace(io.BytesIO(), chunks)
+        assert spelled
+        assert not any(values is queue for values in spelled for _, _, _, queue, *_ in chunks)
+
+    def test_a_run_that_never_queues_rejects_a_queue(self):
+        # a hand-built chunk that starts each sample as generated but says it queues
+        chunks = list(simulator.trace_chunks(zero_waiting(D15), Affine(1.0), D15, 20_000, 1,
+                                             seed=3))
+        lo, delta, values, queue, *rest = chunks[1]
+        chunks[1] = (lo, delta, values, queue + (np.arange(len(queue)) == 5), *rest)
+        buf = io.BytesIO()
+        with pytest.raises(ValueError, match=f"step {lo} "):
+            write_trace(buf, chunks)
+        assert_only_whole_chunks_written(buf, chunks, 1)
+
+    @pytest.mark.parametrize("copied", [0, 1], ids=["searched-first", "folded-first"])
+    def test_chunks_may_not_switch_start_routes(self, copied):
+        # one call's chunks are all folded (start is s) or all carry their own start
+        chunks = list(simulator.trace_chunks(zero_waiting(D15), Affine(1.0), D15, 20_000, 1,
+                                             seed=3))
+        *head, s, _, d = chunks[copied]
+        chunks[copied] = (*head, s, s.copy(), d)
+        buf = io.BytesIO()
+        with pytest.raises(ValueError, match=f"step {chunks[1][0]} "):
+            write_trace(buf, chunks)
+        assert_only_whole_chunks_written(buf, chunks, 1)
 
     def test_start_routes_agree_on_a_seeded_threshold_trace(self):
         # the seeded-threshold-two-blocks golden's config: perfbench's trace-long at seed 1
@@ -834,15 +879,23 @@ class TestColumnWriter:
 
 def assert_start_routes_agree(chunks):
     """A run that never queues yields ``start`` as ``s`` itself, and ``write_trace``
-    then writes each start from its generation; with ``start`` a copy it searches
-    the start times as for a queue.  Both must write the same bytes."""
+    then writes each start from its generation and the zero queue in each age's
+    prefix; with ``start`` a copy it searches the start times and spells the
+    queue as for a run that queues.  Both must write the same bytes."""
     chunks = list(chunks)
-    assert all(start is s for *_, s, start, _ in chunks)
+    assert all(start is s and not queue.any() for _, _, _, queue, _, s, start, _ in chunks)
     copied = [(*head, s, s.copy(), d) for *head, s, _, d in chunks]
     same, searched = io.BytesIO(), io.BytesIO()
     write_trace(same, chunks)
     write_trace(searched, copied)
     assert same.getvalue() == searched.getvalue()
+
+
+def assert_only_whole_chunks_written(buf, chunks, k):
+    """``buf`` holds what ``write_trace`` writes for the first ``k`` of ``chunks``, no more."""
+    want = io.BytesIO()
+    write_trace(want, chunks[:k])
+    assert buf.getvalue() == want.getvalue()[:-1]  # all but the last newline
 
 
 class TestWriterDigitWidths:
