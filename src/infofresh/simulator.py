@@ -19,16 +19,16 @@ carries the next generation time and wait to the next block.  The age histogram
 folds the blocks one at a time, a constant gap with one tally of its
 sojourns, so a sweep never holds an array sized by the horizon.  A trace is
 built from the same blocks ``_CSV_CHUNK_ROWS`` steps at a time, from the
-samples that reach into a chunk and the owner and queue length carried in,
-and recovers its per-step quantities (age, metric, queue length) from the
-delivery intervals as arrays too, down to the CSV, laid out in 8-byte words
-a chunk at a time and written as bytes to a binary stream, the event words only
-at the steps where their events happen, found by a binary search of the sample
-times.  A run where no sample waits skips the queue: its queue column is zero,
-the 0 that ends each age's ``,delta,metric,0`` words, and each start is written
-with its generation, unsearched.  ``trace`` writes each chunk as it is built,
-so its memory does not grow with the horizon (a 43 MB peak at 2e7 steps); a
-caller that wants whole-run arrays concatenates the chunks.
+samples that reach into a chunk and the owner carried in, and recovers its
+ages and metric values from the delivery intervals as arrays too.  The writer
+counts the queue, generated less started by each step, from the same times,
+and lays a chunk out in 8-byte words written as bytes to a binary stream, the
+event words only where their events happen, found by a binary search of the
+times.  A chunk whose samples start as generated never queues: its 0 ends each
+age's ``,delta,metric,0`` words, and each start is written with its
+generation, unsearched.  ``trace`` writes each chunk as it is built, so its
+memory does not grow with the horizon (a 43 MB peak at 2e7 steps); a caller
+that wants whole-run arrays concatenates the chunks.
 This is exact and bit-reproducible given the seed: PCG64 draws in blocks
 replay the stream of one large draw.
 """
@@ -176,33 +176,36 @@ def write_trace(f: IO[bytes], chunks) -> None:
     written only at their kind's steps, found by a binary search of the
     kind's times: service times are >= 1, so generation, start and delivery
     times each strictly increase with the sample index, and a step holds at
-    most one event of each kind.  A run whose first chunk's ``start`` is its
-    ``s`` starts each sample as it is generated, so it never queues: each
-    start is written at its generation step, after the gen token and with
-    its index words, unsearched, and ``queue_len`` 0 ends each age's prefix,
-    ``,delta,metric,0``, with no queue words.  A chunk that queues in such a
-    run, or whose ``start`` switches between ``s`` and its own array within
-    the call, is a ValueError naming its first step.  No CSV byte is NUL, so
+    most one event of each kind.  ``queue_len`` is the samples generated
+    less those started by the step: +1 at each generation and -1 at each
+    start in the chunk, summed from the chunk's samples generated and not
+    started before ``lo``.  A chunk whose ``start`` is its ``s`` starts each
+    sample as it is generated, so it never queues: each start is written at
+    its generation step, after the gen token and with its index words,
+    unsearched, and ``queue_len`` 0 ends each age's prefix,
+    ``,delta,metric,0``, with no queue words.  No CSV byte is NUL, so
     dropping the grid's NULs, read row by row, leaves the text.  The grid,
     index and ``fired`` buffers grow to the widest chunk given.
     """
-    prefixes = None
+    prefixes = _Prefixes(""), _Prefixes("0")  # by route: a chunk whose start is s adds the 0
     grids = np.empty(0, dtype="<u8")
     index = np.empty((3, 0), dtype="<u8")  # an int64 has at most 3 words of digits
     fired = np.empty(0, dtype=bool)  # an earlier kind fired at the step
     f.write(b"n,delta,metric,queue_len,event")
-    for lo, delta, metric, queue, first, s, start, d in chunks:
-        rows = len(delta)
-        if prefixes is None:  # once a call: a run whose samples start as generated never queues
-            folded, prefixes = start is s, _Prefixes("0" if start is s else "")
-        if (start is s) is not folded:
-            raise ValueError(f"the chunk from step {lo} switches start between s and its own array")
-        if folded and queue.any():
-            raise ValueError(f"the chunk from step {lo} starts each sample as generated but queues")
-        table, keys = prefixes.columns(lo, delta, metric)
+    for lo, delta, metric, first, s, start, d in chunks:
+        rows, folded = len(delta), start is s
+        table, keys = prefixes[folded].columns(lo, delta, metric)
+        spans = [np.searchsorted(times, (lo, lo + rows)).tolist() for times in (d, s, start)]
         n, p = len(str(lo + rows - 1)) // 8 + 1, len(table)
         w = len(str(first + len(s))) // 8 + 1  # sample-index words, with a byte for the colon
-        c = n + p + (0 if folded else -(-len(str(queue.max())) // 8))  # the first event word
+        c = n + p  # the first event word
+        if not folded:  # samples generated less those started by each step
+            queue = np.zeros(rows, dtype=np.int64)
+            for times, (a, b), step in zip((s, start), spans[1:], (1, -1)):
+                queue[times[a:b] - lo] += step
+            np.cumsum(queue, out=queue)
+            queue += spans[1][0] - spans[2][0]  # those carried in from before lo
+            c += -(-len(str(queue.max())) // 8)
         size = c + 3 * (1 + w)
         if len(grids) < size * rows:
             grids = np.empty(size * rows, dtype="<u8")
@@ -219,11 +222,11 @@ def write_trace(f: IO[bytes], chunks) -> None:
         grid[c:] = 0
         fired[:rows] = False
         # the kinds in the order they happen within one step
-        for row, times, token in zip(range(c, size, 1 + w), (d, s, start), (_DELIVER, _GEN, _START)):
+        for row, times, (a, b), token in zip(range(c, size, 1 + w), (d, s, start), spans,
+                                             (_DELIVER, _GEN, _START)):
             if token is _START and folded:  # each sample starts as it is generated
                 grid[row][at] = _START | _BAR
             else:
-                a, b = np.searchsorted(times, (lo, lo + rows)).tolist()
                 at = times[a:b] - lo
                 grid[row][at] = token | fired[at] * _BAR
                 fired[at] = True
@@ -370,8 +373,8 @@ def _histogram(blocks, horizon, delta0):
     those counts shifted by the gap.  That counts A_0 + gap too, where no
     segment of the block ends (the one before it ends at its first
     delivery), so it is added back as a single first age.  A run that can
-    queue checks its backlog peak against ``QUEUE_GUARD`` where it ends,
-    before folding the block where the fold stops or that generates last.
+    queue checks its backlog peak so far against ``QUEUE_GUARD`` at each
+    block, so it stops at the block where the backlog passes the guard.
     """
     diff = np.zeros(0, dtype=np.int64)
     owner = -delta0  # generation time of the latest sample delivered
@@ -395,7 +398,7 @@ def _histogram(blocks, horizon, delta0):
                 peak = max(peak, m - o - n, int(np.minimum(-(-w // gap), caps).max()))
             else:
                 peak = max(peak, -(-int(w.max()) // gap))
-            if (k < n or o + n >= m) and peak > QUEUE_GUARD:
+            if peak > QUEUE_GUARD:
                 raise RuntimeError(f"queue backlog reached {peak} samples (guard {QUEUE_GUARD}); "
                                    f"the uniform period {gap} is too short for this service "
                                    f"distribution")
@@ -424,21 +427,20 @@ def _histogram(blocks, horizon, delta0):
 def trace_chunks(policy, metric, dist, horizon, delta0, seed=None, forced=None):
     """Yield one run's trace in chunks of ``_CSV_CHUNK_ROWS`` steps from
     ``lo``, drawing ``_schedule``'s blocks as they reach them: ``(lo, delta,
-    metric, queue, first, s, start, d)``, each step's age, metric value and
-    queue length, and the times of samples ``first`` + 1 on, which hold
-    every sample with an event in the chunk.  The chunks' ``delta``,
-    ``metric`` and ``queue``, concatenated, are the run's per-step arrays for
-    steps 0..horizon.  In a run where no sample can wait every sample starts
-    as it is generated: its ``start`` is ``s`` itself, and its queue column is
-    zero, with no search.  A run that can queue, seeded or forced, first
-    folds its schedule once with ``_histogram``, whose backlog guard, checked
-    where the fold stops, trips before the first chunk.
+    metric, first, s, start, d)``, each step's age and metric value, and the
+    times of samples ``first`` + 1 on, which hold every sample with an event
+    in the chunk or waiting at ``lo``.  The chunks' ``delta`` and ``metric``,
+    concatenated, are the run's per-step arrays for steps 0..horizon.  In a
+    run where no sample can wait every sample starts as it is generated: its
+    ``start`` is ``s`` itself.  A run that can queue, seeded or forced,
+    first folds its schedule once with ``_histogram``, whose backlog guard
+    trips before the first chunk.
 
     The sample generated at s_i owns the steps from its delivery to the
     next, at age n - s_i, and one generated at -delta0 opens the run.  Steps
     [lo, hi) need the samples generated before hi and not delivered before
-    lo, the owner and the queue length at lo - 1.  The metric table doubles
-    when an age passes it; no entry depends on its length.
+    lo, and the owner at lo - 1.  The metric table doubles when an age
+    passes it; no entry depends on its length.
     """
     forced = None if forced is None else list(forced)  # a run that can queue reads it twice
     blocks = _schedule(policy, dist, horizon, delta0, seed, forced)
@@ -446,7 +448,7 @@ def trace_chunks(policy, metric, dist, horizon, delta0, seed=None, forced=None):
     queues = start is not s  # a sample of the run can wait
     if queues:
         _histogram(_schedule(policy, dist, horizon, delta0, seed, forced), horizon, delta0)
-    first, owner, queued, table = 0, -delta0, 0, np.zeros(0)
+    first, owner, table = 0, -delta0, np.zeros(0)
     for lo in range(0, horizon + 1, _CSV_CHUNK_ROWS):
         hi = min(lo + _CSV_CHUNK_ROWS, horizon + 1)
         while not (len(s) and s[-1] >= hi):
@@ -463,15 +465,8 @@ def trace_chunks(policy, metric, dist, horizon, delta0, seed=None, forced=None):
         top = int(delta.max())
         if top >= len(table):
             table = metric_table(metric, max(top + 1, 2 * len(table)))
-        queue = np.zeros(hi - lo, dtype=np.int64)
-        if queues:
-            for times, step in ((s, 1), (start, -1)):
-                a, b = np.searchsorted(times, (lo, hi))
-                queue[times[a:b] - lo] += step
-            np.cumsum(queue, out=queue)
-            queue += queued
-        yield lo, delta, table[delta], queue, first, s, start, d
-        owner, queued = int(owners[-1]), int(queue[-1])
+        yield lo, delta, table[delta], first, s, start, d
+        owner = int(owners[-1])
         s, d, first = s[k:], d[k:], first + k
         start = start[k:] if queues else s
 

@@ -259,8 +259,7 @@ class TestFIFO:
             run(Uniform(period=1), Affine(1.0), ServiceTimeDist({4: 1.0}), 200, seed=0)
 
     def test_queue_guard_trips_before_the_first_chunk(self, monkeypatch):
-        # the backlog passes 10 early, but the guard is checked where the histogram fold
-        # stops, at the first delivery past the horizon; trace_chunks folds the run once
+        # the guard is checked in the histogram fold, which trace_chunks runs once
         # before its first chunk, so a caller gets no chunk first
         monkeypatch.setattr(simulator, "QUEUE_GUARD", 10)
         chunks = simulator.trace_chunks(Uniform(2), Affine(1.0), D15, 100_000, 1, seed=7)
@@ -273,6 +272,24 @@ class TestFIFO:
         chunks = simulator.trace_chunks(Uniform(1), Affine(1.0), D4, 50, 1, forced=[4] * 51)
         with pytest.raises(RuntimeError, match=r"^queue backlog reached 38 samples \(guard 5\)"):
             next(chunks)
+
+    def test_queue_guard_trips_at_the_block_that_passes_it(self, monkeypatch):
+        # Uniform(1) against a 4-step service: sample j waits 3j steps, so the backlog
+        # passes 10 within the first block of 64 samples, and the fold reads no more
+        monkeypatch.setattr(simulator, "_CHUNK", 64)
+        monkeypatch.setattr(simulator, "QUEUE_GUARD", 10)
+        read = []
+        schedule = simulator._schedule
+
+        def counted(*args, **kwargs):
+            for block in schedule(*args, **kwargs):
+                read.append(block)
+                yield block
+
+        monkeypatch.setattr(simulator, "_schedule", counted)
+        with pytest.raises(RuntimeError, match=r"^queue backlog reached \d+ samples \(guard 10\)"):
+            age_histogram(Uniform(1), D4, 10_000, 0)
+        assert len(read) == 1
 
     def test_schedule_yields_every_block_past_the_guard(self, monkeypatch):
         # the schedule only produces; the fold that reads it decides where the run ends
@@ -803,39 +820,41 @@ class TestColumnWriter:
     @pytest.mark.parametrize("policy", [zero_waiting(D15), {1: 1, 5: 0}],
                              ids=["zero-wait", "threshold"])
     def test_a_run_that_never_queues_spells_no_queue(self, monkeypatch, policy):
-        # its queue_len 0 ends each age's prefix: no chunk's queue goes through _decimal
+        # its queue_len 0 ends each age's prefix: _decimal spells only the step numbers
+        # and sample indices, which count up by one, and no queue column
         chunks = list(simulator.trace_chunks(policy, Affine(1.0), D15, 20_000, 1, seed=3))
         assert len(chunks) > 1
-        spelled = []
         decimal = simulator._decimal
-        monkeypatch.setattr(simulator, "_decimal",
-                            lambda values, out: spelled.append(values) or decimal(values, out))
-        write_trace(io.BytesIO(), chunks)
-        assert spelled
-        assert not any(values is queue for values in spelled for _, _, _, queue, *_ in chunks)
 
-    def test_a_run_that_never_queues_rejects_a_queue(self):
-        # a hand-built chunk that starts each sample as generated but says it queues
-        chunks = list(simulator.trace_chunks(zero_waiting(D15), Affine(1.0), D15, 20_000, 1,
-                                             seed=3))
-        lo, delta, values, queue, *rest = chunks[1]
-        chunks[1] = (lo, delta, values, queue + (np.arange(len(queue)) == 5), *rest)
-        buf = io.BytesIO()
-        with pytest.raises(ValueError, match=f"step {lo} "):
-            write_trace(buf, chunks)
-        assert_only_whole_chunks_written(buf, chunks, 1)
+        def spelled(chunks):
+            arrays = []
+            monkeypatch.setattr(simulator, "_decimal",
+                                lambda values, out: arrays.append(values) or decimal(values, out))
+            write_trace(io.BytesIO(), chunks)
+            return [values for values in arrays if len(values) > 1]
+
+        def counts_up(values):
+            return np.array_equal(values, np.arange(values[0], values[0] + len(values)))
+
+        arrays = spelled(chunks)
+        assert arrays and all(map(counts_up, arrays))
+        # the spy sees the queue of a chunk that carries its own start
+        copied = [(*head, s, s.copy(), d) for *head, s, _, d in chunks]
+        assert not all(map(counts_up, spelled(copied)))
 
     @pytest.mark.parametrize("copied", [0, 1], ids=["searched-first", "folded-first"])
-    def test_chunks_may_not_switch_start_routes(self, copied):
-        # one call's chunks are all folded (start is s) or all carry their own start
+    def test_chunks_may_switch_start_routes(self, copied):
+        # each chunk takes its own route: one call may mix folded chunks (start is s)
+        # with chunks that carry their own start, and writes the same bytes
         chunks = list(simulator.trace_chunks(zero_waiting(D15), Affine(1.0), D15, 20_000, 1,
                                              seed=3))
-        *head, s, _, d = chunks[copied]
-        chunks[copied] = (*head, s, s.copy(), d)
-        buf = io.BytesIO()
-        with pytest.raises(ValueError, match=f"step {chunks[1][0]} "):
-            write_trace(buf, chunks)
-        assert_only_whole_chunks_written(buf, chunks, 1)
+        assert len(chunks) > 2
+        searched = [(*head, s, s.copy(), d) for *head, s, _, d in chunks]
+        mixed = [searched[i] if i % 2 == copied else c for i, c in enumerate(chunks)]
+        want, got = io.BytesIO(), io.BytesIO()
+        write_trace(want, searched)
+        write_trace(got, mixed)
+        assert got.getvalue() == want.getvalue()
 
     def test_start_routes_agree_on_a_seeded_threshold_trace(self):
         # the seeded-threshold-two-blocks golden's config: perfbench's trace-long at seed 1
@@ -883,19 +902,12 @@ def assert_start_routes_agree(chunks):
     prefix; with ``start`` a copy it searches the start times and spells the
     queue as for a run that queues.  Both must write the same bytes."""
     chunks = list(chunks)
-    assert all(start is s and not queue.any() for _, _, _, queue, _, s, start, _ in chunks)
+    assert all(start is s for *_, s, start, _ in chunks)
     copied = [(*head, s, s.copy(), d) for *head, s, _, d in chunks]
     same, searched = io.BytesIO(), io.BytesIO()
     write_trace(same, chunks)
     write_trace(searched, copied)
     assert same.getvalue() == searched.getvalue()
-
-
-def assert_only_whole_chunks_written(buf, chunks, k):
-    """``buf`` holds what ``write_trace`` writes for the first ``k`` of ``chunks``, no more."""
-    want = io.BytesIO()
-    write_trace(want, chunks[:k])
-    assert buf.getvalue() == want.getvalue()[:-1]  # all but the last newline
 
 
 class TestWriterDigitWidths:
@@ -936,13 +948,34 @@ class TestWriterDigitWidths:
         assert column_csv(big) == reference_csv(big)
 
     def test_long_queue_lengths(self):
-        # queue lengths past 7 and 8 digits, set by hand as the ages above
-        trace = run(Uniform(period=2), Affine(1.0), D4, 100, forced=[4] * 60)
-        queue_len = trace.queue_len.copy()
-        queue_len[[10, 20, 30, 40]] = [10**7 - 1, 10**7, 10**8, 10**15]
-        big = SimpleNamespace(**vars(trace) | dict(queue_len=queue_len))
-        big.chunks = as_chunks(big)
-        assert column_csv(big) == reference_csv(big)
+        # the backlog crosses 999,999 -> 1,000,000, the most trace_chunks can carry under
+        # QUEUE_GUARD: a sample a step queues behind a first service of y0 steps, then
+        # each is served in 1 step.  A chunk's queue is bounded by the samples it holds,
+        # so the times are built by hand, and the chunk around the crossing is checked
+        # against rows spelled from the construction: sample i >= 1 starts at y0 + i - 1
+        y0, horizon, rows = simulator.QUEUE_GUARD + 1, simulator.QUEUE_GUARD + 100, 96
+        s = np.arange(horizon + 1)
+        start = np.concatenate(([0], y0 + np.arange(horizon)))
+        d = start + np.concatenate(([y0], np.ones(horizon, dtype=np.int64)))
+        steps = np.arange(1, horizon + 1)
+        delta = np.where(steps < y0, steps + 1, y0)  # sample n - y0, delivered at n, owns n
+        big = SimpleNamespace(horizon=horizon, delta0=1, metric0=-1 / 8, delta=delta,
+                              metric=-delta / 8, s=s, start=start, d=d)
+        k = simulator.QUEUE_GUARD // rows
+        lo, *_ = chunk = as_chunks(big, rows)[k]
+        assert lo < simulator.QUEUE_GUARD - 1 < lo + rows - 1 < horizon
+        buf = io.BytesIO()
+        write_trace(buf, [chunk])
+
+        def row(n):
+            events = [f"deliver:{n - y0 + 1}"] * (n >= y0) + [f"gen:{n + 1}"]
+            events += [f"start:{n - y0 + 2}"] * (n >= y0)
+            age = n + 1 if n < y0 else y0
+            return f"{n},{age},{simulator._fmt(-age / 8)},{min(n, y0 - 1)},{'|'.join(events)}\n"
+
+        lines = buf.getvalue().decode("ascii").splitlines(keepends=True)
+        assert lines[1:] == [row(n) for n in range(lo, lo + rows)]
+        assert {"999999", "1000000"} <= {line.split(",")[3] for line in lines[1:]}
 
     def test_decimal_words_match_str(self):
         # every power-of-ten boundary, which includes both sides of each 8-digit
