@@ -30,7 +30,7 @@ from .simulator import (
     write_trace,
 )
 from .solver import cycle_stats, solve_beta, zero_waiting
-from .sources import NegatedMI, scalar_information
+from .sources import NegatedMI, scalar_metric
 
 ORACLE_MATCH_TOL = 1e-8
 
@@ -136,6 +136,7 @@ def _open_out(cfg: ExperimentConfig):
             yield f
     else:
         yield sys.stdout
+        sys.stdout.flush()  # a reader that hung up fails here, inside the command, not at exit
 
 
 def _note_cap(z_max: int, ys: Sequence[int], where: str = "") -> None:
@@ -152,7 +153,7 @@ def cmd_mi_curve(cfg: ExperimentConfig) -> int:
     with _open_out(cfg) as f:
         f.write("delta,mi_bits\n")
         # scalar: metric_table's numpy log1p moves the 12th printed digit of some rows
-        info = scalar_information(model)
+        info = scalar_metric(model)
         for d in range(cfg.delta_max + 1):
             f.write(f"{d},{_fmt(info(d))}\n")
     return 0
@@ -316,6 +317,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except (SequenceExhausted, BudgetExceeded, RuntimeError) as exc:
         print(f"infofresh: error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # stdout's reader hung up: fd 1 goes to devnull, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -37,7 +37,7 @@ TRACE_POLICIES = ("threshold", "zero-wait", "uniform")
 # Runs size their age histograms and metric tables by delta0; at this bound each is
 # about 80 MB, where an unbounded delta0 could ask for terabytes.
 DELTA0_MAX = 10**7
-# Keeps int64 times exact; no simulator array outgrows the ages a run reaches.
+# Only an input range: the simulator runs any period past the horizon as horizon + 1.
 UNIFORM_PERIOD_MAX = 10**7
 
 
@@ -86,8 +86,10 @@ def _grid(raw: str) -> tuple[float, ...]:
     so 0.02:0.50:0.02 has 25 points.
     """
     if ":" in raw:
-        start_s, stop_s, step_s = raw.split(":")
-        start, stop, step = float(start_s), float(stop_s), float(step_s)
+        bounds = tuple(map(float, raw.split(":")))
+        if len(bounds) != 3 or not all(map(math.isfinite, bounds)):
+            raise ValueError(f"a range is start:stop:step with finite numbers, got {raw!r}")
+        start, stop, step = bounds
         if step <= 0:
             raise ValueError(f"grid step must be positive, got {step}")
         count = math.floor((stop - start) / step + 1e-9) + 1

@@ -37,7 +37,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .service import ServiceTimeDist
-from .sources import AgePenalty, metric_table, penalty_prefix_sums
+from .sources import AgePenalty, metric_table, penalty_prefix_sums, require_penalty
 
 DEFAULT_Z_MAX = 10_000
 
@@ -109,6 +109,7 @@ def _tables(penalty: AgePenalty, dist: ServiceTimeDist) -> tuple[np.ndarray, ...
     cum(k) is the sum of p(a) over 1 <= a < k, so a cycle after service y
     with wait z has expected reward G(y + z) - cum(y).
     """
+    require_penalty(penalty)  # metric_table would tabulate an information curve as well
     n = 2 * dist.y_max + 1
     p = metric_table(penalty, n + dist.y_max)
     bad = np.flatnonzero(~np.isfinite(p[1:]))

@@ -6,15 +6,15 @@ curve is non-negative and non-increasing for every model here.  Age
 penalties are the non-decreasing scoring functions the solver minimizes;
 negating an information curve yields one.
 
-Each closed form is written twice: once as a scalar callable from age to
-value, built by ``scalar_information`` and ``scalar_penalty``, which
-resolve the model's type and its fixed constants once so that a loop over
-ages pays one call per age; and once over a whole age range in numpy, by
-``metric_table``.  The scalar callables are the reference the tables are
-tested against, and ``mi-curve`` uses them.  The exact cycle sums of
-``solver.cycle_stats`` and the oracle start from one routine,
-``penalty_prefix_sums``, which adds the scalar penalty up over the ages, so
-neither shares a table with the solver.
+Each closed form is written once per route, and each route takes any
+source model or penalty: ``scalar_metric`` resolves the type and constants
+once and returns a callable from age to value, and ``metric_table``
+evaluates a whole age range in numpy.  The scalar route is the reference
+the tables are tested against; ``mi-curve`` prints it, and
+``penalty_prefix_sums`` adds it up for the exact cycle sums of
+``solver.cycle_stats`` and the oracle, which so share no table with the
+solver.  ``NegatedMI`` and ``mutual_information`` check for a source
+model, and ``penalty_prefix_sums`` and the solver's tables for a penalty.
 """
 
 from __future__ import annotations
@@ -87,55 +87,19 @@ class Tabulated:
 MarkovSourceModel = Union[GaussianAR1, BinarySymmetric, Tabulated]
 
 
-def scalar_information(model: MarkovSourceModel) -> Callable[[int], float]:
-    """The information curve of ``model`` as a callable from age (>= 0) to bits.
-
-    The type and the curve's base are resolved here, once; the callable
-    does not check its age.
-    """
-    if isinstance(model, GaussianAR1):
-        base = model.a * model.a
-
-        def gaussian(delta: int) -> float:
-            if delta == 0:
-                return math.inf
-            t = base ** delta
-            return -0.5 * math.log1p(-t) / _LN2 + 0.0  # +0.0 folds -0.0 (a = 0 case)
-
-        return gaussian
-    if isinstance(model, BinarySymmetric):
-        base = 1.0 - 2.0 * model.q
-
-        def binary(delta: int) -> float:
-            # 1 - h((1-t)/2) rewritten to avoid cancellation near h = 1:
-            #   ((1-t)*log2(1-t) + (1+t)*log2(1+t)) / 2,  t = (1-2q)^delta
-            t = base ** delta
-            if t >= 1.0:
-                return 1.0
-            if t < 1e-8:
-                # quadratic asymptote; exact to double precision here and, unlike
-                # the sum above, monotone through the underflow regime
-                return t * t / (2.0 * _LN2)
-            return ((1.0 - t) * math.log1p(-t) + (1.0 + t) * math.log1p(t)) / (2.0 * _LN2)
-
-        return binary
-    if isinstance(model, Tabulated):
-        values, n = model.values, len(model.values)
-        return lambda delta: values[delta] if delta < n else 0.0
-    raise TypeError(f"unknown source model {model!r}")
-
-
 def mutual_information(model: MarkovSourceModel, delta: int) -> float:
     """Information (bits) a sample of age ``delta`` retains about the state.
 
     Non-negative and non-increasing in ``delta``; may be +inf (Gaussian at
     age 0).  Total on valid models.
     """
+    if not isinstance(model, MarkovSourceModel):
+        raise TypeError(f"mutual information needs a source model, got {model!r}")
     if not isinstance(delta, (int, np.integer)):
         raise ValueError(f"age must be an integer, got {delta!r}")
     if delta < 0:
         raise ValueError(f"age must be non-negative, got {delta}")
-    return scalar_information(model)(delta)
+    return scalar_metric(model)(delta)
 
 
 @dataclass(frozen=True)
@@ -143,6 +107,10 @@ class NegatedMI:
     """Penalty p(delta) = -r(delta): non-positive, non-decreasing."""
 
     model: MarkovSourceModel
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.model, MarkovSourceModel):
+            raise TypeError(f"NegatedMI needs a source model, got {self.model!r}")
 
 
 @dataclass(frozen=True)
@@ -185,69 +153,70 @@ class Affine:
 AgePenalty = Union[NegatedMI, PenaltyTable, Affine]
 
 
-def scalar_penalty(penalty: AgePenalty) -> Callable[[int], float]:
-    """The penalty as a callable from age (>= 0) to value.
+def require_penalty(metric: object) -> None:
+    """Raise ``TypeError`` unless ``metric`` is an age penalty."""
+    if not isinstance(metric, AgePenalty):
+        raise TypeError(f"expected an age penalty (NegatedMI, PenaltyTable or Affine), got "
+                        f"{metric!r}; wrap a source model in NegatedMI to maximize its information")
 
-    The type is resolved here, once; the callable does not check its age.
+
+def scalar_metric(metric: "MarkovSourceModel | AgePenalty") -> Callable[[int], float]:
+    """A source model's information curve, or a penalty, as a callable from age (>= 0)
+    to value.
+
+    The type and the fixed constants are resolved here, once; the callable
+    does not check its age.
     """
-    if isinstance(penalty, NegatedMI):
-        info = scalar_information(penalty.model)
+    if isinstance(metric, NegatedMI):
+        info = scalar_metric(metric.model)
         return lambda delta: -info(delta)
-    if isinstance(penalty, PenaltyTable):
-        values, n, last = penalty.values, len(penalty.values), penalty.values[-1]
+    if isinstance(metric, GaussianAR1):
+        base = metric.a * metric.a
+
+        def gaussian(delta: int) -> float:
+            if delta == 0:
+                return math.inf
+            t = base ** delta
+            return -0.5 * math.log1p(-t) / _LN2 + 0.0  # +0.0 folds -0.0 (a = 0 case)
+
+        return gaussian
+    if isinstance(metric, BinarySymmetric):
+        base = 1.0 - 2.0 * metric.q
+
+        def binary(delta: int) -> float:
+            # 1 - h((1-t)/2) rewritten to avoid cancellation near h = 1:
+            #   ((1-t)*log2(1-t) + (1+t)*log2(1+t)) / 2,  t = (1-2q)^delta
+            t = base ** delta
+            if t >= 1.0:
+                return 1.0
+            if t < 1e-8:
+                # quadratic asymptote; exact to double precision here and, unlike
+                # the sum above, monotone through the underflow regime
+                return t * t / (2.0 * _LN2)
+            return ((1.0 - t) * math.log1p(-t) + (1.0 + t) * math.log1p(t)) / (2.0 * _LN2)
+
+        return binary
+    if isinstance(metric, (Tabulated, PenaltyTable)):  # past its table, a curve is 0.0
+        values = metric.values + ((0.0,) if isinstance(metric, Tabulated) else ())
+        n, last = len(values), values[-1]
         return lambda delta: values[delta] if delta < n else last
-    if isinstance(penalty, Affine):
-        slope, intercept = penalty.slope, penalty.intercept
+    if isinstance(metric, Affine):
+        slope, intercept = metric.slope, metric.intercept
         return lambda delta: slope * delta + intercept
-    raise TypeError(f"unknown penalty {penalty!r}")
+    raise TypeError(f"metric must be a source model or an age penalty, got {metric!r}")
 
 
 def penalty_prefix_sums(penalty: AgePenalty, top: int) -> list[float]:
     """cum[k] = p(1) + ... + p(k - 1) for k = 0..top, added left to right
-    from ``scalar_penalty``.  A cycle's ages start at its service time >= 1,
+    from ``scalar_metric``.  A cycle's ages start at its service time >= 1,
     so p(0) never enters; p must be finite at every age 1..top-1.
     """
-    vals = list(map(scalar_penalty(penalty), range(1, top)))
+    require_penalty(penalty)
+    vals = list(map(scalar_metric(penalty), range(1, top)))
     if not all(map(math.isfinite, vals)):
         n = next(n for n, v in enumerate(vals, 1) if not math.isfinite(v))
         raise ValueError(f"penalty is not finite at age {n}; cycle sums require finite values")
     return [0.0, *itertools.accumulate(vals, initial=0.0)]
-
-
-def _information_table(model: MarkovSourceModel, n: int) -> np.ndarray:
-    """``mutual_information(model, d)`` for d = 0..n-1, elementwise in numpy.
-
-    The binary and Gaussian curves are closed forms in t = base ** d, and
-    both are 0.0 where t is.  libm's ``pow`` is about ten times slower where
-    its result underflows, so it runs only on ages below ``_powers_end``;
-    past those the table keeps the 0.0 it would have given.
-    """
-    if isinstance(model, Tabulated):
-        out = np.zeros(n)
-        k = min(n, len(model.values))
-        out[:k] = model.values[:k]
-        return out
-    if isinstance(model, GaussianAR1):
-        base = model.a * model.a
-    elif isinstance(model, BinarySymmetric):
-        base = 1.0 - 2.0 * model.q
-    else:
-        raise TypeError(f"unknown source model {model!r}")
-    out = np.zeros(n)
-    k = _powers_end(base, n)
-    t = base ** np.arange(k)
-    if isinstance(model, GaussianAR1):
-        with np.errstate(divide="ignore"):  # t = 1 at age 0 gives +inf
-            out[:k] = -0.5 * np.log1p(-t) / _LN2 + 0.0
-        return out
-    out[:k] = t * t / (2.0 * _LN2)  # the asymptote, taken where t < 1e-8
-    big = np.flatnonzero(t >= 1e-8)
-    j = int(big[-1]) + 1 if big.size else 0  # no age from j on needs the exact form
-    t = t[:j]
-    with np.errstate(divide="ignore", invalid="ignore"):  # t = 1 is masked below
-        exact = ((1.0 - t) * np.log1p(-t) + (1.0 + t) * np.log1p(t)) / (2.0 * _LN2)
-    out[:j] = np.where(t >= 1.0, 1.0, np.where(t < 1e-8, out[:j], exact))
-    return out
 
 
 def _powers_end(base: float, n: int) -> int:
@@ -266,21 +235,40 @@ def _powers_end(base: float, n: int) -> int:
 def metric_table(metric: "MarkovSourceModel | AgePenalty", n: int) -> np.ndarray:
     """Values at ages 0..n-1 of a source model's information curve or of a penalty.
 
-    The closed forms of ``scalar_information`` and ``scalar_penalty``,
-    evaluated over the whole age range at once.  numpy's vectorized
-    ``log1p`` may differ from ``math.log1p`` in the last bit, so entries
-    agree with the scalar path to rounding, not bitwise.
+    The closed forms of ``scalar_metric`` over the whole age range at once.
+    numpy's vectorized ``log1p`` may differ from ``math.log1p`` in the last
+    bit, so entries agree with the scalar route to rounding, not bitwise.
+    The binary and Gaussian curves are closed forms in t = base ** d, 0.0
+    where t is.  libm's ``pow`` is about ten times slower where its result
+    underflows, so it runs only on ages below ``_powers_end``; past those
+    the table keeps the 0.0 it would have given.
     """
     if n < 0:
         raise ValueError(f"table length must be non-negative, got {n}")
-    if isinstance(metric, (GaussianAR1, BinarySymmetric, Tabulated)):
-        return _information_table(metric, n)
     if isinstance(metric, NegatedMI):
-        return -_information_table(metric.model, n)
-    if isinstance(metric, PenaltyTable):
-        vals = np.asarray(metric.values)
+        return -metric_table(metric.model, n)
+    if isinstance(metric, (Tabulated, PenaltyTable)):  # past its table, a curve is 0.0
+        vals = np.asarray(metric.values + ((0.0,) if isinstance(metric, Tabulated) else ()))
         return vals[np.minimum(np.arange(n), len(vals) - 1)]
     if isinstance(metric, Affine):
         return metric.slope * np.arange(n) + metric.intercept
-    raise TypeError(f"metric must be a source model or an age penalty, got {metric!r}")
-
+    if isinstance(metric, GaussianAR1):
+        base = metric.a * metric.a
+    elif isinstance(metric, BinarySymmetric):
+        base = 1.0 - 2.0 * metric.q
+    else:
+        raise TypeError(f"metric must be a source model or an age penalty, got {metric!r}")
+    out, k = np.zeros(n), _powers_end(base, n)
+    t = base ** np.arange(k)
+    if isinstance(metric, GaussianAR1):
+        with np.errstate(divide="ignore"):  # t = 1 at age 0 gives +inf
+            out[:k] = -0.5 * np.log1p(-t) / _LN2 + 0.0
+        return out
+    out[:k] = t * t / (2.0 * _LN2)  # the asymptote, taken where t < 1e-8
+    big = np.flatnonzero(t >= 1e-8)
+    j = int(big[-1]) + 1 if big.size else 0  # no age from j on needs the exact form
+    t = t[:j]
+    with np.errstate(divide="ignore", invalid="ignore"):  # t = 1 is masked below
+        exact = ((1.0 - t) * np.log1p(-t) + (1.0 + t) * np.log1p(t)) / (2.0 * _LN2)
+    out[:j] = np.where(t >= 1.0, 1.0, np.where(t < 1e-8, out[:j], exact))
+    return out

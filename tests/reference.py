@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from infofresh.sources import scalar_penalty
+from infofresh.sources import scalar_metric
 
 # The solver's default wait cap, repeated here so that nothing comes from the solver.
 Z_MAX = 10_000
@@ -22,7 +22,7 @@ Z_MAX = 10_000
 def _prefix_sums(penalty, top):
     """cum[k] = p(1) + ... + p(k - 1) for 0 <= k < top, from scalar penalty values."""
     cum = np.zeros(top)
-    cum[2:] = list(itertools.accumulate(map(scalar_penalty(penalty), range(1, top - 1))))
+    cum[2:] = list(itertools.accumulate(map(scalar_metric(penalty), range(1, top - 1))))
     cum.flags.writeable = False  # shared by every call on the same penalty and length
     return cum
 
@@ -31,7 +31,7 @@ def cycle_sums(penalty, dist, waiting):
     """(expected cycle reward, expected length, ratio) under ``waiting``, as
     ``solver.cycle_stats`` defines them, from a per-age loop.
 
-    Each penalty value comes from ``scalar_penalty`` and is added to the
+    Each penalty value comes from ``scalar_metric`` and is added to the
     running sum in age order, so prefix sums that make the same additions
     in the same order must equal these bit for bit.
     """
@@ -39,7 +39,7 @@ def cycle_sums(penalty, dist, waiting):
     zs = [waiting[y] for y in ys]
     top = max(y + z for y, z in zip(ys, zs)) + max(ys)  # largest exclusive age bound
     cum = [0.0] * (top + 1)
-    acc, value = 0.0, scalar_penalty(penalty)
+    acc, value = 0.0, scalar_metric(penalty)
     for n in range(1, top):
         v = value(n)
         if not math.isfinite(v):

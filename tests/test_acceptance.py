@@ -21,7 +21,7 @@ from infofresh.sources import (
     Tabulated,
     metric_table,
     mutual_information,
-    scalar_penalty,
+    scalar_metric,
 )
 from reference import reference_events, slack
 from runs import run
@@ -136,7 +136,7 @@ def test_criterion_6_sign_property(solved_instances):
         # above the penalty's supremum the waits sit on the cap; the slack
         # is still finite and negative there
         assert slack(penalty, dist, res.beta + 1e-4) <= 1e-7
-        lo = scalar_penalty(penalty)(dist.y_min)
+        lo = scalar_metric(penalty)(dist.y_min)
         hi = cycle_stats(penalty, dist, zero_waiting(dist)).ratio
         grid = np.linspace(lo, hi, 11)
         vals = [slack(penalty, dist, float(c)) for c in grid]

@@ -14,7 +14,7 @@ from infofresh.sources import (
     GaussianAR1,
     NegatedMI,
     PenaltyTable,
-    scalar_penalty,
+    scalar_metric,
 )
 
 D4 = ServiceTimeDist({4: 1.0})
@@ -46,7 +46,7 @@ class TestRenewalAverage:
         ]
         for p1, p2 in pairs:
             assert all(
-                scalar_penalty(p1)(d) <= scalar_penalty(p2)(d) + 1e-15 for d in range(1, 60)
+                scalar_metric(p1)(d) <= scalar_metric(p2)(d) + 1e-15 for d in range(1, 60)
             )
             for waits in (WaitingFunction({1: 0, 11: 0}), WaitingFunction({1: 3, 11: 1})):
                 r1, r2 = cycle_stats(p1, D111, waits).ratio, cycle_stats(p2, D111, waits).ratio

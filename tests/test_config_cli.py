@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import os
+import re
 import runpy
 import stat
 import subprocess
@@ -27,7 +28,7 @@ from infofresh.cli import main
 from infofresh.config import ConfigError, ExperimentConfig, round_half_up
 from infofresh.analytic import brute_force_optimum
 from infofresh.simulator import Uniform, _fmt, age_histogram
-from infofresh.sources import BinarySymmetric, NegatedMI, mutual_information, scalar_penalty
+from infofresh.sources import BinarySymmetric, NegatedMI, mutual_information, scalar_metric
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -117,6 +118,14 @@ class TestConfig:
     def test_grid_step_must_be_positive(self, step):
         with pytest.raises(ConfigError, match=r"^\[sweep\] grid: grid step must be positive, got "):
             ExperimentConfig.from_ini(f"[sweep]\ngrid = 0.1:0.5:{step}\n")
+
+    # these gave Python's unpacking and int-conversion messages, which named no form
+    @pytest.mark.parametrize("raw", ["0.1:0.5", "0.1:0.5:0.1:2", "nan:1:0.1", "0:inf:0.1",
+                                     "0:1:nan"])
+    def test_grid_range_needs_three_finite_numbers(self, raw):
+        message = f"[sweep] grid: a range is start:stop:step with finite numbers, got '{raw}'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_ini(f"[sweep]\ngrid = {raw}\n")
 
     def test_bad_service_pair(self):
         with pytest.raises(ConfigError, match=r"\[service\] dist"):
@@ -211,12 +220,17 @@ class TestConfig:
         assert round_half_up(6.4) == 6
 
 
-def run_cli(*args):
-    """Run the command line in a child process, so that its real stderr is captured."""
+def cli_child(*args):
+    """The argv and environment that run the command line in a child process."""
     src = str(Path(infofresh.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-m", "infofresh.cli", *args],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return [sys.executable, "-m", "infofresh.cli", *args], env
+
+
+def run_cli(*args):
+    """Run the command line in a child process, so that its real stderr is captured."""
+    argv, env = cli_child(*args)
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
 
 
 def write(tmp_path, name, text):
@@ -705,6 +719,27 @@ class TestCli:
             "got 10000000000000000000"]
         assert not out.exists()
 
+    # perfbench's trace-long config at seed 1 writes about 7 MB, and the curve 0.8 MB: each
+    # is more than a pipe holds, so the writer meets the closed pipe; solve's few lines wait
+    # in stdout's buffer for the flush that ends the command
+    @pytest.mark.parametrize("command, ini, lines", [
+        ("trace", "[source]\nkind = binary\nq = 0.05\n\n[service]\ndist = 1:0.5, 5:0.5\n\n"
+                  "[trace]\npolicy = threshold\nseed = 1\nhorizon = 200000\n", 1),
+        ("mi-curve", "[source]\nkind = binary\nq = 0.05\n\n[curve]\ndelta_max = 100000\n", 1),
+        ("solve", SOLVE_INI, 0),
+    ], ids=["trace", "mi-curve", "solve"])
+    def test_closed_stdout_pipe_exits_2_quietly(self, tmp_path, command, ini, lines):
+        argv, env = cli_child(command, "--config", write(tmp_path, "c.ini", ini))
+        env.pop("PYTHONUNBUFFERED", None)  # stdout into a pipe is block-buffered, as for a user
+        with open(tmp_path / "err.txt", "w+b") as err:
+            with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, env=env) as proc:
+                with proc.stdout:  # the reader takes its lines and hangs up
+                    for _ in range(lines):
+                        assert proc.stdout.readline().endswith(b"\n")
+                assert proc.wait(timeout=60) == 2
+            err.seek(0)
+            assert err.read() == b""  # no traceback, and no "Exception ignored" at exit
+
     def test_plot_script_emitted(self, tmp_path):
         cfg = write(tmp_path, "c.ini", "[source]\nkind = binary\nq = 0.2\n\n[curve]\ndelta_max = 5\n")
         out = str(tmp_path / "curve.csv")
@@ -929,11 +964,7 @@ class TestTablePathPrintsScalarValues:
         assert main(["trace", "--config", path]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         cfg = ExperimentConfig.from_file(path)
-        if cfg.source_kind:
-            model = cfg.build_source()
-            scalar = lambda d: mutual_information(model, d)
-        else:
-            scalar = scalar_penalty(cfg.build_penalty())
+        scalar = scalar_metric(cfg.build_source() if cfg.source_kind else cfg.build_penalty())
         assert len(rows) == cfg.trace_horizon + 1
         for row in rows:
             _, delta, metric, _, _ = row.split(",")

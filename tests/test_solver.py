@@ -27,7 +27,7 @@ from infofresh.sources import (
     NegatedMI,
     PenaltyTable,
     Tabulated,
-    scalar_penalty,
+    scalar_metric,
 )
 from reference import cycle_sums, slack
 
@@ -148,7 +148,7 @@ class TestHOfC:
 
     def test_nonnegative_at_penalty_floor(self):
         penalty = NegatedMI(BinarySymmetric(q=0.1))
-        assert slack(penalty, D15, scalar_penalty(penalty)(1)) >= -1e-12
+        assert slack(penalty, D15, scalar_metric(penalty)(1)) >= -1e-12
 
     def test_sign_tracks_oracle_beta(self):
         penalty = NegatedMI(BinarySymmetric(q=0.15))
@@ -322,7 +322,7 @@ class TestCap:
 
 def expected_next_penalty(penalty, dist, t):
     """E[p(t + Y')] by a scalar scan that shares nothing with the solver's tables."""
-    value = scalar_penalty(penalty)
+    value = scalar_metric(penalty)
     return math.fsum(py * value(t + y) for y, py in zip(dist.support, dist.probs))
 
 

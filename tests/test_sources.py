@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infofresh.analytic import brute_force_optimum
+from infofresh.service import ServiceTimeDist
+from infofresh.solver import cycle_stats, solve_beta, zero_waiting
 from infofresh.sources import (
     Affine,
     BinarySymmetric,
@@ -16,8 +19,8 @@ from infofresh.sources import (
     Tabulated,
     metric_table,
     mutual_information,
-    scalar_information,
-    scalar_penalty,
+    penalty_prefix_sums,
+    scalar_metric,
 )
 
 # Frozen by high-precision (40-digit) evaluation of the closed forms.
@@ -179,22 +182,22 @@ class TestModelValidation:
 class TestPenalties:
     def test_negated_mi_binary_half(self):
         p = NegatedMI(BinarySymmetric(q=0.5))
-        assert scalar_penalty(p)(3) == 0.0
+        assert scalar_metric(p)(3) == 0.0
 
     def test_affine_identity_is_plain_age(self):
-        assert scalar_penalty(Affine(slope=1.0, intercept=0.0))(7) == 7.0
+        assert scalar_metric(Affine(slope=1.0, intercept=0.0))(7) == 7.0
 
     def test_negated_mi_value(self):
         p = NegatedMI(BinarySymmetric(q=0.25))
-        assert scalar_penalty(p)(1) == pytest.approx(-MI_BIN_Q25_D1, abs=1e-15)
+        assert scalar_metric(p)(1) == pytest.approx(-MI_BIN_Q25_D1, abs=1e-15)
 
     def test_negated_gaussian_at_zero_is_minus_inf(self):
-        assert scalar_penalty(NegatedMI(GaussianAR1(a=0.9)))(0) == -math.inf
+        assert scalar_metric(NegatedMI(GaussianAR1(a=0.9)))(0) == -math.inf
 
     def test_table_extends_by_last_value(self):
         p = PenaltyTable(values=(-1.0, 0.0, 2.0))
-        assert scalar_penalty(p)(1) == 0.0
-        assert scalar_penalty(p)(10) == 2.0
+        assert scalar_metric(p)(1) == 0.0
+        assert scalar_metric(p)(10) == 2.0
 
     def test_table_needs_a_value(self):
         with pytest.raises(ValueError, match="^penalty table needs at least one value$"):
@@ -210,7 +213,7 @@ class TestPenalties:
                 PenaltyTable(values=values)
 
     def test_table_allows_leading_minus_inf(self):
-        assert scalar_penalty(PenaltyTable(values=(-math.inf, 0.0)))(0) == -math.inf
+        assert scalar_metric(PenaltyTable(values=(-math.inf, 0.0)))(0) == -math.inf
 
     def test_affine_slope_nonnegative(self):
         with pytest.raises(ValueError):
@@ -239,7 +242,7 @@ class TestPenalties:
         ],
     )
     def test_nondecreasing_on_grid(self, penalty):
-        vals = [scalar_penalty(penalty)(d) for d in range(1, 120)]
+        vals = [scalar_metric(penalty)(d) for d in range(1, 120)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -269,9 +272,7 @@ class TestMetricTable:
         # comparison is to rounding rather than bitwise
         n = 3000
         table = metric_table(metric, n)
-        is_penalty = isinstance(metric, (NegatedMI, PenaltyTable, Affine))
-        value = scalar_penalty(metric) if is_penalty else lambda d: mutual_information(metric, d)
-        scalar = np.array([value(d) for d in range(n)])
+        scalar = np.array(list(map(scalar_metric(metric), range(n))))
         assert table.shape == (n,)
         finite = np.isfinite(scalar)
         assert np.array_equal(np.isfinite(table), finite)
@@ -319,10 +320,41 @@ class TestMetricTable:
             metric_table("not a metric", 3)
 
     def test_unknown_types_named(self):
-        # each closed form's dispatch, scalar and tabulated, names what it cannot evaluate
-        with pytest.raises(TypeError, match="^unknown source model 'x'$"):
-            scalar_information("x")
-        with pytest.raises(TypeError, match="^unknown penalty 'x'$"):
-            scalar_penalty("x")
-        with pytest.raises(TypeError, match="^unknown source model 'x'$"):
-            metric_table(NegatedMI("x"), 3)
+        # each route names what it cannot evaluate, and each kind check what it needs
+        with pytest.raises(TypeError, match="^metric must be a source model or an age penalty, "
+                                            "got 'x'$"):
+            scalar_metric("x")
+        with pytest.raises(TypeError, match="^metric must be a source model or an age penalty, "
+                                            "got 'x'$"):
+            metric_table("x", 3)
+        with pytest.raises(TypeError, match="^NegatedMI needs a source model, got 'x'$"):
+            NegatedMI("x")
+        with pytest.raises(TypeError, match="^mutual information needs a source model, got 'x'$"):
+            mutual_information("x", 3)
+        with pytest.raises(TypeError, match="^expected an age penalty .*, got 'x'; "):
+            penalty_prefix_sums("x", 3)
+
+
+class TestKindChecks:
+    def test_a_source_model_is_not_a_penalty(self):
+        # every route that minimizes or sums a penalty refuses a bare source model alike,
+        # the solver's tables included, although metric_table tabulates either kind
+        model, dist = BinarySymmetric(q=0.1), ServiceTimeDist({1: 0.5, 11: 0.5})
+        calls = [lambda: solve_beta(model, dist),
+                 lambda: cycle_stats(model, dist, zero_waiting(dist)),
+                 lambda: brute_force_optimum(model, dist, 2),
+                 lambda: penalty_prefix_sums(model, 30)]
+        messages = set()
+        for call in calls:
+            with pytest.raises(TypeError) as err:
+                call()
+            messages.add(str(err.value))
+        assert messages == {"expected an age penalty (NegatedMI, PenaltyTable or Affine), got "
+                            "BinarySymmetric(q=0.1); wrap a source model in NegatedMI to "
+                            "maximize its information"}
+
+    def test_a_penalty_is_not_a_source_model(self):
+        with pytest.raises(TypeError, match="^mutual information needs a source model, got Affine"):
+            mutual_information(Affine(1.0), 3)
+        with pytest.raises(TypeError, match="^NegatedMI needs a source model, got Affine"):
+            NegatedMI(Affine(1.0))
