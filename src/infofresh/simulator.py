@@ -24,11 +24,13 @@ ages and metric values from the delivery intervals as arrays too.  The writer
 counts the queue, generated less started by each step, from the same times,
 and lays a chunk out in 8-byte words written as bytes to a binary stream, the
 event words only where their events happen, found by a binary search of the
-times.  A chunk whose samples start as generated never queues: its 0 ends each
-age's ``,delta,metric,0`` words, and each start is written with its
-generation, unsearched.  ``trace`` writes each chunk as it is built, so its
-memory does not grow with the horizon (a 43 MB peak at 2e7 steps); a caller
-that wants whole-run arrays concatenates the chunks.
+times.  Step numbers and sample indices count up by one, so their digits are
+slices of a digit table; only the queue is divided into digits.  A chunk whose
+samples start as generated never queues: its 0 ends each age's
+``,delta,metric,0`` words, and each start is written with its generation,
+unsearched.  ``trace`` writes each chunk as it is built, so its memory does
+not grow with the horizon (a 43 MB peak at 2e7 steps); a caller that wants
+whole-run arrays concatenates the chunks.
 This is exact and bit-reproducible given the seed: PCG64 draws in blocks
 replay the stream of one large draw.
 """
@@ -112,7 +114,8 @@ def _decimal(values: np.ndarray, out: np.ndarray) -> None:
     10**4 takes one lookup: its higher group is all NUL."""
     groups = _digit_groups()
     if len(out) == 1 and values.max(initial=0) < 10_000:
-        np.take(groups, values, out=out[0])
+        # in range, so "clip" writes into out unbuffered and never clips
+        np.take(groups, values, out=out[0], mode="clip")
         out[0] <<= 32
         return
     q = values
@@ -123,6 +126,24 @@ def _decimal(values: np.ndarray, out: np.ndarray) -> None:
             q = above // 10_000
             above = np.minimum(above, above - q * 10_000 + 10_000)
         np.bitwise_or(groups[above], tail, out=out[j])
+
+
+def _counting(lo: int, count: int, out: np.ndarray) -> None:
+    """Write the words ``_decimal(np.arange(lo, lo + count), out)`` writes,
+    without dividing.  Values that share v // 10**4 are that quotient's
+    digits, spelled once, above a slice of ``_digit_groups``: the padded
+    entries 10**4 + v % 10**4 past a quotient of 0, else the unpadded ones."""
+    groups, width, i = _digit_groups(), 8 * len(out) - 4, 0
+    while i < count:
+        hi, low = divmod(lo + i, 10_000)
+        j = min(count, i + 10_000 - low)
+        # hi's digits end where the low group's 4 bytes begin
+        head = np.frombuffer(f"{hi or ''}".encode().rjust(width, b"\0") + bytes(4), "<u8")
+        out[:-1, i:j] = head[:-1, None]
+        low += 10_000 if hi else 0
+        np.left_shift(groups[low:low + j - i], 32, out=out[-1, i:j])
+        out[-1, i:j] |= head[-1]
+        i = j
 
 
 def _words(ages: np.ndarray, values: np.ndarray, tail: str) -> np.ndarray:
@@ -172,20 +193,22 @@ def write_trace(f: IO[bytes], chunks) -> None:
     bytes stay NUL.  A row is the newline and ``n``, ``,delta,metric,`` from
     a table of each age's prefix, ``queue_len``, and per event kind a token
     word (``,deliver`` ends ``queue_len``; ``|`` follows an earlier token)
-    and ``:`` with the sample index.  The event slots start NUL and are
-    written only at their kind's steps, found by a binary search of the
-    kind's times: service times are >= 1, so generation, start and delivery
-    times each strictly increase with the sample index, and a step holds at
-    most one event of each kind.  ``queue_len`` is the samples generated
-    less those started by the step: +1 at each generation and -1 at each
-    start in the chunk, summed from the chunk's samples generated and not
-    started before ``lo``.  A chunk whose ``start`` is its ``s`` starts each
-    sample as it is generated, so it never queues: each start is written at
-    its generation step, after the gen token and with its index words,
-    unsearched, and ``queue_len`` 0 ends each age's prefix,
-    ``,delta,metric,0``, with no queue words.  No CSV byte is NUL, so
-    dropping the grid's NULs, read row by row, leaves the text.  The grid,
-    index and ``fired`` buffers grow to the widest chunk given.
+    and ``:`` with the sample index.  ``n`` and the sample indices count up
+    by one, so ``_counting`` writes them; ``_decimal`` spells ``queue_len``.
+    The event slots start NUL and are written only at their kind's steps,
+    found by a binary search of the kind's times: service times are >= 1,
+    so generation, start and delivery times each strictly increase with the
+    sample index, and a step holds at most one event of each kind.
+    ``queue_len`` is the samples generated less those started by the step:
+    +1 at each generation and -1 at each start in the chunk, summed from the
+    chunk's samples generated and not started before ``lo``.  A chunk whose
+    ``start`` is its ``s`` starts each sample as it is generated, so it
+    never queues: each start is written at its generation step, after the
+    gen token and with its index words, unsearched, and ``queue_len`` 0 ends
+    each age's prefix, ``,delta,metric,0``, with no queue words.  No CSV
+    byte is NUL, so dropping the grid's NULs, read row by row, leaves the
+    text.  The grid, index and ``fired`` buffers grow to the widest chunk
+    given.
     """
     prefixes = _Prefixes(""), _Prefixes("0")  # by route: a chunk whose start is s adds the 0
     grids = np.empty(0, dtype="<u8")
@@ -212,10 +235,11 @@ def write_trace(f: IO[bytes], chunks) -> None:
         if len(fired) < rows:
             index, fired = np.empty((3, rows), dtype="<u8"), np.empty(rows, dtype=bool)
         grid = grids[:size * rows].reshape(size, rows)
-        _decimal(np.arange(lo, lo + rows), grid[:n])
+        _counting(lo, rows, grid[:n])
         grid[0] |= _NEWLINE
         grid[n - 1, 0] |= _ZERO  # n = 0 prints its digit
-        np.take(table, keys, axis=1, out=grid[n:n + p])
+        # keys are table's columns by construction: "clip" never clips, unbuffered
+        np.take(table, keys, axis=1, out=grid[n:n + p], mode="clip")
         if not folded:
             _decimal(queue, grid[n + p:c])
             grid[c - 1] |= _ZERO
@@ -231,7 +255,7 @@ def write_trace(f: IO[bytes], chunks) -> None:
                 grid[row][at] = token | fired[at] * _BAR
                 fired[at] = True
                 digits = index[:w, :b - a]
-                _decimal(np.arange(first + a + 1, first + b + 1), digits)
+                _counting(first + a + 1, b - a, digits)
                 digits[0] |= _COLON
             for j, word in enumerate(digits, row + 1):
                 grid[j][at] = word

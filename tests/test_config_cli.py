@@ -25,7 +25,7 @@ import infofresh
 import infofresh.cli as cli
 import infofresh.simulator as simulator
 from infofresh.cli import main
-from infofresh.config import ConfigError, ExperimentConfig, round_half_up
+from infofresh.config import GRID_POINTS_MAX, ConfigError, ExperimentConfig, round_half_up
 from infofresh.analytic import brute_force_optimum
 from infofresh.simulator import Uniform, _fmt, age_histogram
 from infofresh.sources import BinarySymmetric, NegatedMI, mutual_information, scalar_metric
@@ -126,6 +126,22 @@ class TestConfig:
         message = f"[sweep] grid: a range is start:stop:step with finite numbers, got '{raw}'"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             ExperimentConfig.from_ini(f"[sweep]\ngrid = {raw}\n")
+
+    # the first overflowed to "cannot convert float infinity to integer"; the second built
+    # its 100,001 points, and nothing stopped a range of any length
+    @pytest.mark.parametrize("raw, points", [("0:1e300:1e-300", "inf"), ("0:1:0.00001", "100001")])
+    def test_grid_range_point_count_is_capped(self, raw, points):
+        message = (f"[sweep] grid: a range start:stop:step holds at most {GRID_POINTS_MAX} "
+                   f"points, got '{raw}' with {points} points")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_ini(f"[sweep]\ngrid = {raw}\n")
+
+    def test_grid_range_at_the_cap_and_below_its_start(self):
+        cfg = ExperimentConfig.from_ini(f"[sweep]\ngrid = 1:{GRID_POINTS_MAX}:1\n")
+        assert len(cfg.sweep_grid) == GRID_POINTS_MAX
+        # (stop - start) / step overflows to -inf: no points, not an overflow message
+        with pytest.raises(ConfigError, match=r"^\[sweep\] grid must be non-empty"):
+            ExperimentConfig.from_ini("[sweep]\ngrid = 1e308:-1e308:1\n")
 
     def test_bad_service_pair(self):
         with pytest.raises(ConfigError, match=r"\[service\] dist"):

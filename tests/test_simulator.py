@@ -820,8 +820,8 @@ class TestColumnWriter:
     @pytest.mark.parametrize("policy", [zero_waiting(D15), {1: 1, 5: 0}],
                              ids=["zero-wait", "threshold"])
     def test_a_run_that_never_queues_spells_no_queue(self, monkeypatch, policy):
-        # its queue_len 0 ends each age's prefix: _decimal spells only the step numbers
-        # and sample indices, which count up by one, and no queue column
+        # its queue_len 0 ends each age's prefix, and the step numbers and sample
+        # indices count up from table slices: _decimal spells nothing at all
         chunks = list(simulator.trace_chunks(policy, Affine(1.0), D15, 20_000, 1, seed=3))
         assert len(chunks) > 1
         decimal = simulator._decimal
@@ -831,16 +831,14 @@ class TestColumnWriter:
             monkeypatch.setattr(simulator, "_decimal",
                                 lambda values, out: arrays.append(values) or decimal(values, out))
             write_trace(io.BytesIO(), chunks)
-            return [values for values in arrays if len(values) > 1]
+            return arrays
 
-        def counts_up(values):
-            return np.array_equal(values, np.arange(values[0], values[0] + len(values)))
-
-        arrays = spelled(chunks)
-        assert arrays and all(map(counts_up, arrays))
-        # the spy sees the queue of a chunk that carries its own start
+        assert spelled(chunks) == []
+        # a chunk that carries its own start spells its queue column, all 0, and nothing else
         copied = [(*head, s, s.copy(), d) for *head, s, _, d in chunks]
-        assert not all(map(counts_up, spelled(copied)))
+        queues = spelled(copied)
+        assert [len(q) for q in queues] == [len(delta) for _, delta, *_ in chunks]
+        assert not any(q.any() for q in queues)
 
     @pytest.mark.parametrize("copied", [0, 1], ids=["searched-first", "folded-first"])
     def test_chunks_may_switch_start_routes(self, copied):
@@ -991,15 +989,30 @@ class TestWriterDigitWidths:
             assert_words_match_str(out, fit)
 
     # consecutive values (the trace's step numbers and sample indices) from 0 and from
-    # mid-run, across 9,999/10,000, into a second word at 10**8 and a third at 10**16
+    # mid-run, across 9,999/10,000, from a multiple of 10**4, up to 10**8 - 1, into a
+    # second word at 10**8 and a third at 10**16, and none at all
     @pytest.mark.parametrize("words, lo, hi", [
         (1, 0, 10), (1, 0, 25_000), (1, 7_321, 7_322), (1, 9_990, 10_010),
-        (1, 3_456, 41_234), (2, 10**8 - 12_345, 10**8 + 23_456),
-        (3, 10**16 - 10_007, 10**16 + 10_003), (3, 2**62, 2**62 + 3)])
+        (1, 3_456, 41_234), (1, 5, 5), (1, 30_000, 52_345), (1, 10**8 - 23_456, 10**8),
+        (2, 10**8 - 12_345, 10**8 + 23_456), (3, 10**16 - 10_007, 10**16 + 10_003),
+        (3, 2**62, 2**62 + 3)])
     def test_decimal_range_matches_str(self, words, lo, hi):
-        out = np.empty((words, hi - lo), dtype="<u8")
-        simulator._decimal(np.arange(lo, hi), out)
-        assert_words_match_str(out, range(lo, hi))
+        # through _decimal and through _counting, each over words it must write over
+        for spell in (lambda out: simulator._decimal(np.arange(lo, hi), out),
+                      lambda out: simulator._counting(lo, hi - lo, out)):
+            out = np.full((words, hi - lo), 0xFF, dtype="<u8")
+            spell(out)
+            assert_words_match_str(out, range(lo, hi))
+
+
+@given(st.integers(0, 2**62), st.integers(0, 30_000))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_counting_matches_decimal_property(lo, count):
+    words = len(str(lo + count)) // 8 + 1
+    want, got = (np.full((words, count), 0xFF, dtype="<u8") for _ in range(2))
+    simulator._decimal(np.arange(lo, lo + count), want)
+    simulator._counting(lo, count, got)
+    assert np.array_equal(got, want)
 
 
 def assert_words_match_str(out, values):
