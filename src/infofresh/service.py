@@ -58,14 +58,6 @@ class ServiceTimeDist:
         body = ", ".join(f"{y}: {p:g}" for y, p in zip(self.support, self.probs))
         return f"ServiceTimeDist({{{body}}})"
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ServiceTimeDist):
-            return NotImplemented
-        return self.support == other.support and self.probs == other.probs
-
-    def __hash__(self) -> int:
-        return hash((self.support, self.probs))
-
     @property
     def y_min(self) -> int:
         return self.support[0]

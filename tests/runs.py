@@ -1,11 +1,50 @@
-"""Whole-run arrays drained from ``trace_chunks``, and arrays cut back into
-``write_trace``'s chunks."""
+"""Whole-run arrays drained from ``trace_chunks``, arrays cut back into
+``write_trace``'s chunks, the golden trace configs, and the command line run in a
+child process."""
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 
+import infofresh
 import infofresh.simulator as simulator
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Whole trace CSVs that the tests pin by digest, and run through stdout and --out alike
+GOLDEN_TRACES = {
+    "checked-in-threshold": (CONFIGS / "threshold_trace.ini").read_text(),
+    # period 2 against a mean service of 3: the queue grows to 6716 samples
+    "seeded-uniform-queueing": (
+        "[source]\nkind = binary\nq = 0.1\n\n"
+        "[service]\ndist = 1:0.5, 5:0.5\n\n"
+        "[sweep]\nuniform_period = 2\n\n"
+        "[trace]\npolicy = uniform\nseed = 7\nhorizon = 40000\n"
+    ),
+    # period 5 = y_max: no sample waits, so the queue column is the prefixes' 0
+    "seeded-uniform-past-y-max": (
+        "[source]\nkind = binary\nq = 0.1\n\n"
+        "[service]\ndist = 1:0.5, 5:0.5\n\n"
+        "[sweep]\nuniform_period = 5\n\n"
+        "[trace]\npolicy = uniform\nseed = 7\nhorizon = 40000\n"
+    ),
+    "seeded-gaussian-zero-wait": (
+        "[source]\nkind = gaussian\na = 0.9\n\n"
+        "[service]\ndist = 1:0.3, 4:0.7\n\n"
+        "[trace]\npolicy = zero-wait\nseed = 3\nhorizon = 40000\n"
+    ),
+    # perfbench's trace-long config at seed 1: waits {1: 1, 5: 0} and 57,135
+    # samples, so the seeded threshold schedule spans two default blocks
+    "seeded-threshold-two-blocks": (
+        "[source]\nkind = binary\nq = 0.05\n\n"
+        "[service]\ndist = 1:0.5, 5:0.5\n\n"
+        "[trace]\npolicy = threshold\nseed = 1\nhorizon = 200000\n"
+    ),
+}
 
 
 def queue_lengths(s, start, horizon):
@@ -39,3 +78,23 @@ def as_chunks(trace, rows=None):
                                                      (trace.metric0, trace.metric))]
     return [(lo, *(x[lo:lo + rows] for x in steps), 0, trace.s, trace.start, trace.d)
             for lo in range(0, trace.horizon + 1, rows)]
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def cli_child(*args):
+    """The argv and environment that run the command line in a child process."""
+    src = str(Path(infofresh.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return [sys.executable, "-m", "infofresh.cli", *args], env
+
+
+def run_cli(*args, text=True, timeout=60):
+    """Run the command line in a child process, so that its real stdout and stderr are
+    captured; a child still running after ``timeout`` seconds fails the test."""
+    argv, env = cli_child(*args)
+    return subprocess.run(argv, capture_output=True, text=text, env=env, timeout=timeout)

@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import infofresh
 import infofresh.cli as cli
 import infofresh.simulator as simulator
 from infofresh.cli import main
@@ -29,8 +28,7 @@ from infofresh.config import GRID_POINTS_MAX, ConfigError, ExperimentConfig, rou
 from infofresh.analytic import brute_force_optimum
 from infofresh.simulator import Uniform, _fmt, age_histogram
 from infofresh.sources import BinarySymmetric, NegatedMI, mutual_information, scalar_metric
-
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+from runs import CONFIGS, GOLDEN_TRACES, cli_child, run_cli, write
 
 SWEEP_INI = """\
 [service]
@@ -234,25 +232,6 @@ class TestConfig:
         assert round_half_up(5.5) == 6
         assert round_half_up(6.5) == 7
         assert round_half_up(6.4) == 6
-
-
-def cli_child(*args):
-    """The argv and environment that run the command line in a child process."""
-    src = str(Path(infofresh.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return [sys.executable, "-m", "infofresh.cli", *args], env
-
-
-def run_cli(*args):
-    """Run the command line in a child process, so that its real stderr is captured."""
-    argv, env = cli_child(*args)
-    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
-
-
-def write(tmp_path, name, text):
-    path = tmp_path / name
-    path.write_text(text)
-    return str(path)
 
 
 class TestCli:
@@ -739,8 +718,7 @@ class TestCli:
     # is more than a pipe holds, so the writer meets the closed pipe; solve's few lines wait
     # in stdout's buffer for the flush that ends the command
     @pytest.mark.parametrize("command, ini, lines", [
-        ("trace", "[source]\nkind = binary\nq = 0.05\n\n[service]\ndist = 1:0.5, 5:0.5\n\n"
-                  "[trace]\npolicy = threshold\nseed = 1\nhorizon = 200000\n", 1),
+        ("trace", GOLDEN_TRACES["seeded-threshold-two-blocks"], 1),
         ("mi-curve", "[source]\nkind = binary\nq = 0.05\n\n[curve]\ndelta_max = 100000\n", 1),
         ("solve", SOLVE_INI, 0),
     ], ids=["trace", "mi-curve", "solve"])
@@ -1017,52 +995,27 @@ class TestTablePathPrintsScalarValues:
 
 
 class TestTraceGoldenDigests:
-    """sha256 of whole ``trace`` CSVs, captured from the per-row csv.writer
-    implementation that the column writer replaced; any byte that moves fails."""
+    """sha256 of whole ``trace`` CSVs of ``GOLDEN_TRACES``, captured from the per-row
+    csv.writer implementation that the column writer replaced; any byte that moves fails."""
 
-    TRACES = {
-        "checked-in-threshold": (
-            (CONFIGS / "threshold_trace.ini").read_text(),
-            "d2c96663c58ca097c14524fc677e5fd808f0af19ad51b457697bc125e5776b72",
-        ),
-        # period 2 against a mean service of 3: the queue grows to 6716 samples
-        "seeded-uniform-queueing": (
-            "[source]\nkind = binary\nq = 0.1\n\n"
-            "[service]\ndist = 1:0.5, 5:0.5\n\n"
-            "[sweep]\nuniform_period = 2\n\n"
-            "[trace]\npolicy = uniform\nseed = 7\nhorizon = 40000\n",
+    DIGESTS = {
+        "checked-in-threshold": "d2c96663c58ca097c14524fc677e5fd808f0af19ad51b457697bc125e5776b72",
+        "seeded-uniform-queueing":
             "0376429acb6c329f76f3ac6f79b2a07e0ecdd08afad9ad45c536405eff0213e0",
-        ),
-        # period 5 = y_max: no sample waits, so the queue column is the prefixes' 0
-        "seeded-uniform-past-y-max": (
-            "[source]\nkind = binary\nq = 0.1\n\n"
-            "[service]\ndist = 1:0.5, 5:0.5\n\n"
-            "[sweep]\nuniform_period = 5\n\n"
-            "[trace]\npolicy = uniform\nseed = 7\nhorizon = 40000\n",
+        "seeded-uniform-past-y-max":
             "b3ed9d80ea09d71f300ace42e1a0821da9390ebda34563780196ce93ef8b0ab9",
-        ),
-        "seeded-gaussian-zero-wait": (
-            "[source]\nkind = gaussian\na = 0.9\n\n"
-            "[service]\ndist = 1:0.3, 4:0.7\n\n"
-            "[trace]\npolicy = zero-wait\nseed = 3\nhorizon = 40000\n",
+        "seeded-gaussian-zero-wait":
             "247115ebaafcde27047bf60e247e420691693dbe416507586821693f1f4d51e6",
-        ),
-        # perfbench's trace-long config at seed 1: waits {1: 1, 5: 0} and 57,135
-        # samples, so the seeded threshold schedule spans two default blocks
-        "seeded-threshold-two-blocks": (
-            "[source]\nkind = binary\nq = 0.05\n\n"
-            "[service]\ndist = 1:0.5, 5:0.5\n\n"
-            "[trace]\npolicy = threshold\nseed = 1\nhorizon = 200000\n",
+        "seeded-threshold-two-blocks":
             "342e4899f9b32e3ad7372f89fa739b72c2e137313c1d3ece8c157dca1b566da8",
-        ),
     }
 
-    @pytest.mark.parametrize("name", TRACES)
+    @pytest.mark.parametrize("name", DIGESTS)
     def test_trace_csv_digest(self, name, tmp_path):
-        text, digest = self.TRACES[name]
         out = tmp_path / "trace.csv"
-        assert main(["trace", "--config", write(tmp_path, "t.ini", text), "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        cfg = write(tmp_path, "t.ini", GOLDEN_TRACES[name])
+        assert main(["trace", "--config", cfg, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[name]
 
 
 class TestStreamedTrace:
