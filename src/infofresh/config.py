@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .service import ServiceTimeDist
-from .solver import DEFAULT_Z_MAX
 from .sources import (
     Affine,
     AgePenalty,
@@ -133,7 +132,7 @@ class ExperimentConfig:
     penalty_intercept: float = _ini("penalty", "intercept", float, 0.0)
     penalty_values: tuple[float, ...] | None = _ini("penalty", "values", _list(float))
     tol: float = _ini("solver", "tol", float, 1e-10, (lambda v: v > 0, "must be positive"))
-    z_max: int = _ini("solver", "z_max", int, DEFAULT_Z_MAX, (lambda v: v >= 1, "must be >= 1"))
+    z_max: int | None = _ini("solver", "z_max", int, None, (lambda v: v >= 1, "must be >= 1"))
     horizon: int = _ini("sim", "horizon", int, 1_000_000, (lambda v: v >= 1, "must be >= 1"))
     seeds: tuple[int, ...] = _ini("sim", "seeds", _seeds, tuple(range(10)),
                                   (bool, "must name at least one seed"),

@@ -16,10 +16,15 @@ _PROB_SUM_TOL = 1e-12
 # At 32,768 draws, one block now, counting still wins at 40 points (762 vs 1,092
 # us, best of three) and the crossover lies between 64 and 72 points.
 _COUNTED_SUPPORT = 40
+# Exact routes size their tables by y_max (the solver's reach 3 * y_max ages), linearly,
+# so 10**8 would ask for about 18 GB.  Peaks at this bound, {1: .5, 10**6: .5} with binary
+# q = 0.01, read from a launcher (2-core Xeon VM, Python 3.11.7, numpy 2.4.6): solve 184 MB
+# in 0.9 s; sweep 189 MB (2 x 2,000 steps) to 197 MB (1e6); trace 122 MB (2,000) to 202 MB (3e6).
+SERVICE_TIME_MAX = 10**6
 
 
 class ServiceTimeDist:
-    """Probability mass function on distinct integer service times >= 1.
+    """Probability mass function on distinct integer service times in 1..SERVICE_TIME_MAX.
 
     Probabilities must sum to 1 within 1e-12 and are then renormalized
     exactly, so downstream exact sums stay consistent.  Zero service time
@@ -44,6 +49,8 @@ class ServiceTimeDist:
         for y in ys:
             if not (isinstance(y, (int, np.integer)) and y >= 1):
                 raise ValueError(f"service times must be integers >= 1, got {y!r}")
+        if ys[-1] > SERVICE_TIME_MAX:
+            raise ValueError(f"service times must be <= {SERVICE_TIME_MAX}, got {ys[-1]}")
         for p in ps:
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"probabilities must be in (0, 1], got {p}")

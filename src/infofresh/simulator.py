@@ -110,14 +110,8 @@ def _decimal(values: np.ndarray, out: np.ndarray) -> None:
     """Write non-negative integers below 10**(8 * len(out)) as ASCII digits,
     right-aligned in the word rows of ``out``; leading bytes and 0 are NUL.
     A word is two ``_digit_groups`` entries: min(v, v % 10**4 + 10**4) pads
-    v's last group exactly when v >= 10**4.  One word of values all below
-    10**4 takes one lookup: its higher group is all NUL."""
+    v's last group exactly when v >= 10**4."""
     groups = _digit_groups()
-    if len(out) == 1 and values.max(initial=0) < 10_000:
-        # in range, so "clip" writes into out unbuffered and never clips
-        np.take(groups, values, out=out[0], mode="clip")
-        out[0] <<= 32
-        return
     q = values
     for j in range(len(out) - 1, -1, -1):  # the last word holds the lowest digits
         above = q // 10_000

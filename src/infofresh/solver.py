@@ -11,9 +11,9 @@ p = -I (``NegatedMI``); its beta is minus the optimal information.
 
 The penalty at the next delivery depends on y and the wait only through
 t = y + Z(y), so one table g(t) = E[p(t + Y')] serves every support
-point: the best waits at a level c are Z_c(y) = min(max(0, t*(c) - y), z_max),
-with t*(c) the first t where g reaches c and z_max the cap on each wait.
-This single-crossing rule generalizes the water-filling rule
+point: the best waits at a level c are Z_c(y) = max(0, t*(c) - y), with
+t*(c) the first t where g reaches c, clipped at z_max under a cap on each
+wait.  This single-crossing rule generalizes the water-filling rule
 Z = max(beta - Y, 0) that Sun et al. ("Update or Wait", IEEE Trans. IT
 2017) derive for the linear age, to a capped wait.  The signed slack
 
@@ -38,8 +38,6 @@ import numpy as np
 
 from .service import ServiceTimeDist
 from .sources import AgePenalty, metric_table, penalty_prefix_sums, require_penalty
-
-DEFAULT_Z_MAX = 10_000
 
 
 class WaitingFunction(Mapping[int, int]):
@@ -93,8 +91,8 @@ class CycleStats:
 
 @dataclass(frozen=True)
 class SolverResult:
-    """Solved threshold; beta is the optimal time average over waits 0..z_max.  ``capped``
-    lists the support points whose wait z_max cut, with E[p(y + z_max + Y')] still below beta."""
+    """Solved threshold; beta is the optimal time average, over waits 0..z_max under a cap.
+    ``capped`` lists the support points whose wait the cap cut: E[p(y + z_max + Y')] < beta."""
 
     beta: float
     waiting: WaitingFunction
@@ -153,22 +151,24 @@ def solve_beta(
     penalty: AgePenalty,
     dist: ServiceTimeDist,
     tol: float = 1e-10,
-    z_max: int = DEFAULT_Z_MAX,
+    z_max: int | None = None,
 ) -> SolverResult:
-    """Minimize the time-average penalty over waiting policies with waits in 0..z_max.
+    """Minimize the time-average penalty over waiting policies, waits in 0..z_max if capped.
 
     Dinkelbach's iteration from the zero-wait ratio; ``iterations`` counts
     its steps.  It stops when the waits repeat, which is an exact fixed
     point, or, as a guard, when a step lowers the level by no more than
     ``tol``; beta is then within tol times a ratio of cycle lengths of the
-    optimum.  A binding cap is a constraint, not an error: see ``capped``.
+    optimum.  Uncapped, no wait passes 2*y_max - y_min, the tables' edge, so
+    none is cut.  A binding cap is a constraint, not an error: see ``capped``.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if not isinstance(z_max, (int, np.integer)):  # a float cap would index the tables
-        raise ValueError(f"z_max must be an integer, got {z_max!r}")
-    if z_max < 1:
-        raise ValueError(f"z_max must be >= 1, got {z_max}")
+    if z_max is not None:
+        if not isinstance(z_max, (int, np.integer)):  # a float cap would index the tables
+            raise ValueError(f"z_max must be an integer, got {z_max!r}")
+        if z_max < 1:
+            raise ValueError(f"z_max must be >= 1, got {z_max}")
     g, G, cum = _tables(penalty, dist)
     ys, ps = np.asarray(dist.support, dtype=np.int64), np.asarray(dist.probs)
     mean = dist.mean()
@@ -176,7 +176,7 @@ def solve_beta(
     def waits(c: float) -> np.ndarray:
         # Waiting one more step after y + z adds g(y + z) - c, which only grows
         # with z, so the first z where g(y + z) >= c minimizes reward - c*length;
-        # where that lies past z_max, the capped wait z_max does.
+        # where that lies past a cap z_max, the capped wait z_max does.
         return np.clip(int(np.searchsorted(g, c, side="left")) - ys, 0, z_max)
 
     def cycle(z: np.ndarray) -> tuple[float, float]:

@@ -14,7 +14,8 @@ import numpy as np
 
 from infofresh.sources import scalar_metric
 
-# The solver's default wait cap, repeated here so that nothing comes from the solver.
+# The slack's default wait cap: past every optimal wait of the instances it is called
+# on without one, whose waits end by t = 2 * y_max.
 Z_MAX = 10_000
 
 

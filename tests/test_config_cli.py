@@ -27,7 +27,15 @@ from infofresh.cli import main
 from infofresh.config import GRID_POINTS_MAX, ConfigError, ExperimentConfig, round_half_up
 from infofresh.analytic import brute_force_optimum
 from infofresh.simulator import Uniform, _fmt, age_histogram
-from infofresh.sources import BinarySymmetric, NegatedMI, mutual_information, scalar_metric
+from infofresh.solver import solve_beta
+from infofresh.sources import (
+    Affine,
+    BinarySymmetric,
+    NegatedMI,
+    mutual_information,
+    scalar_metric,
+)
+from reference import slack
 from runs import CONFIGS, GOLDEN_TRACES, cli_child, run_cli, write
 
 SWEEP_INI = """\
@@ -281,6 +289,19 @@ class TestCli:
             "infofresh: note: the wait cap [solver] z_max = 50 binds after service time 1: "
             "results are the capped optimum")
 
+    def test_solve_default_is_the_uncapped_optimum(self, tmp_path, capsys):
+        # unset, [solver] z_max caps no wait, however long: here the optimal wait
+        # after a 1-step service is 16568
+        ini = HEAVY_INI.replace("1:0.999, 3000:0.001", "1:0.5, 40000:0.5")
+        assert main(["solve", "--config", write(tmp_path, "c.ini", ini)]) == 0
+        captured = capsys.readouterr()
+        assert {"beta,36568.5424968", "z[1],16568"} <= set(captured.out.splitlines())
+        assert "infofresh: note:" not in captured.err
+        # beta is the root of the slack over every wait up to the tables' edge
+        dist = ExperimentConfig.from_ini(ini).build_service()
+        beta = solve_beta(Affine(1.0), dist).beta
+        assert abs(slack(Affine(1.0), dist, beta, 2 * dist.y_max - dist.y_min)) <= 1e-9 * beta
+
     def test_sweep_schema_and_rerun_identical(self, tmp_path):
         cfg = write(tmp_path, "sw.ini", SWEEP_INI)
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -339,8 +360,8 @@ class TestCli:
         assert "deliver:1\n" in joined + "\n"
 
     def test_trace_honors_solver_z_max(self, tmp_path):
-        # the solved wait after a 1-step service, 13944, exceeds the default
-        # cap; the trace must use the waits solved under [solver] z_max
+        # the solved wait after a 1-step service, 13944, is long; the trace
+        # must use the waits solved under [solver] z_max
         ini = (
             "[penalty]\nkind = affine\nslope = 1.0\n\n"
             "[service]\ndist = 1:0.9998, 1000000:0.0002\n\n"

@@ -9,9 +9,12 @@ import sys
 
 import pytest
 
+from infofresh.service import SERVICE_TIME_MAX
 from runs import CONFIGS, GOLDEN_TRACES, cli_child, run_cli, write
 
 COMPARISON = (CONFIGS / "policy_comparison.ini").read_text()
+# solve on binary q = 0.01 with a 1-step and a y-step service, equally likely
+TWO_POINT = "[source]\nkind = binary\nq = 0.01\n\n[service]\ndist = 1:0.5, {y}:0.5\n"
 
 
 # Runs the command it is given and prints that child's exit code and peak resident set
@@ -48,24 +51,28 @@ def test_peak_rss_is_the_one_childs_own():
 
 
 # each of these would run for minutes, or not end, if it did the work it names
-@pytest.mark.parametrize("ini, flags, out, code, error", [
+@pytest.mark.parametrize("command, ini, flags, out, code, error", [
     # the output directory is checked before the 1e9-step sweep starts
-    (COMPARISON, ["--horizon", "1000000000"], "missing/o.csv", 1,
+    ("sweep", COMPARISON, ["--horizon", "1000000000"], "missing/o.csv", 1,
      "cannot write output {out}: No such file or directory"),
     # a uniform queue at load 2 stops at the block where its backlog passes the guard,
     # not after folding 1e8 steps
-    ("[service]\ndist = 1:0.5, 3:0.5\n\n[sim]\nhorizon = 100000000\nseeds = 1\n\n"
+    ("sweep", "[service]\ndist = 1:0.5, 3:0.5\n\n[sim]\nhorizon = 100000000\nseeds = 1\n\n"
      "[sweep]\nvariable = q\ngrid = 0.1\nuniform_period = 1\npolicies = uniform\n", [], "o.csv",
      2, "queue backlog reached "),
     # the point count of a range is computed, not counted out
-    ("[service]\ndist = 1:0.5, 11:0.5\n\n[sim]\nhorizon = 2000\nseeds = 2\n\n"
+    ("sweep", "[service]\ndist = 1:0.5, 11:0.5\n\n[sim]\nhorizon = 2000\nseeds = 2\n\n"
      "[sweep]\nvariable = q\ngrid = 0:1e300:1e-300\n", [], "o.csv", 1,
      "[sweep] grid: a range start:stop:step holds at most 100000 points, "
      "got '0:1e300:1e-300' with inf points"),
-], ids=["sweep-1e9-steps-missing-out-dir", "sweep-1e8-steps-load-2", "grid-1e300-points"])
-def test_sweep_fails_within_10_s(tmp_path, ini, flags, out, code, error):
+    # a 1e13-step service is refused before any table is sized by it
+    ("solve", TWO_POINT.format(y=10**13), [], "o.csv", 1,
+     "[service] dist: service times must be <= 1000000, got 10000000000000"),
+], ids=["sweep-1e9-steps-missing-out-dir", "sweep-1e8-steps-load-2", "grid-1e300-points",
+        "solve-service-1e13"])
+def test_sweep_fails_within_10_s(tmp_path, command, ini, flags, out, code, error):
     out = tmp_path / out
-    proc = run_cli("sweep", "--config", write(tmp_path, "c.ini", ini), *flags, "--out", str(out),
+    proc = run_cli(command, "--config", write(tmp_path, "c.ini", ini), *flags, "--out", str(out),
                    timeout=10)
     assert proc.returncode == code
     [line] = proc.stderr.splitlines()
@@ -109,14 +116,16 @@ def test_trace_past_y_max_never_queues(tmp_path):
 
 
 # memory flat in the horizon (2e7 steps, 100 times perfbench's trace-long) and in the
-# uniform period (past the horizon, so one sample); the output is not what is measured
+# uniform period (past the horizon, so one sample), and bounded at the largest service
+# time (184 MB read through this launcher); the output is not what is measured
 @pytest.mark.parametrize("command, ini, flags, bound_mb", [
     ("sweep", COMPARISON, ["--seeds", "1", "--horizon", "20000000"], 100),
     ("trace", GOLDEN_TRACES["seeded-threshold-two-blocks"].replace(
         "horizon = 200000", "horizon = 20000000"), [], 100),
     ("sweep", "[service]\ndist = 1:0.5, 11:0.5\n\n[sim]\nhorizon = 20000\nseeds = 2\n\n"
               "[sweep]\nvariable = q\ngrid = 0.1, 0.3\nuniform_period = 10000000\n", [], 60),
-], ids=["sweep-horizon-2e7", "trace-horizon-2e7", "sweep-period-1e7"])
+    ("solve", TWO_POINT.format(y=SERVICE_TIME_MAX), [], 250),
+], ids=["sweep-horizon-2e7", "trace-horizon-2e7", "sweep-period-1e7", "solve-service-time-max"])
 def test_memory_peak(tmp_path, command, ini, flags, bound_mb):
     code, peak = peak_rss_mb(*cli_child(command, "--config", write(tmp_path, "c.ini", ini), *flags,
                                         "--out", os.devnull))

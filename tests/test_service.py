@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from infofresh.service import _COUNTED_SUPPORT, ServiceTimeDist
+from infofresh.service import _COUNTED_SUPPORT, SERVICE_TIME_MAX, ServiceTimeDist
 from infofresh.sources import BinarySymmetric, mutual_information
 
 # Frozen by high-precision evaluation: 0.5*r(1) + 0.5*r(11) for q = 0.1.
@@ -37,6 +37,12 @@ class TestConstruction:
     def test_rejects_zero_service(self):
         with pytest.raises(ValueError):
             ServiceTimeDist({0: 0.5, 1: 0.5})
+
+    def test_service_times_are_bounded(self):
+        # every exact table is sized by y_max; the bound is checked before any is built
+        assert ServiceTimeDist({1: 0.5, 10**6: 0.5}).y_max == SERVICE_TIME_MAX == 10**6
+        with pytest.raises(ValueError, match="^service times must be <= 1000000, got 1000001$"):
+            ServiceTimeDist({1: 0.5, 10**6 + 1: 0.5})
 
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):

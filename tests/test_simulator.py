@@ -187,8 +187,8 @@ class TestAgeBookkeeping:
 
 class TestThresholdPolicy:
     def test_uses_solved_waits_beyond_default_cap(self):
-        # Z(1) = 13944 is past the default cap of 10000; the policy must
-        # carry the solved waits rather than re-derive them under another cap
+        # Z(1) = 13944 is solved under z_max = 100000; the policy must carry
+        # the solved waits rather than re-derive them under another cap
         dist = ServiceTimeDist({1: 0.9998, 1_000_000: 0.0002})
         res = solve_beta(Affine(1.0), dist, z_max=100_000)
         assert res.waiting[1] == 13_944
@@ -981,7 +981,7 @@ class TestWriterDigitWidths:
         # between nonzero ones
         values = {0, 2**63 - 1, 10**8 + 1, 10**12 + 10**4, 12_345_678_901_234_567}
         values |= {10**k + e for k in range(19) for e in (-1, 0)}
-        # one word of values below 10**4 alone takes the single-lookup path
+        # one word of values below 10**4 alone, whose higher group is all NUL
         for words, top in ((1, 10**4), (1, 10**8), (2, 10**16), (3, 10**24)):
             fit = sorted(v for v in values if v < top)
             out = np.empty((words, len(fit)), dtype="<u8")

@@ -340,8 +340,8 @@ class TestThresholdRule:
     }
 
     @staticmethod
-    def check(penalty, dist, z_max=solver.DEFAULT_Z_MAX):
-        # where the cap cuts the rule, the wait is z_max and E[p] is still below beta there
+    def check(penalty, dist, z_max=None):
+        # where a cap cuts the rule, the wait is z_max and E[p] is still below beta there
         res = solve_beta(penalty, dist, z_max=z_max)
         for y, z in res.waiting.items():
             scan = [expected_next_penalty(penalty, dist, y + n) for n in range(z + 1)]
@@ -491,3 +491,4 @@ def test_cap_at_the_table_bound_never_binds_property(instance):
     res = solve_beta(penalty, dist, z_max=2 * dist.y_max - dist.y_min)
     assert res.capped == ()
     assert res == solve_beta(penalty, dist, z_max=10**9)
+    assert res == solve_beta(penalty, dist)
