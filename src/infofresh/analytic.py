@@ -104,9 +104,10 @@ def random_instances(count: int, seed: int) -> list[tuple[AgePenalty, ServiceTim
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     instances: list[tuple[AgePenalty, ServiceTimeDist]] = []
+    points = np.arange(1, 7)
     for i in range(count):
         size = int(rng.integers(1, 4))
-        support = sorted(rng.choice(np.arange(1, 7), size=size, replace=False).tolist())
+        support = sorted(rng.choice(points, size=size, replace=False).tolist())
         raw = rng.random(size) + 0.1
         probs = raw / raw.sum()
         dist = ServiceTimeDist({int(y): float(p) for y, p in zip(support, probs)})

@@ -14,7 +14,9 @@ _PROB_SUM_TOL = 1e-12
 #   points  8:  59 vs 181 us     16: 115 vs 249 us     24: 170 vs 263 us
 #   points 32: 256 vs 297 us     40: 338 vs 376 us     48: 400 vs 386 us
 # At 32,768 draws, one block now, counting still wins at 40 points (762 vs 1,092
-# us, best of three) and the crossover lies between 64 and 72 points.
+# us, best of three) and the crossover lies between 64 and 72 points.  The bound stays
+# at 40 all the same: no benchmark workload draws from 41 to 64 points, so none could
+# show a move to pay.  The wide-support workloads of ROADMAP.md item 5 are to decide it.
 _COUNTED_SUPPORT = 40
 # Exact routes size their tables by y_max (the solver's reach 3 * y_max ages), linearly,
 # so 10**8 would ask for about 18 GB.  Peaks at this bound, {1: .5, 10**6: .5} with binary
@@ -59,7 +61,7 @@ class ServiceTimeDist:
             raise ValueError(f"probabilities sum to {total}, expected 1 within {_PROB_SUM_TOL}")
         self.support: tuple[int, ...] = tuple(int(y) for y in ys)
         self.probs: tuple[float, ...] = tuple(p / total for p in ps)
-        self._cdf = np.cumsum(self.probs)
+        self._cdf = np.array(self.probs).cumsum()
 
     def __repr__(self) -> str:
         body = ", ".join(f"{y}: {p:g}" for y, p in zip(self.support, self.probs))

@@ -37,7 +37,13 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .service import ServiceTimeDist
-from .sources import AgePenalty, metric_table, penalty_prefix_sums, require_penalty
+from .sources import (
+    AgePenalty,
+    metric_table,
+    penalty_prefix_sums,
+    require_penalty,
+    sum_error,
+)
 
 
 class WaitingFunction(Mapping[int, int]):
@@ -110,13 +116,15 @@ def _tables(penalty: AgePenalty, dist: ServiceTimeDist) -> tuple[np.ndarray, ...
     require_penalty(penalty)  # metric_table would tabulate an information curve as well
     n = 2 * dist.y_max + 1
     p = metric_table(penalty, n + dist.y_max)
-    bad = np.flatnonzero(~np.isfinite(p[1:]))
-    if bad.size:
-        raise ValueError(
-            f"penalty is not finite at age {bad[0] + 1}; cycle sums require finite values"
-        )
-    cum = np.zeros(len(p))
-    cum[2:] = np.cumsum(p[1:-1])
+    # One pass adds every age 1..len(p)-1, the last into an entry past cum, so the
+    # total is finite exactly when every value and running sum is.
+    total = np.zeros(len(p) + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by age
+        p[1:].cumsum(out=total[2:])
+    if not math.isfinite(total[-1]):
+        age = int(np.isfinite(total).argmin()) - 1
+        raise sum_error(age, float(p[age]))
+    cum = total[:-1]
     g, G = np.zeros(n), np.zeros(n)
     for y, py in zip(dist.support, dist.probs):
         g += py * p[y : y + n]
@@ -135,7 +143,9 @@ def cycle_stats(
     independent scalar evaluator: it shares no tables with the solver.
     """
     ys, ps = dist.support, dist.probs
-    zs = WaitingFunction(waiting).aligned(ys)
+    if not isinstance(waiting, WaitingFunction):  # one handed over is checked already
+        waiting = WaitingFunction(waiting)
+    zs = waiting.aligned(ys)
     top = max(y + z for y, z in zip(ys, zs)) + max(ys)  # largest exclusive age bound
     cum = penalty_prefix_sums(penalty, top)
     reward = math.fsum(
@@ -171,16 +181,20 @@ def solve_beta(
             raise ValueError(f"z_max must be >= 1, got {z_max}")
     g, G, cum = _tables(penalty, dist)
     ys, ps = np.asarray(dist.support, dtype=np.int64), np.asarray(dist.probs)
-    mean = dist.mean()
+    mean, cum_ys = dist.mean(), cum[ys]
+    # no wait reaches len(g): a cap past the tables, however large, cuts none
+    cap = len(g) if z_max is None else min(z_max, len(g))
 
     def waits(c: float) -> np.ndarray:
         # Waiting one more step after y + z adds g(y + z) - c, which only grows
         # with z, so the first z where g(y + z) >= c minimizes reward - c*length;
         # where that lies past a cap z_max, the capped wait z_max does.
-        return np.clip(int(np.searchsorted(g, c, side="left")) - ys, 0, z_max)
+        z = g.searchsorted(c) - ys
+        np.maximum(z, 0, out=z)
+        return np.minimum(z, cap, out=z)
 
     def cycle(z: np.ndarray) -> tuple[float, float]:
-        return float(ps @ (G[ys + z] - cum[ys])), mean + float(ps @ z)
+        return float(ps @ (G[ys + z] - cum_ys)), mean + float(ps @ z)
 
     z = np.zeros(len(ys), dtype=np.int64)
     reward, length = cycle(z)
@@ -191,7 +205,7 @@ def solve_beta(
     iterations = 0
     while True:
         z_next = waits(c)
-        if np.array_equal(z_next, z):
+        if (z_next == z).all():  # the waits at c are z, whose cycle is at hand
             break
         iterations += 1
         z = z_next
@@ -199,13 +213,13 @@ def solve_beta(
         drop = c - reward / length
         c = min(c, reward / length)
         if drop <= tol:
+            reward, length = cycle(waits(c))
             break
-    reward, length = cycle(waits(c))
     return SolverResult(
         beta=c,
         waiting=WaitingFunction(dict(zip(dist.support, z.tolist()))),
         h_residual=reward - c * length,
         iterations=iterations,
         # a wait that ends before g reaches beta breaks the threshold rule: the cap cut it
-        capped=tuple(ys[ys + z < np.searchsorted(g, c, side="left")].tolist()),
+        capped=tuple(ys[ys + z < g.searchsorted(c)].tolist()),
     )

@@ -209,14 +209,25 @@ def scalar_metric(metric: "MarkovSourceModel | AgePenalty") -> Callable[[int], f
 def penalty_prefix_sums(penalty: AgePenalty, top: int) -> list[float]:
     """cum[k] = p(1) + ... + p(k - 1) for k = 0..top, added left to right
     from ``scalar_metric``.  A cycle's ages start at its service time >= 1,
-    so p(0) never enters; p must be finite at every age 1..top-1.
+    so p(0) never enters; p and its running sum must be finite at every age
+    1..top-1 (see ``sum_error``).
     """
     require_penalty(penalty)
-    vals = list(map(scalar_metric(penalty), range(1, top)))
-    if not all(map(math.isfinite, vals)):
-        n = next(n for n, v in enumerate(vals, 1) if not math.isfinite(v))
-        raise ValueError(f"penalty is not finite at age {n}; cycle sums require finite values")
-    return [0.0, *itertools.accumulate(vals, initial=0.0)]
+    value = scalar_metric(penalty)
+    cum = [0.0, *itertools.accumulate(map(value, range(1, top)), initial=0.0)]
+    if not math.isfinite(cum[-1]):  # a running sum never returns from inf or NaN
+        age = next(k for k, c in enumerate(cum) if not math.isfinite(c)) - 1
+        raise sum_error(age, value(age))
+    return cum
+
+
+def sum_error(age: int, value: float) -> ValueError:
+    """The error for a penalty whose running sum from age 1 is first not finite at
+    ``age``, where it takes ``value``: the value itself, or a float64 overflow."""
+    if math.isfinite(value):
+        return ValueError(f"penalty sum over ages 1..{age} overflows float64; "
+                          f"cycle sums require finite values")
+    return ValueError(f"penalty is not finite at age {age}; cycle sums require finite values")
 
 
 def _powers_end(base: float, n: int) -> int:

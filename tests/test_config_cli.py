@@ -302,6 +302,16 @@ class TestCli:
         beta = solve_beta(Affine(1.0), dist).beta
         assert abs(slack(Affine(1.0), dist, beta, 2 * dist.y_max - dist.y_min)) <= 1e-9 * beta
 
+    def test_solve_cap_past_int64_is_the_uncapped_optimum(self, tmp_path, capsys):
+        ini = write(tmp_path, "c.ini", HEAVY_INI.replace("1:0.999, 3000:0.001", "1:0.5, 40000:0.5"))
+        out = tmp_path / "out.csv"
+        assert main(["solve", "--config", ini, "--out", str(out)]) == 0
+        uncapped = (out.read_bytes(), capsys.readouterr())
+        assert main(["solve", "--config", ini, "--out", str(out),
+                     "--zmax", "100000000000000000000"]) == 0
+        assert (out.read_bytes(), capsys.readouterr()) == uncapped
+        assert "infofresh: note:" not in uncapped[1].err
+
     def test_sweep_schema_and_rerun_identical(self, tmp_path):
         cfg = write(tmp_path, "sw.ini", SWEEP_INI)
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -440,6 +450,13 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == ("infofresh: error: penalty is not finite at age 2; "
                                 "cycle sums require finite values\n")
+
+    @pytest.mark.filterwarnings("error")  # refused by the check, not warned about by numpy
+    def test_solve_overflowing_cycle_sum_exit_1(self, tmp_path, capsys):
+        ini = "[penalty]\nkind = table\nvalues = 1e308\n\n[service]\ndist = 1:0.5, 2:0.5\n"
+        assert main(["solve", "--config", write(tmp_path, "big.ini", ini)]) == 1
+        assert capsys.readouterr() == ("", "infofresh: error: penalty sum over ages 1..2 "
+                                           "overflows float64; cycle sums require finite values\n")
 
     def test_missing_config_file_exit_1(self, capsys):
         assert main(["solve", "--config", "/nonexistent/x.ini"]) == 1
@@ -1180,3 +1197,42 @@ class TestSolveSweepGoldenDigests:
         out = tmp_path / "out.csv"
         assert main([*argv, "--config", write(tmp_path, "c.ini", text), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # The benchmark's four stress instances, each pinned by its CSV digest and its whole
+    # stderr, where the achieved average comes from the independent scalar route.
+    STRESS_SOLVES = {
+        "gauss50": (
+            "[source]\nkind = gaussian\na = 0.99\n\n[service]\ndist = "
+            + ", ".join(f"{y}:0.02" for y in range(1, 51)) + "\n",
+            "ca6984f50949645bea57650567af8f0335a710fb08ceebc339fc8444f4e761c4",
+            "max-info: beta = 0.50625094604 (achieved average 0.50625094604, "
+            "|h| = 1.78e-15, 2 Dinkelbach steps)\n"
+            "waits: " + ", ".join(f"Z({y}) = {max(13 - y, 0)}" for y in range(1, 51)) + "\n",
+        ),
+        "affine500": (
+            "[penalty]\nkind = affine\nslope = 1.0\n\n[service]\ndist = 1:0.9, 500:0.1\n",
+            "620f87f11c6838634a313df0f9f3929464040a8acabff2471b0d0234d041566c",
+            "min-penalty: beta = 170.526582278 (achieved average 170.526582278, |h| = 0, "
+            "4 Dinkelbach steps)\nwaits: Z(1) = 119, Z(500) = 0\n",
+        ),
+        "longwait": (
+            HEAVY_INI + "\n[solver]\nz_max = 100000\n",
+            "9a08e790c77cf10d168a905ad7d18766f0003b5cdd1718902789f378c200d910",
+            "min-penalty: beta = 95.4592983942 (achieved average 95.4592983942, |h| = 0, "
+            "7 Dinkelbach steps)\nwaits: Z(1) = 91, Z(3000) = 0\n",
+        ),
+        "capbound": (
+            HEAVY_INI + "\n[solver]\nz_max = 300\n",
+            "03603115b72d7d08c046f540d579ff4a1a43e56c1f75ce2dc9bd146b883a261d",
+            "min-penalty: beta = 95.4592983942 (achieved average 95.4592983942, |h| = 0, "
+            "5 Dinkelbach steps)\nwaits: Z(1) = 91, Z(3000) = 0\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", STRESS_SOLVES)
+    def test_stress_solve_digest_and_stderr(self, name, tmp_path, capsys):
+        text, digest, err = self.STRESS_SOLVES[name]
+        out = tmp_path / "out.csv"
+        assert main(["solve", "--config", write(tmp_path, "c.ini", text), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert capsys.readouterr() == ("", err)

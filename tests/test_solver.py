@@ -27,6 +27,7 @@ from infofresh.sources import (
     NegatedMI,
     PenaltyTable,
     Tabulated,
+    penalty_prefix_sums,
     scalar_metric,
 )
 from reference import cycle_sums, slack
@@ -99,6 +100,35 @@ class TestCycleStats:
             for waits in (zero_waiting(dist), solved, {y: y % 4 for y in dist.support}):
                 got = astuple(cycle_stats(penalty, dist, waits))
                 assert got == cycle_sums(penalty, dist, waits), (penalty, dist, waits)
+
+
+D12 = ServiceTimeDist({1: 0.5, 2: 0.5})
+
+
+@pytest.mark.filterwarnings("error")  # refused by the check, not warned about by numpy
+class TestSumsMustBeFinite:
+    """Every exact route refuses a penalty whose running sum from age 1 is not finite,
+    at the first age where it stops being finite."""
+
+    ROUTES = {
+        "solve_beta": lambda penalty: solve_beta(penalty, D12),
+        "cycle_stats": lambda penalty: cycle_stats(penalty, D12, zero_waiting(D12)),
+        "oracle": lambda penalty: brute_force_optimum(penalty, D12, z_cap=2),
+        "prefix_sums": lambda penalty: penalty_prefix_sums(penalty, 4),
+    }
+    OVERFLOW = "^penalty sum over ages 1..2 overflows float64; cycle sums require finite values$"
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("values", [(1e308,), (-1e308,), (0.0, 1e308, 1e308, 1e308, math.inf)])
+    def test_overflow_named_at_its_age(self, route, values):
+        # the last table overflows at age 2, before its infinite value at age 4
+        with pytest.raises(ValueError, match=self.OVERFLOW):
+            self.ROUTES[route](PenaltyTable(values))
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_infinite_value_named_at_its_age(self, route):
+        with pytest.raises(ValueError, match="^penalty is not finite at age 2; "):
+            self.ROUTES[route](PenaltyTable((0.0, 1.0, math.inf)))
 
 
 class TestWaitingFunction:
@@ -302,6 +332,14 @@ class TestCap:
         assert achieved == pytest.approx(oracle.best_ratio, abs=1e-8)
         assert dict(res.waiting) == dict(oracle.best_waiting) == {1: 50, 3000: 0}
         assert res.capped == (1,)
+
+    def test_cap_past_int64_is_the_uncapped_optimum(self):
+        dist = ServiceTimeDist({1: 0.5, 40000: 0.5})
+        res = solve_beta(Affine(1.0), dist, z_max=10**20)
+        assert res == solve_beta(Affine(1.0), dist)
+        assert res.beta == pytest.approx(36568.5424968, abs=1e-7)
+        assert res.waiting[1] == 16568
+        assert res.capped == ()
 
     def test_huge_cap_costs_nothing(self, monkeypatch):
         lengths = []
