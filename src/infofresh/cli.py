@@ -58,8 +58,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="infofresh", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     # (flag, the config field it sets as that field's INI key would, help)
-    solver_flags = (("--tol", "tol", "solver convergence guard override"),
-                    ("--zmax", "z_max", "wait cap override"))
+    solver_flags = (("--zmax", "z_max", "wait cap override"),)
     sim_flags = (("--seeds", "seeds", "seed count N (0..N-1) or a list, as [sim] seeds"),
                  ("--horizon", "horizon", "simulation horizon override"))
 
@@ -164,7 +163,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     penalty = cfg.build_penalty()
     # the information problem is solved as the penalty problem on -I
     problem, sign = ("max-info", -1) if cfg.penalty_kind == "negated-mi" else ("min-penalty", 1)
-    res = solve_beta(penalty, dist, cfg.tol, cfg.z_max)
+    res = solve_beta(penalty, dist, cfg.z_max)
     beta = sign * res.beta
     achieved = sign * cycle_stats(penalty, dist, res.waiting).ratio
     with _open_out(cfg) as f:
@@ -200,7 +199,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     cut = {}  # grid value -> the service times whose wait the cap cut there
     for g, model in zip(cfg.sweep_grid, models):
         info = NegatedMI(model)  # the information columns solve the penalty problem on -I
-        res = solve_beta(info, dist, cfg.tol, cfg.z_max) if do_opt else None
+        res = solve_beta(info, dist, cfg.z_max) if do_opt else None
         i_opt, cut[g] = (_fmt(-res.beta), res.capped) if res else ("", ())
         i_zw = _fmt(-cycle_stats(info, dist, zero_waiting(dist)).ratio) if do_zw else ""
         i_uni, i_se = (map(_fmt, average_over_seeds(hists, model, cfg.horizon))
@@ -224,7 +223,7 @@ def cmd_trace(cfg: ExperimentConfig) -> int:
         raise ConfigError("[trace] forced_services and seed exclude each other; set one")
     dist = cfg.build_service()
     if cfg.trace_policy == "threshold":
-        res = solve_beta(cfg.build_penalty(), dist, cfg.tol, cfg.z_max)
+        res = solve_beta(cfg.build_penalty(), dist, cfg.z_max)
         _note_cap(cfg.z_max, res.capped)
         policy = res.waiting
     elif cfg.trace_policy == "zero-wait":
@@ -246,7 +245,7 @@ def cmd_oracle_check(cfg: ExperimentConfig) -> int:
     instances = random_instances(cfg.oracle_instances, cfg.oracle_seed)
     devs, lines = [], []
     for i, (penalty, dist) in enumerate(instances):
-        res = solve_beta(penalty, dist, cfg.tol, cfg.z_max)
+        res = solve_beta(penalty, dist, cfg.z_max)
         oracle = brute_force_optimum(penalty, dist, cfg.oracle_z_cap)
         beta_dev = abs(res.beta - oracle.best_ratio)
         ratio_dev = abs(cycle_stats(penalty, dist, res.waiting).ratio - oracle.best_ratio)

@@ -22,10 +22,10 @@ Z = max(beta - Y, 0) that Sun et al. ("Update or Wait", IEEE Trans. IT
 is non-increasing in c and vanishes exactly at the optimal ratio.
 Dinkelbach's iteration (Management Science 1967) finds that root: from
 the zero-wait ratio, set c to the ratio achieved by the best waits at c,
-until the waits repeat.  The levels only decrease, and the waits take
-finitely many values, so it stops at an exact fixed point, typically in
-a handful of steps.  All cycle sums are exact accumulations over the
-finite (y, z, y') grid; nothing is sampled.
+until the waits repeat.  The levels never rise, and the waits at a level
+grow with it, so each later step lowers some wait or stops: it ends at an
+exact fixed point, typically in a handful of steps.  All cycle sums are
+exact accumulations over the finite (y, z, y') grid; nothing is sampled.
 """
 
 from __future__ import annotations
@@ -160,20 +160,16 @@ def cycle_stats(
 def solve_beta(
     penalty: AgePenalty,
     dist: ServiceTimeDist,
-    tol: float = 1e-10,
     z_max: int | None = None,
 ) -> SolverResult:
     """Minimize the time-average penalty over waiting policies, waits in 0..z_max if capped.
 
     Dinkelbach's iteration from the zero-wait ratio; ``iterations`` counts
-    its steps.  It stops when the waits repeat, which is an exact fixed
-    point, or, as a guard, when a step lowers the level by no more than
-    ``tol``; beta is then within tol times a ratio of cycle lengths of the
-    optimum.  Uncapped, no wait passes 2*y_max - y_min, the tables' edge, so
-    none is cut.  A binding cap is a constraint, not an error: see ``capped``.
+    its steps.  It stops only when the waits repeat, at the exact fixed
+    point the module docstring shows it reaches.  Uncapped, no wait passes
+    2*y_max - y_min, the tables' edge, so none is cut.  A binding cap is a
+    constraint, not an error: see ``capped``.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     if z_max is not None:
         if not isinstance(z_max, (int, np.integer)):  # a float cap would index the tables
             raise ValueError(f"z_max must be an integer, got {z_max!r}")
@@ -203,18 +199,11 @@ def solve_beta(
     # absorbs a ratio rounded a hair above the table.
     c = min(reward / length, float(g[-1]))
     iterations = 0
-    while True:
-        z_next = waits(c)
-        if (z_next == z).all():  # the waits at c are z, whose cycle is at hand
-            break
+    while ((z_next := waits(c)) != z).any():  # else the waits at c are z, whose cycle is at hand
         iterations += 1
         z = z_next
         reward, length = cycle(z)
-        drop = c - reward / length
         c = min(c, reward / length)
-        if drop <= tol:
-            reward, length = cycle(waits(c))
-            break
     return SolverResult(
         beta=c,
         waiting=WaitingFunction(dict(zip(dist.support, z.tolist()))),

@@ -31,7 +31,6 @@ SWEEP_QS = tuple(round(0.02 * k, 12) for k in range(1, 26))
 UNIFORM_PERIOD = 6
 HORIZON = 1_000_000
 SEEDS = tuple(range(10))
-SOLVER_TOL = 1e-10
 ORACLE_Z_CAP = 40
 
 
@@ -57,7 +56,7 @@ def sweep_data():
     for q in SWEEP_QS:
         model = BinarySymmetric(q=q)
         info = NegatedMI(model)
-        i_opt.append(-solve_beta(info, SWEEP_DIST, tol=SOLVER_TOL).beta)
+        i_opt.append(-solve_beta(info, SWEEP_DIST).beta)
         i_zw.append(-cycle_stats(info, SWEEP_DIST, zero_waiting(SWEEP_DIST)).ratio)
         uni.append(_uniform_estimate(hists, model))
     # the shortcut is the simulator's own arithmetic, bit for bit
@@ -72,7 +71,7 @@ def solved_instances():
     """The 20 randomized instances with solver and oracle results."""
     out = []
     for penalty, dist in random_instances(20, seed=20260811):
-        res = solve_beta(penalty, dist, tol=SOLVER_TOL)
+        res = solve_beta(penalty, dist)
         oracle = brute_force_optimum(penalty, dist, z_cap=ORACLE_Z_CAP)
         out.append((penalty, dist, res, oracle))
     return out
@@ -172,7 +171,7 @@ def _sim_check_instances(count, seed):
 def test_criterion_7_simulator_matches_analytic():
     worst_sigma = worst_rel = 0.0
     for penalty, dist in _sim_check_instances(10, seed=7):
-        res = solve_beta(penalty, dist, tol=SOLVER_TOL)
+        res = solve_beta(penalty, dist)
         runs = [
             (zero_waiting(dist), cycle_stats(penalty, dist, zero_waiting(dist)).ratio),
             (res.waiting, cycle_stats(penalty, dist, res.waiting).ratio),
@@ -224,7 +223,7 @@ def test_criterion_8_structured_replay(solved_instances):
     # q chosen so the solved policy genuinely distinguishes the two service
     # times: it waits after a fast delivery and samples at once after a slow one
     penalty = NegatedMI(BinarySymmetric(q=0.05))
-    res = solve_beta(penalty, dist, tol=SOLVER_TOL)
+    res = solve_beta(penalty, dist)
     forced = [1, 1, 5, 5, 1, 1, 5]
     trace = run(
         res.waiting,

@@ -76,7 +76,7 @@ class TestBruteForceOptimum:
 
     def test_deterministic_service_matches_solver(self):
         oracle = brute_force_optimum(Affine(1.0), D4, z_cap=40)
-        res = solve_beta(Affine(1.0), D4, tol=1e-10)
+        res = solve_beta(Affine(1.0), D4)
         assert abs(res.beta - oracle.best_ratio) <= 1e-8
         assert oracle.enumerated == 41
 

@@ -24,7 +24,14 @@ from hypothesis import strategies as st
 import infofresh.cli as cli
 import infofresh.simulator as simulator
 from infofresh.cli import main
-from infofresh.config import GRID_POINTS_MAX, ConfigError, ExperimentConfig, round_half_up
+from infofresh.config import (
+    GRID_POINTS_MAX,
+    ORACLE_INSTANCES_MAX,
+    SEED_COUNT_MAX,
+    ConfigError,
+    ExperimentConfig,
+    round_half_up,
+)
 from infofresh.analytic import brute_force_optimum
 from infofresh.simulator import Uniform, _fmt, age_histogram
 from infofresh.solver import solve_beta
@@ -104,9 +111,19 @@ class TestConfig:
         assert ExperimentConfig.from_ini("[sim]\nseeds = 3\n").seeds == (0, 1, 2)
         assert ExperimentConfig.from_ini("[sim]\nseeds = 5, 9\n").seeds == (5, 9)
 
+    def test_counts_at_their_bounds(self):
+        cfg = ExperimentConfig.from_ini(f"[sim]\nseeds = {SEED_COUNT_MAX}\n\n"
+                                        f"[oracle]\ninstances = {ORACLE_INSTANCES_MAX}\n")
+        assert cfg.seeds == tuple(range(SEED_COUNT_MAX))
+        assert cfg.oracle_instances == ORACLE_INSTANCES_MAX
+
     def test_unknown_field(self):
         with pytest.raises(ConfigError, match="unknown config field"):
             ExperimentConfig.from_ini("[service]\ntypo = 1\n")
+        # the solver stops only when its waits repeat, so it has no tolerance to set
+        with pytest.raises(ConfigError, match=r"^unknown config field \[solver\] tol$"):
+            ExperimentConfig.from_ini("[solver]\ntol = 1e-10\n")
+        assert "tol" not in {f.name for f in fields(ExperimentConfig)}
         # the AR(1) information curve depends only on a, so there is no noise variance
         with pytest.raises(ConfigError, match=r"unknown config field \[source\] sigma2"):
             ExperimentConfig.from_ini("[source]\nkind = gaussian\na = 0.8\nsigma2 = 2.0\n")
@@ -201,14 +218,12 @@ class TestConfig:
             (ok + "uniform_period = 10000001\n",
              r"\[sweep\] uniform_period must be <= 10000000, got 10000001"),
             (ok + "[sim]\nhorizon = 0\n", r"\[sim\] horizon must be >= 1, got 0"),
-            (ok + "[solver]\ntol = -1\n", r"\[solver\] tol must be positive, got -1.0"),
-            (ok + "[solver]\ntol = nan\n", r"\[solver\] tol must be positive, got nan"),
             (ok + "[solver]\nz_max = 0\n", r"\[solver\] z_max must be >= 1, got 0"),
         ]:
             with pytest.raises(ConfigError, match=key):
                 ExperimentConfig.from_ini(ini).validate_sweep()
         cfg = ExperimentConfig.from_ini(ok)
-        cfg.horizon = -5  # as --horizon -5 sets it
+        cfg.horizon = -5  # set in code: --horizon -5 is refused as it is set
         with pytest.raises(ConfigError, match=r"\[sim\] horizon must be >= 1, got -5"):
             cfg.validate_sweep()
         # the boundary values are valid
@@ -523,7 +538,6 @@ class TestCli:
     @pytest.mark.parametrize(
         "ini, flags, key",
         [
-            (SWEEP_INI + "\n[solver]\ntol = -1\n", [], "[solver] tol"),
             (SWEEP_INI + "\n[solver]\nz_max = -1\n", [], "[solver] z_max"),
             (SWEEP_INI + "policies =\n", [], "[sweep] policies"),
             (SWEEP_INI.replace("horizon = 20000", "horizon = 0"), [], "[sim] horizon"),
@@ -531,7 +545,7 @@ class TestCli:
             (SWEEP_INI.replace("uniform_period = 6", "uniform_period = 0"), [],
              "[sweep] uniform_period"),
         ],
-        ids=["tol", "z_max", "no-policies", "horizon", "horizon-flag", "uniform-period"],
+        ids=["z_max", "no-policies", "horizon", "horizon-flag", "uniform-period"],
     )
     def test_sweep_bad_config_exit_1_before_output(self, tmp_path, capsys, ini, flags, key):
         cfg = write(tmp_path, "sw.ini", ini)
@@ -543,10 +557,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, ini, flags, key",
         [
-            ("solve", SOLVE_INI + "\n[solver]\ntol = -1\n", [], "[solver] tol"),
             ("solve", SOLVE_INI, ["--zmax", "0"], "[solver] z_max"),
-            ("trace", TRACE_INI, ["--tol", "-1"], "[solver] tol"),
-            ("oracle-check", "[oracle]\ninstances = 2\n", ["--tol", "-1"], "[solver] tol"),
             ("sweep", SWEEP_INI.replace("seeds = 4", "seeds = 4\ndelta0 = 0"), [], "[sim] delta0"),
             ("trace", TRACE_INI.replace("horizon = 22", "horizon = 0"), [], "[trace] horizon"),
             ("oracle-check", "[oracle]\ninstances = 2\nz_cap = -1\n", [],
@@ -566,11 +577,18 @@ class TestCli:
             # an empty list once read as a forced run with no service times and exited 2
             ("trace", TRACE_INI.replace("forced_services = 1,1,5,5,1,1,5", "forced_services ="),
              [], "[trace] forced_services must list at least one service time, got ()"),
+            # a count past its bound once built its whole tuple, or every instance, first
+            ("sweep", SWEEP_INI.replace("seeds = 4", "seeds = 10001"), [],
+             "[sim] seeds: a seed count is at most 10000, got 10001"),
+            ("sweep", SWEEP_INI, ["--seeds", "1000000000000"],
+             "[sim] seeds: a seed count is at most 10000, got 1000000000000"),
+            ("oracle-check", "[oracle]\ninstances = 10001\n", [],
+             "[oracle] instances must be <= 10000, got 10001"),
         ],
-        ids=["solve-tol", "solve-zmax-flag", "trace-tol-flag", "oracle-tol-flag",
-             "sweep-delta0", "trace-horizon", "oracle-z-cap", "sim-seeds", "sim-seeds-flag",
-             "sim-seeds-repeated", "sim-seeds-repeated-flag", "trace-seed", "oracle-seed",
-             "trace-forced-empty"],
+        ids=["solve-zmax-flag", "sweep-delta0", "trace-horizon", "oracle-z-cap", "sim-seeds",
+             "sim-seeds-flag", "sim-seeds-repeated", "sim-seeds-repeated-flag", "trace-seed",
+             "oracle-seed", "trace-forced-empty", "sim-seed-count", "sim-seed-count-flag",
+             "oracle-instances"],
     )
     def test_range_error_names_key_before_output(self, tmp_path, capsys, command, ini, flags,
                                                  key):
@@ -842,6 +860,25 @@ class TestCli:
         assert "unrecognized arguments: --plot-script" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, ini", [("solve", SOLVE_INI), ("sweep", SWEEP_INI)],
+                             ids=["solve", "sweep"])
+    def test_solver_tol_is_an_unknown_key(self, tmp_path, capsys, command, ini):
+        out = tmp_path / "o.csv"
+        cfg = write(tmp_path, "c.ini", ini + "\n[solver]\ntol = 1e-10\n")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", "infofresh: error: unknown config field [solver] tol\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "trace", "oracle-check"])
+    def test_tol_flag_is_a_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "o.csv"
+        assert main([command, "--out", str(out), "--tol", "1e-10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("infofresh: error: unrecognized arguments: --tol 1e-10\n")
+        assert not out.exists()
+
     def test_usage_error_exit_1(self, capsys):
         assert main(["no-such-command"]) == 1
         assert main([]) == 1
@@ -886,7 +923,6 @@ class TestCliFuzz:
 
     # (section, key, in-range values with their boundary, out-of-range values)
     RANGES = (
-        ("solver", "tol", ("5e-324", "1e-10"), ("0", "-1", "nan")),
         ("solver", "z_max", ("1", "40"), ("0", "-3")),
         ("sim", "horizon", ("1", "200"), ("0", "-1")),
         ("sim", "seeds", ("1", "2, 7"), ("0", "-2", "-1, 2", "3, 3")),
@@ -896,7 +932,7 @@ class TestCliFuzz:
         ("sweep", "policies", ("optimal", "zero-wait, uniform"), ("", ",")),
         ("trace", "horizon", ("1", "200"), ("0", "-5")),
         ("curve", "delta_max", ("0", "30"), ("-1",)),
-        ("oracle", "instances", ("1", "6"), ("0", "-1")),
+        ("oracle", "instances", ("1", "6"), ("0", "-1", "10001", "100000000")),
         ("oracle", "z_cap", ("0", "30"), ("-1",)),
         ("oracle", "seed", ("0", "3"), ("-2",)),
         ("trace", "seed", ("1", "7"), ("-3",)),

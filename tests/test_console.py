@@ -68,8 +68,14 @@ def test_peak_rss_is_the_one_childs_own():
     # a 1e13-step service is refused before any table is sized by it
     ("solve", TWO_POINT.format(y=10**13), [], "o.csv", 1,
      "[service] dist: service times must be <= 1000000, got 10000000000000"),
+    # the seed count is checked before its tuple is built, the instance count before
+    # the first instance is
+    ("sweep", COMPARISON, ["--seeds", "1000000000000"], "o.csv", 1,
+     "[sim] seeds: a seed count is at most 10000, got 1000000000000"),
+    ("oracle-check", "[oracle]\ninstances = 100000000\n", [], "o.txt", 1,
+     "[oracle] instances must be <= 10000, got 100000000"),
 ], ids=["sweep-1e9-steps-missing-out-dir", "sweep-1e8-steps-load-2", "grid-1e300-points",
-        "solve-service-1e13"])
+        "solve-service-1e13", "seeds-1e12", "oracle-1e8-instances"])
 def test_sweep_fails_within_10_s(tmp_path, command, ini, flags, out, code, error):
     out = tmp_path / out
     proc = run_cli(command, "--config", write(tmp_path, "c.ini", ini), *flags, "--out", str(out),

@@ -74,7 +74,7 @@ n,delta,metric,queue_len,event
 
 def structured_replay(horizon=22):
     penalty = NegatedMI(BinarySymmetric(q=0.05))
-    policy = solve_beta(penalty, D15, tol=1e-12).waiting
+    policy = solve_beta(penalty, D15).waiting
     return run(policy, BinarySymmetric(q=0.05), D15, horizon, forced=[1, 1, 5, 5, 1, 1, 5])
 
 
@@ -327,7 +327,7 @@ class TestAverages:
 
     def test_threshold_matches_analytic_three_sigma(self):
         penalty = NegatedMI(BinarySymmetric(q=0.1))
-        res = solve_beta(penalty, D111, tol=1e-10)
+        res = solve_beta(penalty, D111)
         policy = res.waiting
         exact = cycle_stats(penalty, D111, res.waiting).ratio
         hists = [age_histogram(policy, D111, 200_000, seed) for seed in range(6)]
@@ -493,7 +493,7 @@ class TestAgainstReferenceEngine:
         policies = [
             Uniform(period=int(rng.integers(1, 9))),
             zero_waiting(dist),
-            solve_beta(penalty, dist, tol=1e-10).waiting,
+            solve_beta(penalty, dist).waiting,
         ]
         for policy in policies:
             # at most horizon + 1 samples can be generated, so never exhausted
@@ -532,7 +532,7 @@ def seeded_cases():
         # the paper config's load 1: three full default blocks and one more sample
         ("uniform-load-1", Uniform(period=6), D111, 3 * simulator._CHUNK * 6, (9,)),
         ("zero-wait", zero_waiting(D111), D111, 1500, (5, 6)),
-        ("threshold", solve_beta(q08, D15, tol=1e-10).waiting, D15, 1500, (7, 8)),
+        ("threshold", solve_beta(q08, D15).waiting, D15, 1500, (7, 8)),
         ("threshold-heavy", solve_beta(Affine(1.0), HEAVY).waiting, HEAVY, 2000, (1,)),
         # its 2,001 draws fit one block, so it runs in blocks of 512 to span several
         ("zero-wait-heavy", zero_waiting(HEAVY), HEAVY, 2000, (0, 6)),
@@ -770,7 +770,7 @@ def random_runs(seed):
         Uniform(period=int(rng.integers(1, 9))),
         Uniform(period=2),  # shorter than either mean service time
         zero_waiting(dist),
-        solve_beta(penalty, dist, tol=1e-10).waiting,
+        solve_beta(penalty, dist).waiting,
     ]
     for policy in policies:
         yield policy, dist, rng.choice(dist.support, size=2 * horizon + 4).tolist(), horizon

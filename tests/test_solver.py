@@ -70,7 +70,7 @@ class TestCycleStats:
 
     def test_solved_waiting_reproduces_beta(self):
         penalty = NegatedMI(BinarySymmetric(q=0.1))
-        res = solve_beta(penalty, D15, tol=1e-10)
+        res = solve_beta(penalty, D15)
         assert cycle_stats(penalty, D15, res.waiting).ratio == pytest.approx(res.beta, abs=1e-8)
 
     def test_iid_source_gives_zero_ratio(self):
@@ -210,14 +210,14 @@ class TestHOfC:
 
 class TestSolveBeta:
     def test_constant_penalty(self):
-        res = solve_beta(PenaltyTable(values=(3.25,)), D15, tol=1e-9)
+        res = solve_beta(PenaltyTable(values=(3.25,)), D15)
         assert res.beta == 3.25
         assert dict(res.waiting) == {1: 0, 5: 0}
         assert res.iterations == 0
         assert abs(res.h_residual) <= 1e-12
 
     def test_deterministic_service_plain_age(self):
-        res = solve_beta(Affine(1.0), D4, tol=1e-9)
+        res = solve_beta(Affine(1.0), D4)
         oracle = brute_force_optimum(Affine(1.0), D4, z_cap=40)
         assert res.beta == pytest.approx(5.5, abs=1e-8)
         assert res.beta == pytest.approx(oracle.best_ratio, abs=1e-8)
@@ -225,39 +225,39 @@ class TestSolveBeta:
     @pytest.mark.parametrize("q", [0.05, 0.15, 0.25, 0.35, 0.45])
     def test_negated_mi_matches_oracle(self, q):
         penalty = NegatedMI(BinarySymmetric(q=q))
-        res = solve_beta(penalty, D15, tol=1e-10)
+        res = solve_beta(penalty, D15)
         oracle = brute_force_optimum(penalty, D15, z_cap=40)
         assert res.beta == pytest.approx(oracle.best_ratio, abs=1e-8)
         assert dict(res.waiting) == dict(oracle.best_waiting)
 
     def test_gaussian_penalty_matches_oracle(self):
         penalty = NegatedMI(GaussianAR1(a=0.9))
-        res = solve_beta(penalty, D15, tol=1e-10)
+        res = solve_beta(penalty, D15)
         oracle = brute_force_optimum(penalty, D15, z_cap=40)
         assert res.beta == pytest.approx(oracle.best_ratio, abs=1e-8)
 
     def test_table_penalty_matches_oracle(self):
         penalty = PenaltyTable(values=(-3.0, -3.0, -3.0, -1.0, 0.0, 4.0))
-        res = solve_beta(penalty, D15, tol=1e-10)
+        res = solve_beta(penalty, D15)
         oracle = brute_force_optimum(penalty, D15, z_cap=40)
         assert res.beta == pytest.approx(oracle.best_ratio, abs=1e-8)
 
     def test_fixed_point(self):
         for penalty, dist in random_instances(8, seed=55):
-            res = solve_beta(penalty, dist, tol=1e-10)
+            res = solve_beta(penalty, dist)
             assert cycle_stats(penalty, dist, res.waiting).ratio == pytest.approx(
                 res.beta, abs=1e-7
             )
 
     def test_sign_property_around_beta(self):
         penalty = NegatedMI(BinarySymmetric(q=0.1))
-        res = solve_beta(penalty, D15, tol=1e-10)
+        res = solve_beta(penalty, D15)
         assert slack(penalty, D15, res.beta - 1e-4) >= -1e-7
         assert slack(penalty, D15, res.beta + 1e-4) <= 1e-7
 
     def test_dominates_enumerated_waitings(self):
         penalty = NegatedMI(BinarySymmetric(q=0.2))
-        res = solve_beta(penalty, D15, tol=1e-10)
+        res = solve_beta(penalty, D15)
         for z1 in range(7):
             for z5 in range(7):
                 ratio = cycle_stats(penalty, D15, WaitingFunction({1: z1, 5: z5})).ratio
@@ -272,9 +272,18 @@ class TestSolveBeta:
         assert res.iterations == 0
         assert dict(res.waiting) == {1: 0, 2: 0}
 
-    def test_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            solve_beta(Affine(1.0), D4, tol=0.0)
+    @pytest.mark.parametrize("slope", [1.0, 1e-10, 1e-12])
+    def test_a_near_flat_penalty_reaches_the_optimum(self, slope):
+        # the first step lowers the level by 0.66 * slope, under 1e-10 at the small
+        # slopes; stopping on so small a drop leaves waits {1: 4, 11: 0}, whose ratio
+        # is 0.57% above the optimum
+        dist = ServiceTimeDist({1: 2 / 3, 11: 1 / 3})
+        res = solve_beta(Affine(slope), dist)
+        assert dict(res.waiting) == {1: 3, 11: 0}
+        assert res.h_residual == 0.0
+        best = brute_force_optimum(Affine(slope), dist, 40).best_ratio / slope
+        assert best == pytest.approx(7.859649122807017, rel=1e-12)
+        assert res.beta / slope == pytest.approx(best, rel=1e-12)
 
     def test_z_max_must_be_at_least_one(self):
         with pytest.raises(ValueError, match="^z_max must be >= 1, got 0$"):
@@ -291,19 +300,19 @@ class TestSolveMI:
     """The information problem, solved as the penalty problem on -I."""
 
     def test_iid_source_zero_optimum(self):
-        res = solve_beta(NegatedMI(BinarySymmetric(q=0.5)), D15, tol=1e-10)
+        res = solve_beta(NegatedMI(BinarySymmetric(q=0.5)), D15)
         assert abs(res.beta) <= 1e-12
         assert dict(res.waiting) == {1: 0, 5: 0}
 
     def test_dominates_zero_wait(self):
         for q in (0.05, 0.1, 0.3):
             info = NegatedMI(BinarySymmetric(q=q))
-            res = solve_beta(info, D15, tol=1e-10)
+            res = solve_beta(info, D15)
             assert -res.beta >= -cycle_stats(info, D15, zero_waiting(D15)).ratio - 1e-9
 
     def test_matches_oracle_maximum(self):
         info = NegatedMI(BinarySymmetric(q=0.2))
-        res = solve_beta(info, D15, tol=1e-10)
+        res = solve_beta(info, D15)
         oracle = brute_force_optimum(info, D15, z_cap=40)
         assert -res.beta == pytest.approx(-oracle.best_ratio, abs=1e-8)
 
@@ -451,7 +460,7 @@ def solver_instances(draw):
 def test_solver_matches_oracle_property(instance):
     penalty, dist = instance
     z_cap = Z_CAP_TWO_POINT if len(dist.support) <= 2 else Z_CAP_SMALL
-    res = solve_beta(penalty, dist, tol=1e-10)
+    res = solve_beta(penalty, dist)
     assume(max(res.waiting.values()) <= z_cap)  # the oracle can see the optimum
     oracle = brute_force_optimum(penalty, dist, z_cap=z_cap)
     assert res.beta == pytest.approx(oracle.best_ratio, abs=1e-8)
@@ -513,7 +522,7 @@ def test_capped_beta_is_the_root_of_the_capped_slack_wide_support():
 def test_capped_optimum_matches_oracle_property(instance, z_max):
     # the oracle enumerates every wait in 0..z_max, so it finds the capped optimum
     penalty, dist = instance
-    res = solve_beta(penalty, dist, tol=1e-10, z_max=z_max)
+    res = solve_beta(penalty, dist, z_max=z_max)
     oracle = brute_force_optimum(penalty, dist, z_cap=z_max)
     assert res.beta == pytest.approx(oracle.best_ratio, abs=1e-8)
     achieved = cycle_stats(penalty, dist, res.waiting).ratio
