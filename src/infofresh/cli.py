@@ -192,8 +192,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     hists = []
     if do_uni:
         period = cfg.sweep_period(dist)
-        hists = [age_histogram(Uniform(period), dist, cfg.horizon, seed, cfg.delta0)
-                 for seed in cfg.seeds]
+        hists = [age_histogram(Uniform(period), dist, cfg.horizon, seed) for seed in cfg.seeds]
 
     rows = [f"{cfg.sweep_variable},i_opt,i_zero_wait,i_uniform_mean,i_uniform_stderr\n"]
     cut = {}  # grid value -> the service times whose wait the cap cut there
@@ -231,7 +230,7 @@ def cmd_trace(cfg: ExperimentConfig) -> int:
     else:
         policy = Uniform(period=cfg.sweep_period(dist))
     metric = cfg.build_source() if cfg.source_kind else cfg.build_penalty()
-    chunks = trace_chunks(policy, metric, dist, cfg.trace_horizon, cfg.delta0, cfg.trace_seed,
+    chunks = trace_chunks(policy, metric, dist, cfg.trace_horizon, cfg.trace_seed,
                           cfg.forced_services)
     # the first chunk checks the run, and trips any backlog guard, before any output
     chunks = itertools.chain([next(chunks)], chunks)
@@ -243,10 +242,12 @@ def cmd_trace(cfg: ExperimentConfig) -> int:
 
 def cmd_oracle_check(cfg: ExperimentConfig) -> int:
     instances = random_instances(cfg.oracle_instances, cfg.oracle_seed)
+    # a solve capped at z_max is checked against the waits it may choose from
+    z_cap = cfg.oracle_z_cap if cfg.z_max is None else min(cfg.oracle_z_cap, cfg.z_max)
     devs, lines = [], []
     for i, (penalty, dist) in enumerate(instances):
         res = solve_beta(penalty, dist, cfg.z_max)
-        oracle = brute_force_optimum(penalty, dist, cfg.oracle_z_cap)
+        oracle = brute_force_optimum(penalty, dist, z_cap)
         beta_dev = abs(res.beta - oracle.best_ratio)
         ratio_dev = abs(cycle_stats(penalty, dist, res.waiting).ratio - oracle.best_ratio)
         devs.append(max(beta_dev, ratio_dev))

@@ -33,9 +33,6 @@ SWEEP_MODELS = {key: model for model, key in SOURCES.values() if key != "values"
 PENALTIES = ("negated-mi", "affine", "table")
 POLICIES = ("optimal", "zero-wait", "uniform")
 TRACE_POLICIES = ("threshold", "zero-wait", "uniform")
-# Runs size their age histograms and metric tables by delta0; at this bound each is
-# about 80 MB, where an unbounded delta0 could ask for terabytes.
-DELTA0_MAX = 10**7
 # Only an input range: the simulator runs any period past the horizon as horizon + 1.
 UNIFORM_PERIOD_MAX = 10**7
 # A sweep runs every seed's whole horizon at each grid point, so a longer range is
@@ -150,7 +147,6 @@ class ExperimentConfig:
                                   (bool, "must name at least one seed"),
                                   (lambda v: min(v) >= 0, "must all be >= 0"),
                                   (lambda v: len(set(v)) == len(v), "must not repeat a seed"))
-    delta0: int = _ini("sim", "delta0", int, 1, _at_least(1), _at_most(DELTA0_MAX))
     sweep_variable: str | None = _ini("sweep", "variable", str, None, _one_of(SWEEP_MODELS))
     sweep_grid: tuple[float, ...] | None = _ini("sweep", "grid", _grid, None, (
         lambda g: g and all(b > a for a, b in zip(g, g[1:])),
@@ -173,6 +169,7 @@ class ExperimentConfig:
     oracle_seed: int = _ini("oracle", "seed", int, 0, _at_least(0))
     out_path: str | None = _ini("output", "path", str)
     tol = 1e-10  # not a field: only perfbench reads it, until it holds the value (ROADMAP.md)
+    delta0 = 1  # not a field: only perfbench reads it, until it holds the value (ROADMAP.md)
 
     # ------------------------------------------------------------------
     # parsing

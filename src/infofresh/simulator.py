@@ -149,32 +149,25 @@ def _words(ages: np.ndarray, values: np.ndarray, tail: str) -> np.ndarray:
 
 class _Prefixes:
     """Each age's ``_words``, ending in ``tail``, in a column, filled in (from 0)
-    as chunks reach it.  Ages before the first delivery, delta0 + n at step n,
-    exceed their step and occur once: each takes a column for its chunk only."""
+    as chunks reach it."""
 
     def __init__(self, tail: str) -> None:
         self.table, self.tail = np.zeros((1, 0), dtype="<u8"), tail
 
-    def columns(self, lo: int, delta: np.ndarray, metric: np.ndarray):
-        """A table for the chunk of steps from ``lo`` and each step's column in it."""
-        j = int(np.count_nonzero(delta > np.arange(lo, lo + len(delta)))) if delta[0] > lo else 0
-        ages, table, size = delta[j:], self.table, self.table.shape[1]
-        top = int(ages.max(initial=-1)) + 1
+    def columns(self, delta: np.ndarray, metric: np.ndarray) -> np.ndarray:
+        """The table, with a column for each of a chunk's ages ``delta``."""
+        table, size = self.table, self.table.shape[1]
+        top = int(delta.max()) + 1
         if top > size:  # doubling, so ages that keep growing cost linear time
             table = np.pad(table, ((0, 0), (0, max(top, 2 * size) - size)))
-        new = np.flatnonzero(table[0].take(ages) == 0)
+        new = np.flatnonzero(table[0].take(delta) == 0)
         if len(new):
-            fresh, at = np.unique(ages[new], return_index=True)
-            words = _words(fresh, metric[j:][new[at]], self.tail)  # metric is a function of age
+            fresh, at = np.unique(delta[new], return_index=True)
+            words = _words(fresh, metric[new[at]], self.tail)  # metric is a function of age
             table = np.pad(table, ((0, max(0, len(words) - len(table))), (0, 0)))
             table[:len(words), fresh] = words
         self.table = table
-        if not j:
-            return table, delta
-        words = _words(delta[:j], metric[:j], self.tail)
-        p = max(len(words), len(table))
-        table = np.concatenate([np.pad(t, ((0, p - len(t)), (0, 0))) for t in (table, words)], 1)
-        return table, np.concatenate((self.table.shape[1] + np.arange(j), ages))
+        return table
 
 
 def write_trace(f: IO[bytes], chunks) -> None:
@@ -202,7 +195,7 @@ def write_trace(f: IO[bytes], chunks) -> None:
     each age's prefix, ``,delta,metric,0``, with no queue words.  No CSV
     byte is NUL, so dropping the grid's NULs, read row by row, leaves the
     text.  The grid, index and ``fired`` buffers grow to the widest chunk
-    given.
+    given, and the prefix table to the oldest age.
     """
     prefixes = _Prefixes(""), _Prefixes("0")  # by route: a chunk whose start is s adds the 0
     grids = np.empty(0, dtype="<u8")
@@ -211,7 +204,7 @@ def write_trace(f: IO[bytes], chunks) -> None:
     f.write(b"n,delta,metric,queue_len,event")
     for lo, delta, metric, first, s, start, d in chunks:
         rows, folded = len(delta), start is s
-        table, keys = prefixes[folded].columns(lo, delta, metric)
+        table = prefixes[folded].columns(delta, metric)
         spans = [np.searchsorted(times, (lo, lo + rows)).tolist() for times in (d, s, start)]
         n, p = len(str(lo + rows - 1)) // 8 + 1, len(table)
         w = len(str(first + len(s))) // 8 + 1  # sample-index words, with a byte for the colon
@@ -232,8 +225,8 @@ def write_trace(f: IO[bytes], chunks) -> None:
         _counting(lo, rows, grid[:n])
         grid[0] |= _NEWLINE
         grid[n - 1, 0] |= _ZERO  # n = 0 prints its digit
-        # keys are table's columns by construction: "clip" never clips, unbuffered
-        np.take(table, keys, axis=1, out=grid[n:n + p], mode="clip")
+        # every age is a column of table: "clip" never clips, unbuffered
+        np.take(table, delta, axis=1, out=grid[n:n + p], mode="clip")
         if not folded:
             _decimal(queue, grid[n + p:c])
             grid[c - 1] |= _ZERO
@@ -293,7 +286,7 @@ def _times(block):
     return s, start, s + block.sojourn
 
 
-def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
+def _schedule(policy, dist, horizon, seed=None, forced=None):
     """Check the arguments, then yield one run's schedule as ``_Block``s.
 
     Service times are given by ``forced``, as one block of support indices,
@@ -315,9 +308,8 @@ def _schedule(policy, dist, horizon, delta0, seed=None, forced=None):
     sum of 0, c and the block's y - gap, and its running minimum, both exact
     in integers; the last W is the next block's wait.
     """
-    for name, value in (("horizon", horizon), ("delta0", delta0)):
-        if not (isinstance(value, (int, np.integer)) and value >= 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if not (isinstance(horizon, (int, np.integer)) and horizon >= 1):
+        raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
     if forced is not None and seed is not None:
         raise ValueError("seed and forced exclude each other: pass one")
     # a seed of None would draw OS entropy: every run must replay from its seed
@@ -376,12 +368,12 @@ def _grow(acc, n):
     return acc if len(acc) >= n else np.concatenate((acc, np.zeros(n - len(acc), dtype=np.int64)))
 
 
-def _histogram(blocks, horizon, delta0):
+def _histogram(blocks, horizon):
     """Histogram of ages over steps 1..horizon (index = age), folded from a
     run's schedule blocks up to the first with a delivery past the horizon.
 
     The sample generated at s_i owns ages d_i - s_i .. d_{i+1} - s_i - 1, and
-    the run opens with one generated at -delta0, from step 1.  ``diff``
+    the run opens with one generated at -1, from step 1.  ``diff``
     counts each segment's first age less its one-past-last age (an empty
     opening segment cancels); its running sum, up to the largest
     one-past-last age, is the histogram.  In a block the first ages are the
@@ -395,8 +387,8 @@ def _histogram(blocks, horizon, delta0):
     block, so it stops at the block where the backlog passes the guard.
     """
     diff = np.zeros(0, dtype=np.int64)
-    owner = -delta0  # generation time of the latest sample delivered
-    firsts, ends = [1 + delta0], []  # single ages, counted at the end
+    owner = -1  # generation time of the latest sample delivered
+    firsts, ends = [1 - owner], []  # single ages, counted at the end
     peak = 0  # the backlog peak so far
     for block in blocks:
         t, last, gap, w, a = block
@@ -442,7 +434,7 @@ def _histogram(blocks, horizon, delta0):
     return np.cumsum(diff[: np.flatnonzero(diff)[-1]])
 
 
-def trace_chunks(policy, metric, dist, horizon, delta0, seed=None, forced=None):
+def trace_chunks(policy, metric, dist, horizon, seed=None, forced=None):
     """Yield one run's trace in chunks of ``_CSV_CHUNK_ROWS`` steps from
     ``lo``, drawing ``_schedule``'s blocks as they reach them: ``(lo, delta,
     metric, first, s, start, d)``, each step's age and metric value, and the
@@ -455,18 +447,18 @@ def trace_chunks(policy, metric, dist, horizon, delta0, seed=None, forced=None):
     trips before the first chunk.
 
     The sample generated at s_i owns the steps from its delivery to the
-    next, at age n - s_i, and one generated at -delta0 opens the run.  Steps
+    next, at age n - s_i, and one generated at -1 opens the run.  Steps
     [lo, hi) need the samples generated before hi and not delivered before
     lo, and the owner at lo - 1.  The metric table doubles when an age
     passes it; no entry depends on its length.
     """
     forced = None if forced is None else list(forced)  # a run that can queue reads it twice
-    blocks = _schedule(policy, dist, horizon, delta0, seed, forced)
+    blocks = _schedule(policy, dist, horizon, seed, forced)
     s, start, d = _times(next(blocks))  # the first block checks the arguments
     queues = start is not s  # a sample of the run can wait
     if queues:
-        _histogram(_schedule(policy, dist, horizon, delta0, seed, forced), horizon, delta0)
-    first, owner, table = 0, -delta0, np.zeros(0)
+        _histogram(_schedule(policy, dist, horizon, seed, forced), horizon)
+    first, owner, table = 0, -1, np.zeros(0)
     for lo in range(0, horizon + 1, _CSV_CHUNK_ROWS):
         hi = min(lo + _CSV_CHUNK_ROWS, horizon + 1)
         while not (len(s) and s[-1] >= hi):
@@ -494,7 +486,6 @@ def age_histogram(
     dist: ServiceTimeDist,
     horizon: int,
     seed: int,
-    delta0: int = 1,
 ) -> np.ndarray:
     """Counts of each age over steps 1..horizon for one seeded run.
 
@@ -509,7 +500,7 @@ def age_histogram(
     ``hist @ table[:len(hist)] / horizon``.  It equals the bincount of
     the ages ``trace_chunks`` yields for steps 1..horizon, entry for entry.
     """
-    return _histogram(_schedule(policy, dist, horizon, delta0, seed=seed), horizon, delta0)
+    return _histogram(_schedule(policy, dist, horizon, seed=seed), horizon)
 
 
 def average_over_seeds(

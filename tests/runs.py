@@ -54,11 +54,11 @@ def queue_lengths(s, start, horizon):
     return np.searchsorted(s, steps, side="right") - np.searchsorted(start, steps, side="right")
 
 
-def run(policy, metric, dist, horizon, seed=None, forced=None, delta0=1):
+def run(policy, metric, dist, horizon, seed=None, forced=None):
     """One run's ``delta``, ``metric`` and ``queue_len`` at steps 1..horizon,
-    ``delta0`` and ``metric0`` at step 0, the times ``s``, ``start`` and ``d`` of
-    the samples generated by the horizon, and the ``chunks`` they came from."""
-    chunks = list(simulator.trace_chunks(policy, metric, dist, horizon, delta0, seed, forced))
+    the age ``delta0`` and ``metric0`` at step 0, the times ``s``, ``start`` and
+    ``d`` of the samples generated by the horizon, and the ``chunks`` they came from."""
+    chunks = list(simulator.trace_chunks(policy, metric, dist, horizon, seed, forced))
     parts = []
     for lo, delta, values, _, s, start, d in chunks:
         a, b = np.searchsorted(s, (lo, lo + len(delta)))

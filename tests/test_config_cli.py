@@ -483,6 +483,14 @@ class TestCli:
         assert "PASS" in out
         assert sum(line.startswith("instance") for line in out.splitlines()) == 4
 
+    def test_oracle_check_zmax_enumerates_the_capped_waits(self, capsys):
+        # the solver returns the optimum over waits 0..z_max, so the oracle enumerates
+        # the same waits; enumerating up to z_cap failed instance 17 by 4.75e-05
+        assert main(["oracle-check", "--zmax", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("PASS: ")
+        assert lines[17].startswith("instance 17: ") and lines[17].endswith("(8 candidates)")
+
     def test_oracle_check_tiny_cap_reports_mismatch(self, tmp_path, capsys):
         # a cap of 0 restricts the oracle to zero-wait, exposing the cap
         cfg = write(tmp_path, "oc.ini", "[oracle]\ninstances = 6\nz_cap = 0\nseed = 0\n")
@@ -558,7 +566,6 @@ class TestCli:
         "command, ini, flags, key",
         [
             ("solve", SOLVE_INI, ["--zmax", "0"], "[solver] z_max"),
-            ("sweep", SWEEP_INI.replace("seeds = 4", "seeds = 4\ndelta0 = 0"), [], "[sim] delta0"),
             ("trace", TRACE_INI.replace("horizon = 22", "horizon = 0"), [], "[trace] horizon"),
             ("oracle-check", "[oracle]\ninstances = 2\nz_cap = -1\n", [],
              "[oracle] z_cap must be >= 0, got -1"),
@@ -585,7 +592,7 @@ class TestCli:
             ("oracle-check", "[oracle]\ninstances = 10001\n", [],
              "[oracle] instances must be <= 10000, got 10001"),
         ],
-        ids=["solve-zmax-flag", "sweep-delta0", "trace-horizon", "oracle-z-cap", "sim-seeds",
+        ids=["solve-zmax-flag", "trace-horizon", "oracle-z-cap", "sim-seeds",
              "sim-seeds-flag", "sim-seeds-repeated", "sim-seeds-repeated-flag", "trace-seed",
              "oracle-seed", "trace-forced-empty", "sim-seed-count", "sim-seed-count-flag",
              "oracle-instances"],
@@ -741,19 +748,6 @@ class TestCli:
         assert proc.stderr.splitlines() == [f"infofresh: error: [penalty]: {message}"]
 
     @pytest.mark.parametrize("command", ["trace", "sweep"])
-    def test_huge_delta0_exit_1_without_traceback(self, tmp_path, command):
-        # unbounded, delta0 = 10**12 sized a 7 TiB metric table and died of MemoryError
-        ini = {"trace": TRACE_INI + "\n[sim]\ndelta0 = 1000000000000\n",
-               "sweep": SWEEP_INI.replace("seeds = 4", "seeds = 4\ndelta0 = 1000000000000")}
-        out = tmp_path / "o.csv"
-        proc = run_cli(command, "--config", write(tmp_path, "c.ini", ini[command]),
-                       "--out", str(out))
-        assert proc.returncode == 1
-        assert proc.stderr.splitlines() == [
-            "infofresh: error: [sim] delta0 must be <= 10000000, got 1000000000000"]
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["trace", "sweep"])
     def test_huge_uniform_period_exit_1_without_traceback(self, tmp_path, command):
         # unbounded, a 20-digit period overflowed the int64 schedule arithmetic
         # with an OverflowError that named no key
@@ -870,6 +864,19 @@ class TestCli:
             "", "infofresh: error: unknown config field [solver] tol\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, ini", [
+        ("sweep", SWEEP_INI.replace("seeds = 4", "seeds = 4\ndelta0 = 1")),
+        ("trace", TRACE_INI + "\n[sim]\ndelta0 = 1\n"),
+    ], ids=["sweep", "trace"])
+    def test_sim_delta0_is_an_unknown_key(self, tmp_path, capsys, command, ini):
+        # every run opens at age 1, with a sample generated at time -1
+        out = tmp_path / "o.csv"
+        cfg = write(tmp_path, "c.ini", ini)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", "infofresh: error: unknown config field [sim] delta0\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["solve", "sweep", "trace", "oracle-check"])
     def test_tol_flag_is_a_usage_error(self, tmp_path, capsys, command):
         out = tmp_path / "o.csv"
@@ -926,7 +933,6 @@ class TestCliFuzz:
         ("solver", "z_max", ("1", "40"), ("0", "-3")),
         ("sim", "horizon", ("1", "200"), ("0", "-1")),
         ("sim", "seeds", ("1", "2, 7"), ("0", "-2", "-1, 2", "3, 3")),
-        ("sim", "delta0", ("1", "5"), ("0", "-1", "10000001", "1000000000000")),
         ("sweep", "grid", ("0.5", "0.1, 0.3", "0:0.5:0.25"), ("", "0.3, 0.1", "0.2, 0.2")),
         ("sweep", "uniform_period", ("1", "4"), ("0", "-1", "10000001")),
         ("sweep", "policies", ("optimal", "zero-wait, uniform"), ("", ",")),
@@ -1111,13 +1117,13 @@ class TestStreamedTrace:
             "[service]\ndist = 1:0.3, 4:0.7\n\n"
             "[trace]\npolicy = zero-wait\nseed = 3\nhorizon = 200\n"
         ),
-        # the ages before the first delivery, 40 to 44, lie past the widest chunk
+        # a first service of 40 steps outlasts the widest chunk: the ages from
+        # step 0, 1 to 40 before its delivery, cross chunk boundaries
         "replay-delta0-past-a-chunk": (
             "[penalty]\nkind = affine\nslope = 1.0\n\n"
-            "[service]\ndist = 1:0.5, 5:0.5\n\n"
-            "[sim]\ndelta0 = 40\n\n"
+            "[service]\ndist = 1:0.4, 5:0.4, 40:0.2\n\n"
             "[trace]\npolicy = zero-wait\nhorizon = 60\n"
-            "forced_services = 5, 5, 5, 1, 5, 1, 1, 5, 5, 1, 5, 5, 1, 1, 1, 5, 5, 5, 1, 1, 5, 5, 1, 5\n"
+            "forced_services = 40, 5, 5, 1, 5, 1, 1, 5, 5, 1, 5, 5, 1, 1, 1, 5, 5, 5, 1, 1, 5, 5\n"
         ),
     }
 

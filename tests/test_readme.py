@@ -1,11 +1,14 @@
-"""The README's library example runs and prints what it says it prints, and
-every public name is used in the package or offered in the README."""
+"""The README's library example runs and prints what it says it prints, every
+public name is used in the package or offered in the README, and each call form
+the README shows fits its function's signature."""
 
 import ast
+import inspect
 import pathlib
 import re
 
 import infofresh
+import infofresh.cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -34,3 +37,22 @@ def test_public_names_are_used_or_documented():
                     used.add(node.attr)
     documented = set(re.findall(r"`([A-Za-z_]\w*)", README.read_text(encoding="utf-8")))
     assert sorted(set(infofresh.__all__) - used - documented) == []
+
+
+def test_inline_call_forms_bind_to_their_signatures():
+    # a form that outlives a parameter, such as trace_chunks(..., delta0, ...), fails to bind
+    callables = {name: getattr(infofresh, name) for name in infofresh.__all__}
+    callables["infofresh.cli.main"] = infofresh.cli.main
+    checked = set()
+    for name, args in re.findall(r"`([\w.]+)\(([^`()]*)\)", README.read_text(encoding="utf-8")):
+        if name not in callables:
+            continue
+        params = [p.strip() for p in args.split(",") if p.strip()]
+        keywords = {p.partition("=")[0].strip(): None for p in params if "=" in p}
+        try:
+            inspect.signature(callables[name]).bind(*(p for p in params if "=" not in p),
+                                                     **keywords)
+        except TypeError as exc:
+            raise AssertionError(f"README shows `{name}({args})`: {exc}") from None
+        checked.add(name)
+    assert {"trace_chunks", "solve_beta", "infofresh.cli.main"} <= checked, checked

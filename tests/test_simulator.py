@@ -151,9 +151,11 @@ class TestReplay:
 
 class TestAgeBookkeeping:
     def test_pre_delivery_age_uses_delta0(self):
-        trace = run(zero_waiting(D4), Affine(1.0), D4, 3, forced=[4], delta0=7)
-        assert trace.delta.tolist() == [8, 9, 10]
-        assert np.array_equal(trace.delta, trace.delta0 + np.arange(1, 4))
+        # the run opens with a sample generated at -1: before the first delivery,
+        # at step 4, the age at step n is n + 1
+        trace = run(zero_waiting(D4), Affine(1.0), D4, 3, forced=[4])
+        assert trace.delta0 == 1
+        assert trace.delta.tolist() == [2, 3, 4]
 
     def test_age_recurrence_and_reset(self):
         trace = run(Uniform(period=3), Affine(1.0), D15, 400, seed=11)
@@ -208,7 +210,7 @@ class TestThresholdPolicy:
         hist = age_histogram(waits, D15, 60, 3)
         assert hist.tolist() == [0, 10, 10, 5, 5, 13, 8, 3, 3, 3]
         assert hist.tolist() != age_histogram(zero_waiting(D15), D15, 60, 3).tolist()
-        deltas = reference_simulate(waits, D15, one_shot_services(D15, 60, 3), 60, 1)[0]
+        deltas = reference_simulate(waits, D15, one_shot_services(D15, 60, 3), 60)[0]
         assert hist.tolist() == np.bincount(deltas).tolist()
 
     @pytest.mark.parametrize("policy", ["not a policy", None], ids=["str", "none"])
@@ -217,7 +219,7 @@ class TestThresholdPolicy:
         with pytest.raises(TypeError, match=message):
             age_histogram(policy, D15, 60, 3)
         with pytest.raises(TypeError, match=message):
-            next(simulator.trace_chunks(policy, Affine(1.0), D15, 60, 1, 3))
+            next(simulator.trace_chunks(policy, Affine(1.0), D15, 60, 3))
 
 
 class TestFIFO:
@@ -262,14 +264,14 @@ class TestFIFO:
         # the guard is checked in the histogram fold, which trace_chunks runs once
         # before its first chunk, so a caller gets no chunk first
         monkeypatch.setattr(simulator, "QUEUE_GUARD", 10)
-        chunks = simulator.trace_chunks(Uniform(2), Affine(1.0), D15, 100_000, 1, seed=7)
+        chunks = simulator.trace_chunks(Uniform(2), Affine(1.0), D15, 100_000, seed=7)
         with pytest.raises(RuntimeError, match="backlog reached"):
             next(chunks)
 
     def test_forced_queue_guard_trips_before_the_first_chunk(self, monkeypatch):
         # a forced run that can queue takes the same fold before its first chunk
         monkeypatch.setattr(simulator, "QUEUE_GUARD", 5)
-        chunks = simulator.trace_chunks(Uniform(1), Affine(1.0), D4, 50, 1, forced=[4] * 51)
+        chunks = simulator.trace_chunks(Uniform(1), Affine(1.0), D4, 50, forced=[4] * 51)
         with pytest.raises(RuntimeError, match=r"^queue backlog reached 38 samples \(guard 5\)"):
             next(chunks)
 
@@ -294,7 +296,7 @@ class TestFIFO:
     def test_schedule_yields_every_block_past_the_guard(self, monkeypatch):
         # the schedule only produces; the fold that reads it decides where the run ends
         monkeypatch.setattr(simulator, "QUEUE_GUARD", 0)
-        blocks = list(simulator._schedule(Uniform(1), D4, 200, 1, seed=0))
+        blocks = list(simulator._schedule(Uniform(1), D4, 200, seed=0))
         assert sum(len(block.sojourn) for block in blocks) == 201
         with pytest.raises(RuntimeError, match=r"^queue backlog reached 150 samples \(guard 0\)"):
             age_histogram(Uniform(1), D4, 200, 0)
@@ -384,17 +386,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             run(zero_waiting(D4), Affine(1.0), D4, 0, seed=0)
 
-    def test_delta0_positive(self):
-        with pytest.raises(ValueError):
-            run(zero_waiting(D4), Affine(1.0), D4, 10, seed=0, delta0=0)
-
-    @pytest.mark.parametrize("name, horizon, delta0", [("horizon", 20.5, 1), ("delta0", 20, 1.5)])
-    def test_horizon_and_delta0_are_integers(self, name, horizon, delta0):
-        bad = horizon if name == "horizon" else delta0
-        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got {bad}$"):
-            age_histogram(Uniform(3), D13, horizon, 1, delta0)
-        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got {bad}$"):
-            run(zero_waiting(D13), Affine(1.0), D13, horizon, 1, delta0=delta0)
+    @pytest.mark.parametrize("name, horizon, seed", [("horizon", 20.5, 1)])
+    def test_horizon_and_delta0_are_integers(self, name, horizon, seed):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got {horizon}$"):
+            age_histogram(Uniform(3), D13, horizon, seed)
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got {horizon}$"):
+            run(zero_waiting(D13), Affine(1.0), D13, horizon, seed)
 
     def test_uniform_period_positive(self):
         with pytest.raises(ValueError):
@@ -430,7 +427,7 @@ class TestValidation:
                               age_histogram(Uniform(3), D13, 1000, 7))
 
 
-def reference_simulate(policy, dist, services, horizon, delta0):
+def reference_simulate(policy, dist, services, horizon):
     """Step-by-step event loop, deliberately naive, as an engine oracle.
 
     Consumes ``services`` in generation order; returns per-step ages and
@@ -478,7 +475,7 @@ def reference_simulate(policy, dist, services, horizon, delta0):
             busy_until = n + svc[in_service]
             events.append(("service_start", in_service, n))
         if n >= 1:
-            deltas.append(n - freshest if freshest is not None else delta0 + n)
+            deltas.append(n - freshest if freshest is not None else n + 1)
             qlens.append(len(queue))
     return deltas, qlens, events, delivered
 
@@ -499,9 +496,7 @@ class TestAgainstReferenceEngine:
             # at most horizon + 1 samples can be generated, so never exhausted
             services = rng.choice(dist.support, size=2 * horizon + 4).tolist()
             trace = run(policy, Affine(1.0), dist, horizon, forced=services)
-            deltas, qlens, events, delivered = reference_simulate(
-                policy, dist, services, horizon, delta0=1
-            )
+            deltas, qlens, events, delivered = reference_simulate(policy, dist, services, horizon)
             assert trace.delta.tolist() == deltas, f"{policy} ages diverge"
             assert trace.queue_len.tolist() == qlens, f"{policy} queues diverge"
             assert sorted(reference_events(trace)) == sorted(events), f"{policy} events diverge"
@@ -556,11 +551,10 @@ class TestSeededHistograms:
         if dist is HEAVY and policy == zero_waiting(dist):
             monkeypatch.setattr(simulator, "_CHUNK", 512)
         for seed in seeds:
-            delta0 = 1 + seed % 3
             chunks.clear()
-            hist = age_histogram(policy, dist, horizon, seed, delta0)
+            hist = age_histogram(policy, dist, horizon, seed)
             deltas = reference_simulate(policy, dist, one_shot_services(dist, horizon, seed),
-                                        horizon, delta0)[0]
+                                        horizon)[0]
             assert hist.dtype == np.int64
             assert np.array_equal(hist, np.bincount(deltas)), (policy, seed)
             if dist is HEAVY and policy == zero_waiting(dist):
@@ -583,7 +577,7 @@ class TestSeededHistograms:
     def test_every_block_but_the_last_is_full(self, monkeypatch, chunk, seed):
         # a rare long service time: a draw sized by the mean gap would fall short
         monkeypatch.setattr(simulator, "_CHUNK", chunk)
-        blocks = simulator._schedule(zero_waiting(HEAVY), HEAVY, 2000, 1, seed)
+        blocks = simulator._schedule(zero_waiting(HEAVY), HEAVY, 2000, seed)
         sizes = [len(b.sojourn) for b in blocks]
         assert sizes[:-1] == [chunk] * (len(sizes) - 1), sizes
         assert sum(sizes) <= 2001  # no more than one sample a step can generate
@@ -595,7 +589,7 @@ class TestSeededHistograms:
         # (blocks of 64 samples, so every run spans several)
         monkeypatch.setattr(simulator, "_CHUNK", 64)
         for seed in seeds:
-            blocks = list(simulator._schedule(policy, dist, horizon, 1, seed))
+            blocks = list(simulator._schedule(policy, dist, horizon, seed))
             assert len(blocks) > 1
             for block in blocks:
                 assert block.wait is None
@@ -616,8 +610,7 @@ class TestSeededHistograms:
         finally:
             tracemalloc.stop()
         assert peak < 2**20, f"peaked at {peak / 2**20:.1f} MiB"
-        deltas = reference_simulate(policy, D15, one_shot_services(D15, horizon, 0), horizon,
-                                    1)[0]
+        deltas = reference_simulate(policy, D15, one_shot_services(D15, horizon, 0), horizon)[0]
         assert np.array_equal(hist, np.bincount(deltas))
         trace = run(policy, Affine(1.0), D15, horizon, 0)
         assert trace.delta.tolist() == deltas
@@ -628,7 +621,7 @@ class TestSeededHistograms:
         for seed in seeds:
             trace = run(policy, BinarySymmetric(q=0.08), dist, horizon, seed)
             deltas, qlens = reference_simulate(
-                policy, dist, one_shot_services(dist, horizon, seed), horizon, 1)[:2]
+                policy, dist, one_shot_services(dist, horizon, seed), horizon)[:2]
             assert trace.delta.tolist() == deltas, seed
             assert trace.queue_len.tolist() == qlens, seed
             assert column_csv(trace) == reference_csv(trace), seed
@@ -641,7 +634,7 @@ class TestSeededHistograms:
             generated = np.arange(1, len(trace.s) + 1)
             peak = int((generated - np.searchsorted(trace.start, trace.s, side="right")).max())
             qlens = reference_simulate(policy, dist, one_shot_services(dist, steps, seed),
-                                       steps, 1)[1]
+                                       steps)[1]
             assert peak == max(qlens)
             return peak
 
@@ -684,30 +677,30 @@ def seeded_runs(draw):
     ))
     # short horizons end before the first delivery, so only the pre-delivery segment counts
     horizon = draw(st.integers(1, 200))
-    return policy, dist, horizon, draw(st.integers(0, 2**32)), draw(st.integers(1, 40))
+    return policy, dist, horizon, draw(st.integers(0, 2**32))
 
 
-def assert_histogram_matches_reference(policy, dist, horizon, seed, delta0, chunk):
+def assert_histogram_matches_reference(policy, dist, horizon, seed, chunk):
     with mock.patch.object(simulator, "_CHUNK", chunk):
-        hist = age_histogram(policy, dist, horizon, seed, delta0)
+        hist = age_histogram(policy, dist, horizon, seed)
     # at most horizon + 1 samples are generated, so horizon + 2 draws never run out
     services = one_shot_services(dist, horizon, seed, count=horizon + 2)
-    deltas = reference_simulate(policy, dist, services, horizon, delta0)[0]
+    deltas = reference_simulate(policy, dist, services, horizon)[0]
     assert hist.dtype == np.int64
-    assert np.array_equal(hist, np.bincount(deltas)), (policy, horizon, seed, delta0, chunk)
+    assert np.array_equal(hist, np.bincount(deltas)), (policy, horizon, seed, chunk)
 
 
 @given(seeded_runs(), st.sampled_from(BLOCK_SIZES))
-@example((zero_waiting(D12), D12, 5, 0, 3), 2)  # no delivery by the horizon
+@example((zero_waiting(D12), D12, 5, 0), 2)  # no delivery by the horizon
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_histogram_across_block_boundaries_property(run, chunk):
     assert_histogram_matches_reference(*run, chunk)
 
 
-def block_times(policy, horizon, delta0, seed, chunk):
+def block_times(policy, horizon, seed, chunk):
     """Each schedule ``_Block``'s times ``(s, start, d)``, in blocks of ``chunk`` samples."""
     with mock.patch.object(simulator, "_CHUNK", chunk):
-        return list(map(simulator._times, simulator._schedule(policy, D15, horizon, delta0, seed)))
+        return list(map(simulator._times, simulator._schedule(policy, D15, horizon, seed)))
 
 
 @pytest.mark.parametrize("policy", [Uniform(period=2), zero_waiting(D15), {1: 3, 5: 0}],
@@ -716,14 +709,14 @@ def block_times(policy, horizon, delta0, seed, chunk):
 def test_histogram_horizon_on_a_blocks_last_delivery(policy, chunk):
     # the horizon is the delivery of each block's last sample in turn: that block
     # delivers all it holds, and the next block delivers nothing by the horizon
-    seed, delta0 = 3, 4
-    blocks = block_times(policy, 300, delta0, seed, chunk)
+    seed = 3
+    blocks = block_times(policy, 300, seed, chunk)
     ends = [int(d[-1]) for _, _, d in blocks[:-1] if len(d) == chunk]
     assert len(ends) > 3
     for horizon in ends[:4]:
-        blocks = block_times(policy, horizon, delta0, seed, chunk)
+        blocks = block_times(policy, horizon, seed, chunk)
         assert horizon in [int(d[-1]) for _, _, d in blocks]
-        assert_histogram_matches_reference(policy, D15, horizon, seed, delta0, chunk)
+        assert_histogram_matches_reference(policy, D15, horizon, seed, chunk)
 
 
 # The tuple-list trace writer that the column writer replaced, kept as its
@@ -808,12 +801,12 @@ class TestColumnWriter:
         for policy, dist, services, horizon in random_runs(seed):
             if not can_queue(policy, dist):
                 assert_start_routes_agree(simulator.trace_chunks(
-                    policy, BinarySymmetric(q=0.08), dist, horizon, 1, forced=services))
+                    policy, BinarySymmetric(q=0.08), dist, horizon, forced=services))
 
     @pytest.mark.parametrize("forced", [None, [1, 5, 5, 1, 5] * 2000], ids=["seeded", "forced"])
     def test_start_routes_agree_on_a_uniform_period_at_y_max(self, forced):
         # Uniform(5) on {1, 5} takes the no-queue route, over more than one chunk
-        chunks = simulator.trace_chunks(Uniform(period=5), BinarySymmetric(q=0.1), D15, 40_000, 1,
+        chunks = simulator.trace_chunks(Uniform(period=5), BinarySymmetric(q=0.1), D15, 40_000,
                                         seed=None if forced else 7, forced=forced)
         assert_start_routes_agree(chunks)
 
@@ -822,7 +815,7 @@ class TestColumnWriter:
     def test_a_run_that_never_queues_spells_no_queue(self, monkeypatch, policy):
         # its queue_len 0 ends each age's prefix, and the step numbers and sample
         # indices count up from table slices: _decimal spells nothing at all
-        chunks = list(simulator.trace_chunks(policy, Affine(1.0), D15, 20_000, 1, seed=3))
+        chunks = list(simulator.trace_chunks(policy, Affine(1.0), D15, 20_000, seed=3))
         assert len(chunks) > 1
         decimal = simulator._decimal
 
@@ -844,8 +837,7 @@ class TestColumnWriter:
     def test_chunks_may_switch_start_routes(self, copied):
         # each chunk takes its own route: one call may mix folded chunks (start is s)
         # with chunks that carry their own start, and writes the same bytes
-        chunks = list(simulator.trace_chunks(zero_waiting(D15), Affine(1.0), D15, 20_000, 1,
-                                             seed=3))
+        chunks = list(simulator.trace_chunks(zero_waiting(D15), Affine(1.0), D15, 20_000, seed=3))
         assert len(chunks) > 2
         searched = [(*head, s, s.copy(), d) for *head, s, _, d in chunks]
         mixed = [searched[i] if i % 2 == copied else c for i, c in enumerate(chunks)]
@@ -859,7 +851,7 @@ class TestColumnWriter:
         penalty = NegatedMI(BinarySymmetric(q=0.05))
         policy = solve_beta(penalty, D15).waiting
         assert_start_routes_agree(simulator.trace_chunks(policy, BinarySymmetric(q=0.05), D15,
-                                                         200_000, 1, seed=1))
+                                                         200_000, seed=1))
 
     @pytest.mark.parametrize("offset", [-2, -1, 0, 1])
     def test_chunk_boundaries(self, monkeypatch, offset):
@@ -930,20 +922,6 @@ class TestWriterDigitWidths:
                 indices = {i for k, i, _ in reference_events(trace) if k == kind}
                 assert {9, 10, 99, 100} <= indices, (policy, kind)
             assert column_csv(trace) == reference_csv(trace), policy
-
-    def test_thirteen_digit_ages(self):
-        # a run sizes its metric table by delta0, so move a delta0 = 1 trace's
-        # pre-delivery ages to delta0 = 10**12 by hand; the writer must not
-        # size anything by delta0
-        delta0 = 10**12
-        trace = run(zero_waiting(D4), Affine(1.0), D4, 100, forced=[4] * 40)
-        pre = np.arange(1, trace.horizon + 1) < trace.d[0]
-        delta = np.where(pre, trace.delta + delta0 - 1, trace.delta)
-        big = SimpleNamespace(**vars(trace) | dict(delta0=delta0, metric0=-delta0 / 8,
-                                                   delta=delta, metric=-delta / 8))
-        big.chunks = as_chunks(big)
-        assert len(str(int(big.delta.max()))) == 13
-        assert column_csv(big) == reference_csv(big)
 
     def test_long_queue_lengths(self):
         # the backlog crosses 999,999 -> 1,000,000, the most trace_chunks can carry under
@@ -1045,9 +1023,7 @@ def writer_replays(draw):
     horizon = draw(st.integers(1, 150))
     pattern = draw(st.lists(st.sampled_from(support), min_size=1, max_size=6))
     services = (pattern * (horizon + 2))[: horizon + 2]
-    delta0 = draw(st.sampled_from([1, 9, 10, 99, 100]) | st.integers(1, 5000))
-    return dict(policy=policy, metric=metric, dist=dist, horizon=horizon, forced=services,
-                delta0=delta0)
+    return dict(policy=policy, metric=metric, dist=dist, horizon=horizon, forced=services)
 
 
 @given(writer_replays(), st.sampled_from([1, 7, 16, simulator._CSV_CHUNK_ROWS]))
