@@ -165,7 +165,6 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     problem, sign = ("max-info", -1) if cfg.penalty_kind == "negated-mi" else ("min-penalty", 1)
     res = solve_beta(penalty, dist, cfg.z_max)
     beta = sign * res.beta
-    achieved = sign * cycle_stats(penalty, dist, res.waiting).ratio
     with _open_out(cfg) as f:
         f.write(f"problem,{problem}\n")
         f.write(f"beta,{_fmt(beta)}\n")
@@ -173,8 +172,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         f.write(f"iterations,{res.iterations}\n")
         for y in dist.support:
             f.write(f"z[{y}],{res.waiting[y]}\n")
-    print(f"{problem}: beta = {_fmt(beta)} "
-          f"(achieved average {_fmt(achieved)}, |h| = {abs(res.h_residual):.3g}, "
+    print(f"{problem}: beta = {_fmt(beta)} (|h| = {abs(res.h_residual):.3g}, "
           f"{res.iterations} Dinkelbach steps)", file=sys.stderr)
     print("waits: " + ", ".join(f"Z({y}) = {res.waiting[y]}" for y in dist.support),
           file=sys.stderr)

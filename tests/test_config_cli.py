@@ -34,7 +34,7 @@ from infofresh.config import (
 )
 from infofresh.analytic import brute_force_optimum
 from infofresh.simulator import Uniform, _fmt, age_histogram
-from infofresh.solver import solve_beta
+from infofresh.solver import cycle_stats, solve_beta
 from infofresh.sources import (
     Affine,
     BinarySymmetric,
@@ -1241,33 +1241,33 @@ class TestSolveSweepGoldenDigests:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     # The benchmark's four stress instances, each pinned by its CSV digest and its whole
-    # stderr, where the achieved average comes from the independent scalar route.
+    # stderr.  `solve` does not re-evaluate its waits, so the test does: the independent
+    # scalar route's ratio of the CSV's waits must print as the CSV's beta.
     STRESS_SOLVES = {
         "gauss50": (
             "[source]\nkind = gaussian\na = 0.99\n\n[service]\ndist = "
             + ", ".join(f"{y}:0.02" for y in range(1, 51)) + "\n",
             "ca6984f50949645bea57650567af8f0335a710fb08ceebc339fc8444f4e761c4",
-            "max-info: beta = 0.50625094604 (achieved average 0.50625094604, "
-            "|h| = 1.78e-15, 2 Dinkelbach steps)\n"
+            "max-info: beta = 0.50625094604 (|h| = 1.78e-15, 2 Dinkelbach steps)\n"
             "waits: " + ", ".join(f"Z({y}) = {max(13 - y, 0)}" for y in range(1, 51)) + "\n",
         ),
         "affine500": (
             "[penalty]\nkind = affine\nslope = 1.0\n\n[service]\ndist = 1:0.9, 500:0.1\n",
             "620f87f11c6838634a313df0f9f3929464040a8acabff2471b0d0234d041566c",
-            "min-penalty: beta = 170.526582278 (achieved average 170.526582278, |h| = 0, "
-            "4 Dinkelbach steps)\nwaits: Z(1) = 119, Z(500) = 0\n",
+            "min-penalty: beta = 170.526582278 (|h| = 0, 4 Dinkelbach steps)\n"
+            "waits: Z(1) = 119, Z(500) = 0\n",
         ),
         "longwait": (
             HEAVY_INI + "\n[solver]\nz_max = 100000\n",
             "9a08e790c77cf10d168a905ad7d18766f0003b5cdd1718902789f378c200d910",
-            "min-penalty: beta = 95.4592983942 (achieved average 95.4592983942, |h| = 0, "
-            "7 Dinkelbach steps)\nwaits: Z(1) = 91, Z(3000) = 0\n",
+            "min-penalty: beta = 95.4592983942 (|h| = 0, 7 Dinkelbach steps)\n"
+            "waits: Z(1) = 91, Z(3000) = 0\n",
         ),
         "capbound": (
             HEAVY_INI + "\n[solver]\nz_max = 300\n",
             "03603115b72d7d08c046f540d579ff4a1a43e56c1f75ce2dc9bd146b883a261d",
-            "min-penalty: beta = 95.4592983942 (achieved average 95.4592983942, |h| = 0, "
-            "5 Dinkelbach steps)\nwaits: Z(1) = 91, Z(3000) = 0\n",
+            "min-penalty: beta = 95.4592983942 (|h| = 0, 5 Dinkelbach steps)\n"
+            "waits: Z(1) = 91, Z(3000) = 0\n",
         ),
     }
 
@@ -1278,3 +1278,21 @@ class TestSolveSweepGoldenDigests:
         assert main(["solve", "--config", write(tmp_path, "c.ini", text), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
         assert capsys.readouterr() == ("", err)
+        rows = dict(line.split(",") for line in out.read_text().splitlines())
+        cfg = ExperimentConfig.from_ini(text)
+        dist = cfg.build_service()
+        waits = {y: int(rows[f"z[{y}]"]) for y in dist.support}
+        sign = -1 if rows["problem"] == "max-info" else 1
+        assert _fmt(sign * cycle_stats(cfg.build_penalty(), dist, waits).ratio) == rows["beta"]
+
+    @pytest.mark.parametrize("name", ["longwait", "gauss50"])
+    def test_stress_solve_never_re_evaluates(self, name, tmp_path, monkeypatch):
+        # the solve states its own beta; the scalar re-evaluation is left to the checks
+        def refuse(*args):
+            raise AssertionError("solve called cycle_stats")
+
+        monkeypatch.setattr(cli, "cycle_stats", refuse)
+        text, digest, _ = self.STRESS_SOLVES[name]
+        out = tmp_path / "out.csv"
+        assert main(["solve", "--config", write(tmp_path, "c.ini", text), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

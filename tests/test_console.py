@@ -123,7 +123,7 @@ def test_trace_past_y_max_never_queues(tmp_path):
 
 # memory flat in the horizon (2e7 steps, 100 times perfbench's trace-long) and in the
 # uniform period (past the horizon, so one sample), and bounded at the largest service
-# time (184 MB read through this launcher); the output is not what is measured
+# time (121 MB read through this launcher); the output is not what is measured
 @pytest.mark.parametrize("command, ini, flags, bound_mb", [
     ("sweep", COMPARISON, ["--seeds", "1", "--horizon", "20000000"], 100),
     ("trace", GOLDEN_TRACES["seeded-threshold-two-blocks"].replace(

@@ -41,15 +41,17 @@ HEAVY = ServiceTimeDist({1: 0.999, 3000: 0.001})
 D40 = ServiceTimeDist({y: 1 / 40 for y in range(1, 41)})
 
 
-def _stress_problems():
-    """{name: [(penalty, service)]} for each named stress instance of the benchmark."""
+def _stress_configs():
+    """{name: config} for each named stress instance of the benchmark."""
     configs = sorted((Path(__file__).parents[1] / "perfbench" / "configs").glob("stress_*.ini"))
     assert len(configs) == 4
-    problems = {}
-    for path in configs:
-        cfg = ExperimentConfig.from_file(str(path))
-        problems[path.stem] = [(cfg.build_penalty(), cfg.build_service())]
-    return problems
+    return {path.stem: ExperimentConfig.from_file(str(path)) for path in configs}
+
+
+def _stress_problems():
+    """{name: [(penalty, service)]} for each named stress instance of the benchmark."""
+    return {name: [(cfg.build_penalty(), cfg.build_service())]
+            for name, cfg in _stress_configs().items()}
 
 
 CYCLE_PROBLEMS = {
@@ -423,6 +425,38 @@ class TestThresholdRule:
     def test_capped_instances(self, name):
         penalty, dist, z_max, capped = self.CAPPED[name]
         assert self.check(penalty, dist, z_max).capped == capped
+
+    # The rule as the abstract states it, read at the solved wait only: after service y
+    # the wait z is 0 or has g(y + z - 1) < beta, and g(y + z) >= beta, where
+    # g(t) = E[p(t + Y')]; a point the cap cut waits z_max.  Comparisons are taken up to
+    # TIE of the penalty's scale (its largest magnitude over the ages a cycle reads),
+    # which floats cannot order: exact brute force found rounding ties up to 5.8e-18
+    # of that scale.
+    TIE = 1e-13
+    STATED = {
+        "random": [(penalty, dist, None) for penalty, dist in random_instances(200, 7)],
+        **{name: [(cfg.build_penalty(), cfg.build_service(), cfg.z_max)]
+           for name, cfg in _stress_configs().items()},
+        "heavy-tail": [(Affine(1.0), HEAVY, None)],
+        "heavy-tail-capped": [(Affine(1.0), HEAVY, 50)],
+    }
+
+    @pytest.mark.parametrize("name", STATED)
+    def test_rule_as_stated(self, name):
+        for penalty, dist, z_max in self.STATED[name]:
+            res = solve_beta(penalty, dist, z_max=z_max)
+            value = scalar_metric(penalty)
+            top = 2 * max(dist.support) + max(res.waiting.values())
+            tie = self.TIE * max(abs(value(a)) for a in range(1, top + 1))
+            for y, z in res.waiting.items():
+                if y in res.capped:
+                    assert z == z_max, (y, z, z_max)
+                    continue
+                at = expected_next_penalty(penalty, dist, y + z)
+                assert at >= res.beta - tie, (y, z, at, res.beta)
+                if z:
+                    before = expected_next_penalty(penalty, dist, y + z - 1)
+                    assert before < res.beta + tie, (y, z, before, res.beta)
 
 
 # Oracle caps: a two-point support enumerates (cap+1)^2 candidates, a
