@@ -183,30 +183,23 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     models = cfg.validate_sweep()
     dist = cfg.build_service()
-    do_opt = "optimal" in cfg.policies
-    do_zw = "zero-wait" in cfg.policies
-    do_uni = "uniform" in cfg.policies
-
-    hists = []
-    if do_uni:
-        period = cfg.sweep_period(dist)
-        hists = [age_histogram(Uniform(period), dist, cfg.horizon, seed) for seed in cfg.seeds]
+    period = cfg.sweep_period(dist)
+    hists = [age_histogram(Uniform(period), dist, cfg.horizon, seed) for seed in cfg.seeds]
 
     rows = [f"{cfg.sweep_variable},i_opt,i_zero_wait,i_uniform_mean,i_uniform_stderr\n"]
     cut = {}  # grid value -> the service times whose wait the cap cut there
     for g, model in zip(cfg.sweep_grid, models):
         info = NegatedMI(model)  # the information columns solve the penalty problem on -I
-        res = solve_beta(info, dist, cfg.z_max) if do_opt else None
-        i_opt, cut[g] = (_fmt(-res.beta), res.capped) if res else ("", ())
-        i_zw = _fmt(-cycle_stats(info, dist, zero_waiting(dist)).ratio) if do_zw else ""
-        i_uni, i_se = (map(_fmt, average_over_seeds(hists, model, cfg.horizon))
-                       if do_uni else ("", ""))
-        rows.append(f"{_fmt(g)},{i_opt},{i_zw},{i_uni},{i_se}\n")
+        res = solve_beta(info, dist, cfg.z_max)
+        cut[g] = res.capped
+        i_zw = -cycle_stats(info, dist, zero_waiting(dist)).ratio
+        i_uni, i_se = average_over_seeds(hists, model, cfg.horizon)
+        rows.append(",".join(map(_fmt, (g, -res.beta, i_zw, i_uni, i_se))) + "\n")
     with _open_out(cfg) as f:
         f.writelines(rows)
     _note_cap(cfg.z_max, sorted(set().union(*cut.values())),
               f" at {cfg.sweep_variable} = {', '.join(_fmt(g) for g in cut if cut[g])}")
-    if do_uni and dist.mean() >= period:
+    if dist.mean() >= period:
         print(f"infofresh: note: the uniform queue is unstable at load E[Y] / [sweep] "
               f"uniform_period = {_fmt(dist.mean())} / {period} >= 1: its wait has no steady "
               f"state, so the uniform column depends on the horizon", file=sys.stderr)
@@ -266,7 +259,7 @@ def cmd_oracle_check(cfg: ExperimentConfig) -> int:
 # ----------------------------------------------------------------------
 
 # subcommand -> its plot script's fields: (CSV column, legend label) series drawn against
-# column 0, skipped if empty; the pyplot call and style; the x label as an expression; the y label
+# column 0; the pyplot call and style; the x label as an expression; the y label
 _PLOTS = {
     "mi-curve": dict(series=((1, None),), call="step", style='where="post"',
                      xlabel='"age (steps)"', ylabel="information (bits)"),
@@ -291,9 +284,7 @@ with open(os.path.join(here, "{csv}")) as f:
     columns = list(zip(*reader))
 xs = [float(x) for x in columns[0]]
 for col, label in series:
-    ys = [float(y) if y else None for y in columns[col]]
-    if any(y is not None for y in ys):
-        plt.{call}(xs, ys, {style}, label=label)
+    plt.{call}(xs, [float(y) for y in columns[col]], {style}, label=label)
 plt.xlabel({xlabel})
 plt.ylabel({ylabel!r})
 if any(label for _, label in series):

@@ -31,7 +31,6 @@ SOURCES = {"binary": (BinarySymmetric, "q"), "gaussian": (GaussianAR1, "a"),
 # [sweep] variable -> the source model whose scalar parameter it is
 SWEEP_MODELS = {key: model for model, key in SOURCES.values() if key != "values"}
 PENALTIES = ("negated-mi", "affine", "table")
-POLICIES = ("optimal", "zero-wait", "uniform")
 TRACE_POLICIES = ("threshold", "zero-wait", "uniform")
 # Only an input range: the simulator runs any period past the horizon as horizon + 1.
 UNIFORM_PERIOD_MAX = 10**7
@@ -153,10 +152,6 @@ class ExperimentConfig:
         "must be non-empty and strictly increasing"))
     uniform_period: int | None = _ini("sweep", "uniform_period", int, None, _at_least(1),
                                       _at_most(UNIFORM_PERIOD_MAX))
-    policies: tuple[str, ...] = _ini(
-        "sweep", "policies", _list(str), POLICIES, (bool, "must name at least one policy"),
-        (lambda v: set(v) <= set(POLICIES),
-         f"must not name an unknown policy (known: {', '.join(POLICIES)})"))
     trace_policy: str = _ini("trace", "policy", str, "threshold", _one_of(TRACE_POLICIES))
     forced_services: tuple[int, ...] | None = _ini(
         "trace", "forced_services", _list(int), None, (bool, "must list at least one service time"))

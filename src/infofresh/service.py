@@ -21,7 +21,7 @@ _COUNTED_SUPPORT = 40
 # Exact routes size their tables by y_max (the solver's reach 3 * y_max ages), linearly,
 # so 10**8 would ask for about 18 GB.  Peaks at this bound, {1: .5, 10**6: .5} with binary
 # q = 0.01, read from a launcher (2-core Xeon VM, Python 3.11.7, numpy 2.4.6): solve 121 MB
-# in 0.3 s; sweep 128 MB (2 x 2,000 steps) to 150 MB (1e6); trace 121 MB (2,000) to 247 MB (3e6).
+# in 0.3 s; sweep 128 MB (2 x 2,000 steps) to 150 MB (1e6); trace 121 MB (2,000) to 168 MB (3e6).
 SERVICE_TIME_MAX = 10**6
 
 

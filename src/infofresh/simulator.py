@@ -164,7 +164,8 @@ class _Prefixes:
         if len(new):
             fresh, at = np.unique(delta[new], return_index=True)
             words = _words(fresh, metric[new[at]], self.tail)  # metric is a function of age
-            table = np.pad(table, ((0, max(0, len(words) - len(table))), (0, 0)))
+            if len(words) > len(table):  # np.pad copies even when it adds nothing
+                table = np.pad(table, ((0, len(words) - len(table)), (0, 0)))
             table[:len(words), fresh] = words
         self.table = table
         return table

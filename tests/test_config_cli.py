@@ -207,13 +207,8 @@ class TestConfig:
             ExperimentConfig.from_ini(
                 "[sweep]\nvariable = q\ngrid = 0.3, 0.2\n"
             ).validate_sweep()
-        with pytest.raises(ConfigError, match="unknown policy"):
-            ExperimentConfig.from_ini(
-                "[sweep]\nvariable = q\ngrid = 0.1, 0.2\npolicies = optimal, lazy\n"
-            ).validate_sweep()
         ok = "[sweep]\nvariable = q\ngrid = 0.1, 0.2\n"
         for ini, key in [
-            (ok + "policies =\n", r"\[sweep\] policies must name at least one policy"),
             (ok + "uniform_period = 0\n", r"\[sweep\] uniform_period must be >= 1, got 0"),
             (ok + "uniform_period = 10000001\n",
              r"\[sweep\] uniform_period must be <= 10000000, got 10000001"),
@@ -547,13 +542,12 @@ class TestCli:
         "ini, flags, key",
         [
             (SWEEP_INI + "\n[solver]\nz_max = -1\n", [], "[solver] z_max"),
-            (SWEEP_INI + "policies =\n", [], "[sweep] policies"),
             (SWEEP_INI.replace("horizon = 20000", "horizon = 0"), [], "[sim] horizon"),
             (SWEEP_INI, ["--horizon", "0"], "[sim] horizon"),
             (SWEEP_INI.replace("uniform_period = 6", "uniform_period = 0"), [],
              "[sweep] uniform_period"),
         ],
-        ids=["z_max", "no-policies", "horizon", "horizon-flag", "uniform-period"],
+        ids=["z_max", "horizon", "horizon-flag", "uniform-period"],
     )
     def test_sweep_bad_config_exit_1_before_output(self, tmp_path, capsys, ini, flags, key):
         cfg = write(tmp_path, "sw.ini", ini)
@@ -800,12 +794,9 @@ class TestCli:
             ("sweep", SWEEP_INI.replace("horizon = 20000", "horizon = 2000"), "q",
              [("i_opt", "optimal"), ("i_zero_wait", "zero-wait"),
               ("i_uniform_mean", "uniform")], "q", "time-average information (bits)"),
-            # a column left empty by [sweep] policies is not plotted
-            ("sweep", SWEEP_INI.replace("uniform_period = 6", "policies = zero-wait"), "q",
-             [("i_zero_wait", "zero-wait")], "q", "time-average information (bits)"),
             ("trace", TRACE_INI, "n", [("delta", None)], "time step", "age (steps)"),
         ],
-        ids=["mi-curve", "sweep", "sweep-one-policy", "trace"],
+        ids=["mi-curve", "sweep", "trace"],
     )
     def test_plot_script_plots_the_csv(self, tmp_path, monkeypatch, command, ini, x, series,
                                        xlabel, ylabel):
@@ -877,6 +868,15 @@ class TestCli:
             "", "infofresh: error: unknown config field [sim] delta0\n")
         assert not out.exists()
 
+    def test_sweep_policies_is_an_unknown_key(self, tmp_path, capsys):
+        # every sweep solves, evaluates zero-wait and simulates uniform at each grid point
+        out = tmp_path / "o.csv"
+        cfg = write(tmp_path, "c.ini", SWEEP_INI + "policies = optimal\n")
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", "infofresh: error: unknown config field [sweep] policies\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["solve", "sweep", "trace", "oracle-check"])
     def test_tol_flag_is_a_usage_error(self, tmp_path, capsys, command):
         out = tmp_path / "o.csv"
@@ -935,7 +935,6 @@ class TestCliFuzz:
         ("sim", "seeds", ("1", "2, 7"), ("0", "-2", "-1, 2", "3, 3")),
         ("sweep", "grid", ("0.5", "0.1, 0.3", "0:0.5:0.25"), ("", "0.3, 0.1", "0.2, 0.2")),
         ("sweep", "uniform_period", ("1", "4"), ("0", "-1", "10000001")),
-        ("sweep", "policies", ("optimal", "zero-wait, uniform"), ("", ",")),
         ("trace", "horizon", ("1", "200"), ("0", "-5")),
         ("curve", "delta_max", ("0", "30"), ("-1",)),
         ("oracle", "instances", ("1", "6"), ("0", "-1", "10001", "100000000")),

@@ -58,7 +58,7 @@ def test_peak_rss_is_the_one_childs_own():
     # a uniform queue at load 2 stops at the block where its backlog passes the guard,
     # not after folding 1e8 steps
     ("sweep", "[service]\ndist = 1:0.5, 3:0.5\n\n[sim]\nhorizon = 100000000\nseeds = 1\n\n"
-     "[sweep]\nvariable = q\ngrid = 0.1\nuniform_period = 1\npolicies = uniform\n", [], "o.csv",
+     "[sweep]\nvariable = q\ngrid = 0.1\nuniform_period = 1\n", [], "o.csv",
      2, "queue backlog reached "),
     # the point count of a range is computed, not counted out
     ("sweep", "[service]\ndist = 1:0.5, 11:0.5\n\n[sim]\nhorizon = 2000\nseeds = 2\n\n"
@@ -123,7 +123,9 @@ def test_trace_past_y_max_never_queues(tmp_path):
 
 # memory flat in the horizon (2e7 steps, 100 times perfbench's trace-long) and in the
 # uniform period (past the horizon, so one sample), and bounded at the largest service
-# time (121 MB read through this launcher); the output is not what is measured
+# time (121 MB read through this launcher); the output is not what is measured.  The
+# forced trace's ages pass 1,048,704, where the writer's table of each age's row prefix
+# doubles to 2,097,408 columns (161 MB); copying that table at each chunk peaks at 245 MB
 @pytest.mark.parametrize("command, ini, flags, bound_mb", [
     ("sweep", COMPARISON, ["--seeds", "1", "--horizon", "20000000"], 100),
     ("trace", GOLDEN_TRACES["seeded-threshold-two-blocks"].replace(
@@ -131,7 +133,10 @@ def test_trace_past_y_max_never_queues(tmp_path):
     ("sweep", "[service]\ndist = 1:0.5, 11:0.5\n\n[sim]\nhorizon = 20000\nseeds = 2\n\n"
               "[sweep]\nvariable = q\ngrid = 0.1, 0.3\nuniform_period = 10000000\n", [], 60),
     ("solve", TWO_POINT.format(y=SERVICE_TIME_MAX), [], 250),
-], ids=["sweep-horizon-2e7", "trace-horizon-2e7", "sweep-period-1e7", "solve-service-time-max"])
+    ("trace", TWO_POINT.format(y=SERVICE_TIME_MAX) + "\n[trace]\nforced_services = "
+              f"{SERVICE_TIME_MAX}, {SERVICE_TIME_MAX}\nhorizon = 1050000\n", [], 200),
+], ids=["sweep-horizon-2e7", "trace-horizon-2e7", "sweep-period-1e7", "solve-service-time-max",
+        "trace-ages-past-1048704"])
 def test_memory_peak(tmp_path, command, ini, flags, bound_mb):
     code, peak = peak_rss_mb(*cli_child(command, "--config", write(tmp_path, "c.ini", ini), *flags,
                                         "--out", os.devnull))

@@ -1,11 +1,16 @@
 """The package's imports, read with ``ast``: the exact evaluators stay
-independent of the solver's tables, and no module imports a name it never
-reads."""
+independent of the solver's tables, no module imports a name it never
+reads, and every name the benchmark harness takes from the package exists."""
 
 import ast
+import importlib.util
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "infofresh"
+import infofresh.cli
+from infofresh.config import ExperimentConfig
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "infofresh"
 TABLE_NAMES = {"metric_table", "_tables"}
 
 
@@ -81,3 +86,65 @@ def test_no_module_imports_a_name_it_never_reads():
     found = {path.stem: unread_imports(parse(path.stem))
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     assert {module: names for module, names in found.items() if names} == {}
+
+
+# what the harness calls its config and the command-line module
+HARNESS_OWNERS = {"cfg": ExperimentConfig, "self.cli": infofresh.cli}
+
+
+def harness_trees():
+    """``perfbench/*.py``, and the set-up probe that ``run.py`` runs as a string."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    [probe] = [node.value.value for tree in trees for node in tree.body
+               if isinstance(node, ast.Assign)
+               and any(getattr(t, "id", None) == "_SETUP_PROBE" for t in node.targets)]
+    return trees + [ast.parse(probe)]
+
+
+def _exists(module, name):
+    """``from module import name`` finds an attribute, or a package's submodule."""
+    return hasattr(module, name) or (hasattr(module, "__path__") and importlib.util.find_spec(
+        f"{module.__name__}.{name}") is not None)
+
+
+def harness_faults(trees):
+    """What the harness reads that the package lacks: a name imported from
+    ``infofresh``, a ``cfg.<name>`` of ``ExperimentConfig``, a ``self.cli.<name>``
+    of ``infofresh.cli``."""
+    faults = []
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "infofresh" and not importlib.util.find_spec(
+                        alias.name):
+                    faults.append(f"import {alias.name}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "infofresh":
+            module = importlib.import_module(node.module)
+            faults += [f"from {node.module} import {alias.name}" for alias in node.names
+                       if not _exists(module, alias.name)]
+        elif isinstance(node, ast.Attribute):
+            owner = HARNESS_OWNERS.get(ast.unparse(node.value))
+            if owner is not None and not hasattr(owner, node.attr):
+                faults.append(ast.unparse(node))
+    return faults
+
+
+def test_harness_reads_only_names_the_package_has():
+    # a deletion in src/ that the benchmark still reads fails here, not in a benchmark run
+    trees = harness_trees()
+    assert len(trees) >= 4  # run.py, tracing.py, workloads.py, ... and the probe
+    assert harness_faults(trees) == []
+
+
+def test_harness_check_catches_a_stale_name():
+    for source in ("import infofresh.gone\n",
+                   "from infofresh.solver import solve_mi\n",
+                   "from infofresh import gone\n",
+                   "cfg = None\ncfg.policies\n",
+                   "class W:\n    def f(self):\n        return self.cli.simulate\n"):
+        assert harness_faults([ast.parse(source)]), source
+    assert harness_faults([ast.parse("from infofresh import cli, solver\n"
+                                     "from infofresh.solver import cycle_stats\n"
+                                     "cfg = None\ncfg.horizon, cfg.build_service\n"
+                                     "self.cli._build_parser\n")]) == []

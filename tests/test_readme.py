@@ -1,14 +1,17 @@
 """The README's library example runs and prints what it says it prints, every
-public name is used in the package or offered in the README, and each call form
-the README shows fits its function's signature."""
+public name is used in the package or offered in the README, each call form
+the README shows fits its function's signature, and its config reference
+lists exactly the config's keys."""
 
 import ast
 import inspect
 import pathlib
 import re
+from dataclasses import fields
 
 import infofresh
 import infofresh.cli
+from infofresh.config import ExperimentConfig
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -56,3 +59,15 @@ def test_inline_call_forms_bind_to_their_signatures():
             raise AssertionError(f"README shows `{name}({args})`: {exc}") from None
         checked.add(name)
     assert {"trace_chunks", "solve_beta", "infofresh.cli.main"} <= checked, checked
+
+
+def test_config_reference_lists_exactly_the_ini_keys():
+    # each key on a line of its own, set or commented out with ";"
+    [block] = re.findall(r"^```ini\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M)
+    listed, section = [], None
+    for line in block.splitlines():
+        if match := re.match(r"\[(\w+)\]", line):
+            section = match.group(1)
+        elif match := re.match(r";?\s*(\w+)\s*=", line):
+            listed.append((section, match.group(1)))
+    assert sorted(listed) == sorted(f.metadata["ini"][:2] for f in fields(ExperimentConfig))
