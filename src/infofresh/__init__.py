@@ -41,7 +41,6 @@ from .sources import (
     PenaltyTable,
     Tabulated,
     metric_table,
-    mutual_information,
 )
 
 __version__ = "0.1.0"
@@ -71,7 +70,6 @@ __all__ = [
     "brute_force_optimum",
     "cycle_stats",
     "metric_table",
-    "mutual_information",
     "random_instances",
     "solve_beta",
     "trace_chunks",

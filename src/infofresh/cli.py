@@ -199,7 +199,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         f.writelines(rows)
     _note_cap(cfg.z_max, sorted(set().union(*cut.values())),
               f" at {cfg.sweep_variable} = {', '.join(_fmt(g) for g in cut if cut[g])}")
-    if dist.mean() >= period:
+    if dist.mean() >= period and period < dist.y_max:  # else no sample ever waits
         print(f"infofresh: note: the uniform queue is unstable at load E[Y] / [sweep] "
               f"uniform_period = {_fmt(dist.mean())} / {period} >= 1: its wait has no steady "
               f"state, so the uniform column depends on the horizon", file=sys.stderr)

@@ -70,19 +70,11 @@ def _seeds(raw: str) -> tuple[int, ...]:
     return tuple(range(int(raw)))
 
 
-def _service_pairs(raw: str) -> tuple[tuple[int, float], ...]:
-    pairs = []
-    for tok in raw.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        y, _, p = tok.partition(":")
-        if not p:
-            raise ValueError(f"expected y:prob pairs, got {tok!r}")
-        pairs.append((int(y), float(p)))
-    if not pairs:
-        raise ValueError("service distribution must list at least one y:prob pair")
-    return tuple(pairs)
+def _pair(tok: str) -> tuple[int, float]:
+    y, _, p = tok.partition(":")
+    if not p:
+        raise ValueError(f"expected y:prob pairs, got {tok!r}")
+    return int(y), float(p)
 
 
 def _grid(raw: str) -> tuple[float, ...]:
@@ -135,7 +127,8 @@ class ExperimentConfig:
     source_q: float | None = _ini("source", "q", float)
     source_a: float | None = _ini("source", "a", float)
     source_values: tuple[float, ...] | None = _ini("source", "values", _list(float))
-    service: tuple[tuple[int, float], ...] | None = _ini("service", "dist", _service_pairs)
+    service: tuple[tuple[int, float], ...] | None = _ini(
+        "service", "dist", _list(_pair), None, (bool, "must list at least one y:prob pair"))
     penalty_kind: str = _ini("penalty", "kind", str, "negated-mi", _one_of(PENALTIES))
     penalty_slope: float | None = _ini("penalty", "slope", float)
     penalty_intercept: float = _ini("penalty", "intercept", float, 0.0)
@@ -171,11 +164,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_ini(cls, text: str) -> "ExperimentConfig":
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)  # a value is read as written
         try:
             parser.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(f"config syntax error: {exc}") from exc
+        for key in parser.defaults():  # configparser would copy these into every section
+            raise ConfigError(f"unknown config field [DEFAULT] {key}")
         spots = {f.metadata["ini"][:2]: f.name for f in fields(cls)}
         cfg = cls()
         for section in parser.sections():

@@ -13,8 +13,8 @@ evaluates a whole age range in numpy.  The scalar route is the reference
 the tables are tested against; ``mi-curve`` prints it, and
 ``penalty_prefix_sums`` adds it up for the exact cycle sums of
 ``solver.cycle_stats`` and the oracle, which so share no table with the
-solver.  ``NegatedMI`` and ``mutual_information`` check for a source
-model, and ``penalty_prefix_sums`` and the solver's tables for a penalty.
+solver.  ``NegatedMI`` checks for a source model, and
+``penalty_prefix_sums`` and the solver's tables for a penalty.
 """
 
 from __future__ import annotations
@@ -85,21 +85,6 @@ class Tabulated:
 
 
 MarkovSourceModel = Union[GaussianAR1, BinarySymmetric, Tabulated]
-
-
-def mutual_information(model: MarkovSourceModel, delta: int) -> float:
-    """Information (bits) a sample of age ``delta`` retains about the state.
-
-    Non-negative and non-increasing in ``delta``; may be +inf (Gaussian at
-    age 0).  Total on valid models.
-    """
-    if not isinstance(model, MarkovSourceModel):
-        raise TypeError(f"mutual information needs a source model, got {model!r}")
-    if not isinstance(delta, (int, np.integer)):
-        raise ValueError(f"age must be an integer, got {delta!r}")
-    if delta < 0:
-        raise ValueError(f"age must be non-negative, got {delta}")
-    return scalar_metric(model)(delta)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from infofresh.sources import (
     Affine,
     BinarySymmetric,
     NegatedMI,
-    mutual_information,
     scalar_metric,
 )
 from reference import slack
@@ -133,8 +132,8 @@ class TestConfig:
         assert len(set(spots)) == len(spots)
 
     def test_empty_service_list(self):
-        with pytest.raises(ConfigError, match=r"^\[service\] dist: service distribution must "
-                                              r"list at least one y:prob pair$"):
+        with pytest.raises(ConfigError, match=r"^\[service\] dist must list at least one "
+                                              r"y:prob pair, got \(\)$"):
             ExperimentConfig.from_ini("[service]\ndist = ,\n")
 
     @pytest.mark.parametrize("step", ["0", "-0.1"])
@@ -649,14 +648,17 @@ class TestCli:
         assert main(["trace", "--config", cfg, "--out", str(tmp_path / ("o" * 300))]) == 2
         assert "forced service times" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("period, note", [
-        (6, "infofresh: note: the uniform queue is unstable at load E[Y] / [sweep] "
-            "uniform_period = 6 / 6 >= 1: its wait has no steady state, so the uniform column "
-            "depends on the horizon\n"),
-        (7, ""),
-    ], ids=["load-1", "load-below-1"])
-    def test_sweep_notes_an_unstable_uniform_queue(self, tmp_path, capsys, period, note):
-        ini = SWEEP_INI.replace("uniform_period = 6", f"uniform_period = {period}")
+    @pytest.mark.parametrize("service, period, note", [
+        ("1:0.5, 11:0.5", 6, "infofresh: note: the uniform queue is unstable at load E[Y] / "
+            "[sweep] uniform_period = 6 / 6 >= 1: its wait has no steady state, so the uniform "
+            "column depends on the horizon\n"),
+        ("1:0.5, 11:0.5", 7, ""),
+        # a period of at least y_max makes every sample find the server free
+        ("3:1.0", 3, ""),
+    ], ids=["load-1", "load-below-1", "deterministic-load-1"])
+    def test_sweep_notes_an_unstable_uniform_queue(self, tmp_path, capsys, service, period, note):
+        ini = SWEEP_INI.replace("uniform_period = 6", f"uniform_period = {period}").replace(
+            "dist = 1:0.5, 11:0.5", f"dist = {service}")
         out = tmp_path / "o.csv"
         assert main(["sweep", "--config", write(tmp_path, "sw.ini", ini), "--out", str(out),
                      "--seeds", "2", "--horizon", "2000"]) == 0
@@ -877,6 +879,26 @@ class TestCli:
             "", "infofresh: error: unknown config field [sweep] policies\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("ini, key", [
+        ("[DEFAULT]\nbogus = 1\n", "bogus"),
+        # configparser would copy the key into [service] too, and name it there
+        ("[DEFAULT]\nq = 0.05\n\n" + SOLVE_INI, "q"),
+    ], ids=["alone", "beside-sections"])
+    def test_default_section_keys_are_unknown(self, tmp_path, capsys, ini, key):
+        out = tmp_path / "o.csv"
+        cfg = write(tmp_path, "c.ini", ini)
+        assert main(["oracle-check", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"infofresh: error: unknown config field [DEFAULT] {key}\n")
+        assert not out.exists()
+
+    def test_a_percent_sign_is_read_as_written(self, tmp_path):
+        # configparser's interpolation once raised on it, past every error handler
+        out = tmp_path / "out%d.csv"
+        cfg = write(tmp_path, "c.ini", SOLVE_INI + f"\n[output]\npath = {out}\n")
+        assert main(["solve", "--config", cfg]) == 0
+        assert out.read_text().startswith("problem,max-info\nbeta,")
+
     @pytest.mark.parametrize("command", ["solve", "sweep", "trace", "oracle-check"])
     def test_tol_flag_is_a_usage_error(self, tmp_path, capsys, command):
         out = tmp_path / "o.csv"
@@ -1055,7 +1077,7 @@ class TestTablePathPrintsScalarValues:
         assert [float(row[0]) for row in rows] == list(cfg.sweep_grid)
         for q, row in zip(cfg.sweep_grid, rows):
             model = BinarySymmetric(q=q)
-            table = np.array([0.0] + [mutual_information(model, d) for d in range(1, size)])
+            table = np.array([0.0] + [scalar_metric(model)(d) for d in range(1, size)])
             vals = np.array([float(h @ table[: len(h)]) / cfg.horizon for h in hists])
             assert row[3] == _fmt(float(vals.mean())), row
 
@@ -1068,7 +1090,7 @@ class TestTablePathPrintsScalarValues:
         assert [float(row[0]) for row in rows] == list(cfg.sweep_grid)
         for q, row in zip(cfg.sweep_grid, rows):
             model = BinarySymmetric(q=q)
-            table = np.array([0.0] + [mutual_information(model, d) for d in range(1, len(hist))])
+            table = np.array([0.0] + [scalar_metric(model)(d) for d in range(1, len(hist))])
             assert row[3] == _fmt(float(hist @ table) / cfg.horizon), row
             assert row[4] == "0", row
 

