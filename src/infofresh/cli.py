@@ -97,7 +97,7 @@ def _run(cmd, name: str, args: argparse.Namespace) -> int:
         _check_out(cfg.out_path)
     code = cmd(cfg)
     if plot:
-        with _create(cfg.out_path + ".plot.py") as f:
+        with _open_out(cfg.out_path + ".plot.py") as f:
             f.write(_PLOT_TEMPLATE.format(name=name, csv=os.path.basename(cfg.out_path),
                                           **_PLOTS[name]))
     return code
@@ -129,13 +129,22 @@ def _cannot_write(path: str, reason) -> ConfigError:
 
 
 @contextlib.contextmanager
-def _open_out(cfg: ExperimentConfig):
-    if cfg.out_path:
-        with _create(cfg.out_path) as f:
-            yield f
-    else:
-        yield sys.stdout
-        sys.stdout.flush()  # a reader that hung up fails here, inside the command, not at exit
+def _open_out(path: str | None):
+    """The file at ``path``, or stdout if None.  A failed write is a runtime error naming
+    the output, except that a BrokenPipeError (stdout's reader hung up) is left to ``main``."""
+    try:
+        if path:
+            with _create(path) as f:
+                yield f
+        else:
+            yield sys.stdout
+            sys.stdout.flush()  # a reader that hung up fails here, inside the command, not at exit
+    except OSError as exc:
+        if not path:  # fd 1 goes to devnull, so the flush at exit cannot fail on what it holds
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise RuntimeError(f"cannot write output {path or 'standard output'}: {exc.strerror}") from exc
 
 
 def _note_cap(z_max: int, ys: Sequence[int], where: str = "") -> None:
@@ -149,7 +158,7 @@ def _note_cap(z_max: int, ys: Sequence[int], where: str = "") -> None:
 
 def cmd_mi_curve(cfg: ExperimentConfig) -> int:
     model = cfg.build_source()
-    with _open_out(cfg) as f:
+    with _open_out(cfg.out_path) as f:
         f.write("delta,mi_bits\n")
         # scalar: metric_table's numpy log1p moves the 12th printed digit of some rows
         info = scalar_metric(model)
@@ -165,7 +174,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     problem, sign = ("max-info", -1) if cfg.penalty_kind == "negated-mi" else ("min-penalty", 1)
     res = solve_beta(penalty, dist, cfg.z_max)
     beta = sign * res.beta
-    with _open_out(cfg) as f:
+    with _open_out(cfg.out_path) as f:
         f.write(f"problem,{problem}\n")
         f.write(f"beta,{_fmt(beta)}\n")
         f.write(f"h_residual,{_fmt(res.h_residual)}\n")
@@ -195,7 +204,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         i_zw = -cycle_stats(info, dist, zero_waiting(dist)).ratio
         i_uni, i_se = average_over_seeds(hists, model, cfg.horizon)
         rows.append(",".join(map(_fmt, (g, -res.beta, i_zw, i_uni, i_se))) + "\n")
-    with _open_out(cfg) as f:
+    with _open_out(cfg.out_path) as f:
         f.writelines(rows)
     _note_cap(cfg.z_max, sorted(set().union(*cut.values())),
               f" at {cfg.sweep_variable} = {', '.join(_fmt(g) for g in cut if cut[g])}")
@@ -225,7 +234,7 @@ def cmd_trace(cfg: ExperimentConfig) -> int:
                           cfg.forced_services)
     # the first chunk checks the run, and trips any backlog guard, before any output
     chunks = itertools.chain([next(chunks)], chunks)
-    with _open_out(cfg) as f:
+    with _open_out(cfg.out_path) as f:
         f.flush()  # text written before goes first: the bytes bypass the text layer
         write_trace(f.buffer, chunks)
     return 0
@@ -251,7 +260,7 @@ def cmd_oracle_check(cfg: ExperimentConfig) -> int:
                  f"{len(instances)} instances (tolerance {ORACLE_MATCH_TOL:g})")
     if not ok:
         lines.append("worst: " + lines[worst])
-    with _open_out(cfg) as f:
+    with _open_out(cfg.out_path) as f:
         f.writelines(line + "\n" for line in lines)
     return 0 if ok else 2
 
@@ -307,9 +316,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (SequenceExhausted, BudgetExceeded, RuntimeError) as exc:
         print(f"infofresh: error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # stdout's reader hung up: fd 1 goes to devnull, so the flush at exit cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # stdout's reader hung up, and _open_out sent fd 1 to devnull
         return 2
 
 

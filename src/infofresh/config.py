@@ -1,10 +1,10 @@
 """Experiment configuration: a flat INI file plus flag overrides.
 
 Every field declares its ``[section] key``, decoder and valid range through
-``_ini``, so the INI schema is the field list itself.  ``set_text`` decodes
-a value as its key would be, from the file or from a flag, and checks its
-range; the ``build_*`` methods construct the module objects and convert
-their errors into ConfigError diagnostics naming the field.
+``_ini``, so the INI schema is the field list itself.  Setting a field, by any
+route, checks its range; ``set_text`` decodes text as its key would be, from
+the file or from a flag.  The ``build_*`` methods construct the module objects
+and convert their errors into ConfigError diagnostics naming the field.
 """
 
 from __future__ import annotations
@@ -159,6 +159,16 @@ class ExperimentConfig:
     tol = 1e-10  # not a field: only perfbench reads it, until it holds the value (ROADMAP.md)
     delta0 = 1  # not a field: only perfbench reads it, until it holds the value (ROADMAP.md)
 
+    def __setattr__(self, name: str, value) -> None:
+        """Set an attribute; a field's value, unless None, must first satisfy its rules."""
+        f = _FIELDS.get(name)
+        if f is not None and value is not None:
+            for holds, phrase in f.metadata["rules"]:
+                if not holds(value):
+                    section, key, _ = f.metadata["ini"]
+                    raise ConfigError(f"[{section}] {key} {phrase}, got {value!r}")
+        super().__setattr__(name, value)
+
     # ------------------------------------------------------------------
     # parsing
 
@@ -185,17 +195,16 @@ class ExperimentConfig:
         try:
             with open(path, "r", encoding="utf-8") as f:
                 return cls.from_ini(f.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
     def set_text(self, name: str, raw: str) -> None:
-        """Set field ``name`` from text as its INI key decodes it, then check its range."""
+        """Set field ``name`` from text as its INI key decodes it; setting checks its range."""
         section, key, decode = _FIELDS[name].metadata["ini"]
         try:
             value = decode(raw.strip())
         except Exception as exc:
             raise ConfigError(f"[{section}] {key}: {exc}") from exc
-        _check_rules(_FIELDS[name], value)
         setattr(self, name, value)
 
     def _required(self, name: str, by: str = "this command"):
@@ -238,14 +247,8 @@ class ExperimentConfig:
     def sweep_period(self, dist: ServiceTimeDist) -> int:
         return self.uniform_period if self.uniform_period is not None else round_half_up(dist.mean())
 
-    def check(self) -> None:
-        """Raise ConfigError naming the first set value outside its field's range."""
-        for f in fields(self):
-            _check_rules(f, getattr(self, f.name))
-
     def validate_sweep(self) -> list[MarkovSourceModel]:
-        """Check the keys ``sweep`` reads; return the source model at each grid point."""
-        self.check()
+        """Name a missing ``sweep`` key; return the source model at each grid point."""
         model = SWEEP_MODELS[self._required("sweep_variable")]
         try:
             return [model(g) for g in self._required("sweep_grid")]
@@ -254,13 +257,3 @@ class ExperimentConfig:
 
 
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
-
-
-def _check_rules(f, value) -> None:
-    if value is None:
-        return
-    for holds, phrase in f.metadata["rules"]:
-        if not holds(value):
-            section, key, _ = f.metadata["ini"]
-            shown = repr(value) if isinstance(value, str) else value
-            raise ConfigError(f"[{section}] {key} {phrase}, got {shown}")

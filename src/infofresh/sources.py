@@ -261,10 +261,9 @@ def metric_table(metric: "MarkovSourceModel | AgePenalty", n: int) -> np.ndarray
             out[:k] = -0.5 * np.log1p(-t) / _LN2 + 0.0
         return out
     out[:k] = t * t / (2.0 * _LN2)  # the asymptote, taken where t < 1e-8
-    big = np.flatnonzero(t >= 1e-8)
-    j = int(big[-1]) + 1 if big.size else 0  # no age from j on needs the exact form
+    j = int(np.count_nonzero(t >= 1e-8))  # t falls with age: the exact form is for ages < j
     t = t[:j]
     with np.errstate(divide="ignore", invalid="ignore"):  # t = 1 is masked below
         exact = ((1.0 - t) * np.log1p(-t) + (1.0 + t) * np.log1p(t)) / (2.0 * _LN2)
-    out[:j] = np.where(t >= 1.0, 1.0, np.where(t < 1e-8, out[:j], exact))
+    out[:j] = np.where(t >= 1.0, 1.0, exact)
     return out

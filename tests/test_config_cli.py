@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import os
@@ -217,9 +218,8 @@ class TestConfig:
             with pytest.raises(ConfigError, match=key):
                 ExperimentConfig.from_ini(ini).validate_sweep()
         cfg = ExperimentConfig.from_ini(ok)
-        cfg.horizon = -5  # set in code: --horizon -5 is refused as it is set
         with pytest.raises(ConfigError, match=r"\[sim\] horizon must be >= 1, got -5"):
-            cfg.validate_sweep()
+            cfg.horizon = -5  # set in code: refused as it is set, as --horizon -5 is
         # the boundary values are valid
         ExperimentConfig.from_ini(
             ok + "uniform_period = 1\n[sim]\nhorizon = 1\n[solver]\nz_max = 1\n"
@@ -236,9 +236,19 @@ class TestConfig:
                 ExperimentConfig.from_ini(f"[{section}]\n{key} = {value}\n")
             assert str(exc.value) == f"[{section}] {key} must be {names}, got {value!r}"
         cfg = ExperimentConfig()
-        cfg.trace_policy = "lazy"  # set in code, so only check() sees it
         with pytest.raises(ConfigError, match=r"^\[trace\] policy must be .*, got 'lazy'$"):
-            cfg.check()
+            cfg.trace_policy = "lazy"  # set in code: refused as it is set
+
+    def test_undecodable_config_names_its_path(self, tmp_path, capsys):
+        # the UnicodeDecodeError once reached main bare, and its line named no file
+        path = tmp_path / "c.ini"
+        path.write_bytes(b"[source]\nkind = binary\nq = \xff\n")
+        with pytest.raises(UnicodeDecodeError) as reason:
+            path.read_bytes().decode("utf-8")
+        assert main(["mi-curve", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"infofresh: error: cannot read config {path}: {reason.value}\n"
+        assert captured.out == ""
 
     def test_syntax_error(self):
         with pytest.raises(ConfigError, match="syntax"):
@@ -780,6 +790,22 @@ class TestCli:
             err.seek(0)
             assert err.read() == b""  # no traceback, and no "Exception ignored" at exit
 
+    # a failed write once ended in an OSError traceback and exit 1, the config-error code
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to fill")
+    @pytest.mark.parametrize("to", ["out", "stdout"])
+    @pytest.mark.parametrize("command", ["solve", "trace", "mi-curve"])
+    def test_failed_write_exits_2_with_one_line(self, command, to):
+        flags = ["--out", "/dev/full"] if to == "out" else []
+        argv, env = cli_child(command, "--config", str(CONFIGS / "threshold_trace.ini"), *flags)
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(argv, stdout=full if to == "stdout" else subprocess.PIPE,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        where = "/dev/full" if to == "out" else "standard output"
+        assert proc.returncode == 2
+        assert proc.stderr.decode().splitlines() == [
+            f"infofresh: error: cannot write output {where}: {os.strerror(errno.ENOSPC)}"]
+        assert proc.stdout in (None, b"")
+
     def test_plot_script_emitted(self, tmp_path):
         cfg = write(tmp_path, "c.ini", "[source]\nkind = binary\nq = 0.2\n\n[curve]\ndelta_max = 5\n")
         out = str(tmp_path / "curve.csv")
@@ -1033,6 +1059,30 @@ class TestCliFuzz:
                 assert rc == 2 and len(errors) == 1, (rc, stderr.getvalue())
             if errors:
                 assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, raw, in_range", [
+        (section, key, raw, raw in good)
+        for section, key, good, out_of_range in RANGES for raw in good + out_of_range])
+    def test_every_route_meets_the_same_rule(self, section, key, raw, in_range):
+        # a value set in code once met its range only in sweep's second pass, so
+        # oracle_instances = 10**8 and delta_max = -1 ran in every other command
+        (f,) = [f for f in fields(ExperimentConfig) if f.metadata["ini"][:2] == (section, key)]
+        value = f.metadata["ini"][2](raw)
+        if in_range:
+            cfg = ExperimentConfig()
+            setattr(cfg, f.name, value)
+            assert getattr(cfg, f.name) == value
+            assert getattr(ExperimentConfig(**{f.name: value}), f.name) == value
+            return
+        with pytest.raises(ConfigError) as read:
+            ExperimentConfig.from_ini(f"[{section}]\n{key} = {raw}\n")
+        cfg = ExperimentConfig()
+        with pytest.raises(ConfigError) as assigned:
+            setattr(cfg, f.name, value)
+        assert getattr(cfg, f.name) == getattr(ExperimentConfig(), f.name)  # left as it was
+        with pytest.raises(ConfigError) as built:
+            ExperimentConfig(**{f.name: value})
+        assert str(assigned.value) == str(built.value) == str(read.value)
 
 
 class TestTablePathPrintsScalarValues:
